@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp benchdiff fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp benchdiff fuzz fuzz-fastpath difftest deltadiff
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails on any Go file gofmt would rewrite. Files under testdata/ are
+# analyzer fixtures whose layout is part of the test and are left alone.
+fmt:
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -61,8 +67,9 @@ fastsoak:
 bench:
 	$(GO) run ./cmd/janusbench -json BENCH.json
 
-# bench-lp runs the simplex microbenchmarks directly (cold solve and the
-# branch-and-bound warm re-solve pattern) with allocation counts.
+# bench-lp runs the simplex microbenchmarks directly (cold solve, the
+# branch-and-bound warm re-solve pattern, and one basis refactorization at
+# period-model size, where a cubic term would show) with allocation counts.
 bench-lp:
 	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem ./internal/lp/
 
@@ -104,6 +111,6 @@ fuzz:
 fuzz-fastpath:
 	$(GO) test -fuzz=FuzzCompiledLookup -fuzztime=$(FUZZTIME) ./internal/fastpath/
 
-# check is the full correctness gate CI runs: compile, vet, januslint,
-# and the test suite under the race detector.
-check: build vet lint test-race
+# check is the full correctness gate CI runs: compile, gofmt, vet,
+# januslint, and the test suite under the race detector.
+check: build fmt vet lint test-race

@@ -141,8 +141,8 @@ func (c *Configurator) extractResult(m *model, sol *milp.Solution, tier Degradat
 		Status:     sol.Status,
 		Tier:       tier,
 		Stats: Stats{
-			Variables:    m.prob.NumVariables(),
-			Constraints:  m.prob.NumConstraints(),
+			Variables:        m.prob.NumVariables(),
+			Constraints:      m.prob.NumConstraints(),
 			Nodes:            sol.Nodes,
 			LPIterations:     sol.LPIterations,
 			Refactorizations: sol.Refactorizations,
@@ -218,14 +218,14 @@ func (c *Configurator) keepPrevious(prev *Result, period int, m *model, failed *
 		Status:      failed.Status,
 		Tier:        TierKeepPrevious,
 		Stats: Stats{
-			Variables:    m.prob.NumVariables(),
-			Constraints:  m.prob.NumConstraints(),
+			Variables:        m.prob.NumVariables(),
+			Constraints:      m.prob.NumConstraints(),
 			Nodes:            failed.Nodes,
 			LPIterations:     failed.LPIterations,
 			Refactorizations: failed.Refactorizations,
 			PricingSwitches:  failed.PricingSwitches,
 			Workers:          failed.Workers,
-			Duration:     time.Since(start),
+			Duration:         time.Since(start),
 		},
 		basis: prev.basis,
 	}

@@ -1,9 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"janus/internal/lp"
 	"janus/internal/milp"
 	"janus/internal/milp/difftest"
 	"janus/internal/workload"
@@ -71,4 +78,50 @@ func TestDifferentialCorpusRealModels(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPeriodModelFixtures keeps internal/lp/testdata/period-*.lp equal to
+// the hour-12 period models of the 50-policy four-period workload on Ans
+// and Cwix. Package lp cannot import this one, so its factorization oracle
+// and BenchmarkLPRefactorize read real period models from those files;
+// rerun with UPDATE_GOLDEN=1 after a change to the model builder.
+func TestPeriodModelFixtures(t *testing.T) {
+	spec := workload.Spec{Policies: 50, EndpointsPerPolicy: 3, MaxNFs: 2, TimePeriods: 4, Seed: 1}
+	for _, topoName := range []string{"Ans", "Cwix"} {
+		inst := corpusModel(t, "period-"+strings.ToLower(topoName), topoName, spec, Config{CandidatePaths: 5, Seed: 1}, 12, false)
+		got := formatProblem(inst.Prob)
+		path := filepath.Join("..", "lp", "testdata", inst.Name+".lp")
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not the current %s period model (rerun with UPDATE_GOLDEN=1 if intended)", path, topoName)
+		}
+	}
+}
+
+// formatProblem writes an LP in the line format lp's readProblem parses:
+// "v lo up obj" per variable, then "r sense rhs var:coef ..." per row.
+func formatProblem(p *lp.Problem) []byte {
+	var b bytes.Buffer
+	num := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	for v := 0; v < p.NumVariables(); v++ {
+		lo, up := p.Bounds(v)
+		fmt.Fprintf(&b, "v %s %s %s\n", num(lo), num(up), num(p.ObjectiveCoef(v)))
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		sense, rhs, terms := p.Constraint(i)
+		fmt.Fprintf(&b, "r %d %s", sense, num(rhs))
+		for _, tm := range terms {
+			fmt.Fprintf(&b, " %d:%s", tm.Var, num(tm.Coef))
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
 }

@@ -57,8 +57,8 @@ func (c *Configurator) CheckFeasibility(period int) (*FeasibilityReport, error) 
 	rep := &FeasibilityReport{
 		Policies: len(m.pids),
 		Stats: Stats{
-			Variables:    m.prob.NumVariables(),
-			Constraints:  m.prob.NumConstraints(),
+			Variables:        m.prob.NumVariables(),
+			Constraints:      m.prob.NumConstraints(),
 			Nodes:            sol.Nodes,
 			LPIterations:     sol.LPIterations,
 			Refactorizations: sol.Refactorizations,

@@ -84,6 +84,7 @@ func (c *Configurator) ConfigureTemporalIndependent() (*TemporalResult, error) {
 	}
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
+	c.topo.Index() // the period solves below share the topology read-only
 	for i, h := range periods {
 		wg.Add(1)
 		go func(i, h int) {

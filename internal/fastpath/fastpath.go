@@ -32,12 +32,12 @@ import (
 // not import dataplane (dataplane imports fastpath to host the atomic
 // holder), so the shared shape lives here by construction.
 type Rule struct {
-	Switch  topo.NodeID
-	Src     string
-	Dst     string
-	Match   policy.Classifier
-	NextHop topo.NodeID
-	InPort  topo.NodeID
+	Switch    topo.NodeID
+	Src       string
+	Dst       string
+	Match     policy.Classifier
+	NextHop   topo.NodeID
+	InPort    topo.NodeID
 	QueueMbps float64
 	Priority  int
 }
@@ -62,7 +62,7 @@ type Compiled struct {
 
 	// flows maps srcID<<32|dstID to an index into entries for pairs that
 	// have at least one installed rule.
-	flows map[uint64]int32
+	flows   map[uint64]int32
 	entries []flowEntry
 
 	// outcomes is the arena all entries' decisions index into.

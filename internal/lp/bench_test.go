@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -60,8 +61,7 @@ func BenchmarkLPSolve(b *testing.B) {
 // is reused and the child pays only its pivots. The return trip restores
 // the bounds and re-solves warm from the parent basis, proving optimality
 // immediately after one refactorization (the fair price of jumping to a
-// different part of the tree). The dense engine pays a full O(m³)
-// reinversion plus dense O(m²)-per-pivot updates on both legs.
+// different part of the tree).
 func BenchmarkLPWarmResolve(b *testing.B) {
 	p := buildBenchLP(150, 60)
 	base, err := p.Solve(Options{})
@@ -92,6 +92,43 @@ func BenchmarkLPWarmResolve(b *testing.B) {
 		}
 		if back.Status != Optimal {
 			b.Fatalf("restore status %v", back.Status)
+		}
+	}
+}
+
+// BenchmarkLPRefactorize times one basis refactorization at period-model
+// shape, where BenchmarkLPSolve's 60 rows are too few to show a cubic term:
+// the real Ans (m = 221) and Cwix (m = 290) period models under testdata,
+// each at the all-logical basis every cold solve starts from (k/m = 0) and
+// at its LP optimum (k/m ≈ 0.65 structural basic columns) — the two kinds
+// of basis branch and bound refactorizes once per node.
+func BenchmarkLPRefactorize(b *testing.B) {
+	for _, name := range periodModels {
+		p := readProblem(b, name)
+		sol, err := p.Solve(Options{})
+		if err != nil || sol.Status != Optimal {
+			b.Fatalf("%s: %v %v", name, err, sol)
+		}
+		ws := p.ws
+		optimal := append([]int(nil), ws.basic...)
+		logical := make([]int, ws.m)
+		for r := range logical {
+			logical[r] = ws.n + r
+		}
+		for _, bc := range []struct {
+			name  string
+			basic []int
+		}{{"logical", logical}, {"optimal", optimal}} {
+			b.Run(strings.TrimSuffix(name, ".lp")+"/"+bc.name, func(b *testing.B) {
+				copy(ws.basic, bc.basic)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := ws.refactorize(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -18,8 +18,8 @@ const fuzzEps = 1e-6
 func buildFuzzLP(seed int64, nv, nr uint8) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := NewProblem()
-	n := 1 + int(nv)%9  // 1..9 variables
-	m := int(nr) % 7    // 0..6 rows
+	n := 1 + int(nv)%9 // 1..9 variables
+	m := int(nr) % 7   // 0..6 rows
 	for i := 0; i < n; i++ {
 		lo := -3 + rng.Float64()*3 // [-3, 0]
 		up := lo + 0.5 + rng.Float64()*4.5
@@ -91,15 +91,15 @@ func FuzzLPSolve(f *testing.F) {
 	// equality-heavy systems (phase-1 artificials), the densest size, and
 	// seeds that historically hit degenerate pivots in development.
 	f.Add(int64(1), uint8(3), uint8(2))
-	f.Add(int64(2), uint8(0), uint8(0))   // 1 var, no rows
-	f.Add(int64(7), uint8(8), uint8(6))   // densest shape
+	f.Add(int64(2), uint8(0), uint8(0)) // 1 var, no rows
+	f.Add(int64(7), uint8(8), uint8(6)) // densest shape
 	// Regression: this instance exposed a ratio-test bug where a basic
 	// variable already beyond a bound was allowed to block with a clamped
 	// zero step and left the basis at a bound it did not sit on, corrupting
 	// xB and yielding an "optimal" point violating three rows.
 	f.Add(int64(11), uint8(4), uint8(3))
-	f.Add(int64(23), uint8(1), uint8(5))  // more rows than vars: likely infeasible
-	f.Add(int64(42), uint8(5), uint8(1))  // single wide row
+	f.Add(int64(23), uint8(1), uint8(5)) // more rows than vars: likely infeasible
+	f.Add(int64(42), uint8(5), uint8(1)) // single wide row
 	f.Add(int64(6241), uint8(6), uint8(4))
 	f.Add(int64(-9000), uint8(2), uint8(6))
 	// Sparse-engine path coverage (see TestFuzzSeedsExerciseSparsePaths):
@@ -115,6 +115,9 @@ func FuzzLPSolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Solve returned error on a well-formed LP: %v", err)
 		}
+		// Whatever basis the solve ended on, its factorization must agree
+		// with the dense Gauss-Jordan oracle.
+		checkRefactorize(t, p.ws)
 		if sol.Status != Optimal {
 			return // infeasible/unbounded/iter-limit are legitimate outcomes
 		}

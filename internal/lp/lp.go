@@ -7,8 +7,10 @@
 // The solver maximizes c·x subject to linear constraints and variable
 // bounds. Internally every constraint row gets one logical (slack)
 // variable. The basis inverse is held in product form: a dense inverse
-// computed at the last refactorization plus an eta file of sparse pivot
-// updates, applied by FTRAN/BTRAN. Pricing runs over a bounded candidate
+// computed at the last refactorization (by an LU that peels slack columns
+// and singletons off the basis and eliminates densely only on the rest;
+// factor.go) plus an eta file of sparse pivot updates, applied by
+// FTRAN/BTRAN. Pricing runs over a bounded candidate
 // list refreshed by full Dantzig scans, with Bland's rule as the
 // anti-cycling fallback. All per-pivot scratch lives in a workspace owned
 // by the Problem and reused across solves, so repeated warm re-solves (the

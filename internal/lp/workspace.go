@@ -40,13 +40,13 @@ type workspace struct {
 	binv0 []float64
 	// facBasic is the basic set the (binv0, etas) pair factorizes; it tracks
 	// every pivot, so a later Solve whose loaded basis equals it can skip the
-	// O(m³) refactorization entirely — the warm-resolve fast path.
+	// refactorization entirely — the warm-resolve fast path.
 	facBasic []int
 	facOK    bool
-	// Gauss-Jordan scratch (B working copy and inverse accumulator); inv is
-	// committed to binv0 only on success so a singular basis leaves the
-	// previous factorization intact.
-	gjB, gjInv []float64
+	// fac is refactorize's scratch (factor.go). binv0 is the only dense m×m
+	// array a workspace owns: refactorize rules out a singular basis before
+	// it writes the first entry, so it needs no second copy to fall back on.
+	fac factor
 
 	// Eta file: eta e has pivot row etaPivRow[e] with diagonal etaPivVal[e]
 	// and off-pivot entries etaRows/etaVals[etaStart[e]:etaStart[e+1]].
@@ -77,7 +77,8 @@ const (
 	// influence a pivot above pivotTol.
 	etaDropTol = 1e-12
 	// etaMax bounds the eta count between refactorizations. Scaling with m
-	// keeps the amortized refactorization cost at O(m²) per pivot, matching
+	// keeps the amortized refactorization cost at O(m²) per pivot even when
+	// the basis is all bump (refactorize's O(m³) worst case), matching
 	// the dense parts of FTRAN/BTRAN; the floor keeps tiny problems from
 	// refactorizing every other pivot and the cap bounds chain length.
 	etaMaxFloor = 8
@@ -98,7 +99,7 @@ func etaLimit(m int) int {
 // etaFillLimit triggers refactorization on fill-in. Applying the chain
 // costs O(nnz) per FTRAN/BTRAN against the unavoidable O(m²) dense binv0
 // pass, so compaction only pays once the chain's nnz rivals m²; below
-// that, refactorizing early costs an extra O(m³) elimination for no
+// that, refactorizing early costs an extra refactorization for no
 // FTRAN/BTRAN savings. m²/2 (+slack for tiny m) keeps the chain cheap
 // while halving refactorization count on dense-column workloads.
 func etaFillLimit(m int) int { return m*m/2 + 256 }
@@ -139,14 +140,13 @@ func newWorkspace(p *Problem) *workspace {
 	ws.xB = make([]float64, m)                       //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.binv0 = make([]float64, m*m)                  //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.facBasic = make([]int, m)                     //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
-	ws.gjB = make([]float64, m*m)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
-	ws.gjInv = make([]float64, m*m)                  //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.y = make([]float64, m)                        //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.w = make([]float64, m)                        //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.z = make([]float64, m)                        //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.resid = make([]float64, m)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.mark = make([]bool, total)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.etaStart = append(ws.etaStart, 0)             //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
+	ws.fac = newFactor(m)
 	ws.buildCols(p)
 	return ws
 }
@@ -320,80 +320,6 @@ func (ws *workspace) btran(z []float64) []float64 {
 		}
 	}
 	return y
-}
-
-// refactorize rebuilds binv0 from the current basic set by dense
-// Gauss-Jordan elimination with partial pivoting and clears the eta file.
-// On a singular basis it returns errSingular and leaves the previous
-// factorization (binv0 + etas) untouched, exactly as the dense engine kept
-// its old inverse on a failed reinversion.
-func (ws *workspace) refactorize() error {
-	m := ws.m
-	B, inv := ws.gjB, ws.gjInv
-	for i := range B {
-		B[i] = 0
-		inv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	// Inlined colEntries: a closure here would allocate once per basic
-	// column on every refactorization.
-	for r := 0; r < m; r++ {
-		v := ws.basic[r]
-		if v >= ws.n {
-			B[(v-ws.n)*m+r] = 1
-		} else {
-			rows, coefs := ws.colRows[v], ws.colCoefs[v]
-			for k, i := range rows {
-				B[int(i)*m+r] = coefs[k]
-			}
-		}
-	}
-	for col := 0; col < m; col++ {
-		piv, best := -1, pivotTol
-		for i := col; i < m; i++ {
-			if a := math.Abs(B[i*m+col]); a > best {
-				piv, best = i, a
-			}
-		}
-		if piv < 0 {
-			ws.facOK = false
-			return errSingular
-		}
-		if piv != col {
-			for j := 0; j < m; j++ {
-				B[col*m+j], B[piv*m+j] = B[piv*m+j], B[col*m+j]
-				inv[col*m+j], inv[piv*m+j] = inv[piv*m+j], inv[col*m+j]
-			}
-		}
-		d := B[col*m+col]
-		for j := 0; j < m; j++ {
-			B[col*m+j] /= d
-			inv[col*m+j] /= d
-		}
-		for i := 0; i < m; i++ {
-			if i == col {
-				continue
-			}
-			f := B[i*m+col]
-			if f == 0 { //janus:allow(floatcmp): exact-zero sparsity guard: skips a provably no-op elimination row
-				continue
-			}
-			for j := 0; j < m; j++ {
-				B[i*m+j] -= f * B[col*m+j]
-				inv[i*m+j] -= f * inv[col*m+j]
-			}
-		}
-	}
-	// Commit: swap the accumulator in as the new binv0 (the old binv0 array
-	// becomes next refactorization's scratch) and restart the eta file.
-	ws.binv0, ws.gjInv = ws.gjInv, ws.binv0
-	ws.clearEtas()
-	copy(ws.facBasic, ws.basic)
-	ws.facOK = true
-	ws.refactorizations++
-	return nil
 }
 
 // facMatchesBasis reports whether the retained factorization already

@@ -97,8 +97,8 @@ func packing(seed int64, rng *rand.Rand) Instance {
 // branch.
 func groupModel(seed int64, rng *rand.Rand) Instance {
 	p := lp.NewProblem()
-	groups := 3 + rng.Intn(5)  // 3..7
-	links := 3 + rng.Intn(4)   // 3..6 capacity rows
+	groups := 3 + rng.Intn(5) // 3..7
+	links := 3 + rng.Intn(4)  // 3..6 capacity rows
 	var integers []int
 	linkTerms := make([][]lp.Term, links)
 	for g := 0; g < groups; g++ {
@@ -136,8 +136,8 @@ func groupModel(seed int64, rng *rand.Rand) Instance {
 // and ξ slack variables do in the real models.
 func mixed(seed int64, rng *rand.Rand) Instance {
 	p := lp.NewProblem()
-	nb := 6 + rng.Intn(9)  // 6..14 binaries
-	nc := 2 + rng.Intn(4)  // 2..5 continuous
+	nb := 6 + rng.Intn(9) // 6..14 binaries
+	nc := 2 + rng.Intn(4) // 2..5 continuous
 	vars := make([]int, nb)
 	for i := range vars {
 		vars[i] = p.AddBinary(0.5 + rng.Float64()*3)

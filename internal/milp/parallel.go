@@ -112,9 +112,9 @@ type parSearch struct {
 	incumbent   []float64
 	lastImprove int
 
-	stopped   bool
-	hitLimit  bool // a node/time/stall budget ended the search
-	err       error
+	stopped  bool
+	hitLimit bool // a node/time/stall budget ended the search
+	err      error
 }
 
 func newParSearch() *parSearch {

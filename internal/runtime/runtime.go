@@ -621,6 +621,7 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 		if r.counters[flow] == nil {
 			r.counters[flow] = map[policy.Event]int{}
 		}
+		was, wasOK := compose.ActiveEdge(p, r.hour, r.counters[flow])
 		r.counters[flow][ev] += delta
 		rec.Counter = &store.CounterDelta{Src: src, Dst: dst, Event: ev, Delta: delta}
 		edge, ok := compose.ActiveEdge(p, r.hour, r.counters[flow])
@@ -630,6 +631,12 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 		edgeIdx := indexOfEdge(p, edge)
 		if edgeIdx <= 0 {
 			return nil // default edge active; nothing to reroute
+		}
+		if wasOK && indexOfEdge(p, was) == edgeIdx {
+			// The count moved but not the active edge — every temporal edge
+			// past the first window is a non-default one — and what is
+			// installed already serves it.
+			return nil
 		}
 		rec.Kind = store.KindEscalate
 		// Locate the reserved soft assignment for this (policy, edge, pair).

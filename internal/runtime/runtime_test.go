@@ -7,6 +7,7 @@ import (
 	"janus/internal/compose"
 	"janus/internal/core"
 	"janus/internal/policy"
+	"janus/internal/store"
 	"janus/internal/topo"
 )
 
@@ -53,6 +54,16 @@ func statefulSetup(t *testing.T) (*topo.Topology, *compose.Graph, *core.Configur
 		t.Fatal(err)
 	}
 	return tp, cg, conf
+}
+
+// crossesHIDS reports whether a dataplane walk traverses a Heavy-IDS box.
+func crossesHIDS(tp *topo.Topology, walk []topo.NodeID) bool {
+	for _, n := range walk {
+		if tp.Nodes[n].Kind == topo.NFBox && tp.Nodes[n].NF == policy.HeavyIDS {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRuntimeInitialInstall(t *testing.T) {
@@ -103,13 +114,7 @@ func TestStatefulTriggerUsesReservedPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lookup after escalation: %v", err)
 	}
-	sawIDS := false
-	for _, n := range walk {
-		if tp.Nodes[n].Kind == topo.NFBox && tp.Nodes[n].NF == policy.HeavyIDS {
-			sawIDS = true
-		}
-	}
-	if !sawIDS {
+	if !crossesHIDS(tp, walk) {
 		t.Errorf("escalated walk %v skips H-IDS", walk)
 	}
 }
@@ -353,5 +358,102 @@ func TestSolverMetricsRecorded(t *testing.T) {
 	}
 	if m.SolverNodeRate < 0 {
 		t.Errorf("SolverNodeRate = %g, want >= 0", m.SolverNodeRate)
+	}
+}
+
+// kindJournal records the kind of every journaled record.
+type kindJournal struct{ kinds []store.Kind }
+
+func (j *kindJournal) Append(rec *store.Record) error {
+	j.kinds = append(j.kinds, rec.Kind)
+	return nil
+}
+
+// TestCounterEventOnTemporalEdge is the regression test for counter events
+// after 06:00: on a four-period policy the active edge at hour 12 is a
+// non-default one, and ReportEvent used to take that alone for an
+// escalation — re-install, re-audit, KindEscalate, StatefulReroutes++ — on
+// every count. Only an increment that changes which edge is active may
+// reroute.
+func TestCounterEventOnTemporalEdge(t *testing.T) {
+	tp, _, _ := statefulSetup(t)
+	g := policy.NewGraph("g")
+	for w := 0; w < 4; w++ {
+		g.AddEdge(policy.Edge{Src: "Clients", Dst: "Web", Default: w == 0,
+			QoS:  policy.QoS{BandwidthMbps: float64(10 + w)},
+			Cond: policy.Condition{Window: policy.TimeWindow{Start: 6 * w, End: 6 * (w + 1)}}})
+	}
+	g.AddEdge(policy.Edge{Src: "Clients", Dst: "Web",
+		Chain: policy.Chain{policy.HeavyIDS},
+		QoS:   policy.QoS{BandwidthMbps: 10},
+		Cond:  policy.Condition{Stateful: policy.WhenAtLeast(policy.FailedConnections, 5)}})
+	cg, err := compose.New(nil).Compose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := core.New(tp, cg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	j := &kindJournal{}
+	r, err := NewDurable(ctx, conf, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AdvanceTo(ctx, 12); err != nil {
+		t.Fatal(err)
+	}
+	_, p := r.policyFor("c1", "srv")
+	if edge, ok := compose.ActiveEdge(p, 12, nil); !ok || indexOfEdge(p, edge) <= 0 {
+		t.Fatalf("the active edge at hour 12 should be a non-default one, got %v (ok=%v)", edge, ok)
+	}
+
+	before, journaled := r.Metrics(), len(j.kinds)
+	for i := 0; i < 4; i++ {
+		if err := r.ReportEvent(ctx, "c1", "srv", policy.FailedConnections, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := r.Metrics()
+	if after.Reconfigurations != before.Reconfigurations || after.StatefulReroutes != before.StatefulReroutes {
+		t.Errorf("counts below the threshold moved Reconfigurations %d -> %d, StatefulReroutes %d -> %d",
+			before.Reconfigurations, after.Reconfigurations, before.StatefulReroutes, after.StatefulReroutes)
+	}
+	for _, k := range j.kinds[journaled:] {
+		if k != store.KindCounter {
+			t.Errorf("a count below the threshold was journaled as %q, want %q", k, store.KindCounter)
+		}
+	}
+	if len(j.kinds) != journaled+4 {
+		t.Errorf("%d records for 4 counter events", len(j.kinds)-journaled)
+	}
+
+	// The fifth failure trips the condition: the escalation still happens.
+	if err := r.ReportEvent(ctx, "c1", "srv", policy.FailedConnections, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Metrics().StatefulReroutes; got != before.StatefulReroutes+1 {
+		t.Errorf("StatefulReroutes = %d after the tripping count, want %d", got, before.StatefulReroutes+1)
+	}
+	if k := j.kinds[len(j.kinds)-1]; k != store.KindEscalate {
+		t.Errorf("the tripping count was journaled as %q, want %q", k, store.KindEscalate)
+	}
+	walk, err := r.Network().Lookup("c1", "srv", policy.TCP, 80)
+	if err != nil {
+		t.Fatalf("lookup after escalation: %v", err)
+	}
+	if !crossesHIDS(tp, walk) {
+		t.Errorf("escalated walk %v skips H-IDS", walk)
+	}
+	// A further count keeps the escalated edge active: one more append.
+	if err := r.ReportEvent(ctx, "c1", "srv", policy.FailedConnections, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Metrics().StatefulReroutes; got != before.StatefulReroutes+1 {
+		t.Errorf("StatefulReroutes = %d after a count past the threshold, want %d", got, before.StatefulReroutes+1)
+	}
+	if problems := r.Verify(); len(problems) != 0 {
+		t.Errorf("verification problems: %v", problems)
 	}
 }

@@ -489,12 +489,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := struct {
-		Configured      bool               `json:"configured"`
-		Hour            int                `json:"hour"`
-		Tier            string             `json:"tier,omitempty"`
-		Quarantined     []topo.NodeID      `json:"quarantined"`
-		RememberedLinks []store.FailedLink `json:"rememberedLinks"`
-		Durable         bool               `json:"durable"`
+		Configured      bool                `json:"configured"`
+		Hour            int                 `json:"hour"`
+		Tier            string              `json:"tier,omitempty"`
+		Quarantined     []topo.NodeID       `json:"quarantined"`
+		RememberedLinks []store.FailedLink  `json:"rememberedLinks"`
+		Durable         bool                `json:"durable"`
 		Recovery        *store.RecoveryInfo `json:"recovery,omitempty"`
 	}{
 		Quarantined:     []topo.NodeID{},

@@ -332,6 +332,15 @@ func (t *Topology) invalidate() {
 	t.epIndex = nil
 }
 
+// Index builds the adjacency, capacity and endpoint indices now. Lookups
+// otherwise build them on first use, which is a data race when that first
+// use comes from several goroutines at once: call Index before sharing a
+// topology between goroutines that only read it.
+func (t *Topology) Index() {
+	t.buildIndex()
+	t.endpointIndex("")
+}
+
 func (t *Topology) buildIndex() {
 	if t.adj != nil {
 		return
