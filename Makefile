@@ -82,8 +82,9 @@ benchdiff:
 	rm -f BENCH.candidate.json
 
 # difftest runs the differential solver harness: seeded random MILPs plus
-# corpus replays of real period models, serial vs parallel, re-verified
-# feasible. This is the permanent gate for solver changes.
+# corpus replays of real period models, one worker vs. many, re-verified
+# feasible, and the one-worker tree held to its recording. This is the
+# permanent gate for solver changes.
 difftest:
 	$(GO) test -race -count=1 ./internal/milp/difftest/ -run TestDifferential -v
 	$(GO) test -race -count=1 ./internal/core/ -run TestDifferentialCorpus -v

@@ -16,7 +16,7 @@ import (
 // lock-acquisition-order check over sync.Mutex/RWMutex values.
 //
 // A lock class is the variable or struct field holding the mutex — an
-// instance-insensitive abstraction, so every *parSearch shares one "mu"
+// instance-insensitive abstraction, so every *search shares one "mu"
 // class. Inside each function a forward may-analysis over the control-flow
 // graph tracks the set of classes held at every statement; Lock/RLock adds
 // a class, Unlock/RUnlock removes it, and paths merge by union. At each

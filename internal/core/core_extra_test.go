@@ -184,90 +184,3 @@ func TestPolicyWithUnknownQoSLabelErrors(t *testing.T) {
 		t.Error("unknown QoS label should surface as an error")
 	}
 }
-
-// TestMerlinBaselineVsJanus reproduces the §2.1 contrast: a policy set
-// where simultaneous satisfaction is impossible. The Merlin-style check
-// reports infeasible and gives the writers nothing; Janus configures the
-// satisfiable subset.
-func TestMerlinBaselineVsJanus(t *testing.T) {
-	// One 50 Mbps link, two policies wanting 40 Mbps each.
-	tp := topo.NewTopology("merlin")
-	a := tp.AddSwitch("")
-	b := tp.AddSwitch("")
-	if err := tp.AddLink(a, b, 50); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range []struct {
-		name, label string
-	}{{"x1", "X"}, {"y1", "Y"}} {
-		if err := tp.AddEndpoint(ep.name, a, ep.label); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tp.AddEndpoint("srv", b, "Srv"); err != nil {
-		t.Fatal(err)
-	}
-	gx := policy.NewGraph("gx")
-	gx.AddEdge(policy.Edge{Src: "X", Dst: "Srv", QoS: policy.QoS{BandwidthMbps: 40}})
-	gy := policy.NewGraph("gy")
-	gy.AddEdge(policy.Edge{Src: "Y", Dst: "Srv", QoS: policy.QoS{BandwidthMbps: 40}})
-	cg, err := compose.New(nil).Compose(gx, gy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := mustNew(t, tp, cg, Config{})
-
-	rep, err := c.CheckFeasibility(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Feasible {
-		t.Error("80 Mbps demand on a 50 Mbps link should be infeasible")
-	}
-	if rep.Result != nil {
-		t.Error("infeasible check must return no configuration (all or nothing)")
-	}
-	if rep.Policies != 2 {
-		t.Errorf("policies = %d, want 2", rep.Policies)
-	}
-
-	res, err := c.Configure(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SatisfiedCount() != 1 {
-		t.Errorf("Janus should satisfy 1 of 2, got %d", res.SatisfiedCount())
-	}
-}
-
-func TestMerlinBaselineFeasibleCase(t *testing.T) {
-	tp := topo.NewTopology("merlin2")
-	a := tp.AddSwitch("")
-	b := tp.AddSwitch("")
-	if err := tp.AddLink(a, b, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.AddEndpoint("x1", a, "X"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.AddEndpoint("srv", b, "Srv"); err != nil {
-		t.Fatal(err)
-	}
-	g := policy.NewGraph("g")
-	g.AddEdge(policy.Edge{Src: "X", Dst: "Srv", QoS: policy.QoS{BandwidthMbps: 40}})
-	cg, err := compose.New(nil).Compose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := mustNew(t, tp, cg, Config{})
-	rep, err := c.CheckFeasibility(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Feasible || rep.Result == nil {
-		t.Fatal("single satisfiable policy should be feasible")
-	}
-	if rep.Result.SatisfiedCount() != 1 || len(rep.Result.Assignments) != 1 {
-		t.Errorf("feasible result: %+v", rep.Result)
-	}
-}

@@ -106,6 +106,28 @@ func TestKeepPreviousServesPriorConfig(t *testing.T) {
 	}
 }
 
+// TestLPRoundTierReportsOneWorker: rung 2 rounds the relaxation on the
+// calling goroutine, and the result it serves must say so — Stats.Workers
+// feeds /metrics SolverWorkers, which read 0 after an lp-round install.
+func TestLPRoundTierReportsOneWorker(t *testing.T) {
+	conf := ladderSetup(t)
+	m, err := conf.buildModel(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsol, ok := milp.NewSolver(m.prob, m.integers).RelaxAndRound(context.Background())
+	if !ok {
+		t.Fatal("the trivial model's relaxation should round")
+	}
+	res := conf.extractResult(m, rsol, TierLPRound, 0, time.Now())
+	if res.Stats.Workers != 1 {
+		t.Errorf("lp-round result reports %d workers, want 1", res.Stats.Workers)
+	}
+	if res.SatisfiedCount() != 1 {
+		t.Errorf("lp-round result satisfies %d policies, want 1", res.SatisfiedCount())
+	}
+}
+
 func TestDegradationTierStrings(t *testing.T) {
 	want := map[DegradationTier]string{
 		TierFull:         "full",

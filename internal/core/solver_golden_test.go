@@ -8,9 +8,10 @@ import (
 
 // TestSolverIterationEnvelope is a golden regression test over the fig11
 // corpus models: it pins total simplex iterations and basis
-// refactorizations of the serial solve inside a recorded envelope. A
-// pricing or eta-file change that silently triples iteration counts fails
-// here even if wall clock on the CI machine absorbs it. The envelope is
+// refactorizations of the one-worker solve inside a recorded envelope, and
+// the size of its tree exactly. A pricing or eta-file change that silently
+// triples iteration counts fails here even if wall clock on the CI machine
+// absorbs it. The envelope is
 // [half, double] of the values recorded when the sparse engine landed —
 // wide enough for benign pivot-order drift, tight enough to catch an
 // algorithmic regression. Determinism: same spec seed, Workers=1, no time
@@ -24,9 +25,11 @@ func TestSolverIterationEnvelope(t *testing.T) {
 		topo string
 		// recorded values for the sparse simplex engine
 		iters, refacts int
+		// nodes is exact: pivot order may drift, the one-worker tree may not
+		nodes int
 	}{
-		{topo: "Ans", iters: 1275, refacts: 60},
-		{topo: "Cwix", iters: 4920, refacts: 77},
+		{topo: "Ans", iters: 1275, refacts: 60, nodes: 60},
+		{topo: "Cwix", iters: 4920, refacts: 77, nodes: 60},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -43,6 +46,9 @@ func TestSolverIterationEnvelope(t *testing.T) {
 			t.Logf("%s: iterations=%d refactorizations=%d pricingSwitches=%d nodes=%d",
 				tc.topo, res.Stats.LPIterations, res.Stats.Refactorizations,
 				res.Stats.PricingSwitches, res.Stats.Nodes)
+			if res.Stats.Nodes != tc.nodes {
+				t.Errorf("explored %d nodes, want exactly %d", res.Stats.Nodes, tc.nodes)
+			}
 			if res.Stats.LPIterations < tc.iters/2 || res.Stats.LPIterations > tc.iters*2 {
 				t.Errorf("LP iterations %d outside golden envelope [%d, %d]",
 					res.Stats.LPIterations, tc.iters/2, tc.iters*2)

@@ -1,10 +1,11 @@
 // Package difftest is the differential test harness for the MILP solver:
 // the permanent correctness gate for any future solver change.
 //
-// Parallel branch and bound explores nodes in nondeterministic order, so
-// bit-for-bit comparison against the serial dive is impossible by design.
-// What must hold instead — and what this package asserts — is the
-// *contract*: on the same instance, serial and parallel solves prove the
+// Branch and bound with several workers explores nodes in nondeterministic
+// order, so bit-for-bit comparison against the one-worker dive is
+// impossible by design. What must hold instead — and what this package
+// asserts — is the *contract*: on the same instance, the one-worker solve
+// (Report.Serial) and the many-worker solve (Report.Parallel) prove the
 // same optimal objective value (within tolerance), and every returned
 // solution is genuinely feasible and integral when re-checked against the
 // problem data from scratch, without trusting any solver bookkeeping.
@@ -28,8 +29,8 @@ import (
 
 // Harness tolerances.
 const (
-	// RelTol is the required relative agreement between serial and
-	// parallel objective values.
+	// RelTol is the required relative agreement between the one-worker and
+	// the many-worker objective values.
 	RelTol = 1e-6
 	// FeasTol is the absolute violation allowed when re-checking a
 	// solution against rows, bounds, and integrality.
@@ -205,10 +206,11 @@ type Report struct {
 	Parallel *milp.Solution
 }
 
-// Compare solves the instance serially and with the given worker count and
-// cross-checks the contract: matching status, objectives within RelTol,
-// both solutions feasible/integral when re-verified against the raw
-// problem data, and each solve's objective within the other's proof bound.
+// Compare solves the instance with one worker and with the given worker
+// count and cross-checks the contract: matching status, objectives within
+// RelTol, both solutions feasible/integral when re-verified against the
+// raw problem data, and each solve's objective within the other's proof
+// bound.
 // Extra options (node limits, branching rules) can be overlaid via opts;
 // Workers and RelGap are owned by the harness.
 func Compare(ctx context.Context, inst Instance, workers int, opts milp.Options) (*Report, error) {

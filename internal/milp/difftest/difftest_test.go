@@ -1,7 +1,13 @@
 package difftest
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,5 +107,63 @@ func TestCheckSolutionCatchesViolations(t *testing.T) {
 		s.Objective = 0
 	}); err == nil {
 		t.Error("row violation not caught")
+	}
+}
+
+// TestDifferentialOneWorkerTreePinned holds the Workers: 1 search tree to a
+// recording: with one worker the frontier is a LIFO dive and the solve is
+// deterministic, so status, node, pivot and refactorization counts must
+// repeat exactly and the objective and bound to 1e-9. A solver change that
+// means to alter the tree reruns with UPDATE_GOLDEN=1 and says so.
+func TestDifferentialOneWorkerTreePinned(t *testing.T) {
+	optionSets := []struct {
+		name string
+		opts milp.Options
+	}{
+		{"default", milp.Options{}},
+		{"maxnodes7", milp.Options{MaxNodes: 7}},
+		{"stall3-pseudocost", milp.Options{StallNodes: 3, Branching: milp.PseudoCost}},
+	}
+	var got bytes.Buffer
+	for seed := int64(0); seed < numInstances; seed++ {
+		inst := Generate(seed)
+		for _, set := range optionSets {
+			opts := set.opts
+			opts.Workers, opts.RelGap = 1, proveGap
+			sol, err := milp.NewSolver(inst.Prob.Clone(), inst.Integers).Solve(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", inst.Name, set.name, err)
+			}
+			fmt.Fprintf(&got, "%s %s %v %d %d %d %.17g %.17g\n", inst.Name, set.name, sol.Status,
+				sol.Nodes, sol.LPIterations, sol.Refactorizations, sol.Objective, sol.Bound)
+		}
+	}
+	path := filepath.Join("testdata", "one-worker-tree.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(strings.TrimSpace(got.String()), "\n")
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d solves, golden has %d (rerun with UPDATE_GOLDEN=1 if intended)", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		g, w := strings.Fields(gotLines[i]), strings.Fields(wantLines[i])
+		same := len(g) == 8 && len(w) == 8 && strings.Join(g[:6], " ") == strings.Join(w[:6], " ")
+		for k := 6; same && k < 8; k++ {
+			a, errA := strconv.ParseFloat(g[k], 64)
+			b, errB := strconv.ParseFloat(w[k], 64)
+			//janus:allow(floatcmp): equal infinities (no incumbent, no bound) have no finite difference to test
+			same = errA == nil && errB == nil && (a == b || math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)))
+		}
+		if !same {
+			t.Errorf("one-worker tree moved (rerun with UPDATE_GOLDEN=1 if intended)\n got: %s\nwant: %s", gotLines[i], wantLines[i])
+		}
 	}
 }

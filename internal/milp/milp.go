@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"janus/internal/lp"
@@ -80,13 +81,14 @@ type Options struct {
 	// WarmStart seeds the root relaxation.
 	WarmStart *lp.Basis
 	// Workers is the number of branch-and-bound workers; 0 means
-	// GOMAXPROCS. With one worker the search is the deterministic
-	// depth-first dive; with more, workers pull nodes from a shared
-	// best-first queue and solve node LPs concurrently on private problem
-	// clones, which makes the exploration order — and therefore which
-	// ε-optimal incumbent is returned — nondeterministic. The objective
-	// value agrees with the serial solve within RelGap (enforced by the
-	// difftest harness).
+	// GOMAXPROCS. The count selects the order the one search explores
+	// nodes in: a single worker takes the newest node first, a
+	// deterministic depth-first dive; several take the best bound first
+	// and solve node LPs concurrently (all but the caller's on private
+	// problem clones), which makes the exploration order — and therefore
+	// which ε-optimal incumbent is returned — nondeterministic. The
+	// objective value agrees with the one-worker solve within RelGap
+	// (enforced by the difftest harness).
 	Workers int
 }
 
@@ -152,10 +154,9 @@ type Solver struct {
 	// saved bounds for restoration
 	savedLo, savedUp []float64
 
-	// pseudocost state
-	pcUp, pcDown     []float64
-	pcUpN, pcDownN   []int
-	pseudoCostsReady bool
+	// pseudocost state, indexed by variable
+	pcUp, pcDown   []float64
+	pcUpN, pcDownN []int
 }
 
 // NewSolver wraps a problem whose listed variables must take 0/1 values.
@@ -181,16 +182,15 @@ type node struct {
 	bound   float64 // parent LP objective (upper bound for this node)
 	basis   *lp.Basis
 	depth   int
+	seq     int64 // push order, the last tie-break of the best-first frontier
 }
 
-// Solve runs branch and bound. The context is checked between node solves:
-// cancelling it (an HTTP client abandoning /configure, a shutdown) aborts
-// the search promptly and returns the context's error — distinct from
-// TimeLimit, which is a planned budget and yields the best incumbent.
-//
-// With Options.Workers > 1 the search runs on a worker pool sharing a
-// best-first node queue; see solveParallel. Workers = 1 is the
-// deterministic serial dive below.
+// Solve runs branch and bound: the root relaxation and incumbent seeding
+// on the calling goroutine, then Options.Workers workers over one shared
+// frontier (see search). The context is checked each time a worker claims
+// a node: cancelling it (an HTTP client abandoning /configure, a shutdown)
+// aborts the search promptly and returns the context's error — distinct
+// from TimeLimit, which is a planned budget and yields the best incumbent.
 func (s *Solver) Solve(ctx context.Context, opts Options) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -201,190 +201,44 @@ func (s *Solver) Solve(ctx context.Context, opts Options) (*Solution, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("milp: %w", err)
 	}
-	opts = opts.withDefaults()
-	if opts.Workers > 1 {
-		return s.solveParallel(ctx, opts)
-	}
-	return s.solveSerial(ctx, opts)
-}
-
-func (s *Solver) solveSerial(ctx context.Context, opts Options) (*Solution, error) {
-	maxNodes := opts.MaxNodes
-	relGap := opts.RelGap
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
-
-	s.saveBounds()
+	sr := s.newSearch(opts.withDefaults())
 	defer s.restoreBounds()
-	nInt := len(s.integers)
-	s.pcUp = make([]float64, nInt)
-	s.pcDown = make([]float64, nInt)
-	s.pcUpN = make([]int, nInt)
-	s.pcDownN = make([]int, nInt)
-	intIndex := make(map[int]int, nInt)
-	for i, v := range s.integers {
-		intIndex[v] = i
-	}
-
-	sol := &Solution{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1), Workers: 1}
-
-	// Root relaxation.
-	root, err := s.solveLP(nil, opts.WarmStart)
+	root, err := sr.relaxRoot(s, opts.WarmStart)
 	if err != nil {
 		return nil, err
 	}
-	sol.addLP(root)
-	switch root.Status {
-	case lp.Infeasible:
-		sol.Status = Infeasible
-		return sol, nil
-	case lp.Unbounded:
-		sol.Status = Unbounded
-		return sol, nil
-	case lp.IterLimit:
-		sol.Status = Limit
-		return sol, nil
+	if root == nil {
+		return sr.sol, nil
 	}
-	sol.RootDuals = root.Duals
-	sol.RootBasis = root.Basis
-	sol.Bound = root.Objective
-
-	var incumbent []float64
-	incObj := math.Inf(-1)
-	lastImprove := 0
-	accept := func(x []float64, obj float64) {
-		if obj > incObj {
-			incObj = obj
-			incumbent = append([]float64(nil), x...)
-			lastImprove = sol.Nodes
-		}
-	}
-
-	// Seed the incumbent: the caller's MIP start first, then rounding
-	// heuristics on the root relaxation.
-	if opts.MIPStart != nil {
-		if res, err := s.solveLP(fixingChain(opts.MIPStart), nil); err == nil && res.Status == lp.Optimal && s.isIntegral(res.X) {
-			accept(res.X, res.Objective)
-		}
-	}
-	if x, obj, ok := s.roundAndRepair(root.X); ok {
-		accept(x, obj)
-	}
-	if x, obj, ok := s.greedyIncumbent(root.X); ok {
-		accept(x, obj)
-	}
-
-	// DFS stack (dive-first keeps warm starts effective: each child solves
-	// from its parent's basis with one bound change).
-	stack := []*node{{bound: root.Objective, basis: root.Basis}}
-	if frac := s.pickBranch(root.X, opts, intIndex); frac >= 0 {
-		// Root is fractional; replace the root node with its two children.
-		ch := s.children(stack[0], frac, root.X[frac])
-		stack = ch[:]
-	} else if root.Status == lp.Optimal {
+	frac := s.pickBranch(root.X, sr.opts)
+	sr.mu.Lock()
+	if frac < 0 {
 		// Root is integral: done.
-		accept(root.X, root.Objective)
-		sol.Status = Optimal
-		sol.Objective = incObj
-		sol.X = incumbent
-		sol.Bound = root.Objective
-		sol.Nodes = 1
-		return sol, nil
+		sr.acceptLocked(root.X, root.Objective)
+		sr.sol.Nodes = 1
+		sr.mu.Unlock()
+		return sr.result()
 	}
+	for _, ch := range s.children(&node{bound: root.Objective, basis: root.Basis}, frac, root.X[frac]) {
+		sr.pushLocked(ch)
+	}
+	sr.mu.Unlock()
 
-	gapOK := func(bound float64) bool {
-		if math.IsInf(incObj, -1) {
-			return false
-		}
-		denom := math.Max(1, math.Abs(incObj))
-		return (bound-incObj)/denom <= relGap
+	// Worker 0 is this goroutine on the solver's own problem; the others
+	// each own a clone, taken here, before worker 0 starts editing bounds.
+	var wg sync.WaitGroup
+	for id := 1; id < sr.opts.Workers; id++ {
+		w := &Solver{prob: s.prob.Clone(), integers: s.integers}
+		w.prepare()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sr.work(ctx, w)
+		}()
 	}
-
-	for len(stack) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("milp: solve aborted after %d nodes: %w", sol.Nodes, err)
-		}
-		if sol.Nodes >= maxNodes {
-			break
-		}
-		if opts.StallNodes > 0 && incumbent != nil && sol.Nodes-lastImprove >= opts.StallNodes {
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if gapOK(nd.bound) || nd.bound <= incObj+pruneTol {
-			continue // pruned by bound
-		}
-		res, err := s.solveLP(nd.fixings, nd.basis)
-		if err != nil {
-			return nil, err
-		}
-		sol.Nodes++
-		sol.addLP(res)
-		if res.Status == lp.Infeasible {
-			continue
-		}
-		if res.Status != lp.Optimal {
-			continue // iteration limit at a node: drop it conservatively
-		}
-		if res.Objective <= incObj+pruneTol {
-			continue
-		}
-		frac := s.pickBranch(res.X, opts, intIndex)
-		if frac < 0 {
-			accept(res.X, res.Objective)
-			continue
-		}
-		// Update pseudocosts with the parent-child degradation.
-		if i, ok := intIndex[frac]; ok {
-			s.observeDegradation(i, nd, res.Objective)
-		}
-		// Round for incumbents: every node early on (cheap and it is what
-		// enables aggressive pruning), then periodically.
-		if sol.Nodes < 64 || sol.Nodes%16 == 1 {
-			if x, obj, ok := s.roundAndRepair(res.X); ok {
-				accept(x, obj)
-			}
-		}
-		ch := s.children(&node{
-			fixings: nd.fixings, bound: res.Objective, basis: res.Basis, depth: nd.depth,
-		}, frac, res.X[frac])
-		stack = append(stack, ch[0], ch[1])
-	}
-
-	// Final bound: max over remaining open nodes and the incumbent.
-	bound := incObj
-	for _, nd := range stack {
-		if nd.bound > bound {
-			bound = nd.bound
-		}
-	}
-	if math.IsInf(bound, -1) {
-		bound = sol.Bound
-	}
-	sol.Bound = bound
-
-	if incumbent == nil {
-		if sol.Nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
-			sol.Status = Limit
-		} else {
-			sol.Status = Infeasible
-		}
-		return sol, nil
-	}
-	sol.Objective = incObj
-	sol.X = incumbent
-	if len(stack) == 0 || gapOK(bound) {
-		sol.Status = Optimal
-	} else {
-		sol.Status = Feasible
-	}
-	return sol, nil
+	sr.work(ctx, s)
+	wg.Wait()
+	return sr.result()
 }
 
 // RelaxAndRound solves the LP relaxation at the root and repairs a rounded
@@ -400,32 +254,14 @@ func (s *Solver) RelaxAndRound(ctx context.Context) (*Solution, bool) {
 	if ctx.Err() != nil {
 		return nil, false
 	}
-	s.saveBounds()
+	sr := s.newSearch(Options{Workers: 1})
 	defer s.restoreBounds()
-	root, err := s.solveLP(nil, nil)
-	if err != nil || root.Status != lp.Optimal {
+	root, err := sr.relaxRoot(s, nil)
+	if err != nil || root == nil || sr.incumbent == nil {
 		return nil, false
 	}
-	sol := &Solution{
-		Status:    Feasible,
-		Objective: math.Inf(-1),
-		Bound:     root.Objective,
-		RootDuals: root.Duals,
-		RootBasis: root.Basis,
-	}
-	sol.addLP(root)
-	if x, obj, ok := s.roundAndRepair(root.X); ok && obj > sol.Objective {
-		sol.X = append([]float64(nil), x...)
-		sol.Objective = obj
-	}
-	if x, obj, ok := s.greedyIncumbent(root.X); ok && obj > sol.Objective {
-		sol.X = append([]float64(nil), x...)
-		sol.Objective = obj
-	}
-	if sol.X == nil {
-		return nil, false
-	}
-	return sol, true
+	sr.sol.Status, sr.sol.Objective, sr.sol.X = Feasible, sr.incObj, sr.incumbent
+	return sr.sol, true
 }
 
 // children builds the two child nodes of branching variable v with LP value
@@ -437,7 +273,7 @@ func (s *Solver) children(parent *node, v int, x float64) [2]*node {
 		bound: parent.bound, basis: parent.basis, depth: parent.depth + 1}
 	down := &node{fixings: &fixing{v: v, val: 0, prev: parent.fixings}, //janus:allow(hotalloc): a branch node must outlive the step: it escapes to the node queue by design
 		bound: parent.bound, basis: parent.basis, depth: parent.depth + 1}
-	// Stack is LIFO: push the preferred child last.
+	// The one-worker frontier is LIFO: the preferred child goes last.
 	if x >= 0.5 {
 		return [2]*node{down, up}
 	}
@@ -475,13 +311,22 @@ func (s *Solver) solveLP(fixings *fixing, warm *lp.Basis) (*lp.Solution, error) 
 	return res, err
 }
 
-func (s *Solver) saveBounds() {
+// prepare readies s to work on one search: it snapshots the bounds that
+// node LPs edit and restore, and zeroes the pseudocosts. Every worker learns
+// its own pseudocosts, which trades a little branching quality for scoring
+// without the shared lock; the difftest gate bounds the cost at "still
+// within RelGap".
+func (s *Solver) prepare() {
 	n := s.prob.NumVariables()
 	s.savedLo = make([]float64, n)
 	s.savedUp = make([]float64, n)
 	for v := 0; v < n; v++ {
 		s.savedLo[v], s.savedUp[v] = s.prob.Bounds(v)
 	}
+	s.pcUp = make([]float64, n)
+	s.pcDown = make([]float64, n)
+	s.pcUpN = make([]int, n)
+	s.pcDownN = make([]int, n)
 }
 
 func (s *Solver) restoreBounds() {
@@ -496,7 +341,7 @@ func (s *Solver) restoreVar(v int) error {
 
 // pickBranch returns the integer variable to branch on, or -1 when the
 // point is integral on all integer variables.
-func (s *Solver) pickBranch(x []float64, opts Options, intIndex map[int]int) int {
+func (s *Solver) pickBranch(x []float64, opts Options) int {
 	rule := opts.Branching
 	// Restrict to the highest branch priority with a fractional variable.
 	maxPrio := 0
@@ -524,10 +369,9 @@ func (s *Solver) pickBranch(x []float64, opts Options, intIndex map[int]int) int
 		var score float64
 		switch rule {
 		case PseudoCost:
-			i := intIndex[v]
-			if s.pcUpN[i]+s.pcDownN[i] >= 2 {
-				up := pcAvg(s.pcUp[i], s.pcUpN[i])
-				down := pcAvg(s.pcDown[i], s.pcDownN[i])
+			if s.pcUpN[v]+s.pcDownN[v] >= 2 {
+				up := pcAvg(s.pcUp[v], s.pcUpN[v])
+				down := pcAvg(s.pcDown[v], s.pcDownN[v])
 				// Product rule: balance both directions.
 				score = math.Max(up*(1-f), 1e-9) * math.Max(down*f, 1e-9)
 			} else {
@@ -543,17 +387,20 @@ func (s *Solver) pickBranch(x []float64, opts Options, intIndex map[int]int) int
 	return best
 }
 
-func (s *Solver) observeDegradation(i int, parent *node, childObj float64) {
+// observeDegradation charges branching variable v, about to be branched on
+// at a node whose LP reached childObj, with what that LP lost against the
+// bound the node inherited from its parent.
+func (s *Solver) observeDegradation(v int, parent *node, childObj float64) {
 	deg := parent.bound - childObj
 	if deg < 0 {
 		deg = 0
 	}
 	// Direction is unknown at this point (the child carries it); attribute
 	// to both accumulators, which is a usable symmetric approximation.
-	s.pcUp[i] += deg
-	s.pcUpN[i]++
-	s.pcDown[i] += deg
-	s.pcDownN[i]++
+	s.pcUp[v] += deg
+	s.pcUpN[v]++
+	s.pcDown[v] += deg
+	s.pcDownN[v]++
 }
 
 func pcAvg(sum float64, n int) float64 {

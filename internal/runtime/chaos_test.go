@@ -186,8 +186,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("Crashes = %d, want the scheduled mid-update crash to trip", stats.Crashes)
 	}
 	m := rt.Metrics()
-	if len(m.TierHistory) != m.Reconfigurations {
-		t.Errorf("TierHistory has %d entries for %d reconfigurations", len(m.TierHistory), m.Reconfigurations)
+	if len(m.TierHistory) != min(tierHistoryLen, m.Reconfigurations) {
+		t.Errorf("TierHistory has %d entries for %d reconfigurations (window %d)", len(m.TierHistory), m.Reconfigurations, tierHistoryLen)
 	}
 	if m.ApplyRetries == 0 {
 		t.Error("no retries recorded despite 6%% op failure")

@@ -243,7 +243,7 @@ func normalizeResult(res *core.Result) *core.Result {
 // marshalMetrics serializes the disruption counters with the wall-clock
 // node rate zeroed.
 func (r *Runtime) marshalMetrics() json.RawMessage {
-	m := r.Metrics()
+	m := r.metrics // shallow: the history and counts are only read
 	m.SolverNodeRate = 0
 	b, err := json.Marshal(&m)
 	if err != nil {

@@ -204,3 +204,46 @@ func TestMetricsDeepCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestTierHistoryBounded: the history is a window of the last
+// tierHistoryLen reconfigurations while TierCounts keeps every one, and the
+// window survives State → Restore.
+func TestTierHistoryBounded(t *testing.T) {
+	tp, _, conf := statefulSetup(t)
+	r, err := New(context.Background(), conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]topo.NodeID{}
+	for _, n := range tp.Nodes {
+		at[n.Name] = n.ID
+	}
+	for i := 0; i < 200; i++ {
+		to := at["mid"]
+		if i%2 == 1 {
+			to = at["a"]
+		}
+		if err := r.MoveEndpoint(context.Background(), "c1", to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := r.Metrics()
+	if m.Reconfigurations != 200 || len(m.TierHistory) != tierHistoryLen {
+		t.Fatalf("%d history entries after %d reconfigurations, want %d after 200",
+			len(m.TierHistory), m.Reconfigurations, tierHistoryLen)
+	}
+	total := 0
+	for _, n := range m.TierCounts {
+		total += n
+	}
+	if total != m.Reconfigurations+1 {
+		t.Errorf("TierCounts sum to %d, want %d reconfigurations plus the initial install", total, m.Reconfigurations)
+	}
+	r2, err := Restore(r.State(), core.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 := r2.Metrics(); !reflect.DeepEqual(m2.TierHistory, m.TierHistory) || !reflect.DeepEqual(m2.TierCounts, m.TierCounts) {
+		t.Errorf("restored history %v counts %v, want %v %v", m2.TierHistory, m2.TierCounts, m.TierHistory, m.TierCounts)
+	}
+}

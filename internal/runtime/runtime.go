@@ -58,10 +58,12 @@ type Metrics struct {
 	// DeltaAffectedPolicies sums affected-set sizes across delta solves
 	// (divide by DeltaSolves for the mean sub-model size).
 	DeltaAffectedPolicies int
-	// TierHistory records, per reconfiguration, the degradation tier the
-	// configuration was served at (core.DegradationTier strings).
+	// TierHistory records the degradation tier each of the last
+	// tierHistoryLen reconfigurations was served at, oldest first
+	// (core.DegradationTier strings).
 	TierHistory []string
-	// TierCounts aggregates TierHistory plus the initial configuration.
+	// TierCounts totals the tiers of every reconfiguration plus the initial
+	// configuration.
 	TierCounts map[string]int
 
 	// SolverWorkers is the branch-and-bound worker count of the most
@@ -118,6 +120,10 @@ type Runtime struct {
 	quarantineDepth int
 }
 
+// tierHistoryLen bounds Metrics.TierHistory: the metrics ride in every
+// journal record and snapshot, so the history is a recent window, not a log.
+const tierHistoryLen = 64
+
 // maxQuarantineDepth bounds cascading quarantines within one install; a
 // real topology runs out of alternate paths long before this.
 const maxQuarantineDepth = 8
@@ -161,6 +167,9 @@ func (r *Runtime) Metrics() Metrics {
 	}
 	return m
 }
+
+// PathChanges returns Metrics().PathChanges without the copy.
+func (r *Runtime) PathChanges() int { return r.metrics.PathChanges }
 
 // Current returns the active configuration result.
 func (r *Runtime) Current() *core.Result { return r.current }
@@ -215,7 +224,8 @@ func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error
 	if r.current != nil {
 		r.metrics.PathChanges += core.CountPathChanges(r.current, res)
 		r.metrics.Reconfigurations++
-		r.metrics.TierHistory = append(r.metrics.TierHistory, res.Tier.String())
+		h := append(r.metrics.TierHistory, res.Tier.String())
+		r.metrics.TierHistory = h[max(0, len(h)-tierHistoryLen):]
 	}
 	if r.metrics.TierCounts == nil {
 		r.metrics.TierCounts = map[string]int{}

@@ -606,7 +606,7 @@ func (s *Server) eventHandler(w http.ResponseWriter, r *http.Request, req any, a
 	writeJSON(w, http.StatusOK, map[string]any{
 		"satisfied":   res.SatisfiedCount(),
 		"policies":    len(res.Configured),
-		"pathChanges": rt.Metrics().PathChanges,
+		"pathChanges": rt.PathChanges(),
 		"tier":        res.Tier.String(),
 	})
 }
