@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp benchdiff fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp fuzz fuzz-fastpath difftest deltadiff
 
 all: check
 
@@ -61,25 +61,18 @@ crashsoak:
 fastsoak:
 	$(GO) test -race -count=1 -run TestFastpathSwapSoak ./internal/runtime/ -v
 
-# bench regenerates the committed parallel-solver baseline, including the
-# lp_micro simplex microbenchmark section benchdiff gates. Run on the
-# machine whose numbers BENCH.json should reflect, then commit the file.
+# bench runs the end-to-end event-to-installed benchmark (bench/README.md)
+# as a report: all four workloads, three seeds untraced plus one traced run
+# each — several minutes. One run of one workload:
+# bash bench/run.sh --workload churn-ans --seed 1 --trace 0
 bench:
-	$(GO) run ./cmd/janusbench -json BENCH.json
+	bash bench/run.sh
 
 # bench-lp runs the simplex microbenchmarks directly (cold solve, the
 # branch-and-bound warm re-solve pattern, and one basis refactorization at
 # period-model size, where a cubic term would show) with allocation counts.
 bench-lp:
 	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem ./internal/lp/
-
-# benchdiff re-measures and fails on a >20% (and >250ms absolute) solve-time
-# regression against the committed BENCH.json. Speedup ratios are reported
-# but not gated (they depend on the host's core count).
-benchdiff:
-	$(GO) run ./cmd/janusbench -json BENCH.candidate.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH.json -candidate BENCH.candidate.json
-	rm -f BENCH.candidate.json
 
 # difftest runs the differential solver harness: seeded random MILPs plus
 # corpus replays of real period models, one worker vs. many, re-verified

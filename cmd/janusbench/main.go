@@ -7,15 +7,13 @@
 //	janusbench -exp fig11          # one experiment
 //	janusbench -scale 2 -runs 3    # larger sweeps, averaged over 3 seeds
 //	janusbench -list               # list experiments
-//	janusbench -json BENCH.json    # parallel-solver benchmark as JSON
-//	                               # (compared by cmd/benchdiff in CI)
+//	janusbench -exp parbench -runs 5   # one worker vs four on fig11
 //	janusbench -cpuprofile cpu.pprof -exp fig11   # profile a run
 //
 // See EXPERIMENTS.md for the paper-vs-measured discussion.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,8 +37,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "base random seed")
 	limit := flag.Duration("timelimit", 60*time.Second, "per-solve time limit")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.String("json", "", "write the parallel-solver benchmark to this JSON file and exit")
-	workers := flag.Int("workers", 4, "parallel worker count for -json")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -84,25 +80,6 @@ func run() int {
 
 	params := experiments.Params{Scale: *scale, Seed: *seed, Runs: *runs, TimeLimit: *limit}
 
-	if *jsonOut != "" {
-		b, err := experiments.RunParallelBench(params, *workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "janusbench: parbench: %v\n", err)
-			return 1
-		}
-		buf, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "janusbench: %v\n", err)
-			return 1
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "janusbench: %v\n", err)
-			return 1
-		}
-		fmt.Println(b.Render())
-		return 0
-	}
 	todo := experiments.All
 	if *exp != "" {
 		e, ok := experiments.Find(*exp)

@@ -46,8 +46,6 @@ type Config struct {
 	Rho float64
 	// Seed drives candidate-path randomness.
 	Seed int64
-	// MaxHops caps path enumeration length (0 = enumerator default).
-	MaxHops int
 	// MaxPathsPerPair caps exhaustive enumeration (0 = enumerator default).
 	MaxPathsPerPair int
 	// JitterQueueCap is PR: the number of policies allowed per priority
@@ -68,11 +66,6 @@ type Config struct {
 	// result is discarded and the caller falls back to a full re-solve.
 	// 0 means a default of 1; negative means 0 (any drop falls back).
 	DeltaMaxSatisfiedDrop int
-	// DeltaMaxAffectedFrac skips the delta path when the affected share of
-	// active policies exceeds this fraction: re-solving most of the model
-	// through the sub-model costs about as much as a warm-started full
-	// solve while forgoing its global view. 0 means a default of 0.6.
-	DeltaMaxAffectedFrac float64
 
 	// Solver limits, forwarded to branch & bound.
 	MaxNodes  int
@@ -132,9 +125,6 @@ func (c Config) withDefaults() Config {
 	} else if c.DeltaMaxSatisfiedDrop < 0 {
 		c.DeltaMaxSatisfiedDrop = 0
 	}
-	if c.DeltaMaxAffectedFrac == 0 { //janus:allow(floatcmp): zero-value config sentinel meaning "unset", never a computed float
-		c.DeltaMaxAffectedFrac = 0.6
-	}
 	return c
 }
 
@@ -161,7 +151,6 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 	}
 	cfg = cfg.withDefaults()
 	e := paths.NewEnumerator(t)
-	e.MaxHops = cfg.MaxHops
 	e.MaxPaths = cfg.MaxPathsPerPair
 	return &Configurator{
 		topo:   t,

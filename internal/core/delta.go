@@ -215,6 +215,12 @@ func deltaFallback(format string, args ...any) error {
 	return fmt.Errorf("core: %w: "+format, append([]any{ErrDeltaFallback}, args...)...)
 }
 
+// deltaMaxAffectedFrac is the affected share of active policies above which
+// the delta path is skipped: re-solving most of the model through the
+// sub-model costs about as much as a warm-started full solve while
+// forgoing its global view.
+const deltaMaxAffectedFrac = 0.6
+
 // DeltaReconfigureContext re-solves only the policies an event affected,
 // carrying every other assignment of prev over verbatim. Frozen
 // assignments keep their exact paths (zero rule churn, zero path-change
@@ -310,7 +316,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			affectedActive++
 		}
 	}
-	if float64(affectedActive) > c.cfg.DeltaMaxAffectedFrac*float64(active) {
+	if float64(affectedActive) > deltaMaxAffectedFrac*float64(active) {
 		return nil, deltaFallback("affected %d of %d active policies exceeds the delta share bound", affectedActive, active)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"janus/internal/compose"
 	"janus/internal/policy"
 	"janus/internal/topo"
+	"janus/internal/workload"
 )
 
 // deltaSetup builds a four-switch fabric carrying four independent
@@ -169,6 +170,102 @@ func TestDeltaMatchesFullAfterMove(t *testing.T) {
 		if l.Reserved > l.Capacity+1e-6 {
 			t.Errorf("link %d->%d oversubscribed: %.1f reserved of %.1f", l.From, l.To, l.Reserved, l.Capacity)
 		}
+	}
+}
+
+// TestDeltaSubModelScalesWithChange holds the delta path to "event cost
+// scales with the change, not the network" by model size rather than by
+// stopwatch: on the fig11 Cwix 50-policy instance, one endpoint move and one
+// link failure each re-solve a sub-model with at most a fifth of the full
+// re-solve's variables and constraints, and freeze more policies than they
+// re-solve. A sub-model built without its scope is the full model and fails
+// both ratios.
+func TestDeltaSubModelScalesWithChange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	// move relocates policy 0's first source endpoint (fig11 workloads give
+	// each policy dedicated endpoints, so one policy depends on it).
+	move := func(t *testing.T, tp *topo.Topology, ix *DepIndex) map[int]bool {
+		const ep = "p0-e0"
+		cur, ok := tp.EndpointByName(ep)
+		if !ok {
+			t.Fatalf("endpoint %s missing", ep)
+		}
+		for _, id := range tp.NodesOfKind(topo.Switch, "") {
+			if id == cur.Attach {
+				continue
+			}
+			if err := tp.MoveEndpoint(ep, id); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		affected := map[int]bool{}
+		ix.AffectedByEndpoint(ep, affected)
+		return affected
+	}
+	// linkfail removes the loaded switch-switch link the fewest policies
+	// cross (lowest key on ties) — the typical single failure, not a trunk.
+	linkfail := func(t *testing.T, tp *topo.Topology, ix *DepIndex) map[int]bool {
+		var fail [2]topo.NodeID
+		var affected map[int]bool
+		for k, on := range ix.byLink {
+			if tp.Nodes[k[0]].Kind != topo.Switch || tp.Nodes[k[1]].Kind != topo.Switch {
+				continue
+			}
+			tie := len(on) == len(affected) && (k[0] < fail[0] || (k[0] == fail[0] && k[1] < fail[1]))
+			if affected == nil || len(on) < len(affected) || tie {
+				fail, affected = k, on
+			}
+		}
+		if affected == nil {
+			t.Fatal("no loaded switch-switch link to fail")
+		}
+		if err := tp.RemoveLink(fail[0], fail[1]); err != nil {
+			t.Fatal(err)
+		}
+		return affected
+	}
+	for name, event := range map[string]func(*testing.T, *topo.Topology, *DepIndex) map[int]bool{
+		"move": move, "linkfail": linkfail,
+	} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.Generate("Cwix", workload.Spec{Policies: 50, EndpointsPerPolicy: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The optimality guard is opened wide: on this capacity-tight
+			// instance the link failure costs two policies and the default
+			// guard would (correctly) send the event to a full solve, but
+			// the property held here is the size of the sub-model itself.
+			c := mustNew(t, w.Topo, w.Graph, Config{CandidatePaths: 5, Seed: 1, Workers: 1, DeltaMaxSatisfiedDrop: 50})
+			prev, err := c.Configure(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			affected := event(t, w.Topo, BuildDepIndex(w.Topo, w.Graph, prev))
+			c.InvalidatePaths() // a removed link's cached paths must go; a move has none
+			delta, err := c.DeltaReconfigureContext(context.Background(), prev, DeltaRequest{Period: 0, Affected: affected})
+			if err != nil {
+				t.Fatalf("delta solve: %v", err)
+			}
+			full, err := c.ReconfigureAt(prev, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("sub-model %dv x %dr, full %dv x %dr, %+v", delta.Stats.Variables, delta.Stats.Constraints,
+				full.Stats.Variables, full.Stats.Constraints, delta.Delta)
+			if delta.Delta == nil || delta.Delta.Affected == 0 || delta.Delta.Affected >= delta.Delta.Frozen {
+				t.Errorf("DeltaStats = %+v, want 0 < Affected < Frozen", delta.Delta)
+			}
+			if 5*delta.Stats.Variables > full.Stats.Variables {
+				t.Errorf("sub-model has %d variables, full re-solve %d: want at most a fifth", delta.Stats.Variables, full.Stats.Variables)
+			}
+			if 5*delta.Stats.Constraints > full.Stats.Constraints {
+				t.Errorf("sub-model has %d constraints, full re-solve %d: want at most a fifth", delta.Stats.Constraints, full.Stats.Constraints)
+			}
+		})
 	}
 }
 

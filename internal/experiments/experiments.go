@@ -13,6 +13,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"time"
 
@@ -121,16 +122,6 @@ var All = []Experiment{
 	{"parbench", "parallel branch & bound: serial vs multi-worker solve times", ParBench},
 }
 
-// ParBench renders the parallel-solver benchmark as a table; janusbench
-// -json writes the same data as BENCH.json.
-func ParBench(p Params) ([]Table, error) {
-	b, err := RunParallelBench(p, 4)
-	if err != nil {
-		return nil, err
-	}
-	return []Table{b.Render()}, nil
-}
-
 // Find returns the named experiment.
 func Find(name string) (Experiment, bool) {
 	for _, e := range All {
@@ -141,10 +132,15 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// run measures one (topology, spec, config) solve.
+// measurement is what one (topology, spec, config) solve produced and
+// cost: policies satisfied, wall time, branch-and-bound nodes, and heap
+// allocations (a MemStats Mallocs delta around Configure — other goroutines
+// are quiescent in janusbench, so the delta is attributable to the solve).
 type measurement struct {
 	satisfied int
 	duration  time.Duration
+	nodes     int
+	allocs    uint64
 }
 
 // solveOnce generates the workload and configures period 0.
@@ -158,12 +154,21 @@ func solveOnce(topoName string, spec workload.Spec, cfg core.Config, timeLimit t
 	if err != nil {
 		return measurement{}, err
 	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	res, err := conf.Configure(0)
 	if err != nil {
 		return measurement{}, err
 	}
-	return measurement{satisfied: res.SatisfiedCount(), duration: time.Since(start)}, nil
+	dur := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	return measurement{
+		satisfied: res.SatisfiedCount(),
+		duration:  dur,
+		nodes:     res.Stats.Nodes,
+		allocs:    ms1.Mallocs - ms0.Mallocs,
+	}, nil
 }
 
 // avg runs f Runs times with varied seeds and averages.
@@ -176,9 +181,13 @@ func avg(p Params, f func(seed int64) (measurement, error)) (measurement, error)
 		}
 		total.satisfied += m.satisfied
 		total.duration += m.duration
+		total.nodes += m.nodes
+		total.allocs += m.allocs
 	}
 	total.satisfied /= p.Runs
 	total.duration /= time.Duration(p.Runs)
+	total.nodes /= p.Runs
+	total.allocs /= uint64(p.Runs)
 	return total, nil
 }
 

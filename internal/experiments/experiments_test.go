@@ -173,117 +173,24 @@ func TestParBenchSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	runExp(t, "parbench")
-	b, err := RunParallelBench(tiny(), 4)
+	entries, err := runParallelBench(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Entries) != 2 {
-		t.Fatalf("entries = %d, want Ans and Cwix", len(b.Entries))
+	if len(entries) != 2 {
+		t.Fatalf("entries = %d, want Ans and Cwix", len(entries))
 	}
-	for _, e := range b.Entries {
-		if e.Workers != 4 {
-			t.Errorf("%s: workers = %d, want 4", e.Topology, e.Workers)
-		}
-		if e.SerialSeconds <= 0 || e.ParallelSeconds <= 0 {
+	for _, e := range entries {
+		if e.Serial.duration <= 0 || e.Parallel.duration <= 0 {
 			t.Errorf("%s: non-positive timings %+v", e.Topology, e)
 		}
 		// The parallel solve must not change the answer, only the time.
-		if e.SerialSat != e.ParallelSat {
+		if e.Serial.satisfied != e.Parallel.satisfied {
 			t.Errorf("%s: satisfied diverged serial %d vs parallel %d",
-				e.Topology, e.SerialSat, e.ParallelSat)
+				e.Topology, e.Serial.satisfied, e.Parallel.satisfied)
 		}
-	}
-	if b.GOMAXPROCS < 1 || b.NumCPU < 1 {
-		t.Errorf("hardware fields unset: %+v", b)
-	}
-	// Schema v2: allocations-per-solve and the lp_micro section.
-	if b.SchemaVersion != BenchSchemaVersion {
-		t.Errorf("schema_version = %d, want %d", b.SchemaVersion, BenchSchemaVersion)
-	}
-	for _, e := range b.Entries {
-		if e.SerialAllocsPerSolve == 0 || e.ParallelAllocsPerSolve == 0 {
+		if e.Serial.allocs == 0 || e.Parallel.allocs == 0 {
 			t.Errorf("%s: allocations-per-solve unset: %+v", e.Topology, e)
 		}
-	}
-	if b.LPMicro == nil {
-		t.Fatal("lp_micro section missing")
-	}
-	if b.LPMicro.ColdMicros <= 0 || b.LPMicro.WarmMicros <= 0 {
-		t.Errorf("lp_micro timings unset: %+v", b.LPMicro)
-	}
-	if b.LPMicro.WarmMicros >= b.LPMicro.ColdMicros {
-		t.Errorf("warm solve (%.1fµs) not cheaper than cold (%.1fµs): factorization reuse broken",
-			b.LPMicro.WarmMicros, b.LPMicro.ColdMicros)
-	}
-	if b.LPMicro.WarmAllocsPerSolve > 100 {
-		t.Errorf("warm re-solve allocates %.1f allocs/solve; workspace reuse broken",
-			b.LPMicro.WarmAllocsPerSolve)
-	}
-	if b.Delta == nil {
-		t.Fatal("delta section missing")
-	}
-}
-
-// TestDeltaBenchSmoke checks the incremental-reconfiguration section on a
-// reduced workload: both topologies and both event kinds measured, the
-// sub-model strictly smaller than the policy set, and the delta solve
-// faster than the full one it replaces.
-func TestDeltaBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	db, err := RunDeltaBench(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Entries) != 4 {
-		t.Fatalf("entries = %d, want Ans/Cwix x move/linkfail", len(db.Entries))
-	}
-	for _, e := range db.Entries {
-		if e.FullMillis <= 0 || e.DeltaMillis <= 0 {
-			t.Errorf("%s/%s: timings unset: %+v", e.Topology, e.Event, e)
-		}
-		if e.AffectedPolicies <= 0 || e.AffectedPolicies >= float64(e.Policies) {
-			t.Errorf("%s/%s: affected %.1f not a strict subset of %d policies",
-				e.Topology, e.Event, e.AffectedPolicies, e.Policies)
-		}
-		if e.Speedup <= 1 {
-			t.Errorf("%s/%s: delta solve (%.1fms) not faster than full (%.1fms)",
-				e.Topology, e.Event, e.DeltaMillis, e.FullMillis)
-		}
-		if e.FullSatisfied <= 0 || e.DeltaSatisfied <= 0 {
-			t.Errorf("%s/%s: satisfaction counts unset: %+v", e.Topology, e.Event, e)
-		}
-	}
-}
-
-// TestFastpathBenchSmoke checks the flow-arrival section end-to-end on a
-// reduced workload: the compiled side must be strictly faster than the
-// interpreted walk and allocation-free, and the compile cost must be
-// measured.
-func TestFastpathBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	fp, err := RunFastpathBench(tiny(), "Ans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp.Flows == 0 || fp.Probes == 0 {
-		t.Fatalf("no flows compiled: %+v", fp)
-	}
-	if fp.InterpretedNanosPerLookup <= 0 || fp.CompiledNanosPerLookup <= 0 {
-		t.Fatalf("timings unset: %+v", fp)
-	}
-	if fp.Speedup <= 1 {
-		t.Errorf("compiled lookup (%.0fns) not faster than interpreted (%.0fns)",
-			fp.CompiledNanosPerLookup, fp.InterpretedNanosPerLookup)
-	}
-	if fp.CompiledAllocsPerLookup > 0.01 {
-		t.Errorf("compiled lookups allocate %.3f/lookup; zero-alloc guarantee broken",
-			fp.CompiledAllocsPerLookup)
-	}
-	if fp.CompileMicros <= 0 {
-		t.Errorf("compile cost unmeasured: %+v", fp)
 	}
 }

@@ -3,204 +3,78 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"janus/internal/core"
 	"janus/internal/workload"
 )
 
-// BenchEntry is one (topology, worker-count) comparison of the fig11
-// 50-policy workload: the same instance solved serially and with the
-// parallel branch-and-bound worker pool.
-type BenchEntry struct {
-	Topology        string  `json:"topology"`
-	Policies        int     `json:"policies"`
-	Workers         int     `json:"workers"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	SerialNodes     int     `json:"serial_nodes"`
-	ParallelNodes   int     `json:"parallel_nodes"`
-	SerialSat       int     `json:"serial_satisfied"`
-	ParallelSat     int     `json:"parallel_satisfied"`
-	// Allocations per end-to-end solve (runtime.MemStats Mallocs delta
-	// around Configure), schema_version ≥ 2. Zero in older baselines.
-	SerialAllocsPerSolve   uint64 `json:"serial_allocs_per_solve,omitempty"`
-	ParallelAllocsPerSolve uint64 `json:"parallel_allocs_per_solve,omitempty"`
+// parWorkers is the worker count parbench compares against one worker.
+const parWorkers = 4
+
+// parEntry is one topology's comparison of the fig11 50-policy workload:
+// the same instances solved with one worker and with the parallel
+// branch-and-bound worker pool, each side averaged over Params.Runs seeds.
+// Satisfaction counts are kept so a "speedup" produced by solving a
+// different problem is visible immediately.
+type parEntry struct {
+	Topology         string
+	Serial, Parallel measurement
 }
 
-// BenchSchemaVersion is the current janusbench JSON schema:
-// v2 added schema_version itself, allocations-per-solve, and lp_micro.
-// cmd/benchdiff accepts older baselines and skips the newer gates.
-const BenchSchemaVersion = 2
-
-// Bench is the janusbench -json document, committed as BENCH.json and
-// compared by cmd/benchdiff. Hardware fields make cross-machine numbers
-// interpretable: a 1-core container cannot show wall-clock speedup no
-// matter how good the worker pool is.
-type Bench struct {
-	SchemaVersion int           `json:"schema_version"`
-	GeneratedBy   string        `json:"generated_by"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	NumCPU        int           `json:"num_cpu"`
-	Scale         float64       `json:"scale"`
-	Seed          int64         `json:"seed"`
-	Runs          int           `json:"runs"`
-	Entries       []BenchEntry  `json:"entries"`
-	LPMicro       *LPMicroBench `json:"lp_micro,omitempty"`
-	// Fastpath is the compiled flow-classification section (fastpath.go),
-	// absent in baselines recorded before it existed — cmd/benchdiff
-	// phase-gates it like lp_micro.
-	Fastpath *FastpathBench `json:"fastpath,omitempty"`
-	// Delta is the incremental-reconfiguration section (deltabench.go),
-	// phase-gated the same way.
-	Delta *DeltaBench `json:"delta,omitempty"`
-}
-
-// benchMeasure solves the fig11-shaped workload once and reports duration,
-// node count, satisfaction, and heap allocations during the solve (a
-// MemStats Mallocs delta — other goroutines are quiescent in janusbench,
-// so the delta is attributable to the solve).
-func benchMeasure(topoName string, spec workload.Spec, workers int, timeLimit time.Duration) (time.Duration, int, int, uint64, error) {
-	w, err := workload.Generate(topoName, spec)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	cfg := core.Config{CandidatePaths: 5, Seed: spec.Seed, Workers: workers, TimeLimit: timeLimit}
-	conf, err := core.New(w.Topo, w.Graph, cfg)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	res, err := conf.Configure(0)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	dur := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	return dur, res.Stats.Nodes, res.SatisfiedCount(), ms1.Mallocs - ms0.Mallocs, nil
-}
-
-// RunParallelBench measures serial (Workers=1) vs parallel (Workers=workers)
-// solves of the fig11 50-policy workload on Ans and Cwix, averaged over
-// p.Runs seeds. Satisfaction counts are reported so a "speedup" produced by
-// solving a different problem is visible immediately.
-func RunParallelBench(p Params, workers int) (*Bench, error) {
+// runParallelBench measures one-worker vs parWorkers-worker solves of the
+// fig11 50-policy workload on Ans and Cwix.
+func runParallelBench(p Params) ([]parEntry, error) {
 	p = p.withDefaults()
-	if workers <= 0 {
-		workers = 4
-	}
-	b := &Bench{
-		SchemaVersion: BenchSchemaVersion,
-		GeneratedBy:   "janusbench -json",
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Scale:         p.Scale,
-		Seed:          p.Seed,
-		Runs:          p.Runs,
-	}
-	micro, err := RunLPMicro()
-	if err != nil {
-		return nil, fmt.Errorf("parbench lp micro: %w", err)
-	}
-	b.LPMicro = micro
-	fp, err := RunFastpathBench(p, "Cwix")
-	if err != nil {
-		return nil, fmt.Errorf("parbench fastpath: %w", err)
-	}
-	b.Fastpath = fp
-	db, err := RunDeltaBench(p)
-	if err != nil {
-		return nil, fmt.Errorf("parbench delta: %w", err)
-	}
-	b.Delta = db
 	policies := p.scaled(50)
+	var entries []parEntry
 	for _, topoName := range []string{"Ans", "Cwix"} {
-		var serialDur, parDur time.Duration
-		var serialNodes, parNodes, serialSat, parSat int
-		var serialAllocs, parAllocs uint64
-		for r := 0; r < p.Runs; r++ {
-			spec := workload.Spec{Policies: policies, EndpointsPerPolicy: 2, Seed: p.Seed + int64(r)*7919}
-			sd, sn, ss, sa, err := benchMeasure(topoName, spec, 1, p.TimeLimit)
-			if err != nil {
-				return nil, fmt.Errorf("parbench %s serial: %w", topoName, err)
-			}
-			pd, pn, ps, pa, err := benchMeasure(topoName, spec, workers, p.TimeLimit)
-			if err != nil {
-				return nil, fmt.Errorf("parbench %s parallel: %w", topoName, err)
-			}
-			serialDur += sd
-			parDur += pd
-			serialNodes += sn
-			parNodes += pn
-			serialSat += ss
-			parSat += ps
-			serialAllocs += sa
-			parAllocs += pa
+		side := func(workers int) (measurement, error) {
+			return avg(p, func(seed int64) (measurement, error) {
+				spec := workload.Spec{Policies: policies, EndpointsPerPolicy: 2, Seed: seed}
+				return solveOnce(topoName, spec, core.Config{CandidatePaths: 5, Seed: seed, Workers: workers}, p.TimeLimit)
+			})
 		}
-		e := BenchEntry{
-			Topology:               topoName,
-			Policies:               policies,
-			Workers:                workers,
-			SerialSeconds:          serialDur.Seconds() / float64(p.Runs),
-			ParallelSeconds:        parDur.Seconds() / float64(p.Runs),
-			SerialNodes:            serialNodes / p.Runs,
-			ParallelNodes:          parNodes / p.Runs,
-			SerialSat:              serialSat / p.Runs,
-			ParallelSat:            parSat / p.Runs,
-			SerialAllocsPerSolve:   serialAllocs / uint64(p.Runs),
-			ParallelAllocsPerSolve: parAllocs / uint64(p.Runs),
+		serial, err := side(1)
+		if err != nil {
+			return nil, fmt.Errorf("parbench %s serial: %w", topoName, err)
 		}
-		if e.ParallelSeconds > 0 {
-			e.Speedup = e.SerialSeconds / e.ParallelSeconds
+		parallel, err := side(parWorkers)
+		if err != nil {
+			return nil, fmt.Errorf("parbench %s parallel: %w", topoName, err)
 		}
-		b.Entries = append(b.Entries, e)
+		entries = append(entries, parEntry{topoName, serial, parallel})
 	}
-	return b, nil
+	return entries, nil
 }
 
-// Render formats the bench as a text table for the non-JSON output path.
-func (b *Bench) Render() Table {
-	title := fmt.Sprintf("Parallel B&B — fig11 50-policy workload, serial vs %d workers (GOMAXPROCS=%d)",
-		benchWorkers(b), b.GOMAXPROCS)
-	if b.LPMicro != nil {
-		title += fmt.Sprintf("\nLP micro (%dv×%dr): cold %.0fµs, warm %.1fµs, %.1f allocs/warm solve",
-			b.LPMicro.Vars, b.LPMicro.Rows, b.LPMicro.ColdMicros, b.LPMicro.WarmMicros, b.LPMicro.WarmAllocsPerSolve)
-	}
-	if b.Fastpath != nil {
-		title += fmt.Sprintf("\nFastpath (%s, %d flows): interpreted %.0fns, compiled %.0fns (%.0fx), compile %.0fµs, %.2f allocs/lookup",
-			b.Fastpath.Topology, b.Fastpath.Flows, b.Fastpath.InterpretedNanosPerLookup,
-			b.Fastpath.CompiledNanosPerLookup, b.Fastpath.Speedup, b.Fastpath.CompileMicros,
-			b.Fastpath.CompiledAllocsPerLookup)
-	}
-	if b.Delta != nil {
-		for _, e := range b.Delta.Entries {
-			title += fmt.Sprintf("\nDelta (%s, %s): full %.1fms, delta %.1fms (%.1fx), %.1f affected of %d",
-				e.Topology, e.Event, e.FullMillis, e.DeltaMillis, e.Speedup, e.AffectedPolicies, e.Policies)
-		}
+// ParBench is the parbench experiment: runParallelBench as a text table.
+// GOMAXPROCS is in the title because a 1-core container cannot show
+// wall-clock speedup no matter how good the worker pool is.
+func ParBench(p Params) ([]Table, error) {
+	entries, err := runParallelBench(p)
+	if err != nil {
+		return nil, err
 	}
 	t := Table{
-		Title:  title,
-		Header: []string{"topology", "serial", "parallel", "speedup", "serial nodes", "par nodes"},
+		Title: fmt.Sprintf("Parallel B&B — fig11 50-policy workload, serial vs %d workers (GOMAXPROCS=%d)",
+			parWorkers, runtime.GOMAXPROCS(0)),
+		Header: []string{"topology", "serial", "parallel", "speedup", "serial nodes", "par nodes", "serial allocs", "par allocs"},
 	}
-	for _, e := range b.Entries {
+	for _, e := range entries {
+		speedup := 0.0
+		if e.Parallel.duration > 0 {
+			speedup = e.Serial.duration.Seconds() / e.Parallel.duration.Seconds()
+		}
 		t.Rows = append(t.Rows, []string{
 			e.Topology,
-			fmt.Sprintf("%.3fs", e.SerialSeconds),
-			fmt.Sprintf("%.3fs", e.ParallelSeconds),
-			fmt.Sprintf("%.2fx", e.Speedup),
-			fmt.Sprint(e.SerialNodes),
-			fmt.Sprint(e.ParallelNodes),
+			fmtDur(e.Serial.duration),
+			fmtDur(e.Parallel.duration),
+			fmt.Sprintf("%.2fx", speedup),
+			fmt.Sprint(e.Serial.nodes),
+			fmt.Sprint(e.Parallel.nodes),
+			fmt.Sprint(e.Serial.allocs),
+			fmt.Sprint(e.Parallel.allocs),
 		})
 	}
-	return t
-}
-
-func benchWorkers(b *Bench) int {
-	if len(b.Entries) > 0 {
-		return b.Entries[0].Workers
-	}
-	return 0
+	return []Table{t}, nil
 }

@@ -185,16 +185,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// HasDynamic reports whether any edge carries a dynamic condition.
-func (g *Graph) HasDynamic() bool {
-	for _, e := range g.Edges {
-		if !e.Cond.IsStatic() {
-			return true
-		}
-	}
-	return false
-}
-
 // Periods returns the sorted hour boundaries at which this graph's temporal
 // conditions change, always including hour 0. A static graph returns [0].
 func (g *Graph) Periods() []int {

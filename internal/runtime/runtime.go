@@ -478,7 +478,7 @@ func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 // earlier (the self-audit catches exactly this). Returns res unchanged
 // when no flow is escalated.
 func (r *Runtime) escalate(res *core.Result, hour int) *core.Result {
-	promoted := res
+	var flows []escalation
 	for flow, state := range r.counters {
 		src, dst, ok := strings.Cut(flow, "->")
 		if !ok {
@@ -496,24 +496,42 @@ func (r *Runtime) escalate(res *core.Result, hour int) *core.Result {
 		if edgeIdx <= 0 {
 			continue // default edge active; nothing to promote
 		}
-		if promoted == res {
-			clone := *res
-			clone.Assignments = append([]core.Assignment(nil), res.Assignments...)
-			promoted = &clone
-		}
-		for i := range promoted.Assignments {
-			pa := &promoted.Assignments[i]
-			if pa.Policy != pid || pa.Src != src || pa.Dst != dst {
+		flows = append(flows, escalation{pid, src, dst, edgeIdx})
+	}
+	return promote(res, flows...)
+}
+
+// escalation names a flow whose active edge is the non-default edgeIdx.
+type escalation struct {
+	pid      int
+	src, dst string
+	edgeIdx  int
+}
+
+// promote returns a copy of res in which each flow's assignment on its
+// active edge is served hard and the one that was hard (the old default
+// path) is demoted to a soft reservation. With no flows it returns res
+// itself.
+func promote(res *core.Result, flows ...escalation) *core.Result {
+	if len(flows) == 0 {
+		return res
+	}
+	clone := *res
+	clone.Assignments = append([]core.Assignment(nil), res.Assignments...)
+	for _, f := range flows {
+		for i := range clone.Assignments {
+			pa := &clone.Assignments[i]
+			if pa.Policy != f.pid || pa.Src != f.src || pa.Dst != f.dst {
 				continue
 			}
-			if pa.EdgeIdx == edgeIdx {
+			if pa.EdgeIdx == f.edgeIdx {
 				pa.Role = core.HardEdge
 			} else if pa.Role == core.HardEdge {
 				pa.Role = core.SoftEdge
 			}
 		}
 	}
-	return promoted
+	return &clone
 }
 
 // linkKey normalizes an undirected link to a map key.
@@ -653,20 +671,8 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 		for _, a := range r.current.Assignments {
 			if a.Policy == pid && a.EdgeIdx == edgeIdx && a.Src == src && a.Dst == dst {
 				// Promote the reservation to installed rules for this flow.
-				promoted := *r.current
-				promoted.Assignments = append([]core.Assignment(nil), r.current.Assignments...)
-				for i := range promoted.Assignments {
-					pa := &promoted.Assignments[i]
-					if pa.Policy == pid && pa.Src == src && pa.Dst == dst {
-						if pa.EdgeIdx == edgeIdx {
-							pa.Role = core.HardEdge
-						} else if pa.Role == core.HardEdge {
-							pa.Role = core.SoftEdge // demote the old default path
-						}
-					}
-				}
 				r.metrics.StatefulReroutes++
-				return r.install(ctx, &promoted, r.hour)
+				return r.install(ctx, promote(r.current, escalation{pid, src, dst, edgeIdx}), r.hour)
 			}
 		}
 		// No reservation (ξ was 1): a re-solve is needed — scoped to the
@@ -722,59 +728,19 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 	})
 }
 
-// Verify walks every configured hard assignment through the dataplane and
-// returns the flows whose forwarding does not reach the destination or
-// skips a required middlebox — the end-to-end check that installed rules
+// Verify is the forwarding view of Audit: the flows of configured policies
+// that do not reach their destination or skip a required middlebox,
+// rendered as sorted strings — the end-to-end check that installed rules
 // actually realize the intent.
 func (r *Runtime) Verify() []string {
 	var problems []string
-	for _, a := range r.current.Assignments {
-		if a.Role != core.HardEdge {
-			continue
-		}
-		p := r.graph.PolicyByID(a.Policy)
-		if p == nil {
-			continue
-		}
-		edges := p.AllEdges()
-		if a.EdgeIdx >= len(edges) {
-			continue
-		}
-		e := edges[a.EdgeIdx]
-		proto, port := sampleTraffic(e.Match)
-		walk, err := r.net.Lookup(a.Src, a.Dst, proto, port)
-		if err != nil {
-			problems = append(problems, fmt.Sprintf("%s: %v", a.Key(), err))
-			continue
-		}
-		// Chain check: required NF kinds must appear along the walk in
-		// order.
-		prog := 0
-		for _, n := range walk {
-			if prog < len(e.Chain) && r.topo.Nodes[n].Kind == topo.NFBox &&
-				r.topo.Nodes[n].NF == e.Chain[prog] {
-				prog++
-			}
-		}
-		if prog != len(e.Chain) {
-			problems = append(problems,
-				fmt.Sprintf("%s: chain %s not traversed (walk %v)", a.Key(), e.Chain, walk))
+	for _, v := range r.Audit() {
+		if v.Kind == check.Unreachable || v.Kind == check.ChainViolation {
+			problems = append(problems, v.String())
 		}
 	}
 	sort.Strings(problems)
 	return problems
-}
-
-func sampleTraffic(c policy.Classifier) (policy.Protocol, int) {
-	proto := c.Proto
-	if proto == "" || proto == policy.Any {
-		proto = policy.TCP
-	}
-	port := 80
-	if len(c.Ports) > 0 {
-		port = c.Ports[0]
-	}
-	return proto, port
 }
 
 func labelSet(ls []string) map[string]bool {
