@@ -3,32 +3,25 @@
 //
 //	go run ./cmd/januslint ./...
 //
-// The default suite registers fourteen analyzers: the syntactic checks
-// floatcmp, detrand, lockcheck, and errdrop; the CFG/dataflow-backed
-// mutexcopy, ctxleak, and deferloop (built on internal/analysis/cfg); the
-// SSA-backed nilness and deadstore (built on internal/analysis/ssa);
-// layercheck, which enforces the import DAG declared in
-// internal/analysis/layers.json; the interprocedural lockorder, hotalloc,
-// and ctxleakip, which share one whole-program call graph
-// (internal/analysis/callgraph) spanning every loaded package; and
-// staleallow, which audits the suppression comments themselves.
+// The default suite registers twelve analyzers: the syntactic checks
+// floatcmp, detrand, lockcheck, and errdrop; the CFG-backed deferloop
+// (built on internal/analysis/cfg); the SSA-backed nilness and deadstore
+// (built on internal/analysis/ssa); layercheck, which enforces the import
+// DAG declared in internal/analysis/layers.json; the interprocedural
+// lockorder, hotalloc, and ctxleak, which share one whole-program call
+// graph (internal/analysis/callgraph) spanning every loaded package; and
+// staleallow, which audits the suppression comments themselves. Copying a
+// mutex is left to go vet's copylocks check.
 //
 // It understands plain directories and the /... recursive suffix, prints
-// file:line:col: [check] message findings (or a JSON array with -json, or
-// a SARIF 2.1.0 log with -sarif for CI code-scanning upload), and exits 1
-// when any finding survives suppression, 2 on load errors. Findings are
-// suppressed with //janus:allow(check): reason on the offending line or
-// the line above; see internal/analysis.
-//
-// With -cache DIR the run keeps an on-disk diagnostic cache keyed by
-// content hashes: a warm run over an unchanged tree replays its findings
-// without parsing or type-checking anything, and a partial run re-analyzes
-// only the packages whose sources or module-local dependencies changed.
-// -require-warm (for CI) exits 3 unless the run was a full cache hit.
+// file:line:col: [check] message findings (or a SARIF 2.1.0 log with
+// -sarif, for CI code-scanning upload), and exits 1 when any finding
+// survives suppression, 2 on load errors. Findings are suppressed with
+// //janus:allow(check): reason on the offending line or the line above;
+// see internal/analysis.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,12 +32,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
-	cacheDir := flag.String("cache", "", "directory holding the incremental diagnostic cache")
-	requireWarm := flag.Bool("require-warm", false, "with -cache: fail unless the run was a full cache hit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: januslint [-json|-sarif] [-cache dir [-require-warm]] [packages]\n\npackages are directories, optionally with a /... suffix (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: januslint [-sarif] [packages]\n\npackages are directories, optionally with a /... suffix (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,86 +44,46 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	analyzers := analysis.Default()
-	var diags []analysis.Diagnostic
-	var modRoot string
-
-	if *cacheDir != "" {
-		// Cache mode analyzes one recursive tree: that is the shape whose
-		// fingerprint the cache keys (and the only shape CI runs).
-		if len(patterns) != 1 || !strings.HasSuffix(patterns[0], "/...") {
-			fatal(fmt.Errorf("-cache requires a single recursive pattern like ./..."))
-		}
-		root := strings.TrimSuffix(patterns[0], "/...")
-		if root == "" {
-			root = "."
-		}
-		res, err := analysis.RunAllCached(root, *cacheDir, analyzers)
-		if err != nil {
-			fatal(err)
-		}
-		if *requireWarm && !res.FullHit {
-			fmt.Fprintf(os.Stderr, "januslint: cache in %s was not warm (%d packages re-analyzed)\n", *cacheDir, res.Analyzed)
-			os.Exit(3)
-		}
-		diags = res.Diags
-		if modRoot == "" {
-			if l, err := analysis.NewLoader("."); err == nil {
-				modRoot = l.ModuleRoot()
-			}
-		}
-	} else {
-		loader, err := analysis.NewLoader(".")
-		if err != nil {
-			fatal(err)
-		}
-		modRoot = loader.ModuleRoot()
-		var pkgs []*analysis.Package
-		seen := map[string]bool{}
-		for _, pat := range patterns {
-			var batch []*analysis.Package
-			if root, ok := strings.CutSuffix(pat, "/..."); ok {
-				if root == "" || root == "." {
-					root = "."
-				}
-				batch, err = loader.LoadTree(root)
-			} else {
-				var p *analysis.Package
-				p, err = loader.LoadDir(pat)
-				batch = []*analysis.Package{p}
-			}
-			if err != nil {
-				fatal(err)
-			}
-			for _, p := range batch {
-				if !seen[p.Path] {
-					seen[p.Path] = true
-					pkgs = append(pkgs, p)
-				}
-			}
-		}
-		diags = analysis.RunAll(pkgs, analyzers)
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		fatal(err)
 	}
+	var pkgs []*analysis.Package
+	seen := map[string]bool{}
+	for _, pat := range patterns {
+		var batch []*analysis.Package
+		if root, ok := strings.CutSuffix(pat, "/..."); ok {
+			if root == "" {
+				root = "."
+			}
+			batch, err = loader.LoadTree(root)
+		} else {
+			var p *analysis.Package
+			p, err = loader.LoadDir(pat)
+			batch = []*analysis.Package{p}
+		}
+		if err != nil {
+			fatal(err)
+		}
+		for _, p := range batch {
+			if !seen[p.Path] {
+				seen[p.Path] = true
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+	analyzers := analysis.Default()
+	diags := analysis.RunAll(pkgs, analyzers)
 
-	switch {
-	case *sarifOut:
-		log, err := analysis.SARIF(analyzers, diags, modRoot)
+	if *sarifOut {
+		log, err := analysis.SARIF(analyzers, diags, loader.ModuleRoot())
 		if err != nil {
 			fatal(err)
 		}
 		if _, err := os.Stdout.Write(append(log, '\n')); err != nil {
 			fatal(err)
 		}
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		cwd, _ := os.Getwd()
 		for _, d := range diags {
 			if cwd != "" {
@@ -143,11 +93,11 @@ func main() {
 			}
 			fmt.Println(d)
 		}
-	}
-	if len(diags) > 0 {
-		if !*jsonOut && !*sarifOut {
+		if len(diags) > 0 {
 			fmt.Fprintf(os.Stderr, "januslint: %d finding(s)\n", len(diags))
 		}
+	}
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -16,20 +16,19 @@
 // reason is mandatory: an allow comment without one is itself reported
 // (check name "allow"), so every suppression documents why the exact
 // behavior is intended. The staleallow analyzer audits the suppressions
-// themselves: a directive in the legacy "//janus:allow check reason" form,
-// or one that no longer silences any finding, is a finding (see
-// staleallow.go).
+// themselves: a directive that no longer silences any finding is a
+// finding (see staleallow.go).
 //
 // RunAll analyzes packages concurrently (one worker per GOMAXPROCS) and
 // returns diagnostics in a fully deterministic order regardless of
-// scheduling; cache.go adds an on-disk diagnostic cache so warm runs skip
-// unchanged packages entirely.
+// scheduling.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"runtime"
 	"sort"
 	"strings"
@@ -38,11 +37,11 @@ import (
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -62,10 +61,6 @@ type Analyzer struct {
 	// per-package: it emits only the findings anchored in that package.
 	// Prepare always receives every loaded package, ignoring Paths — a
 	// scoped analyzer may still need edges through unscoped packages.
-	//
-	// An analyzer with Prepare is "whole-program": its per-package
-	// findings can change when *any* package changes, so the diagnostic
-	// cache keys them globally instead of per package (see cache.go).
 	Prepare func([]*Package)
 	Run     func(*Pass)
 }
@@ -103,37 +98,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Default returns the standard januslint analyzer suite with its
 // production scoping: floatcmp guards the numerically delicate solver
-// packages, detrand guards all non-test internal code, ctxleak and its
-// interprocedural upgrade ctxleakip guard the long-lived
-// server/runtime/dataplane layers where a leaked goroutine survives for
-// the life of the controller, lockorder guards the layers that mix locks
-// with channels and worker pools, nilness guards the layers whose nil
-// dereference takes down the control plane, and the rest — lockcheck,
-// errdrop, hotalloc, deadstore, staleallow, and the CFG-backed
-// mutexcopy/deferloop/layercheck — run everywhere (layercheck self-scopes
-// to the packages layers.json names, hotalloc to the closure of
-// //janus:hotpath roots).
+// packages, detrand guards all non-test internal code, ctxleak guards the
+// long-lived server/runtime/dataplane layers where a leaked goroutine
+// survives for the life of the controller, lockorder guards the layers
+// that mix locks with channels and worker pools, nilness guards the
+// layers whose nil dereference takes down the control plane, and the
+// rest — lockcheck, errdrop, hotalloc, deadstore, staleallow, deferloop,
+// and layercheck — run everywhere (layercheck self-scopes to the packages
+// layers.json names, hotalloc to the closure of //janus:hotpath roots).
+// Copying a mutex is go vet's copylocks check, not one of these.
 //
-// The three interprocedural analyzers (lockorder, hotalloc, ctxleakip)
+// The three interprocedural analyzers (lockorder, hotalloc, ctxleak)
 // share one whole-program call graph, built once per RunAll.
 func Default() []*Analyzer {
 	fc := FloatCmp()
 	fc.Paths = []string{"internal/lp", "internal/milp", "internal/core"}
 	dr := DetRand()
 	dr.Paths = []string{"internal/"}
-	cl := CtxLeak()
-	cl.Paths = []string{"internal/server", "internal/runtime", "internal/dataplane"}
 	nl := Nilness()
 	nl.Paths = []string{"internal/runtime", "internal/server", "internal/dataplane", "internal/core"}
 	ip := &interp{}
 	lo := lockOrderWith(ip)
 	lo.Paths = []string{"internal/runtime", "internal/server", "internal/dataplane", "internal/milp"}
-	clip := ctxLeakIPWith(ip)
-	clip.Paths = cl.Paths
+	cl := ctxLeakWith(ip)
+	cl.Paths = []string{"internal/server", "internal/runtime", "internal/dataplane"}
 	return []*Analyzer{
 		fc, dr, LockCheck(), ErrDrop(),
-		MutexCopy(), cl, DeferLoop(), LayerCheck(),
-		lo, hotAllocWith(ip), clip,
+		DeferLoop(), LayerCheck(),
+		lo, hotAllocWith(ip), cl,
 		nl, DeadStore(), StaleAllow(),
 	}
 }
@@ -144,68 +136,23 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return RunAll([]*Package{pkg}, analyzers)
 }
 
-// pkgResult is the analysis outcome for one package, split the way the
-// diagnostic cache needs it: local findings (intraprocedural analyzers
-// plus malformed-allow reports) depend only on the package and its
-// dependencies, global findings (whole-program analyzers plus the
-// staleallow audit, which must see every suppression hit) can change when
-// any package changes.
-type pkgResult struct {
-	local  []Diagnostic
-	global []Diagnostic
-	stale  []Diagnostic
-	// usedLocal keys the allow entries consumed while filtering local
-	// findings, so a cached replay can re-mark them before the staleness
-	// audit runs.
-	usedLocal []string
-}
-
-func (r *pkgResult) all() []Diagnostic {
-	out := make([]Diagnostic, 0, len(r.local)+len(r.global)+len(r.stale))
-	out = append(out, r.local...)
-	out = append(out, r.global...)
-	return append(out, r.stale...)
-}
-
 // RunAll applies the analyzers to the whole program at once: each
 // analyzer's Prepare sees every package (so call graphs span the full
 // load), then per-package passes run concurrently for the packages the
 // analyzer's Paths accept. Suppressed findings are dropped and the rest
 // return in a deterministic order (file, line, col, check, message) that
 // does not depend on scheduling. Malformed //janus:allow comments (missing
-// reason, unknown check name) are reported under the "allow" check.
+// reason, unknown check name, no parenthesized check list) are reported
+// under the "allow" check.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	results := runPackages(pkgs, analyzers, nil)
-	var out []Diagnostic
-	for _, r := range results {
-		out = append(out, r.all()...)
-	}
-	sortDiags(out)
-	return out
-}
-
-// replaySeed substitutes cached local findings for a package whose inputs
-// have not changed: the intraprocedural analyzers are skipped and their
-// cached diagnostics (and allow-entry hits) replayed.
-type replaySeed struct {
-	local []Diagnostic
-	used  []string
-}
-
-// runPackages runs the suite over every package with a worker pool,
-// returning per-package results in input order. seeds, when non-nil, maps
-// packages to cached local results to replay instead of re-analyzing.
-func runPackages(pkgs []*Package, analyzers []*Analyzer, seeds map[*Package]*replaySeed) []*pkgResult {
 	known := map[string]bool{"allow": true}
 	for _, a := range analyzers {
 		known[a.Name] = true
-	}
-	for _, a := range analyzers {
 		if a.Prepare != nil {
 			a.Prepare(pkgs)
 		}
 	}
-	results := make([]*pkgResult, len(pkgs))
+	results := make([][]Diagnostic, len(pkgs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, pkg := range pkgs {
@@ -214,59 +161,35 @@ func runPackages(pkgs []*Package, analyzers []*Analyzer, seeds map[*Package]*rep
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = analyzePackage(pkg, analyzers, known, seeds[pkg])
+			results[i] = analyzePackage(pkg, analyzers, known)
 		}(i, pkg)
 	}
 	wg.Wait()
-	return results
+	var out []Diagnostic
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	sortDiags(out)
+	return out
 }
 
 // analyzePackage runs every applicable analyzer over one package,
 // filtering suppressed findings and auditing the suppressions themselves.
-func analyzePackage(pkg *Package, analyzers []*Analyzer, known map[string]bool, seed *replaySeed) *pkgResult {
-	allows, allowDiags := collectAllows(pkg, known)
-	res := &pkgResult{}
-	if seed != nil {
-		res.local = seed.local
-		res.usedLocal = seed.used
-		for _, key := range seed.used {
-			allows.markUsed(key)
-		}
-	} else {
-		res.local = allowDiags
-	}
-	runOne := func(a *Analyzer, global bool) {
+func analyzePackage(pkg *Package, analyzers []*Analyzer, known map[string]bool) []Diagnostic {
+	allows, out := collectAllows(pkg, known)
+	for _, a := range analyzers {
 		if a.Run == nil || !a.applies(pkg.Path) {
-			return
+			continue
 		}
 		pass := &Pass{Analyzer: a, Pkg: pkg}
 		a.Run(pass)
 		for _, d := range pass.diags {
-			if key, ok := allows.suppress(d); ok {
-				if !global {
-					res.usedLocal = append(res.usedLocal, key)
-				}
-				continue
-			}
-			if global {
-				res.global = append(res.global, d)
-			} else {
-				res.local = append(res.local, d)
+			if !allows.suppress(d) {
+				out = append(out, d)
 			}
 		}
 	}
-	for _, a := range analyzers {
-		if a.Prepare == nil && seed == nil {
-			runOne(a, false)
-		}
-	}
-	for _, a := range analyzers {
-		if a.Prepare != nil {
-			runOne(a, true)
-		}
-	}
-	res.stale = staleAllowDiags(pkg, analyzers, allows)
-	return res
+	return append(out, staleAllowDiags(pkg, analyzers, allows)...)
 }
 
 // sortDiags orders diagnostics deterministically: file, line, column,
@@ -296,17 +219,11 @@ const allowPrefix = "//janus:allow"
 
 // allowEntry is one parsed check name of one //janus:allow directive.
 type allowEntry struct {
-	file   string
-	line   int // line the directive sits on
-	col    int
-	check  string
-	legacy bool // written in the pre-(check): reason form
-	used   bool // suppressed at least one finding this run
-	pos    token.Pos
-}
-
-func (e *allowEntry) key() string {
-	return fmt.Sprintf("%s:%d:%s", e.file, e.line, e.check)
+	file  string
+	line  int // line the directive sits on
+	col   int
+	check string
+	used  bool // suppressed at least one finding this run
 }
 
 // allowIndex holds a package's suppression directives: a lookup by
@@ -319,29 +236,19 @@ type allowIndex struct {
 }
 
 // suppress reports whether d is covered by a directive, marking the
-// covering entry used and returning its key.
-func (ai *allowIndex) suppress(d Diagnostic) (string, bool) {
+// covering entry used.
+func (ai *allowIndex) suppress(d Diagnostic) bool {
 	lines := ai.byLine[d.File]
 	if lines == nil {
-		return "", false
+		return false
 	}
 	for _, line := range [2]int{d.Line, d.Line - 1} {
 		if e := lines[line][d.Check]; e != nil {
 			e.used = true
-			return e.key(), true
+			return true
 		}
 	}
-	return "", false
-}
-
-// markUsed marks the entry with the given key used (cache replay path).
-func (ai *allowIndex) markUsed(key string) {
-	for _, e := range ai.entries {
-		if e.key() == key {
-			e.used = true
-			return
-		}
-	}
+	return false
 }
 
 func (ai *allowIndex) add(e *allowEntry) {
@@ -362,10 +269,9 @@ func (ai *allowIndex) add(e *allowEntry) {
 // directives, returning the suppression index plus diagnostics for
 // malformed directives.
 //
-// The canonical form is //janus:allow(check[,check...]): reason. The
-// legacy form //janus:allow check[,check...] reason still suppresses so a
-// migration can land incrementally, but each legacy directive is reported
-// by the staleallow analyzer until it is rewritten.
+// The one form is //janus:allow(check[,check...]): reason. Anything else
+// after the //janus:allow prefix — including the retired space-separated
+// "//janus:allow check reason" — is malformed and suppresses nothing.
 func collectAllows(pkg *Package, known map[string]bool) (*allowIndex, []Diagnostic) {
 	ai := &allowIndex{}
 	var diags []Diagnostic
@@ -386,30 +292,23 @@ func collectAllows(pkg *Package, known map[string]bool) (*allowIndex, []Diagnost
 				if !ok {
 					continue
 				}
-				var checks, reason string
-				legacy := false
-				if inner, ok := strings.CutPrefix(rest, "("); ok {
-					close := strings.Index(inner, ")")
-					if close < 0 {
-						report(c.Pos(), "janus:allow directive is missing the closing parenthesis: write //janus:allow(check): reason")
-						continue
-					}
-					checks = strings.TrimSpace(inner[:close])
-					after := inner[close+1:]
-					if tail, ok := strings.CutPrefix(after, ":"); ok {
-						reason = strings.TrimSpace(tail)
-					} else {
-						report(c.Pos(), "janus:allow(%s) needs a colon before the reason: write //janus:allow(%s): reason", checks, checks)
-						continue
-					}
-				} else {
-					legacy = true
-					fields := strings.Fields(rest)
-					if len(fields) > 0 {
-						checks = fields[0]
-						reason = strings.Join(fields[1:], " ")
-					}
+				inner, ok := strings.CutPrefix(rest, "(")
+				if !ok {
+					report(c.Pos(), "janus:allow directive must list its checks in parentheses: write //janus:allow(check): reason")
+					continue
 				}
+				close := strings.Index(inner, ")")
+				if close < 0 {
+					report(c.Pos(), "janus:allow directive is missing the closing parenthesis: write //janus:allow(check): reason")
+					continue
+				}
+				checks := strings.TrimSpace(inner[:close])
+				tail, ok := strings.CutPrefix(inner[close+1:], ":")
+				if !ok {
+					report(c.Pos(), "janus:allow(%s) needs a colon before the reason: write //janus:allow(%s): reason", checks, checks)
+					continue
+				}
+				reason := strings.TrimSpace(tail)
 				if checks == "" {
 					report(c.Pos(), "janus:allow needs a check name and a reason")
 					continue
@@ -424,10 +323,7 @@ func collectAllows(pkg *Package, known map[string]bool) (*allowIndex, []Diagnost
 						report(c.Pos(), "janus:allow references unknown check %q", check)
 						continue
 					}
-					ai.add(&allowEntry{
-						file: pos.Filename, line: pos.Line, col: pos.Column,
-						check: check, legacy: legacy, pos: c.Pos(),
-					})
+					ai.add(&allowEntry{file: pos.Filename, line: pos.Line, col: pos.Column, check: check})
 				}
 			}
 		}
@@ -439,5 +335,65 @@ func collectAllows(pkg *Package, known map[string]bool) (*allowIndex, []Diagnost
 func (p *Pass) inspect(f func(ast.Node) bool) {
 	for _, file := range p.Pkg.Files {
 		ast.Inspect(file, f)
+	}
+}
+
+// inspectSkipFuncLit walks n in preorder, skipping nested function
+// literals: their bodies belong to a different control-flow graph.
+func inspectSkipFuncLit(n ast.Node, visit func(ast.Node)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}
+
+// exprType resolves an expression's type, falling back to the defining
+// object for identifiers introduced by the expression itself (a range
+// value variable is a definition, not a use, so info.Types misses it).
+func exprType(info *types.Info, e ast.Expr) types.Type {
+	if id, ok := e.(*ast.Ident); ok {
+		if obj := info.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+		if obj := info.Uses[id]; obj != nil {
+			return obj.Type()
+		}
+	}
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}
+
+// rootVar resolves the variable at the root of a path expression
+// (a in a.b[i].mu), looking through pointers, fields, and indexing.
+func rootVar(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			obj := info.Uses[x]
+			if obj == nil {
+				obj = info.Defs[x]
+			}
+			if v, ok := obj.(*types.Var); ok {
+				return v
+			}
+			return nil
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil // a call result or literal is a fresh value, not a storage path
+		}
 	}
 }

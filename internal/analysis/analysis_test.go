@@ -1,10 +1,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -92,20 +92,22 @@ func TestDetRandFixture(t *testing.T)   { checkFixture(t, "detrand", DetRand()) 
 func TestLockCheckFixture(t *testing.T) { checkFixture(t, "lockcheck", LockCheck()) }
 func TestErrDropFixture(t *testing.T)   { checkFixture(t, "errdrop", ErrDrop()) }
 
-func TestMutexCopyFixture(t *testing.T) { checkFixture(t, "mutexcopy", MutexCopy()) }
-func TestCtxLeakFixture(t *testing.T)   { checkFixture(t, "ctxleak", CtxLeak()) }
 func TestDeferLoopFixture(t *testing.T) { checkFixture(t, "deferloop", DeferLoop()) }
 
 func TestLockOrderFixture(t *testing.T) { checkFixture(t, "lockorder", LockOrder()) }
 func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc", HotAlloc()) }
-func TestCtxLeakIPFixture(t *testing.T) { checkFixture(t, "ctxleakip", CtxLeakIP()) }
+func TestCtxLeakFixture(t *testing.T)   { checkFixture(t, "ctxleak", CtxLeak()) }
+
+// TestCtxLeakIPFixture runs ctxleak over goroutines whose blocking
+// operation sits behind one or more calls.
+func TestCtxLeakIPFixture(t *testing.T) { checkFixture(t, "ctxleakip", CtxLeak()) }
 
 func TestNilnessFixture(t *testing.T)   { checkFixture(t, "nilness", Nilness()) }
 func TestDeadStoreFixture(t *testing.T) { checkFixture(t, "deadstore", DeadStore()) }
 
 // staleAllowFixtureSuite is the analyzer set the staleallow fixture is
-// written against: floatcmp (whose directives exercise used, stale, and
-// legacy suppressions), detrand scoped away from the fixture package (so a
+// written against: floatcmp (whose directives exercise used and stale
+// suppressions, and a malformed space-form one), detrand scoped away from the fixture package (so a
 // directive naming it is reported as out-of-scope), and the audit itself.
 func staleAllowFixtureSuite() []*Analyzer {
 	dr := DetRand()
@@ -178,9 +180,6 @@ func TestGolden(t *testing.T) {
 		{"floatcmp", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "floatcmp"), []*Analyzer{FloatCmp()})
 		}},
-		{"mutexcopy", func(t *testing.T) []Diagnostic {
-			return Run(loadFixture(t, "mutexcopy"), []*Analyzer{MutexCopy()})
-		}},
 		{"ctxleak", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "ctxleak"), []*Analyzer{CtxLeak()})
 		}},
@@ -198,7 +197,7 @@ func TestGolden(t *testing.T) {
 			return Run(loadFixture(t, "hotalloc"), []*Analyzer{HotAlloc()})
 		}},
 		{"ctxleakip", func(t *testing.T) []Diagnostic {
-			return Run(loadFixture(t, "ctxleakip"), []*Analyzer{CtxLeakIP()})
+			return Run(loadFixture(t, "ctxleakip"), []*Analyzer{CtxLeak()})
 		}},
 		{"nilness", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "nilness"), []*Analyzer{Nilness()})
@@ -236,28 +235,9 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{File: "x.go", Line: 3, Col: 7, Check: "floatcmp", Message: "m"}
-	data, err := json.Marshal([]Diagnostic{d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `[{"file":"x.go","line":3,"col":7,"check":"floatcmp","message":"m"}]`
-	if string(data) != want {
-		t.Errorf("JSON = %s, want %s", data, want)
-	}
-	var back []Diagnostic
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0] != d {
-		t.Errorf("round trip = %+v, want %+v", back, d)
-	}
-}
-
 // TestAllowForm verifies that malformed //janus:allow directives are
-// themselves reported: a missing reason and an unknown check name, and
-// that an unknown-check directive does not suppress anything.
+// themselves reported: a missing reason, an unknown check name, and the
+// space-separated form, and that the last two do not suppress anything.
 func TestAllowForm(t *testing.T) {
 	p := loadFixture(t, "allowform")
 	diags := Run(p, []*Analyzer{FloatCmp()})
@@ -265,15 +245,38 @@ func TestAllowForm(t *testing.T) {
 	for _, d := range diags {
 		counts[d.Check]++
 	}
-	// Two allow findings (missing reason, unknown check) plus the floatcmp
-	// finding the unknown-check directive failed to suppress.
-	if counts["allow"] != 2 || counts["floatcmp"] != 1 || len(diags) != 3 {
-		t.Errorf("diagnostics = %v, want 2 allow + 1 floatcmp", diags)
+	// Three allow findings (missing reason, unknown check, space form) plus
+	// the floatcmp findings the last two failed to suppress.
+	if counts["allow"] != 3 || counts["floatcmp"] != 2 || len(diags) != 5 {
+		t.Errorf("diagnostics = %v, want 3 allow + 2 floatcmp", diags)
 	}
-	for _, d := range diags {
-		if d.Check == "floatcmp" && !strings.Contains(d.File, "a.go") {
-			t.Errorf("floatcmp diagnostic in unexpected file: %s", d)
+}
+
+// TestAllowSpaceForm pins the retired "//janus:allow check reason" form:
+// on its line it yields exactly one malformed-directive finding, and the
+// floatcmp finding it names stays in place.
+func TestAllowSpaceForm(t *testing.T) {
+	p := loadFixture(t, "allowform")
+	line := 0
+	for _, cg := range p.Files[0].Comments {
+		for _, c := range cg.List {
+			if strings.HasPrefix(c.Text, "//janus:allow floatcmp") {
+				line = p.Fset.Position(c.Pos()).Line
+			}
 		}
+	}
+	if line == 0 {
+		t.Fatal("fixture has no space-form directive")
+	}
+	var got []string
+	for _, d := range Run(p, []*Analyzer{FloatCmp()}) {
+		if d.Line == line {
+			got = append(got, d.Check)
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, ",") != "allow,floatcmp" {
+		t.Errorf("findings on line %d = %v, want [allow floatcmp]", line, got)
 	}
 }
 
@@ -308,10 +311,37 @@ func TestLoadTree(t *testing.T) {
 		"allowform", "ctxleak", "ctxleakip", "deadstore", "deferloop", "detrand",
 		"errdrop", "floatcmp", "hotalloc",
 		"core", "lp", "server", "stray", // layercheck/* in import-path order
-		"lockcheck", "lockorder", "mutexcopy", "nilness", "staleallow",
+		"lockcheck", "lockorder", "nilness", "staleallow",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("LoadTree packages = %v, want %v", names, want)
+	}
+}
+
+// TestLoadTreeImportCycle proves the serial loader reports an import cycle
+// among module-local packages instead of recursing forever.
+func TestLoadTreeImportCycle(t *testing.T) {
+	mod := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		full := filepath.Join(mod, rel)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module cyc\n\ngo 1.22\n")
+	write("a/a.go", "package a\n\nimport \"cyc/b\"\n\nvar X = b.Y\n")
+	write("b/b.go", "package b\n\nimport \"cyc/a\"\n\nvar Y = 1\n\nvar _ = a.X\n")
+	l, err := NewLoader(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.LoadTree(mod)
+	if err == nil || !strings.Contains(err.Error(), "import cycle through") {
+		t.Fatalf("LoadTree error = %v, want an import cycle", err)
 	}
 }
 
@@ -321,8 +351,8 @@ func TestLoadTree(t *testing.T) {
 // checks everywhere.
 func TestDefaultScoping(t *testing.T) {
 	suite := Default()
-	if len(suite) != 14 {
-		t.Fatalf("Default() has %d analyzers, want 14", len(suite))
+	if len(suite) != 12 {
+		t.Fatalf("Default() has %d analyzers, want 12", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {
@@ -349,15 +379,9 @@ func TestDefaultScoping(t *testing.T) {
 			if a.applies("janus/internal/lp") {
 				t.Error("ctxleak should not apply to internal/lp")
 			}
-			if !a.applies("janus/internal/server") || !a.applies("janus/internal/runtime") {
-				t.Error("ctxleak should apply to internal/server and internal/runtime")
-			}
-		case "ctxleakip":
-			if a.applies("janus/internal/lp") {
-				t.Error("ctxleakip should not apply to internal/lp")
-			}
-			if !a.applies("janus/internal/server") || !a.applies("janus/internal/dataplane") {
-				t.Error("ctxleakip should apply to internal/server and internal/dataplane")
+			if !a.applies("janus/internal/server") || !a.applies("janus/internal/runtime") ||
+				!a.applies("janus/internal/dataplane") {
+				t.Error("ctxleak should apply to internal/server, internal/runtime and internal/dataplane")
 			}
 		case "lockorder":
 			if a.applies("janus/internal/lp") {
@@ -373,7 +397,7 @@ func TestDefaultScoping(t *testing.T) {
 			if !a.applies("janus/internal/runtime") || !a.applies("janus/internal/core") {
 				t.Error("nilness should apply to internal/runtime and internal/core")
 			}
-		case "lockcheck", "errdrop", "mutexcopy", "deferloop", "layercheck",
+		case "lockcheck", "errdrop", "deferloop", "layercheck",
 			"hotalloc", "deadstore", "staleallow":
 			if !a.applies("janus/cmd/janus") || !a.applies("janus/internal/server") {
 				t.Errorf("%s should apply everywhere", a.Name)
@@ -406,8 +430,8 @@ func TestRunAllDeterminism(t *testing.T) {
 		dr := DetRand()
 		dr.Paths = []string{"internal/server"}
 		return []*Analyzer{
-			FloatCmp(), dr, LockCheck(), ErrDrop(), MutexCopy(), CtxLeak(),
-			DeferLoop(), LockOrder(), HotAlloc(), CtxLeakIP(),
+			FloatCmp(), dr, LockCheck(), ErrDrop(), DeferLoop(),
+			LockOrder(), HotAlloc(), CtxLeak(),
 			Nilness(), DeadStore(), StaleAllow(),
 		}
 	}

@@ -1,13 +1,10 @@
 package analysis
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkJanuslintRepo measures a full self-hosted lint: load every
 // production package of the module from source (parse + type-check) and
-// run the default fourteen-analyzer suite — including the whole-program
+// run the default twelve-analyzer suite — including the whole-program
 // call graph the interprocedural checks share — over all of them. This is
 // exactly what `make lint` does, so the number tracks the cost of the CI
 // gate as the repo and the analyzer suite grow. Run with -benchtime=1x for
@@ -28,50 +25,4 @@ func BenchmarkJanuslintRepo(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(pkgs)), "pkgs/op")
 	}
-}
-
-// BenchmarkJanuslintRepoWarm measures the same lint through the on-disk
-// diagnostic cache after a cold run primed it: every benchmark iteration
-// must be a full cache hit that replays findings without parsing or
-// type-checking anything. The benchmark asserts the warm path is at least
-// 5x faster than the cold prime — in practice it is orders of magnitude
-// faster, so a miss of that bar means the cache stopped hitting.
-func BenchmarkJanuslintRepoWarm(b *testing.B) {
-	root, err := NewLoader(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cacheDir := b.TempDir()
-	coldStart := time.Now()
-	cold, err := RunAllCached(root.ModuleRoot(), cacheDir, Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldDur := time.Since(coldStart)
-	if cold.FullHit {
-		b.Fatal("cold prime against an empty cache reported a full hit")
-	}
-	if len(cold.Diags) != 0 {
-		b.Fatalf("repo must lint clean, got %d findings", len(cold.Diags))
-	}
-
-	b.ResetTimer()
-	warmStart := time.Now()
-	for i := 0; i < b.N; i++ {
-		res, err := RunAllCached(root.ModuleRoot(), cacheDir, Default())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.FullHit {
-			b.Fatalf("warm run missed the cache: %d packages re-analyzed", res.Analyzed)
-		}
-		if len(res.Diags) != 0 {
-			b.Fatalf("warm replay produced %d findings, cold run had none", len(res.Diags))
-		}
-	}
-	warmPer := time.Since(warmStart) / time.Duration(b.N)
-	if warmPer > coldDur/5 {
-		b.Fatalf("warm run too slow: %v per op vs %v cold (want >=5x speedup)", warmPer, coldDur)
-	}
-	b.ReportMetric(float64(coldDur)/float64(warmPer), "cold/warm-speedup")
 }

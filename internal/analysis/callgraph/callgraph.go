@@ -120,10 +120,6 @@ func (n *Node) Body() *ast.BlockStmt {
 	return nil
 }
 
-// External reports whether the node has no loaded body: a standard-library
-// function, an abstract interface method, or a bodyless declaration.
-func (n *Node) External() bool { return n.Body() == nil }
-
 func (n *Node) String() string { return n.name }
 
 // Edge is one caller→callee link.
@@ -158,10 +154,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	}
 	return g.funcs[fn.Origin()]
 }
-
-// LitNode returns the node of a function literal, or nil if the literal is
-// not part of any walked body.
-func (g *Graph) LitNode(l *ast.FuncLit) *Node { return g.lits[l] }
 
 // CalleesAt returns every node the call expression may invoke (the static
 // callee, the CHA candidates of an interface call, or the matching

@@ -1,101 +1,114 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 
+	"janus/internal/analysis/callgraph"
 	"janus/internal/analysis/cfg"
 )
 
-// CtxLeak returns the ctxleak analyzer: it flags goroutines whose body can
-// block forever on a channel operation while no cancellation signal — a
-// context.Context or a done-style channel — reaches the goroutine at all.
-// Such goroutines outlive the work that spawned them; in a controller
-// serving millions of users they pile up until the process dies.
+// CtxLeak returns the ctxleak analyzer: it flags goroutines that can block
+// forever on a channel operation while no cancellation signal — a
+// context.Context or a done-style channel — reaches them at all. Such
+// goroutines outlive the work that spawned them; in a controller serving
+// millions of users they pile up until the process dies.
 //
-// A goroutine is considered cancellable if its function references any
-// value of type context.Context (a ctx parameter, a captured ctx, a
-// ctx.Done() call) or a `chan struct{}` whose name reads like a lifetime
-// signal (done, stop, quit, shutdown, ...). Blocking operations are
-// channel sends/receives, ranging over a channel, and selects without a
-// default clause; operations only reachable through dead code are ignored
-// (control-flow graph reachability), and a receive inside a select that
-// has a default clause does not block.
+// For each go statement it resolves the launched function's call-graph
+// closure (static calls, interface dispatch, closures, and function
+// values; nested go statements are separate goroutines and excluded). The
+// launched body itself is the first node of that closure, so a literal
+// `go func() { <-ch }()` and a wrapper `go s.run()` whose helper blocks
+// are the same question. The goroutine is cancellable if the go call's
+// arguments or any function in the closure reference a context.Context or
+// a `chan struct{}` whose name reads like a lifetime signal (done, stop,
+// quit, shutdown, ...). It can leak if any function reachable through
+// actual invocation edges contains a channel send/receive, a range over a
+// channel, or a select without a default clause; operations only
+// reachable through dead code are ignored (control-flow graph
+// reachability), and a receive inside a select that has a default clause
+// does not block.
 //
 // In Default() the check is scoped to internal/server, internal/runtime,
 // and internal/dataplane — the long-lived layers where a leaked goroutine
 // survives for the life of the controller.
-func CtxLeak() *Analyzer {
+func CtxLeak() *Analyzer { return ctxLeakWith(&interp{}) }
+
+func ctxLeakWith(ip *interp) *Analyzer {
 	a := &Analyzer{
 		Name: "ctxleak",
-		Doc:  "flags goroutines that can block forever with no context or done channel in scope",
+		Doc:  "flags goroutines whose call-graph closure can block forever with no context or done channel reaching it",
 	}
-	a.Run = func(pass *Pass) {
-		// Map package functions to their declarations so `go f()` can be
-		// followed to f's body.
-		decls := map[*types.Func]*ast.FuncDecl{}
-		for _, f := range pass.Pkg.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						decls[fn] = fd
-					}
-				}
-			}
-		}
-		pass.inspect(func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			body := goroutineBody(pass.Pkg.Info, gs, decls)
-			if body == nil {
-				return true
-			}
-			if hasCancelSignal(pass.Pkg.Info, body) {
-				return true
-			}
-			if op := firstBlockingOp(pass.Pkg.Info, body); op != nil {
-				pass.Reportf(gs.Pos(),
-					"goroutine can block forever (%s at line %d) with no context.Context or done channel reaching it: plumb a ctx and select on ctx.Done(), or annotate //janus:allow(ctxleak): <reason>",
-					blockingOpDesc(op), pass.Pkg.Fset.Position(op.Pos()).Line)
-			}
-			return true
-		})
-	}
+	a.Prepare = ip.prepare
+	a.Run = bucketed(ip, computeCtxLeak)
 	return a
 }
 
-// goroutineBody resolves the function body a go statement runs: a literal
-// body, or the declaration of a same-package function.
-func goroutineBody(info *types.Info, gs *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl) *ast.BlockStmt {
-	switch fun := gs.Call.Fun.(type) {
-	case *ast.FuncLit:
-		return fun.Body
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			if fd := decls[fn]; fd != nil {
-				return fd.Body
-			}
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			if fd := decls[fn]; fd != nil {
-				return fd.Body
-			}
+func computeCtxLeak(g *callgraph.Graph, pkgs []*Package) map[*types.Package][]finding {
+	byPkg := map[*types.Package][]finding{}
+	cancelKeep := func(e *callgraph.Edge) bool { return e.Kind != callgraph.Go }
+	blockKeep := func(e *callgraph.Edge) bool { return e.Call != nil && e.Kind != callgraph.Go }
+
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				gs, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				launched := g.CalleesAt(gs.Call)
+				// A ctx or done channel threaded through the go call's own
+				// arguments governs the goroutine even if no closure body
+				// names it.
+				if len(launched) == 0 || mentionsCancel(p.Info, gs.Call) {
+					return true
+				}
+				for cn := range g.Reachable(launched, cancelKeep) {
+					if cn.Body() != nil && cn.Unit != nil && mentionsCancel(cn.Unit.Info, cn.Body()) {
+						return true
+					}
+				}
+				for _, bn := range sortedNodes(g, g.Reachable(launched, blockKeep)) {
+					if bn.Body() == nil || bn.Unit == nil {
+						continue
+					}
+					if op := firstBlockingOp(bn.Unit.Info, bn.Body()); op != nil {
+						byPkg[p.Types] = append(byPkg[p.Types], finding{
+							pos: gs.Pos(),
+							msg: fmt.Sprintf("goroutine can block forever (%s at %s in %s) with no context.Context or done channel reaching its call closure: plumb a ctx and select on ctx.Done(), or annotate //janus:allow(ctxleak): <reason>",
+								blockingOpDesc(op), shortPos(g.Fset, op.Pos()), friendlyName(g.Fset, bn)),
+						})
+						return true
+					}
+				}
+				return true
+			})
 		}
 	}
-	return nil
+	return byPkg
 }
 
-// hasCancelSignal reports whether the body references a context.Context
-// value or a done-style chan struct{} anywhere (nested literals included:
-// a cancellation signal threaded into a helper closure still governs the
+// sortedNodes orders a node set by graph creation order, for
+// deterministic reporting.
+func sortedNodes(g *callgraph.Graph, set map[*callgraph.Node]bool) []*callgraph.Node {
+	var out []*callgraph.Node
+	for _, n := range g.Nodes {
+		if set[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// mentionsCancel reports whether n references a context.Context value or a
+// done-style chan struct{} anywhere (nested literals included: a
+// cancellation signal threaded into a helper closure still governs the
 // goroutine's lifetime).
-func hasCancelSignal(info *types.Info, body *ast.BlockStmt) bool {
+func mentionsCancel(info *types.Info, n ast.Node) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(n, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -107,12 +120,7 @@ func hasCancelSignal(info *types.Info, body *ast.BlockStmt) bool {
 		if obj == nil {
 			obj = info.Defs[id]
 		}
-		if obj == nil {
-			return true
-		}
-		if isContextType(obj.Type()) {
-			found = true
-		} else if isDoneChan(obj.Type()) && isDoneName(id.Name) {
+		if obj != nil && (isContextType(obj.Type()) || (isDoneChan(obj.Type()) && isDoneName(id.Name))) {
 			found = true
 		}
 		return true

@@ -69,3 +69,23 @@ func releaseCallName(call *ast.CallExpr) (string, bool) {
 	}
 	return "", false
 }
+
+// functionBodies collects every function body in the files: declarations
+// plus function literals, each analyzed as its own intraprocedural unit.
+func functionBodies(files []*ast.File) []*ast.BlockStmt {
+	var bodies []*ast.BlockStmt
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					bodies = append(bodies, n.Body)
+				}
+			case *ast.FuncLit:
+				bodies = append(bodies, n.Body)
+			}
+			return true
+		})
+	}
+	return bodies
+}

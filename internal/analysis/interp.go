@@ -11,7 +11,7 @@ import (
 )
 
 // interp is the whole-program state shared by the interprocedural
-// analyzers (lockorder, hotalloc, ctxleakip). RunAll hands every analyzer
+// analyzers (lockorder, hotalloc, ctxleak). RunAll hands every analyzer
 // the full package set through Prepare; the first Run that needs the call
 // graph builds it once, and the others reuse it. Default() gives its three
 // interprocedural analyzers one shared interp so a lint run builds a

@@ -9,12 +9,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -37,65 +33,22 @@ type Package struct {
 // source importer. Loaded packages are cached, so one Loader amortizes the
 // cost of type-checking shared dependencies across many targets.
 //
-// A Loader is safe for concurrent use: LoadTree parses all packages in
-// parallel and type-checks them in dependency order on a worker pool.
-// Each package is loaded exactly once — concurrent requests for the same
-// import path wait on the first loader's result. The standard-library
-// source importer is not concurrency-safe, so its calls are serialized;
-// module-local packages type-check concurrently once their local
-// dependencies are complete.
+// Loading is serial: a package's module-local dependencies type-check on
+// demand through ImportFrom, recursively, before the package itself. A
+// Loader is not safe for concurrent use.
 type Loader struct {
 	fset    *token.FileSet
 	modPath string
 	modRoot string
-	std     *stdImporter
-
-	mu   sync.Mutex
-	pkgs map[string]*pkgFuture // keyed by import path
+	std     types.ImporterFrom
+	// pkgs caches every load by import path. A path maps to nil while its
+	// load is in progress, so meeting it again means the imports loop.
+	pkgs map[string]*loaded
 }
 
-// stdImporter serializes the standard-library source importer, which is
-// not safe for concurrent use.
-type stdImporter struct {
-	mu  sync.Mutex
-	imp types.ImporterFrom
-}
-
-func (s *stdImporter) importFrom(path, srcDir string) (*types.Package, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.imp.ImportFrom(path, srcDir, 0)
-}
-
-// pkgFuture is the once-per-path load slot: the requester that wins the
-// owner claim fills it, everyone else waits on done. The owner is the
-// claiming goroutine's id, which detects import cycles — a chain of
-// module-local imports runs entirely on one goroutine, so re-entering a
-// path this goroutine is already loading means the imports loop. Claiming
-// (rather than always waiting) also keeps a bounded worker pool
-// deadlock-free: a checking chain that needs a package whose worker has
-// not started simply loads it inline.
-type pkgFuture struct {
-	owner atomic.Int64
-	done  chan struct{}
-	pkg   *Package
-	err   error
-}
-
-// goid extracts the current goroutine's id from the runtime stack header
-// ("goroutine N [running]:"). The stdlib exposes no direct accessor; the
-// header format has been stable for the life of the Go project, and the
-// id is used only to detect same-goroutine re-entry.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := strings.TrimPrefix(string(buf[:n]), "goroutine ")
-	if i := strings.IndexByte(s, ' '); i > 0 {
-		if id, err := strconv.ParseInt(s[:i], 10, 64); err == nil {
-			return id
-		}
-	}
-	return -1
+type loaded struct {
+	pkg *Package
+	err error
 }
 
 // NewLoader builds a Loader for the module rooted at (or above) dir.
@@ -113,8 +66,8 @@ func NewLoader(dir string) (*Loader, error) {
 		fset:    fset,
 		modPath: modPath,
 		modRoot: root,
-		std:     &stdImporter{imp: std},
-		pkgs:    map[string]*pkgFuture{},
+		std:     std,
+		pkgs:    map[string]*loaded{},
 	}, nil
 }
 
@@ -160,7 +113,7 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 		}
 		return p.Types, nil
 	}
-	return l.std.importFrom(path, l.modRoot)
+	return l.std.ImportFrom(path, l.modRoot, 0)
 }
 
 // moduleRel reports whether path is inside the module, returning the
@@ -201,53 +154,18 @@ func (l *Loader) dirPath(dir string) (path, abs string, err error) {
 	return path, abs, nil
 }
 
-// load returns the package for path, loading it if no one else has: the
-// caller claims the path's future if it is unclaimed, otherwise waits for
-// the claimant's result.
+// load returns the package for path, loading it on first request.
 func (l *Loader) load(path, dir string) (*Package, error) {
-	me := goid()
-	l.mu.Lock()
-	f, ok := l.pkgs[path]
-	if !ok {
-		f = &pkgFuture{done: make(chan struct{})}
-		l.pkgs[path] = f
-	}
-	l.mu.Unlock()
-	if f.owner.Load() == me {
-		select {
-		case <-f.done: // already complete: a plain cache hit
-			return f.pkg, f.err
-		default:
+	if r, ok := l.pkgs[path]; ok {
+		if r == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %s", path)
 		}
+		return r.pkg, r.err
 	}
-	if f.owner.CompareAndSwap(0, me) {
-		f.pkg, f.err = l.parseAndCheck(path, dir, nil)
-		close(f.done)
-		return f.pkg, f.err
-	}
-	<-f.done
-	return f.pkg, f.err
-}
-
-// parseFiles parses the non-test Go files of dir, with comments.
-func (l *Loader) parseFiles(dir string) ([]*ast.File, error) {
-	names, err := goFileNames(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
-	}
-	return files, nil
+	l.pkgs[path] = nil
+	pkg, err := l.parseAndCheck(path, dir)
+	l.pkgs[path] = &loaded{pkg, err}
+	return pkg, err
 }
 
 // goFileNames lists the non-test Go files of dir in name order.
@@ -268,15 +186,23 @@ func goFileNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// parseAndCheck parses (unless pre-parsed files are supplied) and
-// type-checks one package.
-func (l *Loader) parseAndCheck(path, dir string, files []*ast.File) (*Package, error) {
-	if files == nil {
-		var err error
-		files, err = l.parseFiles(dir)
+// parseAndCheck parses the non-test Go files of dir, with comments, and
+// type-checks them as one package.
+func (l *Loader) parseAndCheck(path, dir string) (*Package, error) {
+	names, err := goFileNames(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
+	}
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
+		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -295,8 +221,7 @@ func (l *Loader) parseAndCheck(path, dir string, files []*ast.File) (*Package, e
 
 // walkGoDirs returns every directory under root holding non-test Go files,
 // skipping testdata, hidden, and underscore-prefixed directories, in
-// sorted order. The diagnostic cache walks the same set to fingerprint a
-// tree without loading it.
+// sorted order.
 func walkGoDirs(root string) ([]string, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -333,202 +258,23 @@ func walkGoDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// localImports returns the module-local import paths of already-parsed
-// files, sorted and deduplicated.
-func (l *Loader) localImports(files []*ast.File) []string {
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if _, ok := l.moduleRel(p); ok && !seen[p] {
-				seen[p] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LoadTree loads every package under root (recursively), skipping testdata,
 // hidden, and underscore-prefixed directories. Results are sorted by import
-// path.
-//
-// The tree loads in three phases: every package parses concurrently (the
-// shared token.FileSet is internally locked), the module-local import
-// graph of the parsed files is topologically sorted, and packages
-// type-check on a worker pool as soon as their local dependencies are
-// complete. Module-local dependencies outside the tree load on demand
-// through the importer, exactly once.
+// path. Module-local dependencies outside the tree load on demand through
+// the importer, exactly once.
 func (l *Loader) LoadTree(root string) ([]*Package, error) {
 	dirs, err := walkGoDirs(root)
 	if err != nil {
 		return nil, err
 	}
-
-	type parsedPkg struct {
-		path, dir string
-		files     []*ast.File
-		deps      []string
-		err       error
-	}
-	parsed := make([]*parsedPkg, len(dirs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pp := &parsedPkg{dir: dir}
-			pp.path, _, pp.err = l.dirPath(dir)
-			if pp.err == nil {
-				pp.files, pp.err = l.parseFiles(dir)
-			}
-			if pp.err == nil {
-				pp.deps = l.localImports(pp.files)
-			}
-			parsed[i] = pp
-		}(i, dir)
-	}
-	wg.Wait()
-	inTree := map[string]*parsedPkg{}
-	for _, pp := range parsed {
-		if pp.err != nil {
-			return nil, pp.err
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
+		p, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
 		}
-		inTree[pp.path] = pp
-	}
-
-	// Topological order over the in-tree dependency edges; a cycle among
-	// them is reported here rather than deadlocking the pool below.
-	order, err := topoOrder(parsed, func(pp *parsedPkg) (string, []string) {
-		var deps []string
-		for _, d := range pp.deps {
-			if _, ok := inTree[d]; ok {
-				deps = append(deps, d)
-			}
-		}
-		return pp.path, deps
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Pre-register a future per in-tree package so dependents can wait on
-	// it, then type-check each as soon as its local deps resolve. The
-	// checking goroutine chains through ImportFrom for out-of-tree local
-	// deps, which load once via the same future map.
-	futures := map[string]*pkgFuture{}
-	l.mu.Lock()
-	for _, pp := range parsed {
-		if f, ok := l.pkgs[pp.path]; ok {
-			futures[pp.path] = f // already loaded (or loading) earlier
-			continue
-		}
-		f := &pkgFuture{done: make(chan struct{})}
-		l.pkgs[pp.path] = f
-		futures[pp.path] = f
-	}
-	l.mu.Unlock()
-
-	var cwg sync.WaitGroup
-	for _, pp := range order {
-		f := futures[pp.path]
-		select {
-		case <-f.done:
-			continue // loaded before this LoadTree call
-		default:
-		}
-		cwg.Add(1)
-		go func(pp *parsedPkg, f *pkgFuture) {
-			defer cwg.Done()
-			for _, d := range pp.deps {
-				if df, ok := futures[d]; ok {
-					<-df.done
-					if df.err != nil {
-						if f.owner.CompareAndSwap(0, goid()) {
-							f.err = df.err
-							close(f.done)
-						}
-						return
-					}
-				}
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Claim the future; losing means a checking chain already
-			// loaded this package inline through ImportFrom.
-			if !f.owner.CompareAndSwap(0, goid()) {
-				return
-			}
-			f.pkg, f.err = l.parseAndCheck(pp.path, pp.dir, pp.files)
-			close(f.done)
-		}(pp, f)
-	}
-	cwg.Wait()
-
-	pkgs := make([]*Package, 0, len(parsed))
-	for _, pp := range parsed {
-		f := futures[pp.path]
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		pkgs = append(pkgs, f.pkg)
+		pkgs = append(pkgs, p)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// topoOrder sorts items so that dependencies precede dependents, failing
-// on cycles.
-func topoOrder[T any](items []T, edges func(T) (string, []string)) ([]T, error) {
-	byPath := map[string]T{}
-	deps := map[string][]string{}
-	var paths []string
-	for _, it := range items {
-		p, ds := edges(it)
-		byPath[p] = it
-		deps[p] = ds
-		paths = append(paths, p)
-	}
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on the current DFS path
-		black = 2 // done
-	)
-	state := map[string]int{}
-	var out []T
-	var visit func(p string) error
-	visit = func(p string) error {
-		switch state[p] {
-		case gray:
-			return fmt.Errorf("analysis: import cycle through %s", p)
-		case black:
-			return nil
-		}
-		state[p] = gray
-		for _, d := range deps[p] {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[p] = black
-		out = append(out, byPath[p])
-		return nil
-	}
-	for _, p := range paths {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -4,15 +4,11 @@ import "fmt"
 
 // StaleAllow returns the staleallow analyzer: the suppression audit that
 // keeps the //janus:allow escape hatch honest. Every directive is a claim
-// that some specific finding is intended; this analyzer reports the claims
-// that no longer hold up:
-//
-//   - a directive that suppressed nothing in the current run — the finding
-//     it silenced has been fixed (or the named check no longer runs in the
-//     package), so the comment is dead weight that would hide a future
-//     regression;
-//   - a directive in the legacy "//janus:allow check reason" form, which
-//     predates the canonical "//janus:allow(check): reason" syntax.
+// that some specific finding is intended; this analyzer reports the
+// directives that suppressed nothing in the current run — the finding
+// each silenced has been fixed (or the named check no longer runs in the
+// package), so the comment is dead weight that would hide a future
+// regression.
 //
 // The analyzer is framework-driven: suppression hits are only known after
 // every other analyzer has run over the package, so RunAll performs the
@@ -31,7 +27,7 @@ import "fmt"
 func StaleAllow() *Analyzer {
 	return &Analyzer{
 		Name: "staleallow",
-		Doc:  "flags //janus:allow directives that suppress nothing or use the legacy form",
+		Doc:  "flags //janus:allow directives that suppress nothing",
 		// Run is nil: the audit needs every other analyzer's suppression
 		// hits, so RunAll drives it after the per-package passes finish.
 	}
@@ -63,9 +59,6 @@ func staleAllowDiags(pkg *Package, analyzers []*Analyzer, allows *allowIndex) []
 		})
 	}
 	for _, e := range allows.entries {
-		if e.legacy {
-			reportf(e, "legacy suppression form: write //janus:allow(%s): <reason> instead of //janus:allow %s <reason>", e.check, e.check)
-		}
 		if e.used {
 			continue
 		}

@@ -1,4 +1,6 @@
-// Package ctxleakip exercises the interprocedural context-leak analyzer.
+// Package ctxleakip is a januslint fixture for the interprocedural half of
+// the ctxleak analyzer: lines marked "want ctxleak" must be reported when
+// the blocking operation sits one or more calls deep behind the goroutine.
 package ctxleakip
 
 import "context"
@@ -8,20 +10,19 @@ func blockForever(ch chan int) {
 	<-ch
 }
 
-// wrapper hides the blocking receive one call deep, where the
-// intraprocedural ctxleak cannot see it.
+// wrapper hides the blocking receive one call deep.
 func wrapper(ch chan int) {
 	blockForever(ch)
 }
 
 func spawnWrapped(ch chan int) {
-	go wrapper(ch) // want ctxleakip
+	go wrapper(ch) // want ctxleak
 }
 
-// spawnDirect is ctxleak's territory — the block sits in the goroutine's
-// immediate body — so ctxleakip stays silent to avoid double-reporting.
+// spawnDirect blocks in the goroutine's own body, the first node of its
+// call closure.
 func spawnDirect(ch chan int) {
-	go blockForever(ch)
+	go blockForever(ch) // want ctxleak
 }
 
 type pump struct{ ch chan int }
@@ -34,7 +35,7 @@ func (p *pump) drain() {
 }
 
 func startPump(p *pump) {
-	go p.run() // want ctxleakip
+	go p.run() // want ctxleak
 }
 
 // runDone selects on a done channel: cancellable, clean.
@@ -63,6 +64,6 @@ func spawnCtx(ctx context.Context, ch chan int) {
 }
 
 func spawnAllowed(ch chan int) {
-	//janus:allow(ctxleakip): fixture demonstrates an intended fire-and-forget goroutine
+	//janus:allow(ctxleak): fixture demonstrates an intended fire-and-forget goroutine
 	go wrapper(ch)
 }

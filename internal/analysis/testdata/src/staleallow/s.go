@@ -1,7 +1,9 @@
 // Package staleallow is a januslint fixture for the suppression audit.
 // The test runs the floatcmp and detrand analyzers (detrand scoped away
 // from this package) together with staleallow; lines marked
-// "want staleallow" carry directives the audit must report.
+// "want staleallow" carry directives the audit must report. A
+// space-separated directive is not a directive at all: it is reported as
+// malformed and the finding under it stands.
 package staleallow
 
 func live(a, b float64) int {
@@ -16,8 +18,8 @@ func stale(a, b float64) float64 {
 	return a + b
 }
 
-func legacy(a, b float64) int {
-	if a != b { //janus:allow floatcmp fixture: legacy form still suppresses // want staleallow
+func spaceForm(a, b float64) int {
+	if a != b { //janus:allow floatcmp the space form is malformed and suppresses nothing // want allow floatcmp
 		return 1
 	}
 	return 0

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -135,7 +134,6 @@ type Configurator struct {
 	graph  *compose.Graph
 	cfg    Config
 	enum   *paths.Enumerator
-	rng    *rand.Rand
 	scheme *labels.Scheme
 }
 
@@ -157,7 +155,6 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 		graph:  g,
 		cfg:    cfg,
 		enum:   e,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scheme: cfg.Scheme,
 	}, nil
 }
