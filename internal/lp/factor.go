@@ -32,9 +32,10 @@ type factor struct {
 	bumpRow, bumpPos, bumpIdx []int32
 	lu                        []float64
 
-	// invert's view of binv0's sparsity: row p owns words = ⌈m/64⌉ words of
-	// mask, and bit c of them is set once binv0[p][c] may be nonzero; at
-	// lists the columns of the row being spread.
+	// binv0's sparsity: row p owns words = ⌈m/64⌉ words of mask, and bit c
+	// of them is set once binv0[p][c] may be nonzero. invert maintains it;
+	// btran and computeBasics read only the set bits. at lists the columns
+	// of the row being spread.
 	words int
 	mask  []uint64
 	at    []int32

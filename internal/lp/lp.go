@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Sense is a constraint relation.
@@ -436,12 +437,18 @@ func (s *simplex) computeBasics() {
 			}
 		}
 	}
+	// xB = binv0·resid over the entries fac.mask says may be nonzero (the
+	// same sums as the dense pass: only exact-zero terms are skipped).
 	xB := ws.xB
+	words := ws.fac.words
 	for i := 0; i < m; i++ {
 		row := ws.binv0[i*m : i*m+m]
 		sum := 0.0
-		for k, rk := range resid {
-			sum += row[k] * rk
+		for w, word := range ws.fac.mask[i*words : (i+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				k := w*64 + bits.TrailingZeros64(word)
+				sum += row[k] * resid[k]
+			}
 		}
 		xB[i] = sum
 	}

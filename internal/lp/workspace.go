@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // workspace holds every reusable buffer of the revised simplex: the basis
 // state, the CSC column index of the structural matrix, the dense basis
@@ -299,7 +302,9 @@ func (ws *workspace) ftranColumn(v int) []float64 {
 }
 
 // btran computes y = z·B⁻¹ into the shared scratch ws.y, destroying z.
-// Zero z components — most of them, in phase 1 — skip their binv0 row.
+// Zero z components — most of them, in phase 1 — skip their binv0 row, and
+// a row is read only where fac.mask says it may be nonzero. Skipping exact
+// zeros leaves every sum bit-identical to the dense pass.
 //
 //janus:hotpath
 func (ws *workspace) btran(z []float64) []float64 {
@@ -309,14 +314,18 @@ func (ws *workspace) btran(z []float64) []float64 {
 	for k := range y {
 		y[k] = 0
 	}
+	words := ws.fac.words
 	for i := 0; i < m; i++ {
 		zi := z[i]
 		if zi == 0 { //janus:allow(floatcmp): exact-zero sparsity guard: zero components contribute nothing to y
 			continue
 		}
 		row := ws.binv0[i*m : i*m+m]
-		for k, bk := range row {
-			y[k] += zi * bk
+		for w, word := range ws.fac.mask[i*words : (i+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				k := w*64 + bits.TrailingZeros64(word)
+				y[k] += zi * row[k]
+			}
 		}
 	}
 	return y
