@@ -12,9 +12,10 @@ import (
 // the size of its tree exactly. A pricing or eta-file change that silently
 // triples iteration counts fails here even if wall clock on the CI machine
 // absorbs it. The envelope is
-// [half, double] of the values recorded when the sparse engine landed —
-// wide enough for benign pivot-order drift, tight enough to catch an
-// algorithmic regression. Determinism: same spec seed, Workers=1, no time
+// [half, double] of the values recorded when the dual simplex took over
+// the node re-solves (the primal-only engine's were 1275/60 and 4920/77,
+// both over 60 nodes) — wide enough for benign pivot-order drift, tight
+// enough to catch an algorithmic regression. Determinism: same spec seed, Workers=1, no time
 // limit, so counts are exactly reproducible on every platform.
 func TestSolverIterationEnvelope(t *testing.T) {
 	// The janusbench fig11 50-policy workload: large enough that branch and
@@ -23,13 +24,13 @@ func TestSolverIterationEnvelope(t *testing.T) {
 	fig11 := workload.Spec{Policies: 50, EndpointsPerPolicy: 2, Seed: 1}
 	cases := []struct {
 		topo string
-		// recorded values for the sparse simplex engine
+		// recorded values with dual simplex node re-solves
 		iters, refacts int
 		// nodes is exact: pivot order may drift, the one-worker tree may not
 		nodes int
 	}{
-		{topo: "Ans", iters: 1275, refacts: 60, nodes: 60},
-		{topo: "Cwix", iters: 4920, refacts: 77, nodes: 60},
+		{topo: "Ans", iters: 1190, refacts: 77, nodes: 119},
+		{topo: "Cwix", iters: 1672, refacts: 69, nodes: 60},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,6 +130,53 @@ func BenchmarkLPRefactorize(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkLPChildResolve times the branch-and-bound child re-solve on the
+// real Ans and Cwix period models: from the root optimum, the most
+// fractional binary is fixed down (x=0) or up (x=1) and the LP re-solved
+// warm from the root basis, which the dual simplex takes. The previous
+// child's pivots left the workspace on another basis, so each re-solve also
+// pays one refactorization — the price a node pays on a parallel worker.
+func BenchmarkLPChildResolve(b *testing.B) {
+	for _, name := range periodModels {
+		p := readProblem(b, name)
+		root, err := p.Solve(Options{})
+		if err != nil || root.Status != Optimal {
+			b.Fatalf("%s: %v %v", name, err, root)
+		}
+		v, best := -1, 0.0
+		for j, x := range root.X {
+			if f := 0.5 - math.Abs(x-math.Floor(x)-0.5); f > best {
+				v, best = j, f
+			}
+		}
+		if v < 0 {
+			b.Fatalf("%s: root optimum is integral", name)
+		}
+		lo, up := p.Bounds(v)
+		for _, fix := range []float64{0, 1} {
+			b.Run(fmt.Sprintf("%s/x=%g", strings.TrimSuffix(name, ".lp"), fix), func(b *testing.B) {
+				pivots := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := p.SetBounds(v, fix, fix); err != nil {
+						b.Fatal(err)
+					}
+					child, err := p.Solve(Options{WarmStart: root.Basis})
+					if err != nil {
+						b.Fatal(err)
+					}
+					pivots += child.Iterations
+					if err := p.SetBounds(v, lo, up); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 			})
 		}
 	}

@@ -73,8 +73,60 @@ func TestFuzzSeedsExerciseSparsePaths(t *testing.T) {
 	}
 }
 
+// TestFuzzSeedsExerciseDualPaths pins three inputs of FuzzLPSolve's second
+// step — tighten a bound, re-solve warm from the optimal basis — to the
+// dual simplex endings they exist to cover: the dual reaching the child's
+// optimum, the dual proving the child infeasible from one violated row, and
+// the dual handing its basis over (here at the iteration limit, the primal
+// then stopping at once with IterLimit). Cold re-solves must agree with the
+// first two, and take more pivots on the first.
+func TestFuzzSeedsExerciseDualPaths(t *testing.T) {
+	cases := []struct {
+		name     string
+		seed     int64
+		nv, nr   uint8
+		maxIters int
+		end      dualEnd
+		status   Status
+	}{
+		{"dual to optimal", 91, 8, 6, 0, dualReachedFeasible, Optimal},
+		{"dual proves infeasible", 20, 5, 4, 0, dualProvedInfeasible, Infeasible},
+		{"dual hands over", 91, 8, 6, 2, dualHandedOver, IterLimit},
+	}
+	for _, tc := range cases {
+		p := buildFuzzLP(tc.seed, tc.nv, tc.nr)
+		sol, err := p.Solve(Options{})
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("%s: first solve %v %v", tc.name, err, sol)
+		}
+		if !tightenFuzzLP(p, sol, tc.seed) {
+			t.Fatalf("%s: tightening left the optimum feasible", tc.name)
+		}
+		warm, err := p.Solve(Options{WarmStart: sol.Basis, MaxIters: tc.maxIters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ws.dualRun != tc.end || warm.Status != tc.status {
+			t.Errorf("%s: dual ended %d with status %v, want %d and %v", tc.name, p.ws.dualRun, warm.Status, tc.end, tc.status)
+		}
+		if tc.maxIters > 0 {
+			continue
+		}
+		cold, err := p.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != warm.Status {
+			t.Errorf("%s: cold re-solve %v, warm %v", tc.name, cold.Status, warm.Status)
+		}
+		if tc.status == Optimal && warm.Iterations >= cold.Iterations {
+			t.Errorf("%s: warm re-solve took %d pivots, cold %d", tc.name, warm.Iterations, cold.Iterations)
+		}
+	}
+}
+
 // FuzzLPSolve hammers the simplex with random bounded LPs and checks the
-// full optimality certificate on every Optimal result:
+// full optimality certificate (checkCertificate) on every Optimal result:
 //
 //   - primal feasibility (bounds and rows within fuzzEps),
 //   - the reported objective equals c·x,
@@ -84,7 +136,11 @@ func TestFuzzSeedsExerciseSparsePaths(t *testing.T) {
 //   - complementary slackness: a nonzero row dual means the row is tight,
 //     and a nonzero reduced cost means the variable sits on a bound.
 //
-// Any panic, or any certificate violation, is a solver bug.
+// An Optimal input then takes a second step: one bound is tightened past
+// the optimum (tightenFuzzLP) and the problem re-solved warm from the
+// returned basis, which sends it through the dual simplex; the result must
+// pass the same certificate and match a cold re-solve in status and
+// objective. Any panic, or any certificate violation, is a solver bug.
 func FuzzLPSolve(f *testing.F) {
 	// Seed corpus: regression shapes that exercised distinct code paths —
 	// empty constraint set (pure bound optimization), single variable,
@@ -108,6 +164,11 @@ func FuzzLPSolve(f *testing.F) {
 	// list mid-solve (full-scan fallback refreshes).
 	f.Add(int64(2230), uint8(8), uint8(6))
 	f.Add(int64(126), uint8(8), uint8(5))
+	// Dual simplex path coverage (see TestFuzzSeedsExerciseDualPaths): the
+	// second step reaches the child's optimum through dual pivots, and
+	// proves a child infeasible.
+	f.Add(int64(91), uint8(8), uint8(6))
+	f.Add(int64(20), uint8(5), uint8(4))
 
 	f.Fuzz(func(t *testing.T, seed int64, nv, nr uint8) {
 		p := buildFuzzLP(seed, nv, nr)
@@ -121,98 +182,142 @@ func FuzzLPSolve(f *testing.F) {
 		if sol.Status != Optimal {
 			return // infeasible/unbounded/iter-limit are legitimate outcomes
 		}
-		n := p.NumVariables()
-		if len(sol.X) != n {
-			t.Fatalf("X has %d entries for %d variables", len(sol.X), n)
-		}
+		checkCertificate(t, p, sol)
 
-		// Primal feasibility.
-		for v := 0; v < n; v++ {
-			lo, up := p.Bounds(v)
-			if sol.X[v] < lo-fuzzEps || sol.X[v] > up+fuzzEps {
-				t.Fatalf("x[%d]=%g outside [%g,%g]", v, sol.X[v], lo, up)
-			}
+		// Second step, the branch-and-bound child: tighten one variable's
+		// bound past its optimal value and re-solve warm from the returned
+		// basis — the dual simplex's case — then hold the result to the same
+		// certificate and to a cold re-solve of the tightened problem.
+		if !tightenFuzzLP(p, sol, seed) {
+			return
 		}
-		for i := 0; i < p.NumConstraints(); i++ {
-			sense, rhs, terms := p.Constraint(i)
-			lhs := 0.0
-			for _, tm := range terms {
-				lhs += tm.Coef * sol.X[tm.Var]
-			}
-			switch sense {
-			case LE:
-				if lhs > rhs+fuzzEps {
-					t.Fatalf("row %d: %g > %g (LE)", i, lhs, rhs)
-				}
-			case GE:
-				if lhs < rhs-fuzzEps {
-					t.Fatalf("row %d: %g < %g (GE)", i, lhs, rhs)
-				}
-			case EQ:
-				if math.Abs(lhs-rhs) > fuzzEps {
-					t.Fatalf("row %d: %g != %g (EQ)", i, lhs, rhs)
-				}
-			}
+		warm, err := p.Solve(Options{WarmStart: sol.Basis})
+		if err != nil {
+			t.Fatalf("warm re-solve: %v", err)
 		}
-
-		// Objective consistency.
-		obj := 0.0
-		for v := 0; v < n; v++ {
-			obj += p.ObjectiveCoef(v) * sol.X[v]
+		if warm.Status == Optimal {
+			checkCertificate(t, p, warm)
 		}
-		scale := math.Max(1, math.Abs(obj))
-		if math.Abs(obj-sol.Objective) > fuzzEps*scale {
-			t.Fatalf("objective %g != recomputed %g", sol.Objective, obj)
+		cold, err := p.Solve(Options{})
+		if err != nil {
+			t.Fatalf("cold re-solve: %v", err)
 		}
-
-		if len(sol.Duals) != p.NumConstraints() || len(sol.ReducedCosts) != n {
-			t.Fatalf("certificate sizes: %d duals for %d rows, %d reduced costs for %d vars",
-				len(sol.Duals), p.NumConstraints(), len(sol.ReducedCosts), n)
+		if warm.Status != cold.Status {
+			t.Fatalf("tightened re-solve: warm %v, cold %v", warm.Status, cold.Status)
 		}
-
-		// Strong duality. With every bound finite the dual objective is
-		// D = y·b + Σ_j max(d_j·lo_j, d_j·up_j); at an optimal basis it
-		// must meet the primal objective.
-		dual := 0.0
-		for i := 0; i < p.NumConstraints(); i++ {
-			_, rhs, _ := p.Constraint(i)
-			dual += sol.Duals[i] * rhs
-		}
-		for v := 0; v < n; v++ {
-			lo, up := p.Bounds(v)
-			d := sol.ReducedCosts[v]
-			dual += math.Max(d*lo, d*up)
-		}
-		if math.Abs(dual-sol.Objective) > fuzzEps*math.Max(1, math.Abs(sol.Objective)) {
-			t.Fatalf("strong duality violated: dual %g vs primal %g (gap %g)",
-				dual, sol.Objective, dual-sol.Objective)
-		}
-
-		// Complementary slackness.
-		for i := 0; i < p.NumConstraints(); i++ {
-			if math.Abs(sol.Duals[i]) <= fuzzEps {
-				continue
-			}
-			_, rhs, terms := p.Constraint(i)
-			lhs := 0.0
-			for _, tm := range terms {
-				lhs += tm.Coef * sol.X[tm.Var]
-			}
-			if math.Abs(lhs-rhs) > fuzzEps*math.Max(1, math.Abs(rhs)) {
-				t.Fatalf("row %d has dual %g but slack %g", i, sol.Duals[i], lhs-rhs)
-			}
-		}
-		for v := 0; v < n; v++ {
-			if math.Abs(sol.ReducedCosts[v]) <= fuzzEps {
-				continue
-			}
-			lo, up := p.Bounds(v)
-			atLo := math.Abs(sol.X[v]-lo) <= fuzzEps
-			atUp := math.Abs(sol.X[v]-up) <= fuzzEps
-			if !atLo && !atUp {
-				t.Fatalf("x[%d]=%g interior with reduced cost %g (bounds [%g,%g])",
-					v, sol.X[v], sol.ReducedCosts[v], lo, up)
-			}
+		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > fuzzEps*math.Max(1, math.Abs(cold.Objective)) {
+			t.Fatalf("tightened re-solve: warm objective %g, cold %g", warm.Objective, cold.Objective)
 		}
 	})
+}
+
+// tightenFuzzLP moves one bound of one variable, both chosen from seed, past
+// the variable's value in sol: the upper bound halfway down toward the lower
+// one, or the lower bound halfway up toward the upper. It reports whether
+// that cut sol's point off, so the warm basis is no longer primal feasible.
+func tightenFuzzLP(p *Problem, sol *Solution, seed int64) bool {
+	u := uint64(seed)
+	v := int(u % uint64(p.NumVariables()))
+	lo, up := p.Bounds(v)
+	x := sol.X[v]
+	if u/uint64(p.NumVariables())%2 == 0 {
+		up = lo + (x-lo)/2
+	} else {
+		lo = x + (up-x)/2
+	}
+	if err := p.SetBounds(v, lo, up); err != nil {
+		panic(err)
+	}
+	return x < lo-feasTol || x > up+feasTol
+}
+
+// checkCertificate holds an Optimal solution of p to the full optimality
+// certificate at fuzzEps: primal feasibility, the reported objective,
+// strong duality and complementary slackness.
+func checkCertificate(t *testing.T, p *Problem, sol *Solution) {
+	t.Helper()
+	n := p.NumVariables()
+	if len(sol.X) != n {
+		t.Fatalf("X has %d entries for %d variables", len(sol.X), n)
+	}
+
+	// Primal feasibility.
+	for v := 0; v < n; v++ {
+		lo, up := p.Bounds(v)
+		if sol.X[v] < lo-fuzzEps || sol.X[v] > up+fuzzEps {
+			t.Fatalf("x[%d]=%g outside [%g,%g]", v, sol.X[v], lo, up)
+		}
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		sense, rhs, terms := p.Constraint(i)
+		lhs := 0.0
+		for _, tm := range terms {
+			lhs += tm.Coef * sol.X[tm.Var]
+		}
+		switch sense {
+		case LE:
+			if lhs > rhs+fuzzEps {
+				t.Fatalf("row %d: %g > %g (LE)", i, lhs, rhs)
+			}
+		case GE:
+			if lhs < rhs-fuzzEps {
+				t.Fatalf("row %d: %g < %g (GE)", i, lhs, rhs)
+			}
+		case EQ:
+			if math.Abs(lhs-rhs) > fuzzEps {
+				t.Fatalf("row %d: %g != %g (EQ)", i, lhs, rhs)
+			}
+		}
+	}
+
+	// Objective consistency.
+	obj := 0.0
+	for v := 0; v < n; v++ {
+		obj += p.ObjectiveCoef(v) * sol.X[v]
+	}
+	scale := math.Max(1, math.Abs(obj))
+	if math.Abs(obj-sol.Objective) > fuzzEps*scale {
+		t.Fatalf("objective %g != recomputed %g", sol.Objective, obj)
+	}
+
+	if len(sol.Duals) != p.NumConstraints() || len(sol.ReducedCosts) != n {
+		t.Fatalf("certificate sizes: %d duals for %d rows, %d reduced costs for %d vars",
+			len(sol.Duals), p.NumConstraints(), len(sol.ReducedCosts), n)
+	}
+
+	// Strong duality. With every bound finite the dual objective is
+	// D = y·b + Σ_j max(d_j·lo_j, d_j·up_j); at an optimal basis it must
+	// meet the primal objective.
+	dual := dualBound(p, sol)
+	if math.Abs(dual-sol.Objective) > fuzzEps*math.Max(1, math.Abs(sol.Objective)) {
+		t.Fatalf("strong duality violated: dual %g vs primal %g (gap %g)",
+			dual, sol.Objective, dual-sol.Objective)
+	}
+
+	// Complementary slackness.
+	for i := 0; i < p.NumConstraints(); i++ {
+		if math.Abs(sol.Duals[i]) <= fuzzEps {
+			continue
+		}
+		_, rhs, terms := p.Constraint(i)
+		lhs := 0.0
+		for _, tm := range terms {
+			lhs += tm.Coef * sol.X[tm.Var]
+		}
+		if math.Abs(lhs-rhs) > fuzzEps*math.Max(1, math.Abs(rhs)) {
+			t.Fatalf("row %d has dual %g but slack %g", i, sol.Duals[i], lhs-rhs)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if math.Abs(sol.ReducedCosts[v]) <= fuzzEps {
+			continue
+		}
+		lo, up := p.Bounds(v)
+		atLo := math.Abs(sol.X[v]-lo) <= fuzzEps
+		atUp := math.Abs(sol.X[v]-up) <= fuzzEps
+		if !atLo && !atUp {
+			t.Fatalf("x[%d]=%g interior with reduced cost %g (bounds [%g,%g])",
+				v, sol.X[v], sol.ReducedCosts[v], lo, up)
+		}
+	}
 }

@@ -12,9 +12,12 @@
 // factor.go) plus an eta file of sparse pivot updates, applied by
 // FTRAN/BTRAN. Pricing runs over a bounded candidate
 // list refreshed by full Dantzig scans, with Bland's rule as the
-// anti-cycling fallback. All per-pivot scratch lives in a workspace owned
-// by the Problem and reused across solves, so repeated warm re-solves (the
-// branch-and-bound node pattern) run nearly allocation-free.
+// anti-cycling fallback. A warm basis that is dual but not primal feasible
+// — a branch-and-bound child — is re-solved by a bounded dual simplex
+// instead (dual.go), on the same factorization. All per-pivot scratch lives
+// in a workspace owned by the Problem and reused across solves, so repeated
+// warm re-solves (the branch-and-bound node pattern) run nearly
+// allocation-free.
 //
 // A Problem must not be solved concurrently from multiple goroutines; use
 // Clone to give each solver goroutine an independent copy.
@@ -283,15 +286,17 @@ const (
 
 // Solve optimizes the problem. The problem may be re-solved after bound or
 // objective changes; pass the previous Solution.Basis in Options.WarmStart
-// to reuse it. Solve reuses the Problem's workspace and is therefore not
-// safe for concurrent use on one Problem — see Clone.
+// to reuse it. The basis picks the method: a warm basis that still prices
+// optimally but violates a bound (a tightened one, say) starts with the
+// dual simplex; every other start — cold, primal feasible, or priced out by
+// an objective change — takes the primal. Solve reuses the Problem's
+// workspace and is therefore not safe for concurrent use on one Problem —
+// see Clone.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	ws := p.workspace()
 	s := &simplex{p: p, ws: ws, n: ws.n, m: ws.m} //janus:allow(hotalloc): one solver handle per LP solve, amortized over all its pivots
 	s.resetBasis()
-	if opts.WarmStart != nil {
-		s.loadBasis(opts.WarmStart)
-	}
+	warm := s.loadBasis(opts.WarmStart)
 	s.syncVarRow()
 	maxIters := opts.MaxIters
 	if maxIters <= 0 {
@@ -305,6 +310,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		if err := ws.refactorize(); err != nil {
 			s.resetBasis()
 			s.syncVarRow()
+			warm = false
 			if err := ws.refactorize(); err != nil {
 				return nil, err
 			}
@@ -312,8 +318,25 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	s.computeBasics()
 
-	status := s.run(maxIters)
-	sol := s.extract(status)
+	// A warm basis that prices optimally but violates bounds — a
+	// branch-and-bound child — goes to the dual simplex first. What the dual
+	// reaches is optimal if it also prices optimally on the real costs (it
+	// ran on perturbed ones); otherwise, and wherever the dual stopped short
+	// of a proof, the primal carries on from its basis.
+	if warm && s.infeasibility() > feasTol && s.dualFeasible() {
+		ws.dualRun = s.dual(maxIters)
+	}
+	var status Status
+	priced := false
+	switch {
+	case ws.dualRun == dualProvedInfeasible:
+		status = Infeasible
+	case ws.dualRun == dualReachedFeasible && s.dualFeasible():
+		status, priced = Optimal, true
+	default:
+		status = s.run(maxIters)
+	}
+	sol := s.extract(status, priced)
 	return sol, nil
 }
 
@@ -352,11 +375,12 @@ func (s *simplex) resetBasis() {
 
 // loadBasis overlays a warm-start snapshot onto the default basis installed
 // by resetBasis, repairing out-of-range or duplicated basic entries with the
-// row's logical variable.
-func (s *simplex) loadBasis(b *Basis) {
+// row's logical variable. It reports whether there was a compatible
+// snapshot to load.
+func (s *simplex) loadBasis(b *Basis) bool {
 	ws := s.ws
 	if b == nil || b.m != s.m || b.n > s.n+s.m {
-		return // incompatible snapshot; keep default basis
+		return false // no or incompatible snapshot; keep default basis
 	}
 	// Variables added after the snapshot keep their default status.
 	for v := 0; v < b.n && v < s.n+s.m; v++ {
@@ -384,6 +408,7 @@ func (s *simplex) loadBasis(b *Basis) {
 	for r := 0; r < s.m; r++ {
 		mark[ws.basic[r]] = false
 	}
+	return true
 }
 
 // syncVarRow rebuilds the variable→basic-row index after basis loading;
@@ -554,8 +579,12 @@ func (s *simplex) reducedCost(phase1 bool, y []float64, v int) float64 {
 
 // eligible converts a reduced cost into an entering (score, direction);
 // dir 0 means the variable cannot improve the phase objective. A variable
-// resting at −∞ lower (free) may move either way.
+// resting at −∞ lower (free) may move either way; a fixed one cannot move,
+// whatever its reduced cost says.
 func (s *simplex) eligible(v int, d float64) (score, dir float64) {
+	if s.ws.lo[v] == s.ws.up[v] { //janus:allow(floatcmp): a fixed variable has identical bounds by construction
+		return 0, 0
+	}
 	switch s.ws.status[v] {
 	case atLower:
 		if d > costTol {
@@ -836,7 +865,10 @@ func (s *simplex) value(v int) float64 {
 	return s.nonbasicValue(v)
 }
 
-func (s *simplex) extract(status Status) *Solution {
+// extract builds the Solution. At Optimal the duals and reduced costs come
+// from ws.y and ws.d, which priced says computeReducedCosts already left
+// there for the final basis on the real costs.
+func (s *simplex) extract(status Status, priced bool) *Solution {
 	ws := s.ws
 	sol := &Solution{ //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
 		Status:           status,
@@ -851,12 +883,11 @@ func (s *simplex) extract(status Status) *Solution {
 	if status == Optimal {
 		sol.Objective = s.objective()
 		// Duals: y = c_B B⁻¹ with the real objective, via BTRAN.
-		y := ws.btran(s.basicCosts(false))
-		sol.Duals = append([]float64(nil), y...) //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
-		sol.ReducedCosts = make([]float64, s.n)  //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
-		for v := 0; v < s.n; v++ {
-			sol.ReducedCosts[v] = s.reducedCost(false, y, v)
+		if !priced {
+			s.computeReducedCosts()
 		}
+		sol.Duals = append([]float64(nil), ws.y...)              //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
+		sol.ReducedCosts = append([]float64(nil), ws.d[:s.n]...) //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
 	}
 	sol.Basis = &Basis{ //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop
 		basic:  append([]int(nil), ws.basic...),   //janus:allow(hotalloc): solution extraction runs once per solve, after the pivot loop

@@ -63,6 +63,13 @@ type workspace struct {
 	// Per-pivot scratch.
 	y, w, z, resid []float64
 
+	// Dual simplex state over structural+logical variables (dual.go): the
+	// reduced costs it updates pivot by pivot, the pivot row, and the
+	// columns its ratio test found eligible.
+	d, alpha []float64
+	elig     []int32
+	dw       []float64
+
 	// Candidate-list pricing state (candScore is only coherent during a
 	// refresh scan; between scans candidates are re-priced exactly).
 	cands     []int32
@@ -73,6 +80,8 @@ type workspace struct {
 	// Per-solve counters surfaced on Solution.
 	refactorizations int
 	pricingSwitches  int
+	// dualRun says how the last solve's dual simplex run ended.
+	dualRun dualEnd
 }
 
 const (
@@ -148,6 +157,10 @@ func newWorkspace(p *Problem) *workspace {
 	ws.z = make([]float64, m)                        //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.resid = make([]float64, m)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.mark = make([]bool, total)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
+	ws.d = make([]float64, total)                    //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
+	ws.alpha = make([]float64, total)                //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
+	ws.elig = make([]int32, total)                   //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
+	ws.dw = make([]float64, m)                       //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.etaStart = append(ws.etaStart, 0)             //janus:allow(hotalloc): workspace construction runs once per problem version, not per pivot
 	ws.fac = newFactor(m)
 	ws.buildCols(p)
@@ -177,6 +190,7 @@ func (ws *workspace) refresh(p *Problem) {
 	}
 	ws.refactorizations = 0
 	ws.pricingSwitches = 0
+	ws.dualRun = dualSkipped
 }
 
 // buildCols constructs the CSC column index of the structural matrix.
