@@ -320,9 +320,9 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 
 	// A warm basis that prices optimally but violates bounds — a
 	// branch-and-bound child — goes to the dual simplex first. What the dual
-	// reaches is optimal if it also prices optimally on the real costs (it
-	// ran on perturbed ones); otherwise, and wherever the dual stopped short
-	// of a proof, the primal carries on from its basis.
+	// reaches is optimal if it also prices optimally on the real costs (its
+	// ratio test may have shifted some); otherwise, and wherever the dual
+	// stopped short of a proof, the primal carries on from its basis.
 	if warm && s.infeasibility() > feasTol && s.dualFeasible() {
 		ws.dualRun = s.dual(maxIters)
 	}

@@ -63,9 +63,9 @@ type workspace struct {
 	// Per-pivot scratch.
 	y, w, z, resid []float64
 
-	// Dual simplex state over structural+logical variables (dual.go): the
-	// reduced costs it updates pivot by pivot, the pivot row, and the
-	// columns its ratio test found eligible.
+	// Dual simplex state (dual.go): over structural+logical variables, the
+	// reduced costs it updates pivot by pivot, the pivot row and the columns
+	// its ratio test found eligible; per basic row, the dual Devex weight.
 	d, alpha []float64
 	elig     []int32
 	dw       []float64
