@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths fuzz fuzz-fastpath difftest deltadiff
 
 all: check
 
@@ -74,6 +74,13 @@ bench:
 bench-lp:
 	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem ./internal/lp/
 
+# bench-paths runs the topology lookup microbenchmarks with allocation
+# counts: a cold path enumeration of every pair of the fig11 Cwix instance
+# (what a cold start pays), and resolving both groups of its 50 policies
+# to endpoints (what every model build and dependency index pays).
+bench-paths:
+	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkEndpointsMatching' -benchmem ./internal/paths/ ./internal/topo/
+
 # difftest runs the differential solver harness: seeded random MILPs plus
 # corpus replays of real period models, one worker vs. many, re-verified
 # feasible, and the one-worker tree held to its recording. This is the
@@ -88,10 +95,14 @@ difftest:
 # injected faults — and every installed result, metric-visible satisfaction
 # count, and journal replay must match byte-for-byte. This is the permanent
 # gate for delta-solve changes, alongside the unit/edge-case suites.
+# TestGraphSwapTwin holds graph swaps that keep the path cache to swaps that
+# start it empty, the same way; the paths run holds selective link
+# invalidation to a fresh enumeration and Valid's output to a reference
+# enumeration on the fig11 instances.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex' ./internal/core/ ./internal/runtime/
-	$(GO) test -race -count=1 -run 'TestInvalidateLink' ./internal/paths/
+	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex|TestGraphSwapTwin' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestValidOrderPinned' ./internal/paths/
 
 # fuzz gives the LP fuzzer a short budget beyond its checked-in seed corpus;
 # CI runs this as a smoke, leave it running locally to hunt.

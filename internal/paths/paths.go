@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"janus/internal/policy"
 	"janus/internal/topo"
@@ -44,13 +44,17 @@ func (p Path) Links() [][2]topo.NodeID {
 	return out
 }
 
-// Key is a canonical string identity of the path.
+// Key is a canonical string identity of the path: its node IDs in
+// decimal, joined by "-".
 func (p Path) Key() string {
-	parts := make([]string, len(p.Nodes))
+	b := make([]byte, 0, 4*len(p.Nodes))
 	for i, n := range p.Nodes {
-		parts[i] = fmt.Sprint(int(n))
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	return strings.Join(parts, "-")
+	return string(b)
 }
 
 // Equal reports whether two paths traverse the same node sequence.
@@ -127,7 +131,7 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 	}
 
 	var out []Path
-	visited := make(map[topo.NodeID]bool)
+	visited := make([]bool, len(nodes))
 	cur := []topo.NodeID{src}
 	visited[src] = true
 
@@ -173,23 +177,44 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 	}
 	dfs(src, 0)
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hops() != out[j].Hops() {
-			return out[i].Hops() < out[j].Hops()
-		}
-		return out[i].Key() < out[j].Key()
-	})
+	// Each key is formatted once, not on both sides of every comparison.
+	keys := make([]string, len(out))
+	for i, p := range out {
+		keys[i] = p.Key()
+	}
+	sort.Sort(byHopsKey{out, keys})
 	e.cache[key] = out
 	e.indexLinks(key, out)
 	return out, nil
+}
+
+// byHopsKey sorts paths by hop count, then key; keys[i] is ps[i].Key().
+// Keys are unique, so the order is total and any sort gives the same one.
+type byHopsKey struct {
+	ps   []Path
+	keys []string
+}
+
+func (s byHopsKey) Len() int { return len(s.ps) }
+
+func (s byHopsKey) Less(i, j int) bool {
+	if hi, hj := s.ps[i].Hops(), s.ps[j].Hops(); hi != hj {
+		return hi < hj
+	}
+	return s.keys[i] < s.keys[j]
+}
+
+func (s byHopsKey) Swap(i, j int) {
+	s.ps[i], s.ps[j] = s.ps[j], s.ps[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // indexLinks registers the links crossed by a cached enumeration so
 // InvalidateLink can find the entries a link removal makes stale.
 func (e *Enumerator) indexLinks(key string, ps []Path) {
 	for _, p := range ps {
-		for _, l := range p.Links() {
-			k := normLink(l[0], l[1])
+		for i := 0; i+1 < len(p.Nodes); i++ {
+			k := normLink(p.Nodes[i], p.Nodes[i+1])
 			m := e.linkIndex[k]
 			if m == nil {
 				m = make(map[string]bool)

@@ -39,13 +39,27 @@ func NewEPG(name string, epgLabels ...string) EPG {
 	return EPG{Name: name, Labels: normalizeLabels(epgLabels)}
 }
 
-// LabelSet returns the EPG's labels as a set.
-func (g EPG) LabelSet() map[string]bool {
-	s := make(map[string]bool, len(g.Labels))
-	for _, l := range g.Labels {
-		s[l] = true
+// Contains reports whether an endpoint carrying epLabels is a member of
+// the group: every label of the EPG is among them. Label sets are a
+// handful of entries, so two loops beat building a set, and membership is
+// tested per endpoint and policy in every model build, dependency index
+// and audit.
+//
+//janus:hotpath
+func (g EPG) Contains(epLabels []string) bool {
+	for _, want := range g.Labels {
+		found := false
+		for _, have := range epLabels {
+			if have == want {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
 	}
-	return s
+	return true
 }
 
 // Key returns a canonical identity for the EPG's label set, independent of

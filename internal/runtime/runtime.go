@@ -463,9 +463,8 @@ func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 	if !ok {
 		return
 	}
-	ls := labelSet(ep.Labels)
 	for _, p := range r.graph.Policies {
-		if covers(ls, p.Src) || covers(ls, p.Dst) {
+		if p.Src.Contains(ep.Labels) || p.Dst.Contains(ep.Labels) {
 			out[p.ID] = true
 		}
 	}
@@ -694,10 +693,8 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 	if !ok {
 		return -1, nil
 	}
-	srcSet := labelSet(srcEP.Labels)
-	dstSet := labelSet(dstEP.Labels)
 	for _, p := range r.graph.Policies {
-		if covers(srcSet, p.Src) && covers(dstSet, p.Dst) {
+		if p.Src.Contains(srcEP.Labels) && p.Dst.Contains(dstEP.Labels) {
 			return p.ID, p
 		}
 	}
@@ -708,7 +705,9 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 // reconfigures with path-change minimization against the previous state.
 func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Config) error {
 	return r.journalOp(store.KindConfigure, func(rec *store.Record) error {
-		conf, err := core.New(r.topo, g, cfg)
+		// The path cache belongs to the topology, not the graph: the new
+		// configurator keeps it (WithGraph says when it cannot).
+		conf, err := r.conf.WithGraph(g, cfg)
 		if err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
@@ -717,8 +716,7 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 		r.adapter = dataplane.NewGraphAdapter(g)
 		// The old dependency index speaks the old graph's policy IDs; drop
 		// it NOW, not at install, so a failed reconfiguration cannot leave
-		// a stale index feeding wrong affected sets to later events. The
-		// fresh Configurator likewise starts with an empty path cache.
+		// a stale index feeding wrong affected sets to later events.
 		r.depIndex = nil
 		// A graph swap re-journals the full topology and composed graph so
 		// replay never depends on records older than the swap.
@@ -741,23 +739,6 @@ func (r *Runtime) Verify() []string {
 	}
 	sort.Strings(problems)
 	return problems
-}
-
-func labelSet(ls []string) map[string]bool {
-	m := make(map[string]bool, len(ls))
-	for _, l := range ls {
-		m[l] = true
-	}
-	return m
-}
-
-func covers(have map[string]bool, epg policy.EPG) bool {
-	for _, l := range epg.Labels {
-		if !have[l] {
-			return false
-		}
-	}
-	return true
 }
 
 func indexOfEdge(p *compose.Policy, e policy.Edge) int {

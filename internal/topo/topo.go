@@ -71,14 +71,9 @@ type Topology struct {
 	Links     []Link     `json:"links"`
 	Endpoints []Endpoint `json:"endpoints,omitempty"`
 
-	adj      map[NodeID][]edgeTo // lazily built adjacency
+	adj      [][]NodeID // lazily built adjacency by node ID, neighbors ascending
 	capIndex map[[2]NodeID]float64
 	epIndex  map[string]int
-}
-
-type edgeTo struct {
-	to  NodeID
-	cap float64
 }
 
 // NewTopology returns an empty named topology.
@@ -203,21 +198,9 @@ func (t *Topology) RelabelEndpoint(name string, epgLabels ...string) error {
 // EndpointsMatching returns the names of endpoints whose label sets include
 // every label of the EPG (group membership).
 func (t *Topology) EndpointsMatching(epg policy.EPG) []string {
-	want := epg.LabelSet()
 	var out []string
 	for _, ep := range t.Endpoints {
-		have := make(map[string]bool, len(ep.Labels))
-		for _, l := range ep.Labels {
-			have[l] = true
-		}
-		all := true
-		for l := range want {
-			if !have[l] {
-				all = false
-				break
-			}
-		}
-		if all {
+		if epg.Contains(ep.Labels) {
 			out = append(out, ep.Name)
 		}
 	}
@@ -225,16 +208,17 @@ func (t *Topology) EndpointsMatching(epg policy.EPG) []string {
 	return out
 }
 
-// Neighbors returns the adjacency list of n: (neighbor, capacity) pairs in
-// deterministic order.
+// Neighbors returns the IDs of the nodes n has a link to, ascending. The
+// slice is the topology's own index and must not be modified; a topology
+// mutation builds a new index and leaves slices already returned intact,
+// so a caller may mutate the topology while ranging over one.
 func (t *Topology) Neighbors(n NodeID) []NodeID {
 	t.buildIndex()
-	edges := t.adj[n]
-	out := make([]NodeID, len(edges))
-	for i, e := range edges {
-		out[i] = e.to
+	if n < 0 || int(n) >= len(t.adj) {
+		return nil
 	}
-	return out
+	nb := t.adj[n]
+	return nb[:len(nb):len(nb)] // an append by the caller copies
 }
 
 // LinkCapacity returns the capacity of directed link a->b, or ok=false.
@@ -309,10 +293,10 @@ func (t *Topology) connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range t.adj[n] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				stack = append(stack, e.to)
+		for _, nb := range t.adj[n] {
+			if !seen[nb] {
+				seen[nb] = true
+				stack = append(stack, nb)
 			}
 		}
 	}
@@ -326,6 +310,8 @@ func (t *Topology) checkNode(n NodeID) error {
 	return nil
 }
 
+// invalidate drops the lazily built indices. It never writes into them, so
+// slices Neighbors handed out keep their contents.
 func (t *Topology) invalidate() {
 	t.adj = nil
 	t.capIndex = nil
@@ -345,14 +331,16 @@ func (t *Topology) buildIndex() {
 	if t.adj != nil {
 		return
 	}
-	t.adj = make(map[NodeID][]edgeTo, len(t.Nodes))
+	t.adj = make([][]NodeID, len(t.Nodes))
 	t.capIndex = make(map[[2]NodeID]float64, len(t.Links))
 	for _, l := range t.Links {
-		t.adj[l.From] = append(t.adj[l.From], edgeTo{to: l.To, cap: l.Capacity})
+		if t.checkNode(l.From) == nil { // ValidateStructure reports the rest
+			t.adj[l.From] = append(t.adj[l.From], l.To)
+		}
 		t.capIndex[[2]NodeID{l.From, l.To}] = l.Capacity
 	}
-	for _, edges := range t.adj {
-		sort.Slice(edges, func(i, j int) bool { return edges[i].to < edges[j].to })
+	for _, nb := range t.adj {
+		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
 	}
 }
 
