@@ -95,13 +95,11 @@ difftest:
 # injected faults — and every installed result, metric-visible satisfaction
 # count, and journal replay must match byte-for-byte. This is the permanent
 # gate for delta-solve changes, alongside the unit/edge-case suites.
-# TestGraphSwapTwin holds graph swaps that keep the path cache to swaps that
-# start it empty, the same way; the paths run holds selective link
-# invalidation to a fresh enumeration and Valid's output to a reference
-# enumeration on the fig11 instances.
+# The paths run holds selective link invalidation to a fresh enumeration and
+# Valid's output to a reference enumeration on the fig11 instances.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex|TestGraphSwapTwin' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex' ./internal/core/ ./internal/runtime/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestValidOrderPinned' ./internal/paths/
 
 # fuzz gives the LP fuzzer a short budget beyond its checked-in seed corpus;

@@ -159,22 +159,6 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 	}, nil
 }
 
-// WithGraph returns a Configurator for graph g and cfg on c's topology that
-// shares c's path cache. An enumeration depends only on the topology and
-// the enumeration caps, not on the graph, so sharing is exact; only a
-// changed MaxPathsPerPair starts an empty cache. Invalidating the paths of
-// either configurator afterwards invalidates both.
-func (c *Configurator) WithGraph(g *compose.Graph, cfg Config) (*Configurator, error) {
-	n, err := New(c.topo, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if n.enum.MaxPaths == c.enum.MaxPaths {
-		n.enum = c.enum
-	}
-	return n, nil
-}
-
 // Topology returns the bound topology.
 func (c *Configurator) Topology() *topo.Topology { return c.topo }
 

@@ -147,17 +147,21 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 	// seed deliberately uses the service chain rather than the edge index:
 	// a temporal policy's per-window edges share a chain (Fig 6), and they
 	// must see the same candidates or cross-period path persistence would
-	// be impossible by construction. One generator is reseeded per slot:
-	// Seed re-initialises its source exactly as NewSource would, without
-	// allocating another 607-word state.
-	rng := rand.New(rand.NewSource(0))
+	// be impossible by construction. One generator, made on the first
+	// draw, is reseeded per slot: Seed re-initialises its source exactly as
+	// NewSource would, without allocating another 607-word state.
+	var rng *rand.Rand
 	slotRNG := func(pid int, chain fmt.Stringer, src, dst string) *rand.Rand {
 		seed := c.cfg.Seed
 		seed = seed*1000003 + int64(pid)*31
 		for _, ch := range chain.String() + "|" + src + "|" + dst {
 			seed = seed*16777619 + int64(ch)
 		}
-		rng.Seed(seed)
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
 		return rng
 	}
 

@@ -705,9 +705,7 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 // reconfigures with path-change minimization against the previous state.
 func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Config) error {
 	return r.journalOp(store.KindConfigure, func(rec *store.Record) error {
-		// The path cache belongs to the topology, not the graph: the new
-		// configurator keeps it (WithGraph says when it cannot).
-		conf, err := r.conf.WithGraph(g, cfg)
+		conf, err := core.New(r.topo, g, cfg)
 		if err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
@@ -716,7 +714,8 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 		r.adapter = dataplane.NewGraphAdapter(g)
 		// The old dependency index speaks the old graph's policy IDs; drop
 		// it NOW, not at install, so a failed reconfiguration cannot leave
-		// a stale index feeding wrong affected sets to later events.
+		// a stale index feeding wrong affected sets to later events. The
+		// fresh Configurator likewise starts with an empty path cache.
 		r.depIndex = nil
 		// A graph swap re-journals the full topology and composed graph so
 		// replay never depends on records older than the swap.

@@ -36,11 +36,12 @@ func endpointsMatchingRef(t *Topology, epg policy.EPG) []string {
 }
 
 // TestEndpointsMatchingMatchesSetReference draws random endpoints and
-// groups over a small label alphabet, duplicates and empty sets included,
-// and holds EndpointsMatching to the set-based reference.
+// groups over a small label alphabet, duplicates, empty sets and labels
+// that differ only in case included, and holds EndpointsMatching to the
+// set-based reference.
 func TestEndpointsMatchingMatchesSetReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	alphabet := []string{"Nml", "Mktg", "Web", "DB", "IT"}
+	alphabet := []string{"Nml", "Mktg", "Web", "DB", "IT", "nml", "mktg"}
 	draw := func() []string {
 		out := make([]string, rng.Intn(5))
 		for i := range out {
