@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane fuzz fuzz-fastpath difftest deltadiff
 
 all: check
 
@@ -80,6 +80,14 @@ bench-lp:
 # to endpoints (what every model build and dependency index pays).
 bench-paths:
 	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkEndpointsMatching' -benchmem ./internal/paths/ ./internal/topo/
+
+# bench-dataplane runs the interpreted dataplane microbenchmarks with
+# allocation counts on the fig11 Ans install: a delivering forwarding walk
+# and an isolation miss (what every audit probe pays), and planning one
+# endpoint move's target against the installed rules (what every install
+# pays).
+bench-dataplane:
+	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate' -benchmem ./internal/dataplane/
 
 # difftest runs the differential solver harness: seeded random MILPs plus
 # corpus replays of real period models, one worker vs. many, re-verified

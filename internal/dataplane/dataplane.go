@@ -54,16 +54,6 @@ func (r Rule) Key() string {
 	return fmt.Sprintf("%d|%s|%s|%s|%d", r.Switch, r.Src, r.Dst, r.Match, r.InPort)
 }
 
-// action returns the behavior part of the rule for diffing.
-func (r Rule) action() string {
-	return fmt.Sprintf("%d|%g|%d", r.NextHop, r.QueueMbps, r.Priority)
-}
-
-// FlowTable is the rule set of one switch.
-type FlowTable struct {
-	rules map[string]Rule
-}
-
 // Switch is one simulated forwarding element.
 type Switch struct {
 	ID    topo.NodeID
@@ -107,7 +97,7 @@ func NewNetwork(t *topo.Topology) *Network {
 		nfState:  make(map[string]topo.NodeID),
 	}
 	for _, node := range t.Nodes {
-		n.switches[node.ID] = &Switch{ID: node.ID, Table: FlowTable{rules: map[string]Rule{}}}
+		n.switches[node.ID] = &Switch{ID: node.ID, Table: newFlowTable()}
 	}
 	return n
 }
@@ -126,7 +116,7 @@ func (n *Network) Switches() []topo.NodeID {
 func (n *Network) RuleCount() int {
 	total := 0
 	for _, sw := range n.switches {
-		total += len(sw.Table.rules)
+		total += sw.Table.ruleCount()
 	}
 	return total
 }
@@ -137,11 +127,27 @@ func (n *Network) RulesAt(id topo.NodeID) []Rule {
 	if !ok {
 		return nil
 	}
-	out := make([]Rule, 0, len(sw.Table.rules))
-	for _, r := range sw.Table.rules {
-		out = append(out, r)
+	out := sw.Table.appendRules(make([]Rule, 0, sw.Table.ruleCount()), id)
+	sortByKey(out)
+	return out
+}
+
+// FlowRulesAt returns one flow's rules on one switch, sorted by key: the
+// flow's part of RulesAt, read through the flow index.
+func (n *Network) FlowRulesAt(id topo.NodeID, src, dst string) []Rule {
+	sw, ok := n.switches[id]
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	k := flowKey{src, dst}
+	ss := sw.Table.flows[k]
+	out := make([]Rule, len(ss))
+	for i := range ss {
+		out[i] = ss[i].rule(id, k)
+	}
+	if len(out) > 1 {
+		sortByKey(out)
+	}
 	return out
 }
 
@@ -279,13 +285,13 @@ func (n *Network) Lookup(src, dst string, proto policy.Protocol, port int) ([]to
 	}
 	cur := srcEP.Attach
 	prev := HostPort
+	flow := flowKey{src, dst}
 	var walk []topo.NodeID
 	maxSteps := 4*len(n.topo.Nodes) + 8
 	for steps := 0; steps <= maxSteps; steps++ {
 		walk = append(walk, cur) //janus:allow(hotalloc): the traversed path is the result; it grows O(hops) per lookup
-		sw := n.switches[cur]
-		rule, ok := n.matchRule(sw, src, dst, prev, proto, port)
-		if !ok {
+		rule := matchRule(n.switches[cur], flow, prev, proto, port)
+		if rule == nil {
 			if cur == dstEP.Attach {
 				return walk, nil // delivered to the attached endpoint
 			}
@@ -296,32 +302,29 @@ func (n *Network) Lookup(src, dst string, proto policy.Protocol, port int) ([]to
 	return walk, fmt.Errorf("dataplane: forwarding loop for %s->%s (walk %v)", src, dst, walk) //janus:allow(hotalloc): error construction on the failure path only
 }
 
-// matchRule picks the winning rule for one hop. Higher priority wins;
-// equal-priority overlaps are broken by Classifier.Compare (most specific
-// classifier first), NEVER by table iteration order — the compiled fast
-// path replays this exact selection, so it must be a pure function of the
-// rule set. A nil switch (a rule forwarding to a node with no table, e.g. a
-// dangling next hop) matches nothing.
-func (n *Network) matchRule(sw *Switch, src, dst string, inPort topo.NodeID, proto policy.Protocol, port int) (Rule, bool) {
-	best := Rule{}
-	found := false
+// matchRule picks the winning rule for one hop among the flow's slots on
+// the switch. Higher priority wins; equal-priority overlaps are broken by
+// Classifier.Compare (most specific classifier first), NEVER by table
+// order — the compiled fast path replays this exact selection, so it must
+// be a pure function of the rule set. A nil switch (a rule forwarding to a
+// node with no table, e.g. a dangling next hop) matches nothing.
+func matchRule(sw *Switch, flow flowKey, inPort topo.NodeID, proto policy.Protocol, port int) *slot {
 	if sw == nil {
-		return best, false
+		return nil
 	}
-	for _, r := range sw.Table.rules {
-		if r.Src != src || r.Dst != dst || r.InPort != inPort {
+	var best *slot
+	ss := sw.Table.flows[flow]
+	for i := range ss {
+		r := &ss[i]
+		if r.InPort != inPort || !r.Match.Matches(proto, port) {
 			continue
 		}
-		if !r.Match.Matches(proto, port) {
-			continue
-		}
-		if !found || r.Priority > best.Priority ||
+		if best == nil || r.Priority > best.Priority ||
 			(r.Priority == best.Priority && r.Match.Compare(best.Match) < 0) {
 			best = r
-			found = true
 		}
 	}
-	return best, found
+	return best
 }
 
 // QueueLoad sums, per directed link, the queue rate limits of rules
@@ -329,10 +332,12 @@ func (n *Network) matchRule(sw *Switch, src, dst string, inPort topo.NodeID, pro
 // Links whose promises exceed capacity indicate a configuration bug.
 func (n *Network) QueueLoad() map[[2]topo.NodeID]float64 {
 	out := map[[2]topo.NodeID]float64{}
-	for _, sw := range n.switches {
-		for _, r := range sw.Table.rules {
-			if r.QueueMbps > 0 {
-				out[[2]topo.NodeID{r.Switch, r.NextHop}] += r.QueueMbps
+	for id, sw := range n.switches {
+		for _, ss := range sw.Table.flows {
+			for _, r := range ss {
+				if r.QueueMbps > 0 {
+					out[[2]topo.NodeID{id, r.NextHop}] += r.QueueMbps
+				}
 			}
 		}
 	}

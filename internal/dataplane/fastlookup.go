@@ -26,10 +26,8 @@ import (
 // iterates the live tables without synchronization.
 func (n *Network) AllRules() []Rule {
 	out := make([]Rule, 0, n.RuleCount())
-	for _, sw := range n.switches {
-		for _, r := range sw.Table.rules {
-			out = append(out, r)
-		}
+	for id, sw := range n.switches {
+		out = sw.Table.appendRules(out, id)
 	}
 	return out
 }
@@ -40,10 +38,13 @@ func (n *Network) AllRules() []Rule {
 // where the rule set is settled — after a successful Apply/ApplyPlan or
 // after a RollbackPlan restored the previous configuration.
 func (n *Network) Recompile() *fastpath.Compiled {
-	rules := n.AllRules()
-	frules := make([]fastpath.Rule, len(rules))
-	for i, r := range rules {
-		frules[i] = fastpath.Rule(r)
+	frules := make([]fastpath.Rule, 0, n.RuleCount())
+	for id, sw := range n.switches {
+		for k, ss := range sw.Table.flows {
+			for i := range ss {
+				frules = append(frules, fastpath.Rule(ss[i].rule(id, k)))
+			}
+		}
 	}
 	gen := n.fastGen.Add(1)
 	start := time.Now()
@@ -54,7 +55,7 @@ func (n *Network) Recompile() *fastpath.Compiled {
 	n.fastCompileNanos.Add(int64(elapsed))
 	n.fastLastNanos.Store(int64(elapsed))
 	if n.fastObserver != nil {
-		n.fastObserver(gen, rules)
+		n.fastObserver(gen, n.AllRules())
 	}
 	return c
 }

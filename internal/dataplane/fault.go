@@ -149,7 +149,7 @@ func (n *Network) CrashSwitch(id topo.NodeID) error {
 			crashed: make(map[topo.NodeID]bool),
 		}
 	}
-	sw.Table.rules = map[string]Rule{}
+	sw.Table = newFlowTable()
 	n.faults.crashed[id] = true
 	n.faults.stats.Crashes++
 	return nil
@@ -200,7 +200,7 @@ func (n *Network) checkOp(id topo.NodeID, nextHop topo.NodeID, isInstall bool) e
 		// with it. The op that tripped the crash fails.
 		delete(f.plan.CrashAfterOps, id)
 		if sw := n.switches[id]; sw != nil {
-			sw.Table.rules = map[string]Rule{}
+			sw.Table = newFlowTable()
 		}
 		f.crashed[id] = true
 		f.stats.Crashes++

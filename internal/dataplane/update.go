@@ -60,11 +60,12 @@ type UpdatePlan struct {
 	undo []undoEntry
 }
 
-// undoEntry remembers one table slot's state before a mutation.
+// undoEntry remembers one table slot's state before a mutation: the slot
+// as it was when existed, else the slot the mutation filled.
 type undoEntry struct {
 	sw      topo.NodeID
-	key     string
-	prev    Rule
+	flow    flowKey
+	slot    slot
 	existed bool
 }
 
@@ -87,20 +88,57 @@ func (p *UpdatePlan) Report() CompileResult {
 }
 
 // PlanUpdate computes the three-phase plan transforming the network's
-// current rules into the target rule set.
+// current rules into the target rule set. Each target rule is compared with
+// its installed slot in place; only the rules installed, updated or
+// removed have their keys formatted, and each phase's ops are in key
+// order. When the target holds one slot twice, the later rule wins.
 func (n *Network) PlanUpdate(target []Rule) *UpdatePlan {
-	current := map[string]Rule{}
-	for _, sw := range n.switches {
-		for k, r := range sw.Table.rules {
-			current[k] = r
+	// Pass 1: claim each target rule's installed slot (the later claim
+	// wins), and key the rules no slot holds yet.
+	claimed := make(map[*slot]int, len(target))
+	fresh := map[string]int{}
+	for i := range target {
+		r := &target[i]
+		if sw := n.switches[r.Switch]; sw != nil {
+			if s := sw.Table.find(flowKey{r.Src, r.Dst}, r.InPort, r.Match); s != nil {
+				claimed[s] = i
+				continue
+			}
 		}
-	}
-	next := make(map[string]Rule, len(target))
-	for _, r := range target {
-		next[r.Key()] = r
+		fresh[r.Key()] = i
 	}
 
-	plan := &UpdatePlan{}
+	// Target rules that change the switch: every fresh one, and every
+	// claim whose action differs from its slot's.
+	var changed byKey
+	for k, i := range fresh {
+		changed.keys = append(changed.keys, k)
+		changed.rules = append(changed.rules, target[i])
+	}
+	for s, i := range claimed {
+		if !s.sameAction(target[i]) {
+			changed.keys = append(changed.keys, target[i].Key())
+			changed.rules = append(changed.rules, target[i])
+		}
+	}
+	sort.Sort(changed)
+
+	// Installed slots no target rule claims are removed.
+	var stale byKey
+	for id, sw := range n.switches {
+		for k, ss := range sw.Table.flows {
+			for j := range ss {
+				if _, keep := claimed[&ss[j]]; !keep {
+					r := ss[j].rule(id, k)
+					stale.keys = append(stale.keys, r.Key())
+					stale.rules = append(stale.rules, r)
+				}
+			}
+		}
+	}
+	sort.Sort(stale)
+
+	plan := &UpdatePlan{installs: len(fresh), updates: len(changed.rules) - len(fresh), removes: len(stale.rules)}
 	touched := [4]map[topo.NodeID]bool{}
 	for i := range touched {
 		touched[i] = map[topo.NodeID]bool{}
@@ -109,42 +147,17 @@ func (n *Network) PlanUpdate(target []Rule) *UpdatePlan {
 		plan.Ops = append(plan.Ops, op)
 		touched[op.Phase][op.Rule.Switch] = true
 	}
-
-	// Classify target rules: a rule whose InPort is HostPort is the
-	// flow's ingress commit point; everything else pre-installs.
-	var keys []string
-	for k := range next {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r := next[k]
-		old, exists := current[k]
-		if exists && old.action() == r.action() {
-			continue // unchanged
-		}
-		if exists {
-			plan.updates++
-		} else {
-			plan.installs++
-		}
+	// A rule whose InPort is HostPort is the flow's ingress commit point;
+	// everything else pre-installs.
+	for _, r := range changed.rules {
 		if r.InPort == HostPort {
 			add(UpdateOp{Phase: 2, Install: true, Rule: r})
 		} else {
 			add(UpdateOp{Phase: 1, Install: true, Rule: r})
 		}
 	}
-	// Old rules not in the target are removed in phase 3.
-	var stale []string
-	for k := range current {
-		if _, keep := next[k]; !keep {
-			stale = append(stale, k)
-		}
-	}
-	sort.Strings(stale)
-	for _, k := range stale {
-		plan.removes++
-		add(UpdateOp{Phase: 3, Install: false, Rule: current[k]})
+	for _, r := range stale.rules {
+		add(UpdateOp{Phase: 3, Install: false, Rule: r})
 	}
 
 	sort.SliceStable(plan.Ops, func(i, j int) bool { return plan.Ops[i].Phase < plan.Ops[j].Phase })
@@ -185,14 +198,18 @@ func (n *Network) ApplyPhase(plan *UpdatePlan, phase int) error {
 			n.applyUndo(phaseUndo)
 			return err
 		}
-		key := op.Rule.Key()
-		prev, existed := sw.Table.rules[key]
-		phaseUndo = append(phaseUndo, undoEntry{sw: op.Rule.Switch, key: key, prev: prev, existed: existed})
+		flow, s := flowKey{op.Rule.Src, op.Rule.Dst}, slotOf(op.Rule)
+		var prev slot
+		var existed bool
 		if op.Install {
-			sw.Table.rules[key] = op.Rule
+			prev, existed = sw.Table.put(flow, s)
 		} else {
-			delete(sw.Table.rules, key)
+			prev, existed = sw.Table.remove(flow, s)
 		}
+		if existed {
+			s = prev
+		}
+		phaseUndo = append(phaseUndo, undoEntry{sw: op.Rule.Switch, flow: flow, slot: s, existed: existed})
 	}
 	plan.undo = append(plan.undo, phaseUndo...)
 	plan.applied = phase
@@ -235,9 +252,9 @@ func (n *Network) applyUndo(entries []undoEntry) {
 			continue
 		}
 		if e.existed {
-			sw.Table.rules[e.key] = e.prev
+			sw.Table.put(e.flow, e.slot)
 		} else {
-			delete(sw.Table.rules, e.key)
+			sw.Table.remove(e.flow, e.slot)
 		}
 	}
 }

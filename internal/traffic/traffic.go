@@ -246,9 +246,8 @@ func reservationOf(n *dataplane.Network, walk []topo.NodeID, f Flow) float64 {
 	if len(walk) == 0 {
 		return 0
 	}
-	for _, r := range n.RulesAt(walk[0]) {
-		if r.Src == f.Src && r.Dst == f.Dst && r.InPort == dataplane.HostPort &&
-			r.Match.Matches(f.Proto, f.Port) {
+	for _, r := range n.FlowRulesAt(walk[0], f.Src, f.Dst) {
+		if r.InPort == dataplane.HostPort && r.Match.Matches(f.Proto, f.Port) {
 			return r.QueueMbps
 		}
 	}
