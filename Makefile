@@ -33,8 +33,10 @@ lint-sarif:
 test:
 	$(GO) test ./...
 
+# test-race shuffles test order (-shuffle=on) to flush hidden inter-test
+# ordering dependencies; the seed is printed on failure for replay.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -shuffle=on -race ./...
 
 # chaos replays the seeded fault-injection soak (random op failures, a
 # mid-update switch crash, a link flap) under the race detector, asserting
@@ -122,6 +124,7 @@ fuzz:
 fuzz-fastpath:
 	$(GO) test -fuzz=FuzzCompiledLookup -fuzztime=$(FUZZTIME) ./internal/fastpath/
 
-# check is the full correctness gate CI runs: compile, gofmt, vet,
-# januslint, and the test suite under the race detector.
+# check is the quick local gate: compile, gofmt, vet, januslint, and the
+# shuffled test suite under the race detector. CI also runs difftest,
+# deltadiff, the chaos, crash and fastpath soaks, and the two fuzz smokes.
 check: build fmt vet lint test-race

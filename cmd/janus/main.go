@@ -5,9 +5,10 @@
 //
 //	janus -topo topology.json -policies p1.policy,p2.json [-paths 5] [-period 0] [-temporal]
 //
-// The topology file uses the internal/topo JSON schema (see cmd/topogen to
-// generate examples). Policy files ending in .json use the policy-graph
-// JSON schema; any other extension is parsed as the intent language
+// The topology file uses the internal/topo JSON schema: nodes, links
+// ("from", "to", "capacityMbps") and labelled endpoints ("attach" is the
+// switch node ID). Policy files ending in .json use the policy-graph JSON
+// schema; any other extension is parsed as the intent language
 // (internal/intent).
 package main
 

@@ -7,7 +7,6 @@
 //	janusbench -exp fig11          # one experiment
 //	janusbench -scale 2 -runs 3    # larger sweeps, averaged over 3 seeds
 //	janusbench -list               # list experiments
-//	janusbench -exp parbench -runs 5   # one worker vs four on fig11
 //	janusbench -cpuprofile cpu.pprof -exp fig11   # profile a run
 //
 // See EXPERIMENTS.md for the paper-vs-measured discussion.

@@ -88,24 +88,6 @@ func (d *DomTree) Reachable(b *cfg.Block) bool {
 	return ok
 }
 
-// Dominates reports whether a dominates b (reflexively): walking b's idom
-// chain reaches a. Both blocks must be reachable.
-func (d *DomTree) Dominates(a, b *cfg.Block) bool {
-	if !d.Reachable(a) || !d.Reachable(b) {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		p := d.idom[b]
-		if p == nil || p == b {
-			return false
-		}
-		b = p
-	}
-}
-
 // Frontier computes the dominance frontier of every reachable block: DF(n)
 // holds the blocks where n's dominance ends — the join points that need a
 // phi for any variable defined in n.

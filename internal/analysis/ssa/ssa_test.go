@@ -88,16 +88,16 @@ func f(c bool) int {
 	if join == nil {
 		t.Fatal("no if.join block")
 	}
-	if !f.Dom.Dominates(g.Entry, join) {
-		t.Error("entry must dominate the join")
+	cond := f.Dom.Idom(join)
+	if cond == nil {
+		t.Fatal("the join must have an idom")
 	}
 	for _, b := range g.Blocks {
 		if b.Label == "if.then" || b.Label == "if.else" {
-			if f.Dom.Dominates(b, join) {
-				t.Errorf("%s must not dominate the join", b.Label)
-			}
-			if f.Dom.Idom(b) == nil {
-				t.Errorf("%s must have an idom", b.Label)
+			// Both branches hang off the join's idom, so neither
+			// dominates the join.
+			if f.Dom.Idom(b) != cond {
+				t.Errorf("%s idom = %v, want the join's idom %v", b.Label, f.Dom.Idom(b), cond)
 			}
 		}
 	}
@@ -522,7 +522,8 @@ func f(c bool) string {
 	}
 }
 
-// TestDominatesSanity exercises Dominates/Idom over a loop nest.
+// TestDominatesSanity walks the idom chain over a loop nest: every loop
+// head's chain must end at the entry, whose own idom is nil.
 func TestDominatesSanity(t *testing.T) {
 	f, _ := buildFunc(t, `package p
 func f(n int) int {
@@ -539,11 +540,12 @@ func f(n int) int {
 	for _, b := range g.Blocks {
 		if b.Label == "for.head" {
 			heads++
-			if !f.Dom.Dominates(g.Entry, b) {
-				t.Errorf("entry must dominate %d:%s", b.Index, b.Label)
+			top := b
+			for steps := 0; f.Dom.Idom(top) != nil && steps < len(g.Blocks); steps++ {
+				top = f.Dom.Idom(top)
 			}
-			if f.Dom.Dominates(b, g.Entry) {
-				t.Errorf("%d:%s must not dominate entry", b.Index, b.Label)
+			if top != g.Entry {
+				t.Errorf("idom chain of %d:%s ends at %d:%s, want the entry", b.Index, b.Label, top.Index, top.Label)
 			}
 		}
 	}

@@ -39,18 +39,13 @@ func (c *Configurator) ReconfigureContext(ctx context.Context, prev *Result) (*R
 	return c.ReconfigureAtContext(ctx, prev, prev.Period)
 }
 
-// ReconfigureAt re-solves for the given period (which may differ from the
-// previous result's, e.g. at a temporal boundary), warm-started from the
-// previous basis and penalizing path changes against the previous
+// ReconfigureAtContext re-solves for the given period (which may differ
+// from the previous result's, e.g. at a temporal boundary), warm-started
+// from the previous basis and penalizing path changes against the previous
 // assignments.
-func (c *Configurator) ReconfigureAt(prev *Result, period int) (*Result, error) {
-	return c.ReconfigureAtContext(context.Background(), prev, period)
-}
-
-// ReconfigureAtContext is ReconfigureAt with a cancellation context.
 func (c *Configurator) ReconfigureAtContext(ctx context.Context, prev *Result, period int) (*Result, error) {
 	if prev == nil {
-		return nil, fmt.Errorf("core: ReconfigureAt requires a previous result")
+		return nil, fmt.Errorf("core: ReconfigureAtContext requires a previous result")
 	}
 	return c.solvePeriod(ctx, period, prev, nil)
 }

@@ -136,7 +136,7 @@ func TestDeltaMatchesFullAfterMove(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delta solve: %v", err)
 	}
-	full, err := c.ReconfigureAt(prev, 0)
+	full, err := c.ReconfigureAtContext(context.Background(), prev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestDeltaSubModelScalesWithChange(t *testing.T) {
 			if err != nil {
 				t.Fatalf("delta solve: %v", err)
 			}
-			full, err := c.ReconfigureAt(prev, 0)
+			full, err := c.ReconfigureAtContext(context.Background(), prev, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

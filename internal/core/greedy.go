@@ -193,15 +193,6 @@ func reserve(pv *pathVar, residual map[[2]topo.NodeID]float64) {
 	}
 }
 
-func release(pv *pathVar, residual map[[2]topo.NodeID]float64) {
-	if pv.bw <= 0 {
-		return
-	}
-	for _, l := range pv.path.Links() {
-		residual[l] += pv.bw
-	}
-}
-
 func copyResiduals(in map[[2]topo.NodeID]float64) map[[2]topo.NodeID]float64 {
 	out := make(map[[2]topo.NodeID]float64, len(in))
 	for k, v := range in {

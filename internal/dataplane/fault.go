@@ -114,10 +114,6 @@ func (n *Network) InjectFaults(plan FaultPlan) {
 	}
 }
 
-// ClearFaults removes the fault plan; operations become infallible again.
-// Crashed switches recover (their tables stay as the crash left them).
-func (n *Network) ClearFaults() { n.faults = nil }
-
 // FaultPlanActive returns the active plan and whether injection is on.
 func (n *Network) FaultPlanActive() (FaultPlan, bool) {
 	if n.faults == nil {

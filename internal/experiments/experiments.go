@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -119,7 +118,6 @@ var All = []Experiment{
 	{"table5", "temporal greedy vs independent re-solve (Table 5)", Table5},
 	{"fig16", "weights as priorities: unconfigured by class (Fig 16)", Fig16},
 	{"fig17", "negotiation: extra policies vs N and K (Fig 17)", Fig17},
-	{"parbench", "parallel branch & bound: serial vs multi-worker solve times", ParBench},
 }
 
 // Find returns the named experiment.
@@ -133,14 +131,10 @@ func Find(name string) (Experiment, bool) {
 }
 
 // measurement is what one (topology, spec, config) solve produced and
-// cost: policies satisfied, wall time, branch-and-bound nodes, and heap
-// allocations (a MemStats Mallocs delta around Configure — other goroutines
-// are quiescent in janusbench, so the delta is attributable to the solve).
+// cost: policies satisfied and wall time.
 type measurement struct {
 	satisfied int
 	duration  time.Duration
-	nodes     int
-	allocs    uint64
 }
 
 // solveOnce generates the workload and configures period 0.
@@ -154,21 +148,13 @@ func solveOnce(topoName string, spec workload.Spec, cfg core.Config, timeLimit t
 	if err != nil {
 		return measurement{}, err
 	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	res, err := conf.Configure(0)
 	if err != nil {
 		return measurement{}, err
 	}
 	dur := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	return measurement{
-		satisfied: res.SatisfiedCount(),
-		duration:  dur,
-		nodes:     res.Stats.Nodes,
-		allocs:    ms1.Mallocs - ms0.Mallocs,
-	}, nil
+	return measurement{satisfied: res.SatisfiedCount(), duration: dur}, nil
 }
 
 // avg runs f Runs times with varied seeds and averages.
@@ -181,13 +167,9 @@ func avg(p Params, f func(seed int64) (measurement, error)) (measurement, error)
 		}
 		total.satisfied += m.satisfied
 		total.duration += m.duration
-		total.nodes += m.nodes
-		total.allocs += m.allocs
 	}
 	total.satisfied /= p.Runs
 	total.duration /= time.Duration(p.Runs)
-	total.nodes /= p.Runs
-	total.allocs /= uint64(p.Runs)
 	return total, nil
 }
 

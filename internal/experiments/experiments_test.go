@@ -167,30 +167,3 @@ func TestFig17Smoke(t *testing.T) {
 		t.Errorf("fig17: %d tables, want 2 (N sweep, K sweep)", len(tables))
 	}
 }
-
-func TestParBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	runExp(t, "parbench")
-	entries, err := runParallelBench(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want Ans and Cwix", len(entries))
-	}
-	for _, e := range entries {
-		if e.Serial.duration <= 0 || e.Parallel.duration <= 0 {
-			t.Errorf("%s: non-positive timings %+v", e.Topology, e)
-		}
-		// The parallel solve must not change the answer, only the time.
-		if e.Serial.satisfied != e.Parallel.satisfied {
-			t.Errorf("%s: satisfied diverged serial %d vs parallel %d",
-				e.Topology, e.Serial.satisfied, e.Parallel.satisfied)
-		}
-		if e.Serial.allocs == 0 || e.Parallel.allocs == 0 {
-			t.Errorf("%s: allocations-per-solve unset: %+v", e.Topology, e)
-		}
-	}
-}

@@ -118,14 +118,6 @@ func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Pat
 	return p, err
 }
 
-// LookupQueue is Lookup plus the ingress queue rate (Mbps, 0 = best
-// effort) of the matched flow's first-hop rule.
-//
-//janus:hotpath
-func (c *Compiled) LookupQueue(src, dst string, proto policy.Protocol, port int) (Path, float64, error) {
-	return c.lookup(src, dst, proto, port)
-}
-
 //janus:hotpath
 func (c *Compiled) lookup(src, dst string, proto policy.Protocol, port int) (Path, float64, error) {
 	sid, ok := c.eps[src]

@@ -146,28 +146,6 @@ func TestCompiledLoopError(t *testing.T) {
 	}
 }
 
-// TestCompiledQueue checks LookupQueue reports the ingress rule's queue
-// rate, like the interpreter's first-hop rule.
-func TestCompiledQueue(t *testing.T) {
-	tp, ids := stick(t)
-	n := dataplane.NewNetwork(tp)
-	install(t, n, []dataplane.Rule{
-		{Switch: ids["s0"], Src: "cl", Dst: "srv", Match: policy.Classifier{Proto: policy.TCP}, NextHop: ids["s1"], InPort: dataplane.HostPort, QueueMbps: 25, Priority: 1},
-		{Switch: ids["s1"], Src: "cl", Dst: "srv", Match: policy.Classifier{Proto: policy.TCP}, NextHop: ids["s2"], InPort: ids["s0"], QueueMbps: 25, Priority: 1},
-	})
-	_, q, err := n.Fastpath().LookupQueue("cl", "srv", policy.TCP, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q != 25 {
-		t.Fatalf("queue = %g, want 25", q)
-	}
-	// Ruleless pair: best-effort, delivered iff co-attached.
-	if _, q, err = n.Fastpath().LookupQueue("srv", "lone", policy.TCP, 80); err != nil || q != 0 {
-		t.Fatalf("co-attached ruleless pair: q=%g err=%v", q, err)
-	}
-}
-
 // TestCompiledGenerations checks the generation counter advances by one per
 // Recompile and is stamped on the published structure.
 func TestCompiledGenerations(t *testing.T) {

@@ -30,28 +30,6 @@ const (
 	Jitter       Metric = "jitter"  // priority-queue level
 )
 
-// Direction reports whether larger concrete values of a metric mean better
-// service (bandwidth) or worse service (latency, jitter).
-func (m Metric) Direction() Direction {
-	switch m {
-	case MinBandwidth, MaxBandwidth:
-		return HigherIsBetter
-	case Latency, Jitter:
-		return LowerIsBetter
-	default:
-		return HigherIsBetter
-	}
-}
-
-// Direction orients a metric's concrete value scale.
-type Direction int
-
-// Direction values.
-const (
-	HigherIsBetter Direction = iota // e.g. bandwidth
-	LowerIsBetter                   // e.g. latency, jitter
-)
-
 // Level is a label's rank within a Scheme: higher level = better QoS,
 // independent of the metric's value direction.
 type Level int

@@ -128,21 +128,6 @@ func TestCompatibleMinMax(t *testing.T) {
 	}
 }
 
-func TestMetricDirections(t *testing.T) {
-	if MinBandwidth.Direction() != HigherIsBetter {
-		t.Error("min-bw should be higher-is-better")
-	}
-	if Latency.Direction() != LowerIsBetter {
-		t.Error("latency should be lower-is-better")
-	}
-	if Jitter.Direction() != LowerIsBetter {
-		t.Error("jitter should be lower-is-better")
-	}
-	if Metric("custom").Direction() != HigherIsBetter {
-		t.Error("unknown metrics default to higher-is-better")
-	}
-}
-
 // Property: Max is commutative, idempotent and always returns one of its
 // arguments, for every pair of labels defined on the default scheme.
 func TestMaxProperties(t *testing.T) {

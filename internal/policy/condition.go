@@ -191,17 +191,6 @@ func (w TimeWindow) Contains(h int) bool {
 	return false
 }
 
-// Overlaps reports whether two windows share any hour; composed temporal
-// policies only allow traffic during the overlap (Fig 10b).
-func (w TimeWindow) Overlaps(o TimeWindow) bool {
-	for h := 0; h < HoursPerDay; h++ {
-		if w.Contains(h) && o.Contains(h) {
-			return true
-		}
-	}
-	return false
-}
-
 func (w TimeWindow) String() string {
 	if w.IsAllDay() {
 		return "all-day"

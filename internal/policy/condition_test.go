@@ -148,20 +148,6 @@ func TestTimeWindow(t *testing.T) {
 	}
 }
 
-func TestTimeWindowOverlaps(t *testing.T) {
-	// Fig 10b: 9-18 and 12-20 overlap (12-18).
-	a, b := TimeWindow{9, 18}, TimeWindow{12, 20}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("9-18 and 12-20 should overlap")
-	}
-	if (TimeWindow{1, 5}).Overlaps(TimeWindow{6, 9}) {
-		t.Error("1-5 and 6-9 should not overlap")
-	}
-	if !(TimeWindow{22, 3}).Overlaps(TimeWindow{2, 6}) {
-		t.Error("wrapping 22-3 should overlap 2-6")
-	}
-}
-
 func TestConditionActiveAt(t *testing.T) {
 	c := Condition{
 		Stateful: WhenAtLeast(FailedConnections, 5),

@@ -364,22 +364,6 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 	})
 }
 
-// AddEndpoint attaches a new endpoint and reconfigures (membership growth).
-func (r *Runtime) AddEndpoint(ctx context.Context, name string, at topo.NodeID, labels ...string) error {
-	return r.journalOp(store.KindReconfigure, func(rec *store.Record) error {
-		if err := r.topo.AddEndpoint(name, at, labels...); err != nil {
-			return fmt.Errorf("runtime: %w", err)
-		}
-		r.noteTopoOp(store.TopoOp{Op: store.TopoAddEndpoint, Endpoint: name, Node: at, Labels: labels})
-		var affected map[int]bool
-		if r.deltaUsable() {
-			affected = map[int]bool{}
-			r.matchingPolicies(name, affected)
-		}
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
-	})
-}
-
 func (r *Runtime) reconfigure(ctx context.Context) error {
 	return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
 }

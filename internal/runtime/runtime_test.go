@@ -148,19 +148,28 @@ func TestMobilityReconfigures(t *testing.T) {
 
 func TestMembershipChange(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var aID topo.NodeID
 	for _, n := range tp.Nodes {
 		if n.Name == "a" {
 			aID = n.ID
 		}
 	}
-	// Add a second client: the group grows, the policy must now cover both
-	// pairs.
-	if err := r.AddEndpoint(context.Background(), "c2", aID, "Clients"); err != nil {
+	// c2 starts outside every group the policy names.
+	if err := tp.AddEndpoint("c2", aID, "Guests"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(context.Background(), conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asg := range r.Current().Assignments {
+		if asg.Src == "c2" {
+			t.Fatal("c2 configured before it joined Clients")
+		}
+	}
+	// Relabel c2 into Clients: the group grows, the policy must now cover
+	// both pairs.
+	if err := r.RelabelEndpoint(context.Background(), "c2", "Clients"); err != nil {
 		t.Fatal(err)
 	}
 	found := false

@@ -76,11 +76,10 @@ type TopoOp struct {
 
 // Topology operation names.
 const (
-	TopoMove        = "move"
-	TopoRelabel     = "relabel"
-	TopoAddEndpoint = "add-endpoint"
-	TopoRemoveLink  = "remove-link"
-	TopoAddLink     = "add-link"
+	TopoMove       = "move"
+	TopoRelabel    = "relabel"
+	TopoRemoveLink = "remove-link"
+	TopoAddLink    = "add-link"
 )
 
 // FailedLink remembers the capacity of a removed link so recovery can
@@ -224,8 +223,6 @@ func applyTopoOp(t *topo.Topology, op TopoOp) error {
 		return t.MoveEndpoint(op.Endpoint, op.Node)
 	case TopoRelabel:
 		return t.RelabelEndpoint(op.Endpoint, op.Labels...)
-	case TopoAddEndpoint:
-		return t.AddEndpoint(op.Endpoint, op.Node, op.Labels...)
 	case TopoRemoveLink:
 		return t.RemoveLink(op.A, op.B)
 	case TopoAddLink:

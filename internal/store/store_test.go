@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"janus/internal/policy"
@@ -101,11 +103,15 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if s.RecoveredState() != nil {
 		t.Fatal("cold start returned a recovered state")
 	}
-	mustAppend(t, s, &Record{Kind: KindConfigure, Hour: 0, Topo: testTopo()})
+	tp := testTopo()
+	if err := tp.AddEndpoint("web1", 1, "Guests"); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, &Record{Kind: KindConfigure, Hour: 0, Topo: tp})
 	mustAppend(t, s, &Record{
 		Kind:    KindReconfigure,
 		Hour:    1,
-		TopoOps: []TopoOp{{Op: TopoAddEndpoint, Endpoint: "web1", Node: 1, Labels: []string{"Web"}}},
+		TopoOps: []TopoOp{{Op: TopoRelabel, Endpoint: "web1", Labels: []string{"Web"}}},
 		Counter: &CounterDelta{Src: "a", Dst: "b", Event: "FailedConnections", Delta: 2},
 	})
 	mustAppend(t, s, tickRecord(5))
@@ -132,14 +138,35 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if got := state.Counters["a->b"]["FailedConnections"]; got != 2 {
 		t.Errorf("counter = %d, want 2", got)
 	}
-	if _, ok := state.Topo.EndpointByName("web1"); !ok {
+	if ep, ok := state.Topo.EndpointByName("web1"); !ok {
 		t.Error("replayed endpoint missing")
+	} else if !reflect.DeepEqual(ep.Labels, []string{"Web"}) {
+		t.Errorf("replayed endpoint labels = %v, want [Web]", ep.Labels)
 	}
 	// Appends continue from the recovered sequence.
 	rec := tickRecord(6)
 	mustAppend(t, s2, rec)
 	if rec.Seq != 4 {
 		t.Errorf("post-recovery seq = %d, want 4", rec.Seq)
+	}
+}
+
+// TestReplayRejectsUnknownTopoOp checks that a topology op no runtime
+// mutator emits, such as "add-endpoint", fails replay instead
+// of being applied.
+func TestReplayRejectsUnknownTopoOp(t *testing.T) {
+	tp := testTopo()
+	_, err := Replay(nil, []*Record{
+		{Seq: 1, Kind: KindConfigure, Topo: tp},
+		{Seq: 2, Kind: KindReconfigure, TopoOps: []TopoOp{
+			{Op: "add-endpoint", Endpoint: "web1", Node: 1, Labels: []string{"Web"}},
+		}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown topology op") {
+		t.Fatalf("Replay err = %v, want unknown topology op", err)
+	}
+	if _, ok := tp.EndpointByName("web1"); ok {
+		t.Error("rejected op still added the endpoint")
 	}
 }
 

@@ -374,26 +374,6 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	return t.ValidateStructure()
 }
 
-// DOT renders the topology in Graphviz dot format for inspection.
-func (t *Topology) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %q {\n", t.Name)
-	for _, n := range t.Nodes {
-		shape := "circle"
-		if n.Kind == NFBox {
-			shape = "box"
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", n.ID, n.Name, shape)
-	}
-	for _, l := range t.Links {
-		if l.From < l.To { // draw each physical link once
-			fmt.Fprintf(&b, "  n%d -- n%d [label=\"%g\"];\n", l.From, l.To, l.Capacity)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // PlaceNFs attaches NF boxes of the given kinds to a random fraction of
 // switches (the paper randomly assigns NFs to 10–30% of nodes, §7). Each
 // chosen switch gets one NF box of each kind, linked with nfLinkCapacity.

@@ -263,14 +263,6 @@ func TestJSONUnmarshalValidates(t *testing.T) {
 	}
 }
 
-func TestDOT(t *testing.T) {
-	tp, _ := fig2()
-	dot := tp.DOT()
-	if len(dot) == 0 || dot[0] != 'g' {
-		t.Errorf("DOT output looks wrong: %q", dot)
-	}
-}
-
 func TestRemoveLink(t *testing.T) {
 	tp, s := fig2()
 	if _, ok := tp.LinkCapacity(s[1], s[2]); !ok {

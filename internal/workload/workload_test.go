@@ -1,14 +1,12 @@
 package workload
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
 	"janus/internal/core"
 	"janus/internal/paths"
 	"janus/internal/policy"
-	"janus/internal/runtime"
 	"janus/internal/topo"
 )
 
@@ -251,69 +249,6 @@ func TestPeriodWindow(t *testing.T) {
 			if !ok {
 				t.Errorf("n=%d: hour %d not covered by any window", n, h)
 			}
-		}
-	}
-}
-
-func TestGenerateTraceAndReplay(t *testing.T) {
-	w, err := Generate("Ans", Spec{
-		Policies: 6, EndpointsPerPolicy: 2, TimePeriods: 2, StatefulEdges: 1, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := w.GenerateTrace(TraceSpec{
-		Length: 20, Moves: 4, Relabels: 2, Counters: 4, HourTicks: 2, LinkFails: 1, Seed: 31,
-	})
-	if len(tr.Events) == 0 {
-		t.Fatal("trace should not be empty")
-	}
-	kinds := map[EventKind]int{}
-	for _, e := range tr.Events {
-		kinds[e.Kind]++
-	}
-	if kinds[EvMove] == 0 || kinds[EvCounter] == 0 {
-		t.Errorf("trace mix lacks moves or counters: %v", kinds)
-	}
-	if kinds[EvLinkFail] > 1 {
-		t.Errorf("at most one link failure per trace, got %d", kinds[EvLinkFail])
-	}
-
-	conf, err := core.New(w.Topo, w.Graph, core.Config{CandidatePaths: 5, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := runtime.New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err := tr.Replay(context.Background(), rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied == 0 {
-		t.Error("no trace events applied")
-	}
-	// After the storm the dataplane must still verify.
-	if problems := rt.Verify(); len(problems) != 0 {
-		t.Errorf("verification problems after trace replay: %v", problems)
-	}
-}
-
-func TestTraceDeterministic(t *testing.T) {
-	w, err := Generate("Ans", Spec{Policies: 4, EndpointsPerPolicy: 1, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := TraceSpec{Length: 15, Moves: 3, Counters: 3, HourTicks: 1, Seed: 5}
-	a := w.GenerateTrace(spec)
-	b := w.GenerateTrace(spec)
-	if len(a.Events) != len(b.Events) {
-		t.Fatal("same seed should give same trace length")
-	}
-	for i := range a.Events {
-		if a.Events[i].Kind != b.Events[i].Kind || a.Events[i].Endpoint != b.Events[i].Endpoint {
-			t.Fatalf("event %d differs", i)
 		}
 	}
 }
