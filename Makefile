@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint lint-sarif test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane bench-ablation fuzz fuzz-fastpath difftest deltadiff
 
 all: check
 
@@ -91,6 +91,13 @@ bench-paths:
 bench-dataplane:
 	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate' -benchmem ./internal/dataplane/
 
+# bench-ablation runs every body of the root package's ablation benchmarks
+# once (candidate-path count k, warm vs cold start, the raw simplex, and the
+# temporal greedy chain vs the Eqn 9 joint solve), so a change that breaks
+# one fails here rather than only when someone next times it.
+bench-ablation:
+	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
+
 # difftest runs the differential solver harness: seeded random MILPs plus
 # corpus replays of real period models, one worker vs. many, re-verified
 # feasible, and the one-worker tree held to its recording. This is the
@@ -126,5 +133,6 @@ fuzz-fastpath:
 
 # check is the quick local gate: compile, gofmt, vet, januslint, and the
 # shuffled test suite under the race detector. CI also runs difftest,
-# deltadiff, the chaos, crash and fastpath soaks, and the two fuzz smokes.
+# deltadiff, the chaos, crash and fastpath soaks, the two fuzz smokes, and
+# bench-ablation.
 check: build fmt vet lint test-race

@@ -18,7 +18,6 @@ import (
 	"janus/internal/core"
 	"janus/internal/experiments"
 	"janus/internal/lp"
-	"janus/internal/milp"
 	"janus/internal/workload"
 )
 
@@ -115,28 +114,6 @@ func BenchmarkAblationPaths(b *testing.B) {
 	}
 }
 
-// Ablation: random vs shortest-first candidate selection. Random selection
-// is the paper's choice for edge-disjointedness; shortest-first concentrates
-// load on few links.
-func BenchmarkAblationSelection(b *testing.B) {
-	for _, shortest := range []bool{false, true} {
-		name := "random"
-		if shortest {
-			name = "shortest-first"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := benchWorkload(b, workload.Spec{Policies: 15, EndpointsPerPolicy: 2, Seed: 3})
-			sat := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := configureOnce(b, w, core.Config{CandidatePaths: 5, Seed: 3, ShortestFirst: shortest})
-				sat = res.SatisfiedCount()
-			}
-			b.ReportMetric(float64(sat), "policies-satisfied")
-		})
-	}
-}
-
 // Ablation: warm vs cold start after small endpoint churn (Fig 14's
 // mechanism in isolation).
 func BenchmarkAblationWarmVsCold(b *testing.B) {
@@ -164,40 +141,6 @@ func BenchmarkAblationWarmVsCold(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Ablation: soft reservations of stateful escalation paths on/off (§5.3).
-func BenchmarkAblationReservations(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "reserved"
-		if disabled {
-			name = "unreserved"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := benchWorkload(b, workload.Spec{Policies: 10, EndpointsPerPolicy: 2, StatefulEdges: 2, Seed: 6})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				configureOnce(b, w, core.Config{CandidatePaths: 5, Seed: 6, DisableReservations: disabled})
-			}
-		})
-	}
-}
-
-// Ablation: branching rule in the branch-and-bound (most-fractional vs
-// pseudocost).
-func BenchmarkAblationBranching(b *testing.B) {
-	for _, rule := range []struct {
-		name string
-		rule milp.BranchRule
-	}{{"most-fractional", milp.MostFractional}, {"pseudocost", milp.PseudoCost}} {
-		b.Run(rule.name, func(b *testing.B) {
-			w := benchWorkload(b, workload.Spec{Policies: 15, EndpointsPerPolicy: 2, Seed: 7})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				configureOnce(b, w, core.Config{CandidatePaths: 5, Seed: 7, Branching: rule.rule})
-			}
-		})
-	}
 }
 
 // Ablation: the raw simplex on a representative LP relaxation (the eta-

@@ -97,8 +97,7 @@ func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []As
 	sol, err := solver.Solve(ctx, milp.Options{
 		MaxNodes:       c.cfg.MaxNodes,
 		TimeLimit:      c.cfg.TimeLimit,
-		RelGap:         c.cfg.RelGap,
-		Branching:      c.cfg.Branching,
+		RelGap:         relGap,
 		StallNodes:     c.cfg.StallNodes,
 		Workers:        c.cfg.Workers,
 		BranchPriority: prio,

@@ -27,7 +27,7 @@ import (
 )
 
 // Config holds the configurator's tunables. The zero value gets sensible
-// defaults from (*Config).withDefaults.
+// defaults from Config.withDefaults.
 type Config struct {
 	// Scheme resolves QoS labels; nil means labels.Default().
 	Scheme *labels.Scheme
@@ -35,24 +35,14 @@ type Config struct {
 	// endpoint pair (§5.2). 0 means all valid paths — the full-ILP
 	// baseline the paper compares against.
 	CandidatePaths int
-	// ShortestFirst selects candidates by hop count instead of randomly
-	// (ablation of the paper's random-subset choice).
-	ShortestFirst bool
 	// Lambda is the soft-constraint penalty λ for unreserved non-default
 	// stateful edges (Eqn 6). Default 0.2 (§7.3).
 	Lambda float64
-	// Rho is the path-change penalty ρ (Eqn 8). Default 0.2 (§7.4).
-	Rho float64
 	// Seed drives candidate-path randomness.
 	Seed int64
-	// MaxPathsPerPair caps exhaustive enumeration (0 = enumerator default).
-	MaxPathsPerPair int
 	// JitterQueueCap is PR: the number of policies allowed per priority
 	// level per switch (Eqn 10). 0 disables jitter constraints.
 	JitterQueueCap int
-	// DisableReservations turns off soft reservation of non-default edges
-	// (ablation; §5.3 on by default).
-	DisableReservations bool
 	// DeltaDisable turns off incremental (delta) reconfiguration: runtime
 	// events then always rebuild and re-solve the full period model. The
 	// zero value leaves delta solving on — the optimality guard, the
@@ -69,10 +59,8 @@ type Config struct {
 	// Solver limits, forwarded to branch & bound.
 	MaxNodes  int
 	TimeLimit time.Duration
-	RelGap    float64
-	Branching milp.BranchRule
 	// StallNodes stops the search after this many nodes without incumbent
-	// improvement (0 = a default of 600; negative = disabled). Applied
+	// improvement (0 = a default of 60; negative = disabled). Applied
 	// identically to ILP and heuristic modes, so comparisons stay fair.
 	StallNodes int
 	// Workers is the branch-and-bound worker count per solve (0 =
@@ -82,23 +70,23 @@ type Config struct {
 	Workers int
 }
 
+const (
+	// rho is the path-change penalty ρ (Eqn 8), the paper's 0.2 (§7.4).
+	rho = 0.2
+	// relGap is the branch-and-bound gap tolerance: the paper's objective
+	// counts satisfied policies, so a small relative gap (well under one
+	// policy's normalized weight on typical instances) keeps counts honest
+	// while avoiding exhaustive proofs. ILP and heuristic modes share the
+	// same tolerance, keeping comparisons fair.
+	relGap = 0.02
+)
+
 func (c Config) withDefaults() Config {
 	if c.Scheme == nil {
 		c.Scheme = labels.Default()
 	}
 	if c.Lambda == 0 { //janus:allow(floatcmp): zero-value config sentinel meaning "unset", never a computed float
 		c.Lambda = 0.2
-	}
-	if c.Rho == 0 { //janus:allow(floatcmp): zero-value config sentinel meaning "unset", never a computed float
-		c.Rho = 0.2
-	}
-	// The branch-and-bound gap tolerance: the paper's objective counts
-	// satisfied policies, so a small relative gap (well under one policy's
-	// normalized weight on typical instances) keeps counts honest while
-	// avoiding exhaustive proofs. ILP and heuristic modes share the same
-	// tolerance, keeping comparisons fair.
-	if c.RelGap == 0 { //janus:allow(floatcmp): zero-value config sentinel meaning "unset", never a computed float
-		c.RelGap = 0.02
 	}
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 10000
@@ -148,13 +136,11 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	cfg = cfg.withDefaults()
-	e := paths.NewEnumerator(t)
-	e.MaxPaths = cfg.MaxPathsPerPair
 	return &Configurator{
 		topo:   t,
 		graph:  g,
 		cfg:    cfg,
-		enum:   e,
+		enum:   paths.NewEnumerator(t),
 		scheme: cfg.Scheme,
 	}, nil
 }
@@ -236,7 +222,7 @@ type DegradationTier int
 
 // Degradation ladder rungs, best first.
 const (
-	// TierFull is a proven-optimal (within RelGap) solve.
+	// TierFull is a proven-optimal (within relGap) solve.
 	TierFull DegradationTier = iota
 	// TierIncumbent served the best incumbent after a node/time/stall
 	// limit stopped the optimality proof.

@@ -308,17 +308,6 @@ func TestStatefulReservation(t *testing.T) {
 	if !foundSoft {
 		t.Error("no reserved escalation path found")
 	}
-	// Ablation: with reservations disabled, no soft assignments appear.
-	c2 := mustNew(t, tp, cg, Config{DisableReservations: true})
-	res2, err := c2.Configure(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a2 := range res2.Assignments {
-		if a2.Role == SoftEdge {
-			t.Error("reservations disabled but soft assignment present")
-		}
-	}
 }
 
 func TestStatefulSlackUnderScarcity(t *testing.T) {

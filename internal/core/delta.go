@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -72,7 +73,7 @@ func BuildDepIndex(t *topo.Topology, g *compose.Graph, res *Result) *DepIndex {
 	}
 	for _, a := range res.Assignments {
 		for _, l := range a.Path.Links() {
-			addDep(ix.byLink, normLink(l[0], l[1]), a.Policy)
+			addDep(ix.byLink, topo.LinkKey(l[0], l[1]), a.Policy)
 		}
 		for _, n := range a.Path.Nodes {
 			addDep(ix.byNode, n, a.Policy)
@@ -88,14 +89,6 @@ func addDep[K comparable](m map[K]map[int]bool, k K, pid int) {
 		m[k] = s
 	}
 	s[pid] = true
-}
-
-// normLink normalizes an undirected link to a map key.
-func normLink(a, b topo.NodeID) [2]topo.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]topo.NodeID{a, b}
 }
 
 // Period returns the period the index was built for.
@@ -168,23 +161,11 @@ func (c *Configurator) TemporalAffected(prevPeriod, period int) map[int]bool {
 	for _, p := range c.graph.Policies {
 		ph, ps := activeEdges(p, prevPeriod)
 		nh, ns := activeEdges(p, period)
-		if !intsEqual(ph, nh) || !intsEqual(ps, ns) {
+		if !slices.Equal(ph, nh) || !slices.Equal(ps, ns) {
 			out[p.ID] = true
 		}
 	}
 	return out
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DeltaStats records how an incremental solve produced a result.
@@ -273,7 +254,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			continue
 		}
 		ph, ps := activeEdges(p, prev.Period)
-		if !intsEqual(ph, hard) || !intsEqual(ps, soft) {
+		if !slices.Equal(ph, hard) || !slices.Equal(ps, soft) {
 			affected[p.ID] = true // the boundary changed its edge set
 			continue
 		}

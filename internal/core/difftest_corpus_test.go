@@ -48,7 +48,7 @@ func corpusModel(t *testing.T, name, topoName string, spec workload.Spec, cfg Co
 }
 
 func TestDifferentialCorpusRealModels(t *testing.T) {
-	fig11 := workload.Spec{Policies: 6, EndpointsPerPolicy: 2, MaxNFs: 2, Seed: 7}
+	fig11 := workload.Spec{Policies: 6, EndpointsPerPolicy: 2, Seed: 7}
 	temporal := workload.Spec{Policies: 5, EndpointsPerPolicy: 2, TimePeriods: 3, Seed: 11}
 	stateful := workload.Spec{Policies: 5, EndpointsPerPolicy: 2, StatefulEdges: 2, Seed: 13}
 
@@ -86,7 +86,7 @@ func TestDifferentialCorpusRealModels(t *testing.T) {
 // and BenchmarkLPRefactorize read real period models from those files;
 // rerun with UPDATE_GOLDEN=1 after a change to the model builder.
 func TestPeriodModelFixtures(t *testing.T) {
-	spec := workload.Spec{Policies: 50, EndpointsPerPolicy: 3, MaxNFs: 2, TimePeriods: 4, Seed: 1}
+	spec := workload.Spec{Policies: 50, EndpointsPerPolicy: 3, TimePeriods: 4, Seed: 1}
 	for _, topoName := range []string{"Ans", "Cwix"} {
 		inst := corpusModel(t, "period-"+strings.ToLower(topoName), topoName, spec, Config{CandidatePaths: 5, Seed: 1}, 12, false)
 		got := formatProblem(inst.Prob)

@@ -220,13 +220,8 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 				if !ok {
 					return nil, fmt.Errorf("core: unknown endpoint %q", pair[1])
 				}
-				var cands []paths.Path
-				if c.cfg.ShortestFirst {
-					cands, err = c.enum.ShortestFirst(srcEP.Attach, dstEP.Attach, e.Chain, c.cfg.CandidatePaths, hopBudget)
-				} else {
-					rng := slotRNG(p.ID, e.Chain, pair[0], pair[1])
-					cands, err = c.enum.Candidates(rng, srcEP.Attach, dstEP.Attach, e.Chain, c.cfg.CandidatePaths, hopBudget)
-				}
+				rng := slotRNG(p.ID, e.Chain, pair[0], pair[1])
+				cands, err := c.enum.Candidates(rng, srcEP.Attach, dstEP.Attach, e.Chain, c.cfg.CandidatePaths, hopBudget)
 				if err != nil {
 					return nil, fmt.Errorf("core: policy %d pair %v: %w", p.ID, pair, err)
 				}
@@ -262,7 +257,7 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 				}
 			}
 		}
-		if !c.cfg.DisableReservations && len(soft) > 0 {
+		if len(soft) > 0 {
 			g := softGroup{pid: p.ID}
 			for _, ei := range soft {
 				rows, err := addEdgeVars(ei, SoftEdge)
@@ -410,7 +405,7 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 			// Eqn 8 normalizes Σα by the number of previously selected
 			// paths.
 			for _, a := range alphas {
-				if err := m.prob.SetObjective(a, -c.cfg.Rho/float64(n)); err != nil {
+				if err := m.prob.SetObjective(a, -rho/float64(n)); err != nil {
 					return nil, err
 				}
 			}

@@ -203,7 +203,7 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	}
 	if n := len(alphas); n > 0 {
 		for _, a := range alphas {
-			if err := prob.SetObjective(a, -c.cfg.Rho/float64(n)); err != nil {
+			if err := prob.SetObjective(a, -rho/float64(n)); err != nil {
 				return nil, err
 			}
 		}
@@ -212,8 +212,7 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	sol, err := milp.NewSolver(prob, integers).Solve(context.Background(), milp.Options{
 		MaxNodes:  c.cfg.MaxNodes,
 		TimeLimit: c.cfg.TimeLimit,
-		RelGap:    c.cfg.RelGap,
-		Branching: c.cfg.Branching,
+		RelGap:    relGap,
 		Workers:   c.cfg.Workers,
 	})
 	if err != nil {

@@ -42,7 +42,11 @@ func (n *Network) Recompile() *fastpath.Compiled {
 	for id, sw := range n.switches {
 		for k, ss := range sw.Table.flows {
 			for i := range ss {
-				frules = append(frules, fastpath.Rule(ss[i].rule(id, k)))
+				s := &ss[i]
+				frules = append(frules, fastpath.Rule{
+					Switch: id, Src: k.src, Dst: k.dst, Match: s.Match,
+					NextHop: s.NextHop, InPort: s.InPort, Priority: s.Priority,
+				})
 			}
 		}
 	}

@@ -10,8 +10,8 @@
 // ports any rule mentions, plus an OTHER class for everything unmentioned —
 // and replays the interpreted forwarding walk once per class at compile
 // time. Probes in the same class see the same rules match at every hop, so
-// the precomputed outcome (full node path, ingress queue rate, or the exact
-// error the interpreter would return) is valid for every member.
+// the precomputed outcome (full node path, or the exact error the
+// interpreter would return) is valid for every member.
 //
 // A Compiled value is immutable after Compile returns: lookups are safe
 // from any number of goroutines with no synchronization, and writers
@@ -27,19 +27,18 @@ import (
 	"janus/internal/topo"
 )
 
-// Rule mirrors dataplane.Rule field-for-field so the dataplane can hand its
-// installed rules to Compile with a direct struct conversion. fastpath must
-// not import dataplane (dataplane imports fastpath to host the atomic
-// holder), so the shared shape lives here by construction.
+// Rule is the part of a dataplane.Rule that decides where a flow goes: a
+// dataplane.Rule without its queue rate, which no lookup reports. fastpath
+// must not import dataplane (dataplane imports fastpath to host the atomic
+// holder), so the shape lives here.
 type Rule struct {
-	Switch    topo.NodeID
-	Src       string
-	Dst       string
-	Match     policy.Classifier
-	NextHop   topo.NodeID
-	InPort    topo.NodeID
-	QueueMbps float64
-	Priority  int
+	Switch   topo.NodeID
+	Src      string
+	Dst      string
+	Match    policy.Classifier
+	NextHop  topo.NodeID
+	InPort   topo.NodeID
+	Priority int
 }
 
 // HostPort is the InPort of rules matching traffic entering from an
@@ -89,9 +88,8 @@ type flowEntry struct {
 
 // outcome is one precomputed classification result.
 type outcome struct {
-	path      Path
-	queueMbps float64
-	err       error
+	path Path
+	err  error
 }
 
 // Generation returns the swap generation stamped at compile time.
@@ -114,19 +112,13 @@ func (c *Compiled) Outcomes() int { return len(c.outcomes) }
 //
 //janus:hotpath
 func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Path, error) {
-	p, _, err := c.lookup(src, dst, proto, port)
-	return p, err
-}
-
-//janus:hotpath
-func (c *Compiled) lookup(src, dst string, proto policy.Protocol, port int) (Path, float64, error) {
 	sid, ok := c.eps[src]
 	if !ok {
-		return nil, 0, fmt.Errorf("dataplane: unknown endpoint %q", src) //janus:allow(hotalloc): error construction on the failure path only
+		return nil, fmt.Errorf("dataplane: unknown endpoint %q", src) //janus:allow(hotalloc): error construction on the failure path only
 	}
 	did, ok := c.eps[dst]
 	if !ok {
-		return nil, 0, fmt.Errorf("dataplane: unknown endpoint %q", dst) //janus:allow(hotalloc): error construction on the failure path only
+		return nil, fmt.Errorf("dataplane: unknown endpoint %q", dst) //janus:allow(hotalloc): error construction on the failure path only
 	}
 	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
 	if !ok {
@@ -141,9 +133,9 @@ func (c *Compiled) lookup(src, dst string, proto policy.Protocol, port int) (Pat
 			p = Path{at} //janus:allow(hotalloc): dangling attachment, off the steady state
 		}
 		if at == c.attach[did] {
-			return p, 0, nil
+			return p, nil
 		}
-		return p, 0, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, src, dst) //janus:allow(hotalloc): error construction on the failure path only
+		return p, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, src, dst) //janus:allow(hotalloc): error construction on the failure path only
 	}
 	e := &c.entries[ei]
 	// Manual binary searches: sort.Search costs a closure allocation.
@@ -174,7 +166,7 @@ func (c *Compiled) lookup(src, dst string, proto policy.Protocol, port int) (Pat
 		qi = lo
 	}
 	o := &c.outcomes[e.decisions[pi*(len(e.ports)+1)+qi]]
-	return o.path, o.queueMbps, o.err
+	return o.path, o.err
 }
 
 // compiler carries compile-time state: the per-(switch,src,dst,inport)
@@ -334,7 +326,7 @@ func (o outcome) signature() string {
 	if o.err != nil {
 		errs = o.err.Error()
 	}
-	return fmt.Sprintf("%v|%g|%s", o.path, o.queueMbps, errs)
+	return fmt.Sprintf("%v|%s", o.path, errs)
 }
 
 // otherProtoRep picks a protocol no rule of the pair mentions, representing
@@ -367,20 +359,14 @@ func (cp *compiler) walk(src, dst string, proto policy.Protocol, port int) outco
 	cur := cp.attachOf[src]
 	prev := HostPort
 	var w Path
-	queue := 0.0
-	first := true
 	for steps := 0; steps <= cp.maxSteps; steps++ {
 		w = append(w, cur)
 		r, ok := cp.match(cur, src, dst, prev, proto, port)
 		if !ok {
 			if cur == dstAttach {
-				return outcome{path: w, queueMbps: queue}
+				return outcome{path: w}
 			}
 			return outcome{path: w, err: fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", cur, src, dst)}
-		}
-		if first {
-			queue = r.QueueMbps
-			first = false
 		}
 		prev, cur = cur, r.NextHop
 	}

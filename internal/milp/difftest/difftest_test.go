@@ -122,7 +122,7 @@ func TestDifferentialOneWorkerTreePinned(t *testing.T) {
 	}{
 		{"default", milp.Options{}},
 		{"maxnodes7", milp.Options{MaxNodes: 7}},
-		{"stall3-pseudocost", milp.Options{StallNodes: 3, Branching: milp.PseudoCost}},
+		{"stall3", milp.Options{StallNodes: 3}},
 	}
 	var got bytes.Buffer
 	for seed := int64(0); seed < numInstances; seed++ {

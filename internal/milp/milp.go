@@ -61,10 +61,9 @@ type Options struct {
 	// RelGap is the relative optimality gap at which search stops;
 	// 0 means 1e-6.
 	RelGap float64
-	// Branching selects the branching rule.
-	Branching BranchRule
 	// BranchPriority, when non-nil, restricts branching to the fractional
-	// variables of the highest priority present (then applies the rule).
+	// variables of the highest priority present (then branches on the most
+	// fractional of them).
 	// Janus uses this to branch on policy indicators (I_i) before path
 	// indicators (P_{i,p}): fixing a group decision prunes far more of the
 	// tree than fixing one path.
@@ -91,18 +90,6 @@ type Options struct {
 	// (enforced by the difftest harness).
 	Workers int
 }
-
-// BranchRule selects how the branching variable is chosen.
-type BranchRule int
-
-// Branching rules.
-const (
-	// MostFractional branches on the binary whose LP value is nearest 0.5.
-	MostFractional BranchRule = iota
-	// PseudoCost uses accumulated per-variable degradation estimates,
-	// falling back to most-fractional before data accumulates.
-	PseudoCost
-)
 
 // Solution is the result of a MILP solve.
 type Solution struct {
@@ -153,10 +140,6 @@ type Solver struct {
 	integers []int
 	// saved bounds for restoration
 	savedLo, savedUp []float64
-
-	// pseudocost state, indexed by variable
-	pcUp, pcDown   []float64
-	pcUpN, pcDownN []int
 }
 
 // NewSolver wraps a problem whose listed variables must take 0/1 values.
@@ -312,10 +295,7 @@ func (s *Solver) solveLP(fixings *fixing, warm *lp.Basis) (*lp.Solution, error) 
 }
 
 // prepare readies s to work on one search: it snapshots the bounds that
-// node LPs edit and restore, and zeroes the pseudocosts. Every worker learns
-// its own pseudocosts, which trades a little branching quality for scoring
-// without the shared lock; the difftest gate bounds the cost at "still
-// within RelGap".
+// node LPs edit and restore.
 func (s *Solver) prepare() {
 	n := s.prob.NumVariables()
 	s.savedLo = make([]float64, n)
@@ -323,10 +303,6 @@ func (s *Solver) prepare() {
 	for v := 0; v < n; v++ {
 		s.savedLo[v], s.savedUp[v] = s.prob.Bounds(v)
 	}
-	s.pcUp = make([]float64, n)
-	s.pcDown = make([]float64, n)
-	s.pcUpN = make([]int, n)
-	s.pcDownN = make([]int, n)
 }
 
 func (s *Solver) restoreBounds() {
@@ -339,10 +315,10 @@ func (s *Solver) restoreVar(v int) error {
 	return s.prob.SetBounds(v, s.savedLo[v], s.savedUp[v])
 }
 
-// pickBranch returns the integer variable to branch on, or -1 when the
-// point is integral on all integer variables.
+// pickBranch returns the integer variable to branch on — the one whose LP
+// value is nearest 0.5 — or -1 when the point is integral on all integer
+// variables.
 func (s *Solver) pickBranch(x []float64, opts Options) int {
-	rule := opts.Branching
 	// Restrict to the highest branch priority with a fractional variable.
 	maxPrio := 0
 	if opts.BranchPriority != nil {
@@ -366,48 +342,11 @@ func (s *Solver) pickBranch(x []float64, opts Options) int {
 		if f <= intTol || f >= 1-intTol {
 			continue
 		}
-		var score float64
-		switch rule {
-		case PseudoCost:
-			if s.pcUpN[v]+s.pcDownN[v] >= 2 {
-				up := pcAvg(s.pcUp[v], s.pcUpN[v])
-				down := pcAvg(s.pcDown[v], s.pcDownN[v])
-				// Product rule: balance both directions.
-				score = math.Max(up*(1-f), 1e-9) * math.Max(down*f, 1e-9)
-			} else {
-				score = 0.5 - math.Abs(f-0.5) // fallback
-			}
-		default:
-			score = 0.5 - math.Abs(f-0.5)
-		}
-		if score > bestScore {
+		if score := 0.5 - math.Abs(f-0.5); score > bestScore {
 			best, bestScore = v, score
 		}
 	}
 	return best
-}
-
-// observeDegradation charges branching variable v, about to be branched on
-// at a node whose LP reached childObj, with what that LP lost against the
-// bound the node inherited from its parent.
-func (s *Solver) observeDegradation(v int, parent *node, childObj float64) {
-	deg := parent.bound - childObj
-	if deg < 0 {
-		deg = 0
-	}
-	// Direction is unknown at this point (the child carries it); attribute
-	// to both accumulators, which is a usable symmetric approximation.
-	s.pcUp[v] += deg
-	s.pcUpN[v]++
-	s.pcDown[v] += deg
-	s.pcDownN[v]++
-}
-
-func pcAvg(sum float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // roundAndRepair rounds integer variables of a fractional point and

@@ -274,38 +274,6 @@ func TestBruteForceCrossCheck(t *testing.T) {
 	}
 }
 
-// Both branching rules must agree on the optimum.
-func TestBranchingRulesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	p := lp.NewProblem()
-	n := 14
-	vars := make([]int, n)
-	for i := range vars {
-		vars[i] = p.AddBinary(1 + rng.Float64()*4)
-	}
-	for r := 0; r < 6; r++ {
-		terms := make([]lp.Term, 0, 6)
-		for j := 0; j < 6; j++ {
-			terms = append(terms, lp.Term{Var: vars[rng.Intn(n)], Coef: 1 + rng.Float64()*2})
-		}
-		mustRow(t, p, lp.LE, 4, terms)
-	}
-	mf, err := NewSolver(p, vars).Solve(context.Background(), Options{Branching: MostFractional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := NewSolver(p, vars).Solve(context.Background(), Options{Branching: PseudoCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.Status != Optimal || pc.Status != Optimal {
-		t.Fatalf("statuses: %v %v", mf.Status, pc.Status)
-	}
-	if !approx(mf.Objective, pc.Objective) {
-		t.Errorf("branching rules disagree: %v vs %v", mf.Objective, pc.Objective)
-	}
-}
-
 func TestWarmStartFromRootBasis(t *testing.T) {
 	p := lp.NewProblem()
 	a := p.AddBinary(3)

@@ -30,9 +30,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		errs = append(errs, fmt.Errorf("Workers = %d is negative", o.Workers))
 	}
-	if o.Branching != MostFractional && o.Branching != PseudoCost {
-		errs = append(errs, fmt.Errorf("Branching = %d is not a known rule", int(o.Branching)))
-	}
 	for v, val := range o.MIPStart {
 		if math.IsNaN(val) || math.IsInf(val, 0) {
 			errs = append(errs, fmt.Errorf("MIPStart[%d] = %v is not finite", v, val))

@@ -24,7 +24,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN gap", Options{RelGap: math.NaN()}, "RelGap"},
 		{"negative stall window", Options{StallNodes: -5}, "StallNodes"},
 		{"negative workers", Options{Workers: -2}, "Workers"},
-		{"unknown branching rule", Options{Branching: BranchRule(99)}, "Branching"},
 		{"NaN MIP start", Options{MIPStart: map[int]float64{0: math.NaN()}}, "MIPStart"},
 		{"infinite MIP start", Options{MIPStart: map[int]float64{1: math.Inf(1)}}, "MIPStart"},
 		{"negative priority index", Options{BranchPriority: map[int]int{-3: 1}}, "BranchPriority"},

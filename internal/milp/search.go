@@ -281,14 +281,13 @@ func (sr *search) work(ctx context.Context, w *Solver) {
 		sr.mu.Unlock()
 
 		// Branch selection and rounding run unlocked: they only touch the
-		// worker's own problem and pseudocosts.
+		// worker's own problem.
 		frac := w.pickBranch(res.X, sr.opts)
 		var children [2]*node
 		var rx []float64
 		var robj float64
 		var rok bool
 		if frac >= 0 {
-			w.observeDegradation(frac, nd, res.Objective)
 			if doRound {
 				rx, robj, rok = w.roundAndRepair(res.X)
 			}

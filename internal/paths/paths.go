@@ -73,11 +73,11 @@ func (p Path) Equal(o Path) bool {
 // Enumerator enumerates and caches valid paths on one topology.
 type Enumerator struct {
 	topo *topo.Topology
-	// MaxPaths bounds enumeration per (src,dst,chain) triple; 0 means the
+	// maxPaths bounds enumeration per (src,dst,chain) triple; 0 means the
 	// DefaultMaxPaths cap. Enumeration is exhaustive up to the cap.
-	MaxPaths int
-	// MaxHops bounds path length; 0 means DefaultMaxHops.
-	MaxHops int
+	maxPaths int
+	// maxHops bounds path length; 0 means DefaultMaxHops.
+	maxHops int
 
 	// cache maps "src|dst|chain" to the sorted enumeration. linkIndex maps
 	// a normalized undirected link to the cache keys whose entries contain
@@ -117,11 +117,11 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 	if got, ok := e.cache[key]; ok {
 		return got, nil
 	}
-	maxPaths := e.MaxPaths
+	maxPaths := e.maxPaths
 	if maxPaths <= 0 {
 		maxPaths = DefaultMaxPaths
 	}
-	maxHops := e.MaxHops
+	maxHops := e.maxHops
 	if maxHops <= 0 {
 		maxHops = DefaultMaxHops
 	}
@@ -214,7 +214,7 @@ func (s byHopsKey) Swap(i, j int) {
 func (e *Enumerator) indexLinks(key string, ps []Path) {
 	for _, p := range ps {
 		for i := 0; i+1 < len(p.Nodes); i++ {
-			k := normLink(p.Nodes[i], p.Nodes[i+1])
+			k := topo.LinkKey(p.Nodes[i], p.Nodes[i+1])
 			m := e.linkIndex[k]
 			if m == nil {
 				m = make(map[string]bool)
@@ -223,14 +223,6 @@ func (e *Enumerator) indexLinks(key string, ps []Path) {
 			m[key] = true
 		}
 	}
-}
-
-// normLink normalizes an undirected link to a map key.
-func normLink(a, b topo.NodeID) [2]topo.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]topo.NodeID{a, b}
 }
 
 // Candidates returns up to k valid paths for the policy's (src,dst,chain).
@@ -277,29 +269,6 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 	return out, nil
 }
 
-// ShortestFirst returns up to k valid paths preferring the fewest hops.
-// This is the alternative candidate-selection strategy used by the
-// ablation benches (random vs shortest-first).
-func (e *Enumerator) ShortestFirst(src, dst topo.NodeID, chain policy.Chain, k, maxHopBudget int) ([]Path, error) {
-	all, err := e.Valid(src, dst, chain)
-	if err != nil {
-		return nil, err
-	}
-	if maxHopBudget > 0 {
-		filtered := make([]Path, 0, len(all))
-		for _, p := range all {
-			if p.Hops() <= maxHopBudget {
-				filtered = append(filtered, p)
-			}
-		}
-		all = filtered
-	}
-	if k <= 0 || k >= len(all) {
-		return all, nil
-	}
-	return all[:k], nil // Valid sorts by hop count already
-}
-
 // InvalidateCache drops all cached enumerations; call after topology
 // changes that can create new paths (link additions): a new link can
 // shorten or add paths for any pair, so no cached entry is trustworthy.
@@ -310,14 +279,14 @@ func (e *Enumerator) InvalidateCache() {
 
 // InvalidateLink drops only the cached enumerations made stale by
 // removing link (a, b). This is exact, not heuristic: an entry is the
-// first MaxPaths paths of the deterministic DFS (then sorted), and
+// first maxPaths paths of the deterministic DFS (then sorted), and
 // removing a link only deletes paths from that DFS sequence. An entry
 // none of whose cached paths cross the removed link therefore has no
-// crossing path anywhere in its first-MaxPaths prefix, so the prefix —
+// crossing path anywhere in its first-maxPaths prefix, so the prefix —
 // and the cached entry — is unchanged by the removal. Only use for link
 // removals; additions must use InvalidateCache.
 func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
-	k := normLink(a, b)
+	k := topo.LinkKey(a, b)
 	for key := range e.linkIndex[k] {
 		delete(e.cache, key)
 	}

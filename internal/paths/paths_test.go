@@ -308,37 +308,16 @@ func TestCandidatesHopBudget(t *testing.T) {
 	}
 }
 
-func TestShortestFirst(t *testing.T) {
-	tp, ids := fig4(t)
-	e := NewEnumerator(tp)
-	got, err := e.ShortestFirst(ids["s1"], ids["s5"], nil, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d paths, want 2", len(got))
-	}
-	if got[0].Hops() > got[1].Hops() {
-		t.Error("ShortestFirst not sorted by hops")
-	}
-	all, _ := e.Valid(ids["s1"], ids["s5"], nil)
-	for _, p := range all {
-		if p.Hops() < got[0].Hops() {
-			t.Error("ShortestFirst missed a shorter path")
-		}
-	}
-}
-
 func TestMaxPathsCap(t *testing.T) {
 	tp, ids := fig4(t)
 	e := NewEnumerator(tp)
-	e.MaxPaths = 1
+	e.maxPaths = 1
 	got, err := e.Valid(ids["s1"], ids["s5"], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
-		t.Errorf("MaxPaths=1 returned %d paths", len(got))
+		t.Errorf("maxPaths=1 returned %d paths", len(got))
 	}
 }
 
@@ -396,7 +375,7 @@ func TestValidProperties(t *testing.T) {
 	prop := func(seed int64) bool {
 		tp := topo.Synthetic("p", 15, seed)
 		e := NewEnumerator(tp)
-		e.MaxHops = 6
+		e.maxHops = 6
 		got, err := e.Valid(0, 10, nil)
 		if err != nil {
 			return false

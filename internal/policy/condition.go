@@ -44,7 +44,7 @@ func (r CountRange) Empty() bool { return r.Lo >= r.Hi }
 // range intersection. ok=false when the ranges are disjoint (">8 and <4
 // failed connections cannot be satisfied simultaneously").
 func (r CountRange) Intersect(o CountRange) (CountRange, bool) {
-	out := CountRange{Lo: maxInt(r.Lo, o.Lo), Hi: minInt(r.Hi, o.Hi)}
+	out := CountRange{Lo: max(r.Lo, o.Lo), Hi: min(r.Hi, o.Hi)}
 	if out.Empty() {
 		return CountRange{}, false
 	}
@@ -239,20 +239,6 @@ func (c Condition) String() string {
 		return "always"
 	}
 	return strings.Join(parts, " & ")
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sortStrings(s []string) {

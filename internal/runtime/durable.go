@@ -83,7 +83,7 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 		r.counters = map[string]map[policy.Event]int{}
 	}
 	for _, fl := range state.FailedLinks {
-		r.failedLinks[linkKey(fl.From, fl.To)] = fl.CapacityMbps
+		r.failedLinks[topo.LinkKey(fl.From, fl.To)] = fl.CapacityMbps
 	}
 	for _, id := range state.Quarantined {
 		r.quarantined[id] = true

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -308,7 +309,7 @@ func (r *Runtime) quarantine(ctx context.Context, sw topo.NodeID, cause error) e
 			continue
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoRemoveLink, A: sw, B: nb})
-		r.failedLinks[linkKey(sw, nb)] = capacity
+		r.failedLinks[topo.LinkKey(sw, nb)] = capacity
 		r.conf.InvalidateLinkPaths(sw, nb)
 	}
 	if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, affected); err != nil {
@@ -517,14 +518,6 @@ func promote(res *core.Result, flows ...escalation) *core.Result {
 	return &clone
 }
 
-// linkKey normalizes an undirected link to a map key.
-func linkKey(a, b topo.NodeID) [2]topo.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]topo.NodeID{a, b}
-}
-
 // FailLink removes a link from the topology and reconfigures with
 // path-change minimization: only flows whose paths crossed the failed link
 // should move (§8: "handle this in a manner similar to §5.4"). The
@@ -542,7 +535,7 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 			return fmt.Errorf("runtime: %w", err)
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoRemoveLink, A: a, B: b})
-		r.failedLinks[linkKey(a, b)] = capacity
+		r.failedLinks[topo.LinkKey(a, b)] = capacity
 		// A removal can only delete paths: drop exactly the cached
 		// enumerations that crossed the link.
 		r.conf.InvalidateLinkPaths(a, b)
@@ -555,7 +548,7 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 // move back onto their preferred paths.
 func (r *Runtime) RestoreLink(ctx context.Context, a, b topo.NodeID) error {
 	return r.journalOp(store.KindLinkRestore, func(rec *store.Record) error {
-		capacity, ok := r.failedLinks[linkKey(a, b)]
+		capacity, ok := r.failedLinks[topo.LinkKey(a, b)]
 		if !ok {
 			return fmt.Errorf("runtime: link %d-%d was not failed", a, b)
 		}
@@ -563,7 +556,7 @@ func (r *Runtime) RestoreLink(ctx context.Context, a, b topo.NodeID) error {
 			return fmt.Errorf("runtime: %w", err)
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoAddLink, A: a, B: b, Capacity: capacity})
-		delete(r.failedLinks, linkKey(a, b))
+		delete(r.failedLinks, topo.LinkKey(a, b))
 		// An addition can create paths for any pair: the whole cache goes.
 		r.conf.InvalidatePaths()
 		// Restored capacity helps exactly the policies that lost out:
@@ -593,7 +586,7 @@ func (r *Runtime) AdvanceTo(ctx context.Context, h int) error {
 		cur := r.hour
 		for cur != h {
 			cur = (cur + 1) % policy.HoursPerDay
-			if containsInt(periods, cur) {
+			if slices.Contains(periods, cur) {
 				// The boundary affects policies whose edge sets change
 				// across it, plus the unsatisfied/unreserved ones that may
 				// fit into whatever the closing windows free up.
@@ -731,13 +724,4 @@ func indexOfEdge(p *compose.Policy, e policy.Edge) int {
 		}
 	}
 	return -1
-}
-
-func containsInt(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -19,17 +19,11 @@ type Options struct {
 	// SnapshotEvery takes an automatic snapshot after this many appends
 	// (0 disables automatic snapshots; SnapshotNow still works).
 	SnapshotEvery int
-	// KeepGenerations retains this many snapshot generations (minimum 2:
-	// the current one and a fallback).
-	KeepGenerations int
 }
 
-func (o Options) keep() int {
-	if o.KeepGenerations < 2 {
-		return 2
-	}
-	return o.KeepGenerations
-}
+// keepGenerations is how many snapshot generations the store retains: the
+// current one and a fallback for when it fails validation.
+const keepGenerations = 2
 
 // Stats counts the store's durability work, surfaced on /metrics.
 type Stats struct {
@@ -445,9 +439,8 @@ func (s *Store) snapshotLocked(state *State) error {
 	s.appendsSince = 0
 	s.stats.Snapshots++
 
-	keep := uint64(s.opts.keep())
-	if newGen >= keep {
-		cutoff := newGen - keep
+	if newGen >= keepGenerations {
+		cutoff := newGen - keepGenerations
 		names, err := s.fs.ReadDir(s.dir)
 		if err != nil {
 			s.stats.GCFailures++

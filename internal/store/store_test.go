@@ -268,7 +268,7 @@ func TestWarmRestartZeroReplay(t *testing.T) {
 
 func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	fs := NewCrashFS(13)
-	s, err := Open(fs, "data", Options{SnapshotEvery: 2, KeepGenerations: 10})
+	s, err := Open(fs, "data", Options{SnapshotEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,6 +142,15 @@ func (t *Topology) RemoveLink(a, b NodeID) error {
 	return nil
 }
 
+// LinkKey normalizes the undirected link between a and b to a map key:
+// the same key for either direction.
+func LinkKey(a, b NodeID) [2]NodeID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]NodeID{a, b}
+}
+
 // AddEndpoint attaches a named endpoint with EPG labels to a switch.
 func (t *Topology) AddEndpoint(name string, attach NodeID, epgLabels ...string) error {
 	if err := t.checkNode(attach); err != nil {

@@ -69,7 +69,7 @@ func Synthetic(name string, n int, seed int64) *Topology {
 
 	core := n * 6 / 10
 	if core < 3 {
-		core = minIntTopo(3, n)
+		core = min(3, n)
 	}
 	// Ring backbone.
 	for i := 0; i < core; i++ {
@@ -111,11 +111,4 @@ func mustLink(t *Topology, a, b NodeID, c float64) {
 	if err := t.AddLink(a, b, c); err != nil {
 		panic("topo: synthetic generator produced invalid link: " + err.Error())
 	}
-}
-
-func minIntTopo(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,6 +13,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"janus/internal/dataplane"
@@ -189,7 +190,7 @@ func Simulate(t *topo.Topology, n *dataplane.Network, flows []Flow) (*Result, er
 			}
 		}
 		for i := range active {
-			if containsFrozen(frozen, i) {
+			if slices.Contains(frozen, i) {
 				continue
 			}
 			for _, l := range admitted[i].links {
@@ -252,13 +253,4 @@ func reservationOf(n *dataplane.Network, walk []topo.NodeID, f Flow) float64 {
 		}
 	}
 	return 0
-}
-
-func containsFrozen(frozen []int, i int) bool {
-	for _, f := range frozen {
-		if f == i {
-			return true
-		}
-	}
-	return false
 }

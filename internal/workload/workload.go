@@ -25,6 +25,19 @@ var NFPool = []policy.NFKind{
 	policy.ByteCounter,
 }
 
+const (
+	// maxNFs bounds the service-chain length: §7 assigns each policy 0 to 2
+	// NFs.
+	maxNFs = 2
+	// nfNodeFraction is the fraction of switches carrying NF boxes: §7
+	// assigns NFs to 10–30% of nodes; 0.2 is the middle of that range.
+	nfNodeFraction = 0.2
+	// nfLinkCapacity is the capacity of switch–NF attachment links in Mbps,
+	// large enough that NF links, which §7 does not size, are not an
+	// artificial bottleneck.
+	nfLinkCapacity = 1000
+)
+
 // Spec parameterizes a generated workload.
 type Spec struct {
 	// Policies is the number of group policies.
@@ -37,14 +50,6 @@ type Spec struct {
 	// MinBW and MaxBW bound the per-policy bandwidth requirement in Mbps;
 	// zero means the paper's 10–30 Mbps.
 	MinBW, MaxBW float64
-	// MaxNFs bounds the service-chain length (paper: 0–2).
-	MaxNFs int
-	// NFNodeFraction is the fraction of switches carrying NF boxes
-	// (paper: 10–30%; default 0.2).
-	NFNodeFraction float64
-	// NFLinkCapacity is the capacity of switch–NF attachment links
-	// (default 1000 Mbps so NF links are not the artificial bottleneck).
-	NFLinkCapacity float64
 	// Seed drives all randomness.
 	Seed int64
 
@@ -69,15 +74,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.MaxBW == 0 {
 		s.MaxBW = 30
-	}
-	if s.MaxNFs == 0 {
-		s.MaxNFs = 2
-	}
-	if s.NFNodeFraction == 0 {
-		s.NFNodeFraction = 0.2
-	}
-	if s.NFLinkCapacity == 0 {
-		s.NFLinkCapacity = 1000
 	}
 	return s
 }
@@ -111,7 +107,7 @@ func GenerateOn(tp *topo.Topology, spec Spec) (*Workload, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	if err := tp.PlaceNFs(rng, NFPool, spec.NFNodeFraction, spec.NFLinkCapacity); err != nil {
+	if err := tp.PlaceNFs(rng, NFPool, nfNodeFraction, nfLinkCapacity); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	switches := tp.NodesOfKind(topo.Switch, "")
@@ -139,7 +135,7 @@ func GenerateOn(tp *topo.Topology, spec Spec) (*Workload, error) {
 			g.Weight = spec.PriorityClasses[i%len(spec.PriorityClasses)]
 		}
 		bw := spec.MinBW + rng.Float64()*(spec.MaxBW-spec.MinBW)
-		chain := routableChain(enum, tp, pairsOfPolicy(tp, i, spec.EndpointsPerPolicy), randomChain(rng, spec.MaxNFs))
+		chain := routableChain(enum, tp, pairsOfPolicy(tp, i, spec.EndpointsPerPolicy), randomChain(rng))
 		if spec.TimePeriods > 1 {
 			// Fig 6 style: the policy spans the whole day; its bandwidth
 			// peaks in one window (round-robin across policies so every
@@ -167,7 +163,7 @@ func GenerateOn(tp *topo.Topology, spec Spec) (*Workload, error) {
 			})
 		}
 		for s := 0; s < spec.StatefulEdges; s++ {
-			esc := randomChain(rng, spec.MaxNFs)
+			esc := randomChain(rng)
 			if len(esc) == 0 {
 				esc = policy.Chain{NFPool[rng.Intn(len(NFPool))]}
 			}
@@ -236,7 +232,7 @@ func routableChain(enum *paths.Enumerator, tp *topo.Topology, pairs [][2]topo.No
 }
 
 // randomChain draws 0..maxNFs distinct NF kinds.
-func randomChain(rng *rand.Rand, maxNFs int) policy.Chain {
+func randomChain(rng *rand.Rand) policy.Chain {
 	n := rng.Intn(maxNFs + 1)
 	if n == 0 {
 		return nil
