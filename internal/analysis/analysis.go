@@ -6,7 +6,7 @@
 // Janus's correctness hinges on numerically delicate solver code and on
 // reproducible seeded randomness, which generic linters do not understand;
 // the analyzers here encode those project rules (see floatcmp.go,
-// detrand.go, lockcheck.go, errdrop.go).
+// detrand.go, lockorder.go, errdrop.go).
 //
 // A finding is suppressed by a comment of the form
 //
@@ -51,7 +51,6 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check run over a package.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Paths, when non-empty, restricts the analyzer to packages whose
 	// import path contains one of these substrings.
 	Paths []string
@@ -100,13 +99,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // production scoping: floatcmp guards the numerically delicate solver
 // packages, detrand guards all non-test internal code, ctxleak guards the
 // long-lived server/runtime/dataplane layers where a leaked goroutine
-// survives for the life of the controller, lockorder guards the layers
-// that mix locks with channels and worker pools, nilness guards the
-// layers whose nil dereference takes down the control plane, and the
-// rest — lockcheck, errdrop, hotalloc, deadstore, staleallow, deferloop,
-// and layercheck — run everywhere (layercheck self-scopes to the packages
-// layers.json names, hotalloc to the closure of //janus:hotpath roots).
-// Copying a mutex is go vet's copylocks check, not one of these.
+// survives for the life of the controller, and the rest — errdrop,
+// layercheck, lockorder, hotalloc, deadstore, and staleallow — run
+// everywhere (layercheck self-scopes to the packages layers.json names,
+// hotalloc to the closure of //janus:hotpath roots). Copying a mutex is go
+// vet's copylocks check, not one of these.
 //
 // The three interprocedural analyzers (lockorder, hotalloc, ctxleak)
 // share one whole-program call graph, built once per RunAll.
@@ -115,18 +112,13 @@ func Default() []*Analyzer {
 	fc.Paths = []string{"internal/lp", "internal/milp", "internal/core"}
 	dr := DetRand()
 	dr.Paths = []string{"internal/"}
-	nl := Nilness()
-	nl.Paths = []string{"internal/runtime", "internal/server", "internal/dataplane", "internal/core"}
 	ip := &interp{}
-	lo := lockOrderWith(ip)
-	lo.Paths = []string{"internal/runtime", "internal/server", "internal/dataplane", "internal/milp"}
 	cl := ctxLeakWith(ip)
 	cl.Paths = []string{"internal/server", "internal/runtime", "internal/dataplane"}
 	return []*Analyzer{
-		fc, dr, LockCheck(), ErrDrop(),
-		DeferLoop(), LayerCheck(),
-		lo, hotAllocWith(ip), cl,
-		nl, DeadStore(), StaleAllow(),
+		fc, dr, ErrDrop(), LayerCheck(),
+		lockOrderWith(ip), hotAllocWith(ip), cl,
+		DeadStore(), StaleAllow(),
 	}
 }
 

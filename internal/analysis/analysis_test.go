@@ -87,12 +87,9 @@ func diffDiags(t *testing.T, want map[string][]string, diags []Diagnostic) {
 	}
 }
 
-func TestFloatCmpFixture(t *testing.T)  { checkFixture(t, "floatcmp", FloatCmp()) }
-func TestDetRandFixture(t *testing.T)   { checkFixture(t, "detrand", DetRand()) }
-func TestLockCheckFixture(t *testing.T) { checkFixture(t, "lockcheck", LockCheck()) }
-func TestErrDropFixture(t *testing.T)   { checkFixture(t, "errdrop", ErrDrop()) }
-
-func TestDeferLoopFixture(t *testing.T) { checkFixture(t, "deferloop", DeferLoop()) }
+func TestFloatCmpFixture(t *testing.T) { checkFixture(t, "floatcmp", FloatCmp()) }
+func TestDetRandFixture(t *testing.T)  { checkFixture(t, "detrand", DetRand()) }
+func TestErrDropFixture(t *testing.T)  { checkFixture(t, "errdrop", ErrDrop()) }
 
 func TestLockOrderFixture(t *testing.T) { checkFixture(t, "lockorder", LockOrder()) }
 func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc", HotAlloc()) }
@@ -102,7 +99,6 @@ func TestCtxLeakFixture(t *testing.T)   { checkFixture(t, "ctxleak", CtxLeak()) 
 // operation sits behind one or more calls.
 func TestCtxLeakIPFixture(t *testing.T) { checkFixture(t, "ctxleakip", CtxLeak()) }
 
-func TestNilnessFixture(t *testing.T)   { checkFixture(t, "nilness", Nilness()) }
 func TestDeadStoreFixture(t *testing.T) { checkFixture(t, "deadstore", DeadStore()) }
 
 // staleAllowFixtureSuite is the analyzer set the staleallow fixture is
@@ -183,9 +179,6 @@ func TestGolden(t *testing.T) {
 		{"ctxleak", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "ctxleak"), []*Analyzer{CtxLeak()})
 		}},
-		{"deferloop", func(t *testing.T) []Diagnostic {
-			return Run(loadFixture(t, "deferloop"), []*Analyzer{DeferLoop()})
-		}},
 		{"layercheck", func(t *testing.T) []Diagnostic {
 			_, diags := layercheckFixtureDiags(t)
 			return diags
@@ -198,9 +191,6 @@ func TestGolden(t *testing.T) {
 		}},
 		{"ctxleakip", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "ctxleakip"), []*Analyzer{CtxLeak()})
-		}},
-		{"nilness", func(t *testing.T) []Diagnostic {
-			return Run(loadFixture(t, "nilness"), []*Analyzer{Nilness()})
 		}},
 		{"deadstore", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "deadstore"), []*Analyzer{DeadStore()})
@@ -284,7 +274,7 @@ func TestAllowSpaceForm(t *testing.T) {
 // internal/lp pulls the package in by its module import path.
 func TestLoaderModulePackage(t *testing.T) {
 	l := newTestLoader(t)
-	p, err := l.LoadDir(filepath.Join(l.ModuleRoot(), "internal", "lp"))
+	p, err := l.LoadDir(filepath.Join(l.modRoot, "internal", "lp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +298,10 @@ func TestLoadTree(t *testing.T) {
 		names = append(names, p.Types.Name())
 	}
 	want := []string{
-		"allowform", "ctxleak", "ctxleakip", "deadstore", "deferloop", "detrand",
+		"allowform", "ctxleak", "ctxleakip", "deadstore", "detrand",
 		"errdrop", "floatcmp", "hotalloc",
 		"core", "lp", "server", "stray", // layercheck/* in import-path order
-		"lockcheck", "lockorder", "nilness", "staleallow",
+		"lockorder", "staleallow",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("LoadTree packages = %v, want %v", names, want)
@@ -347,12 +337,12 @@ func TestLoadTreeImportCycle(t *testing.T) {
 
 // TestDefaultScoping verifies the production path restrictions: floatcmp
 // must not fire outside the solver packages, detrand never outside
-// internal/, ctxleak only in the long-lived layers, and the CFG-backed
-// checks everywhere.
+// internal/, ctxleak only in the long-lived layers, and the rest
+// everywhere.
 func TestDefaultScoping(t *testing.T) {
 	suite := Default()
-	if len(suite) != 12 {
-		t.Fatalf("Default() has %d analyzers, want 12", len(suite))
+	if len(suite) != 9 {
+		t.Fatalf("Default() has %d analyzers, want 9", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {
@@ -383,21 +373,7 @@ func TestDefaultScoping(t *testing.T) {
 				!a.applies("janus/internal/dataplane") {
 				t.Error("ctxleak should apply to internal/server, internal/runtime and internal/dataplane")
 			}
-		case "lockorder":
-			if a.applies("janus/internal/lp") {
-				t.Error("lockorder should not apply to internal/lp")
-			}
-			if !a.applies("janus/internal/milp") || !a.applies("janus/internal/runtime") {
-				t.Error("lockorder should apply to internal/milp and internal/runtime")
-			}
-		case "nilness":
-			if a.applies("janus/internal/lp") {
-				t.Error("nilness should not apply to internal/lp")
-			}
-			if !a.applies("janus/internal/runtime") || !a.applies("janus/internal/core") {
-				t.Error("nilness should apply to internal/runtime and internal/core")
-			}
-		case "lockcheck", "errdrop", "deferloop", "layercheck",
+		case "errdrop", "layercheck", "lockorder",
 			"hotalloc", "deadstore", "staleallow":
 			if !a.applies("janus/cmd/janus") || !a.applies("janus/internal/server") {
 				t.Errorf("%s should apply everywhere", a.Name)
@@ -430,9 +406,9 @@ func TestRunAllDeterminism(t *testing.T) {
 		dr := DetRand()
 		dr.Paths = []string{"internal/server"}
 		return []*Analyzer{
-			FloatCmp(), dr, LockCheck(), ErrDrop(), DeferLoop(),
+			FloatCmp(), dr, ErrDrop(),
 			LockOrder(), HotAlloc(), CtxLeak(),
-			Nilness(), DeadStore(), StaleAllow(),
+			DeadStore(), StaleAllow(),
 		}
 	}
 	base := renderDiags(RunAll(pkgs, suite()))

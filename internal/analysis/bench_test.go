@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkJanuslintRepo measures a full self-hosted lint: load every
 // production package of the module from source (parse + type-check) and
-// run the default twelve-analyzer suite — including the whole-program
+// run the default nine-analyzer suite — including the whole-program
 // call graph the interprocedural checks share — over all of them. This is
 // exactly what `make lint` does, so the number tracks the cost of the CI
 // gate as the repo and the analyzer suite grow. Run with -benchtime=1x for
@@ -15,7 +15,7 @@ func BenchmarkJanuslintRepo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pkgs, err := l.LoadTree(l.ModuleRoot())
+		pkgs, err := l.LoadTree(l.modRoot)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,10 +2,10 @@
 // function bodies and runs worklist dataflow analyses on them. It is the
 // flow-sensitive backbone of januslint (internal/analysis): syntax walks
 // can spot a pattern on one line, but the concurrency and lifetime rules
-// Janus cares about — a mutex copied after it is first locked, a goroutine
-// whose blocking receive no cancellation signal can reach, a defer
-// accumulating inside the per-period temporal loop — are properties of
-// paths, and paths live here.
+// Janus cares about — a guarded field read before its mutex is locked, a
+// goroutine whose blocking receive no cancellation signal can reach, a
+// store overwritten before it is read — are properties of paths, and paths
+// live here.
 //
 // The package is stdlib-only (go/ast + go/token), matching the rest of the
 // analysis framework. A Graph is intraprocedural: function literals nested
@@ -447,60 +447,6 @@ func (g *Graph) ReversePostorder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// BackEdges returns the loop-closing edges: every edge u→v found while v
-// is still on the depth-first spine (so v is u's ancestor).
-func (g *Graph) BackEdges() [][2]*Block {
-	const (
-		white = iota
-		grey
-		black
-	)
-	color := map[*Block]int{}
-	var edges [][2]*Block
-	var walk func(*Block)
-	walk = func(b *Block) {
-		color[b] = grey
-		for _, s := range b.Succs {
-			switch color[s] {
-			case white:
-				walk(s)
-			case grey:
-				edges = append(edges, [2]*Block{b, s})
-			}
-		}
-		color[b] = black
-	}
-	walk(g.Entry)
-	return edges
-}
-
-// LoopBlocks returns every block inside at least one natural loop: for a
-// back edge u→v, the loop is v plus all blocks that reach u without
-// passing through v. A defer or an unbounded allocation in one of these
-// blocks repeats every iteration.
-func (g *Graph) LoopBlocks() map[*Block]bool {
-	in := map[*Block]bool{}
-	for _, e := range g.BackEdges() {
-		u, v := e[0], e[1]
-		loop := map[*Block]bool{v: true, u: true}
-		stack := []*Block{u}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range n.Preds {
-				if !loop[p] {
-					loop[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-		for b := range loop {
-			in[b] = true
-		}
-	}
-	return in
 }
 
 // String renders the graph for debugging and structural tests:

@@ -57,6 +57,15 @@ func wantEdge(t *testing.T, g *Graph, from, to *Block) {
 	}
 }
 
+// wantDump pins the whole graph: every block and every edge, so no loop
+// edge can appear or vanish unnoticed.
+func wantDump(t *testing.T, g *Graph, want string) {
+	t.Helper()
+	if got := g.String(); got != want {
+		t.Errorf("graph dump:\n%swant:\n%s", got, want)
+	}
+}
+
 func TestIfElseDiamond(t *testing.T) {
 	g := buildCFG(t, "if c {\na()\n} else {\nb()\n}\nd()")
 	then, els, join := one(t, g, "if.then"), one(t, g, "if.else"), one(t, g, "if.join")
@@ -75,9 +84,7 @@ func TestIfElseDiamond(t *testing.T) {
 	if rpo[0] != g.Entry || rpo[len(rpo)-1] != g.Exit {
 		t.Errorf("RPO must start at entry and end at exit for a diamond:\n%s", g)
 	}
-	if len(g.LoopBlocks()) != 0 {
-		t.Errorf("acyclic graph reported loop blocks\n%s", g)
-	}
+	wantDump(t, g, "0:entry -> 2 3\n1:exit ->\n2:if.then -> 4\n3:if.else -> 4\n4:if.join -> 1\n")
 }
 
 func TestIfWithoutElse(t *testing.T) {
@@ -95,19 +102,8 @@ func TestForLoopShape(t *testing.T) {
 	wantEdge(t, g, head, join)
 	wantEdge(t, g, body, post)
 	wantEdge(t, g, post, head)
-	back := g.BackEdges()
-	if len(back) != 1 || back[0][0] != post || back[0][1] != head {
-		t.Errorf("back edges = %v, want exactly post -> head\n%s", back, g)
-	}
-	loops := g.LoopBlocks()
-	for _, b := range []*Block{head, body, post} {
-		if !loops[b] {
-			t.Errorf("block %d:%s should be in the loop\n%s", b.Index, b.Label, g)
-		}
-	}
-	if loops[g.Entry] || loops[join] {
-		t.Errorf("entry/join must stay outside the loop\n%s", g)
-	}
+	// The only loop-closing edge is post -> head.
+	wantDump(t, g, "0:entry -> 2\n1:exit ->\n2:for.head -> 3 5\n3:for.join -> 1\n4:for.post -> 2\n5:for.body -> 4\n")
 }
 
 func TestForBreakContinue(t *testing.T) {
@@ -158,9 +154,7 @@ func TestRangeShape(t *testing.T) {
 	wantEdge(t, g, head, body)
 	wantEdge(t, g, head, join)
 	wantEdge(t, g, body, head)
-	if !g.LoopBlocks()[body] {
-		t.Errorf("range body must be a loop block\n%s", g)
-	}
+	wantDump(t, g, "0:entry -> 2\n1:exit ->\n2:range.head -> 3 4\n3:range.join -> 1\n4:range.body -> 2\n")
 }
 
 func TestSwitchShape(t *testing.T) {
@@ -211,26 +205,6 @@ func TestSelectWithDefault(t *testing.T) {
 	head := one(t, g, "select.head")
 	def := one(t, g, "select.default")
 	wantEdge(t, g, head, def)
-}
-
-func TestDeferInLoopBlocks(t *testing.T) {
-	g := buildCFG(t, "defer top()\nfor {\ndefer mu.Unlock()\nwork()\n}")
-	loops := g.LoopBlocks()
-	inLoop, outLoop := 0, 0
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				if loops[b] {
-					inLoop++
-				} else {
-					outLoop++
-				}
-			}
-		}
-	}
-	if inLoop != 1 || outLoop != 1 {
-		t.Errorf("defers in/out of loop = %d/%d, want 1/1\n%s", inLoop, outLoop, g)
-	}
 }
 
 func TestReturnAndUnreachable(t *testing.T) {
@@ -392,14 +366,23 @@ func TestLabeledContinueAcrossNestedLoops(t *testing.T) {
 		t.Errorf("inner join should be unreachable, has %d preds\n%s", len(innerJoin.Preds), g)
 	}
 
-	// Loop membership: both heads are loop blocks, the joins are not.
-	loops := g.LoopBlocks()
-	if !loops[outerHead] || !loops[innerHead] {
-		t.Errorf("both loop heads must be loop blocks\n%s", g)
-	}
-	if loops[outerJoin] {
-		t.Errorf("outer join must stay outside the loop\n%s", g)
-	}
+	// Loop edges: the outer post closes the outer loop, the inner body's
+	// fallthrough closes the inner one, and both joins leave their loops.
+	wantDump(t, g, `0:entry -> 2
+1:exit ->
+2:label.outer -> 3
+3:for.head -> 4 6
+4:for.join -> 1
+5:for.post -> 3
+6:for.body -> 7
+7:for.head -> 9
+8:for.join -> 5
+9:for.body -> 10 11
+10:if.then -> 5
+11:if.join -> 12 13
+12:if.then -> 4
+13:if.join -> 7
+`)
 }
 
 // TestGotoOverDeclaration jumps forward over a variable declaration: the
@@ -430,30 +413,13 @@ func TestGotoOverDeclaration(t *testing.T) {
 }
 
 // TestGotoBackwardLoop checks that a backward goto forms a proper loop:
-// the goto edge is recognized as a back edge and the label block becomes a
-// loop block.
+// the goto edge closes it at the label block, and the entry stays outside.
 func TestGotoBackwardLoop(t *testing.T) {
 	g := buildCFG(t, "top:\nwork()\nif c {\ngoto top\n}\ndone()")
 	lbl := one(t, g, "label.top")
 	then := one(t, g, "if.then")
 	wantEdge(t, g, then, lbl)
-	back := g.BackEdges()
-	found := false
-	for _, e := range back {
-		if e[0] == then && e[1] == lbl {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("goto top should register as a back edge, got %v\n%s", back, g)
-	}
-	loops := g.LoopBlocks()
-	if !loops[lbl] || !loops[then] {
-		t.Errorf("label and goto blocks must be loop blocks\n%s", g)
-	}
-	if loops[g.Entry] {
-		t.Errorf("entry must stay outside the goto loop\n%s", g)
-	}
+	wantDump(t, g, "0:entry -> 2\n1:exit ->\n2:label.top -> 3 4\n3:if.then -> 2\n4:if.join -> 1\n")
 }
 
 // TestGotoIntoBranch jumps from one arm of an if into a label in the
@@ -487,10 +453,8 @@ func Map[T any, U any](xs []T, f func(T) U) []U {
 	wantEdge(t, g, head, body)
 	wantEdge(t, g, head, join)
 	wantEdge(t, g, body, head)
-	back := g.BackEdges()
-	if len(back) != 1 || back[0][0] != body || back[0][1] != head {
-		t.Errorf("back edges = %v, want exactly body -> head\n%s", back, g)
-	}
+	// The only loop-closing edge is body -> head.
+	wantDump(t, g, "0:entry -> 2\n1:exit ->\n2:range.head -> 3 4\n3:range.join -> 1\n4:range.body -> 2\n")
 	if len(g.Exit.Preds) == 0 {
 		t.Errorf("return must reach exit\n%s", g)
 	}
@@ -523,7 +487,5 @@ func Kind[T any](v T) string {
 			t.Errorf("every case returns, so each must edge to exit\n%s", g)
 		}
 	}
-	if len(g.LoopBlocks()) != 0 {
-		t.Errorf("acyclic generic body reported loop blocks\n%s", g)
-	}
+	wantDump(t, g, "0:entry -> 3 4 5\n1:exit ->\n2:switch.join -> 1\n3:switch.case -> 1\n4:switch.case -> 1\n5:switch.default -> 1\n")
 }

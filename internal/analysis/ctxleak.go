@@ -37,10 +37,7 @@ import (
 func CtxLeak() *Analyzer { return ctxLeakWith(&interp{}) }
 
 func ctxLeakWith(ip *interp) *Analyzer {
-	a := &Analyzer{
-		Name: "ctxleak",
-		Doc:  "flags goroutines whose call-graph closure can block forever with no context or done channel reaching it",
-	}
+	a := &Analyzer{Name: "ctxleak"}
 	a.Prepare = ip.prepare
 	a.Run = bucketed(ip, computeCtxLeak)
 	return a

@@ -29,10 +29,7 @@ import (
 // declarations (an uninitialized var before branches that assign it is
 // idiomatic, not a bug).
 func DeadStore() *Analyzer {
-	a := &Analyzer{
-		Name: "deadstore",
-		Doc:  "flags stores whose value is never read (SSA def-use)",
-	}
+	a := &Analyzer{Name: "deadstore"}
 	a.Run = func(pass *Pass) {
 		for _, fd := range funcDecls(pass.Pkg.Files) {
 			fn := ssa.Build(pass.Pkg.Info, fd.typ, fd.recv, fd.body)

@@ -28,10 +28,7 @@ var detrandForbidden = map[string]bool{
 // non-deterministically interleaved under concurrency, and (pre-1.20)
 // seeded from wall clock.
 func DetRand() *Analyzer {
-	a := &Analyzer{
-		Name: "detrand",
-		Doc:  "forbids global math/rand functions; thread a seeded *rand.Rand instead",
-	}
+	a := &Analyzer{Name: "detrand"}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
 		pass.inspect(func(n ast.Node) bool {

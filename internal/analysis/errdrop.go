@@ -18,10 +18,7 @@ import (
 //     and write methods on those types: their writes are documented to
 //     never fail.
 func ErrDrop() *Analyzer {
-	a := &Analyzer{
-		Name: "errdrop",
-		Doc:  "flags call statements that silently discard an error result",
-	}
+	a := &Analyzer{Name: "errdrop"}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
 		errType := types.Universe.Lookup("error").Type()

@@ -15,10 +15,7 @@ import (
 // are exactly zero by construction, zero-value config sentinels) must be
 // annotated //janus:allow(floatcmp): with a reason.
 func FloatCmp() *Analyzer {
-	a := &Analyzer{
-		Name: "floatcmp",
-		Doc:  "flags ==/!= between floating-point expressions; use an epsilon helper",
-	}
+	a := &Analyzer{Name: "floatcmp"}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
 		pass.inspect(func(n ast.Node) bool {

@@ -43,10 +43,7 @@ const hotpathPrefix = "//janus:hotpath"
 func HotAlloc() *Analyzer { return hotAllocWith(&interp{}) }
 
 func hotAllocWith(ip *interp) *Analyzer {
-	a := &Analyzer{
-		Name: "hotalloc",
-		Doc:  "flags statically-detectable heap allocations reachable from //janus:hotpath roots",
-	}
+	a := &Analyzer{Name: "hotalloc"}
 	a.Prepare = ip.prepare
 	a.Run = bucketed(ip, computeHotAlloc)
 	return a

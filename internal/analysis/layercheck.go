@@ -139,25 +139,20 @@ func (r *LayerRules) allowed(from, to string) bool {
 // (used by tests; production code uses LayerCheck, which loads the
 // checked-in layers.json).
 func LayerCheckWith(rules *LayerRules) *Analyzer {
-	a := &Analyzer{
-		Name: "layercheck",
-		Doc:  "enforces the package-import DAG declared in internal/analysis/layers.json",
-	}
+	a := &Analyzer{Name: "layercheck"}
 	a.Run = func(pass *Pass) {
 		runLayerCheck(pass, rules)
 	}
 	return a
 }
 
-// LayerCheck returns the layercheck analyzer. The rules are loaded once
+// LayerCheck returns the layercheck analyzer, which enforces the
+// package-import DAG declared in layers.json. The rules are loaded once
 // from internal/analysis/layers.json under the module root of the first
 // analyzed package; a missing or malformed file is itself a finding (the
 // contract must exist for the check to mean anything).
 func LayerCheck() *Analyzer {
-	a := &Analyzer{
-		Name: "layercheck",
-		Doc:  "enforces the package-import DAG declared in internal/analysis/layers.json",
-	}
+	a := &Analyzer{Name: "layercheck"}
 	var (
 		once     sync.Once
 		rules    *LayerRules

@@ -71,9 +71,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
-
 // findModule walks up from dir to the nearest go.mod and returns the module
 // root and module path.
 func findModule(dir string) (root, modPath string, err error) {

@@ -35,16 +35,16 @@ import (
 // channel op under a lock stalls every other locker. sync.Cond.Wait is
 // exempt (it releases the lock while parked).
 //
-// In Default() the check is scoped to internal/runtime, internal/server,
-// internal/dataplane, and internal/milp — the layers that mix locks with
-// channels and worker pools.
+// The same held set enforces the struct layout convention "mu guards the
+// fields below it": in every struct, a sync.Mutex or sync.RWMutex field
+// guards the fields declared after it, up to the next mutex field (fields
+// above the first mutex are immutable after construction). A method that
+// touches recv.f while f's mutex is not held at that statement is flagged,
+// unless its name ends in "Locked" (the caller-holds-lock convention).
 func LockOrder() *Analyzer { return lockOrderWith(&interp{}) }
 
 func lockOrderWith(ip *interp) *Analyzer {
-	a := &Analyzer{
-		Name: "lockorder",
-		Doc:  "detects lock-order cycles and channel operations performed while holding a mutex",
-	}
+	a := &Analyzer{Name: "lockorder"}
 	a.Prepare = ip.prepare
 	a.Run = bucketed(ip, computeLockOrder)
 	return a
@@ -132,12 +132,13 @@ func computeLockOrder(g *callgraph.Graph, pkgs []*Package) map[*types.Package][]
 		}
 	}
 
+	guards := guardedFields(pkgs)
 	for _, n := range g.Nodes {
 		body := n.Body()
 		if body == nil || n.Unit == nil {
 			continue
 		}
-		replayLockOrder(g, n, fset, acquires, mayBlock, addEdge, report)
+		replayLockOrder(g, n, fset, acquires, mayBlock, guards, addEdge, report)
 	}
 
 	reportOrderCycles(fset, edges, report)
@@ -148,11 +149,52 @@ func computeLockOrder(g *callgraph.Graph, pkgs []*Package) map[*types.Package][]
 	return byPkg
 }
 
+// guardedFields maps each field of every package-level struct type to the
+// mutex field that guards it: the nearest mutex field declared above it.
+func guardedFields(pkgs []*Package) map[*types.Var]*types.Var {
+	guards := map[*types.Var]*types.Var{}
+	for _, p := range pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			var mu *types.Var
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				switch {
+				case isMutex(f.Type()):
+					mu = f
+				case mu != nil:
+					guards[f] = mu
+				}
+			}
+		}
+	}
+	return guards
+}
+
+// guardReceiver returns the receiver of a method held to the guard rule,
+// or nil for function literals, plain functions, and methods named
+// *Locked, whose callers hold the lock.
+func guardReceiver(n *callgraph.Node) *types.Var {
+	if n.Func == nil || strings.HasSuffix(n.Func.Name(), "Locked") {
+		return nil
+	}
+	return n.Func.Type().(*types.Signature).Recv()
+}
+
 // replayLockOrder runs the held-set fixpoint over one body and replays it
 // statement by statement, feeding acquisition-order edges and flow
 // findings to the sinks.
 func replayLockOrder(g *callgraph.Graph, n *callgraph.Node, fset *token.FileSet,
 	acquires map[*callgraph.Node]lockClasses, mayBlock map[*callgraph.Node]bool,
+	guards map[*types.Var]*types.Var,
 	addEdge func(from, to *types.Var, pkg *types.Package, pos token.Pos),
 	report func(pkg *types.Package, pos token.Pos, format string, args ...any)) {
 
@@ -160,6 +202,7 @@ func replayLockOrder(g *callgraph.Graph, n *callgraph.Node, fset *token.FileSet,
 	pkg := n.Unit.Pkg
 	body := n.Body()
 	cg := cfg.New(body)
+	recv := guardReceiver(n)
 
 	// Comm statements belong to their select: a no-default select is
 	// reported once as a whole, and one with a default never blocks.
@@ -214,6 +257,22 @@ func replayLockOrder(g *callgraph.Graph, n *callgraph.Node, fset *token.FileSet,
 							report(pkg, y.Pos(), "call into %s may block on a channel operation while holding %s", friendlyName(fset, callee), heldNames(held))
 						}
 					}
+				}
+			case *ast.SelectorExpr:
+				if !observe || recv == nil {
+					return
+				}
+				if id, ok := y.X.(*ast.Ident); !ok || info.Uses[id] != recv {
+					return
+				}
+				sel := info.Selections[y]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				f, _ := sel.Obj().(*types.Var)
+				if mu := guards[f]; mu != nil && !held[mu] {
+					report(pkg, y.Sel.Pos(), "%s accesses %s (guarded by %s) without holding the lock: lock %s, add a Locked name suffix, or annotate //janus:allow(lockorder): <reason>",
+						friendlyName(fset, n), f.Name(), mu.Name(), mu.Name())
 				}
 			case *ast.SendStmt:
 				if observe && len(held) > 0 && !commOps[x] {
@@ -535,4 +594,14 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
+}
+
+func isMutex(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }

@@ -14,8 +14,8 @@
 // treat their values as unknown.
 //
 // The package is stdlib-only, like the rest of the analysis framework.
-// Analyzers built on it (nilness, deadstore — see internal/analysis) walk
-// Defs/UseDef instead of re-deriving flow facts per check.
+// The deadstore analyzer built on it (see internal/analysis) walks
+// Defs/UseDef instead of re-deriving flow facts.
 package ssa
 
 import (
@@ -77,14 +77,6 @@ type Def struct {
 	// Ident is the defined occurrence of the variable's name at the site
 	// (nil for phis and for parameters declared without a body ident).
 	Ident *ast.Ident
-	// RHS is the bound value when the site binds it 1:1 (x = v, x := v,
-	// one spec name with one init value). It is nil for tuple assignments,
-	// compound assignments (x += v), x++, range bindings, zero inits, and
-	// phis — the bound value is not a single expression there.
-	RHS ast.Expr
-	// Tuple marks an Assign that binds one position of a multi-value
-	// right-hand side (x, err := f()).
-	Tuple bool
 	// Ops are a phi's operands: the definition reaching the block along
 	// each incoming edge. A path on which the variable is not yet defined
 	// (declared in a sibling branch) contributes no operand; Incomplete is
@@ -98,10 +90,6 @@ type Def struct {
 	Uses []*ast.Ident
 	// PhiUses are the phis this definition feeds as an operand.
 	PhiUses []*Def
-
-	// within, for a use collected during renaming, links back to the
-	// tuple-mates of the def whose RHS contains the use (DCE bookkeeping,
-	// see Func.Live).
 }
 
 // Unused reports whether nothing reads this definition — no identifier use
@@ -419,8 +407,7 @@ func (b *ssaBuilder) assign(n *ast.AssignStmt) {
 			b.uses(lhs)
 		}
 	}
-	tuple := len(n.Lhs) > 1 && len(n.Rhs) == 1
-	for i, lhs := range n.Lhs {
+	for _, lhs := range n.Lhs {
 		id, ok := unparen(lhs).(*ast.Ident)
 		if !ok {
 			// x.f = v, x[i] = v, *p = v: the path expression is a use.
@@ -436,13 +423,7 @@ func (b *ssaBuilder) assign(n *ast.AssignStmt) {
 		if v == nil {
 			continue
 		}
-		d := &Def{Var: v, Kind: Assign, Site: n, Ident: id, Tuple: tuple}
-		if !tuple && n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-			// compound: value is computed, not a single RHS expression
-		} else if !tuple && i < len(n.Rhs) {
-			d.RHS = n.Rhs[i]
-		}
-		b.emitDef(d)
+		b.emitDef(&Def{Var: v, Kind: Assign, Site: n, Ident: id})
 	}
 }
 
@@ -462,8 +443,7 @@ func (b *ssaBuilder) decl(n *ast.DeclStmt) {
 		for _, val := range vs.Values {
 			b.uses(val)
 		}
-		tuple := len(vs.Names) > 1 && len(vs.Values) == 1
-		for i, name := range vs.Names {
+		for _, name := range vs.Names {
 			if name.Name == "_" {
 				continue
 			}
@@ -471,17 +451,9 @@ func (b *ssaBuilder) decl(n *ast.DeclStmt) {
 			if v == nil {
 				continue
 			}
-			d := &Def{Var: v, Site: vs, Ident: name, Tuple: tuple}
-			switch {
-			case len(vs.Values) == 0:
+			d := &Def{Var: v, Kind: Assign, Site: vs, Ident: name}
+			if len(vs.Values) == 0 {
 				d.Kind = Zero
-			case tuple:
-				d.Kind = Assign
-			default:
-				d.Kind = Assign
-				if i < len(vs.Values) {
-					d.RHS = vs.Values[i]
-				}
 			}
 			b.emitDef(d)
 		}

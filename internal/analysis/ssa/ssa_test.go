@@ -505,8 +505,8 @@ func f(c bool) string {
 		if obj := info.Uses[id]; obj == nil || obj.Name() != "s" {
 			continue
 		}
-		if d.RHS == nil {
-			t.Errorf("use at %v resolved to def without RHS (kind %v)", id.Pos(), d.Kind)
+		if d.Kind != Assign {
+			t.Errorf("use at %v resolved to a %v def, want a store", id.Pos(), d.Kind)
 		}
 	}
 	if got := len(phisOf(f, "s")); got != 0 {

@@ -27,7 +27,6 @@ import "fmt"
 func StaleAllow() *Analyzer {
 	return &Analyzer{
 		Name: "staleallow",
-		Doc:  "flags //janus:allow directives that suppress nothing",
 		// Run is nil: the audit needs every other analyzer's suppression
 		// hits, so RunAll drives it after the per-package passes finish.
 	}

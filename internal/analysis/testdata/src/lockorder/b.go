@@ -3,8 +3,8 @@ package lockorder
 import "sync"
 
 type box struct {
+	ch chan int // set at construction
 	mu sync.Mutex
-	ch chan int
 }
 
 // sendLocked performs a channel send with mu held.

@@ -58,7 +58,7 @@ import (
 
 // Server is the Janus HTTP controller. Fields above mu are immutable after
 // New; mu guards the fields below it (the layout convention enforced by
-// januslint's lockcheck).
+// januslint's lockorder).
 type Server struct {
 	topo *topo.Topology
 	cfg  core.Config
