@@ -92,8 +92,12 @@ func TestDetRandFixture(t *testing.T)  { checkFixture(t, "detrand", DetRand()) }
 func TestErrDropFixture(t *testing.T)  { checkFixture(t, "errdrop", ErrDrop()) }
 
 func TestLockOrderFixture(t *testing.T) { checkFixture(t, "lockorder", LockOrder()) }
-func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc", HotAlloc()) }
-func TestCtxLeakFixture(t *testing.T)   { checkFixture(t, "ctxleak", CtxLeak()) }
+
+// TestLockCheckFixture checks lockorder's guard rule on its own fixture.
+func TestLockCheckFixture(t *testing.T) { checkFixture(t, "lockcheck", LockOrder()) }
+
+func TestHotAllocFixture(t *testing.T) { checkFixture(t, "hotalloc", HotAlloc()) }
+func TestCtxLeakFixture(t *testing.T)  { checkFixture(t, "ctxleak", CtxLeak()) }
 
 // TestCtxLeakIPFixture runs ctxleak over goroutines whose blocking
 // operation sits behind one or more calls.
@@ -185,6 +189,9 @@ func TestGolden(t *testing.T) {
 		}},
 		{"lockorder", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "lockorder"), []*Analyzer{LockOrder()})
+		}},
+		{"lockcheck", func(t *testing.T) []Diagnostic {
+			return Run(loadFixture(t, "lockcheck"), []*Analyzer{LockOrder()})
 		}},
 		{"hotalloc", func(t *testing.T) []Diagnostic {
 			return Run(loadFixture(t, "hotalloc"), []*Analyzer{HotAlloc()})
@@ -301,7 +308,7 @@ func TestLoadTree(t *testing.T) {
 		"allowform", "ctxleak", "ctxleakip", "deadstore", "detrand",
 		"errdrop", "floatcmp", "hotalloc",
 		"core", "lp", "server", "stray", // layercheck/* in import-path order
-		"lockorder", "staleallow",
+		"lockcheck", "lockorder", "staleallow",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("LoadTree packages = %v, want %v", names, want)

@@ -1,6 +1,6 @@
-// The guard rule: each mutex field guards the fields below it, up to the
-// next mutex field, and a method must hold it to touch them.
-package lockorder
+// Package lockcheck is a januslint fixture for lockorder's guard rule: lines
+// marked "want lockorder" must be reported.
+package lockcheck
 
 import "sync"
 
