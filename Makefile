@@ -104,10 +104,13 @@ difftest:
 # injected faults — and every installed result, metric-visible satisfaction
 # count, and journal replay must match byte-for-byte. This is the permanent
 # gate for delta-solve changes, alongside the unit/edge-case suites.
+# TestResolveReplay re-solves the fault-free journal: each record's input,
+# fed to a fresh runtime at one solver worker, must reproduce the recorded
+# result, so a solver or model change shows which recorded events moved.
 # The paths run holds selective link invalidation to a fresh enumeration and
 # Valid's output to a reference enumeration on the fig11 instances.
 deltadiff:
-	$(GO) test -race -count=1 -run 'TestDeltaDiff' ./internal/runtime/ -v
+	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
 	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex' ./internal/core/ ./internal/runtime/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestValidOrderPinned' ./internal/paths/
 

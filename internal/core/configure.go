@@ -28,15 +28,10 @@ func (c *Configurator) ConfigureContext(ctx context.Context, period int) (*Resul
 // assignments (§5.4). Use CountPathChanges(prev, next) to measure the
 // disruption.
 func (c *Configurator) Reconfigure(prev *Result) (*Result, error) {
-	return c.ReconfigureContext(context.Background(), prev)
-}
-
-// ReconfigureContext is Reconfigure with a cancellation context.
-func (c *Configurator) ReconfigureContext(ctx context.Context, prev *Result) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: Reconfigure requires a previous result")
 	}
-	return c.ReconfigureAtContext(ctx, prev, prev.Period)
+	return c.ReconfigureAtContext(context.Background(), prev, prev.Period)
 }
 
 // ReconfigureAtContext re-solves for the given period (which may differ

@@ -122,39 +122,38 @@ func TestChaosSoak(t *testing.T) {
 		before := snapshotRules(rt.Network())
 		mBefore := rt.Metrics()
 		hourBefore := rt.Hour()
-		var evErr error
-		kind := ""
+		var ev Event
 		switch {
 		case i == 12:
-			kind = "linkfail"
-			evErr = rt.FailLink(ctx, sw["core1"], sw["core2"])
-			flapFailed = evErr == nil
+			ev = Event{Kind: EventLinkFail, From: sw["core1"], To: sw["core2"]}
 		case i == 30:
-			kind = "linkrestore"
-			if flapFailed {
-				evErr = rt.RestoreLink(ctx, sw["core1"], sw["core2"])
-				flapRestored = evErr == nil
-			}
+			ev = Event{Kind: EventLinkRestore, From: sw["core1"], To: sw["core2"]}
 		default:
 			switch roll := rng.Intn(10); {
 			case roll < 4:
-				kind = "move"
-				evErr = rt.MoveEndpoint(ctx, clients[rng.Intn(len(clients))],
-					switches[rng.Intn(len(switches))])
+				ev = Event{Kind: EventMove, Endpoint: clients[rng.Intn(len(clients))], To: switches[rng.Intn(len(switches))]}
 			case roll < 7:
-				kind = "hour"
-				evErr = rt.AdvanceTo(ctx, (rt.Hour()+1+rng.Intn(5))%policy.HoursPerDay)
+				ev = Event{Kind: EventHour, Hour: (rt.Hour() + 1 + rng.Intn(5)) % policy.HoursPerDay}
 			default:
-				kind = "counter"
-				evErr = rt.ReportEvent(ctx, clients[rng.Intn(len(clients))],
-					targets[rng.Intn(len(targets))], policy.FailedConnections, 1+rng.Intn(3))
+				ev = Event{Kind: EventCounter, Src: clients[rng.Intn(len(clients))], Dst: targets[rng.Intn(len(targets))],
+					Event: policy.FailedConnections, Delta: 1 + rng.Intn(3)}
 			}
+		}
+		var evErr error
+		if ev.Kind != EventLinkRestore || flapFailed {
+			evErr = rt.Apply(ctx, ev)
+		}
+		switch ev.Kind {
+		case EventLinkFail:
+			flapFailed = evErr == nil
+		case EventLinkRestore:
+			flapRestored = flapFailed && evErr == nil
 		}
 		if evErr == nil {
 			successes++
 			// Zero audit violations after every successful install.
 			if vs := rt.Audit(); len(vs) != 0 {
-				t.Fatalf("event %d (%s): audit violations after success: %v", i, kind, vs)
+				t.Fatalf("event %d %+v: audit violations after success: %v", i, ev, vs)
 			}
 			continue
 		}
@@ -164,7 +163,7 @@ func TestChaosSoak(t *testing.T) {
 		m := rt.Metrics()
 		if m.QuarantinedSwitches == mBefore.QuarantinedSwitches && rt.Hour() == hourBefore {
 			if !reflect.DeepEqual(before, snapshotRules(rt.Network())) {
-				t.Fatalf("event %d (%s): failed event mutated the rule set: %v", i, kind, evErr)
+				t.Fatalf("event %d %+v: failed event mutated the rule set: %v", i, ev, evErr)
 			}
 		}
 	}

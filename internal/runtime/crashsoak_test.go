@@ -14,52 +14,36 @@ import (
 	"janus/internal/topo"
 )
 
-// soakEvent is one step of the deterministic crash-soak schedule; both the
-// never-crashed reference runtime and every crash-injected runtime replay
-// the identical schedule.
-type soakEvent struct {
-	kind  string
-	apply func(ctx context.Context, rt *Runtime) error
-}
-
-// soakSchedule builds a fixed, seeded event schedule covering mobility
+// soakSchedule builds a fixed, seeded event trace covering mobility
 // (moves), temporal dynamics (hour advances across period boundaries),
 // stateful dynamics (event counters tripping the H-IDS escalation), and
-// link failure/restore — the dynamics suites the tentpole must recover.
-func soakSchedule(sw map[string]topo.NodeID) []soakEvent {
+// link failure/restore — every dynamics suite recovery must survive.
+// Both the never-crashed reference runtime and every crash-injected
+// runtime apply the identical trace. The schedule keeps its own clock, so
+// an hour tick's target is absolute.
+func soakSchedule(sw map[string]topo.NodeID) []Event {
 	rng := rand.New(rand.NewSource(77))
 	switches := []topo.NodeID{sw["e1"], sw["e2"], sw["core1"], sw["core2"]}
 	clients := []string{"c1", "c2"}
-	var evs []soakEvent
+	hour := 0
+	var evs []Event
 	for i := 0; i < 18; i++ {
 		switch {
 		case i == 6:
-			evs = append(evs, soakEvent{"linkfail", func(ctx context.Context, rt *Runtime) error {
-				return rt.FailLink(ctx, sw["core1"], sw["core2"])
-			}})
+			evs = append(evs, Event{Kind: EventLinkFail, From: sw["core1"], To: sw["core2"]})
 		case i == 12:
-			evs = append(evs, soakEvent{"linkrestore", func(ctx context.Context, rt *Runtime) error {
-				return rt.RestoreLink(ctx, sw["core1"], sw["core2"])
-			}})
+			evs = append(evs, Event{Kind: EventLinkRestore, From: sw["core1"], To: sw["core2"]})
 		default:
 			switch roll := rng.Intn(10); {
 			case roll < 4:
-				name := clients[rng.Intn(len(clients))]
-				to := switches[rng.Intn(len(switches))]
-				evs = append(evs, soakEvent{"move", func(ctx context.Context, rt *Runtime) error {
-					return rt.MoveEndpoint(ctx, name, to)
-				}})
+				evs = append(evs, Event{Kind: EventMove,
+					Endpoint: clients[rng.Intn(len(clients))], To: switches[rng.Intn(len(switches))]})
 			case roll < 7:
-				step := 1 + rng.Intn(5)
-				evs = append(evs, soakEvent{"hour", func(ctx context.Context, rt *Runtime) error {
-					return rt.AdvanceTo(ctx, (rt.Hour()+step)%policy.HoursPerDay)
-				}})
+				hour = (hour + 1 + rng.Intn(5)) % policy.HoursPerDay
+				evs = append(evs, Event{Kind: EventHour, Hour: hour})
 			default:
-				src := clients[rng.Intn(len(clients))]
-				delta := 1 + rng.Intn(3)
-				evs = append(evs, soakEvent{"counter", func(ctx context.Context, rt *Runtime) error {
-					return rt.ReportEvent(ctx, src, "web", policy.FailedConnections, delta)
-				}})
+				evs = append(evs, Event{Kind: EventCounter, Src: clients[rng.Intn(len(clients))], Dst: "web",
+					Event: policy.FailedConnections, Delta: 1 + rng.Intn(3)})
 			}
 		}
 	}
@@ -100,7 +84,7 @@ func (j *countingJournal) Append(*store.Record) error { j.seq++; return nil }
 // every journal boundary: after boot (seq 1) and after each event that
 // journaled — exactly the states a durable runtime's journal passes
 // through.
-func referenceStates(t *testing.T, evs []soakEvent) map[uint64]string {
+func referenceStates(t *testing.T, evs []Event) map[uint64]string {
 	t.Helper()
 	conf, sw := chaosSetup(t)
 	j := &countingJournal{}
@@ -116,7 +100,7 @@ func referenceStates(t *testing.T, evs []soakEvent) map[uint64]string {
 		// Failed events journal whatever they changed (counters, partial
 		// topology changes, quarantines survive a rollback); only events
 		// that changed nothing leave the sequence untouched.
-		_ = ev.apply(ctx, rt) //janus:allow(errdrop): soak schedules events that may fail; post-state is recorded either way
+		_ = rt.Apply(ctx, ev) //janus:allow(errdrop): soak schedules events that may fail; post-state is recorded either way
 		states[j.seq] = marshalState(t, rt.State())
 	}
 	return states
@@ -125,7 +109,7 @@ func referenceStates(t *testing.T, evs []soakEvent) map[uint64]string {
 // driveDurable boots a durable runtime on fs and replays the schedule until
 // the store crashes (or the schedule ends). Returns the number of appends
 // acknowledged by the store.
-func driveDurable(t *testing.T, fs *store.CrashFS, evs []soakEvent, opts store.Options) uint64 {
+func driveDurable(t *testing.T, fs *store.CrashFS, evs []Event, opts store.Options) uint64 {
 	t.Helper()
 	conf, sw := chaosSetup(t)
 	st, err := store.Open(fs, "janus-data", opts)
@@ -144,7 +128,7 @@ func driveDurable(t *testing.T, fs *store.CrashFS, evs []soakEvent, opts store.O
 	st.SetSnapshotSource(rt.State)
 	ctx := context.Background()
 	for _, ev := range evs {
-		_ = ev.apply(ctx, rt) //janus:allow(errdrop): events may fail by schedule or by injected crash; acked count is read from the store
+		_ = rt.Apply(ctx, ev) //janus:allow(errdrop): events may fail by schedule or by injected crash; acked count is read from the store
 		if fs.Crashed() {
 			break
 		}
@@ -275,7 +259,7 @@ func TestWarmRestartRecoversWithZeroReplay(t *testing.T) {
 	st.SetSnapshotSource(rt.State)
 	ctx := context.Background()
 	for _, ev := range evs {
-		_ = ev.apply(ctx, rt) //janus:allow(errdrop): schedule events may fail; the journal records post-state regardless
+		_ = rt.Apply(ctx, ev) //janus:allow(errdrop): schedule events may fail; the journal records post-state regardless
 	}
 	want := marshalState(t, rt.State())
 	if err := st.SnapshotNow(); err != nil {

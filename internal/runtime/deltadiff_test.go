@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -77,6 +78,19 @@ func newDiffSide(t *testing.T, name string, opts deltaDiffOpts, cfg core.Config)
 	return &diffSide{name: name, rt: rt, st: st, fs: fs, sw: sw, cfg: cfg}
 }
 
+// apply runs ev on this side, keeping the side's link-flap state: a
+// restore runs only after this side's failure took.
+func (s *diffSide) apply(ctx context.Context, ev Event) error {
+	if ev.Kind == EventLinkRestore && !s.flapFailed {
+		return nil
+	}
+	err := s.rt.Apply(ctx, ev)
+	if err == nil && (ev.Kind == EventLinkFail || ev.Kind == EventLinkRestore) {
+		s.flapFailed = ev.Kind == EventLinkFail
+	}
+	return err
+}
+
 // comparable reports whether the two sides still inhabit equivalent
 // worlds: under fault injection their rule-update op streams differ, so
 // quarantines and link flaps can diverge, after which satisfied counts
@@ -86,69 +100,45 @@ func comparable(on, off *diffSide) bool {
 		on.flapFailed == off.flapFailed
 }
 
+// deltaDiffEvent draws event i of an n-event deltadiff trace from rng. An
+// hour tick advances from hour, the clock of the runtime driving the trace.
+func deltaDiffEvent(rng *rand.Rand, sw map[string]topo.NodeID, i, n, hour int) Event {
+	switches := []topo.NodeID{sw["e1"], sw["e2"], sw["agg"], sw["core1"], sw["core2"]}
+	clients := []string{"c1", "c2"}
+	targets := []string{"web", "db"}
+	switch {
+	case i == n/4:
+		return Event{Kind: EventLinkFail, From: sw["core1"], To: sw["core2"]}
+	case i == n/4*3:
+		return Event{Kind: EventLinkRestore, From: sw["core1"], To: sw["core2"]}
+	}
+	switch roll := rng.Intn(10); {
+	case roll < 3:
+		return Event{Kind: EventMove, Endpoint: clients[rng.Intn(len(clients))], To: switches[rng.Intn(len(switches))]}
+	case roll < 5:
+		return Event{Kind: EventMove, Endpoint: targets[rng.Intn(len(targets))], To: switches[rng.Intn(len(switches))]}
+	case roll < 7:
+		return Event{Kind: EventHour, Hour: (hour + 1 + rng.Intn(5)) % policy.HoursPerDay}
+	case roll < 9:
+		return Event{Kind: EventCounter, Src: clients[rng.Intn(len(clients))], Dst: targets[rng.Intn(len(targets))],
+			Event: policy.FailedConnections, Delta: 1 + rng.Intn(3)}
+	}
+	return Event{Kind: EventRelabel, Endpoint: clients[rng.Intn(len(clients))], Labels: []string{"Clients"}}
+}
+
 func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 	on := newDiffSide(t, "delta-on", opts, core.Config{})
 	off := newDiffSide(t, "delta-off", opts, core.Config{DeltaDisable: true})
 	sides := []*diffSide{on, off}
-	sw := on.sw
 	rng := rand.New(rand.NewSource(opts.seed))
-	switches := []topo.NodeID{sw["e1"], sw["e2"], sw["agg"], sw["core1"], sw["core2"]}
-	clients := []string{"c1", "c2"}
-	targets := []string{"web", "db"}
 	ctx := context.Background()
 
 	for i := 0; i < opts.events; i++ {
-		var apply func(s *diffSide) error
-		kind := ""
-		switch {
-		case i == opts.events/4:
-			kind = "linkfail"
-			apply = func(s *diffSide) error {
-				err := s.rt.FailLink(ctx, s.sw["core1"], s.sw["core2"])
-				s.flapFailed = s.flapFailed || err == nil
-				return err
-			}
-		case i == opts.events/4*3:
-			kind = "linkrestore"
-			apply = func(s *diffSide) error {
-				if !s.flapFailed {
-					return nil
-				}
-				err := s.rt.RestoreLink(ctx, s.sw["core1"], s.sw["core2"])
-				if err == nil {
-					s.flapFailed = false
-				}
-				return err
-			}
-		default:
-			switch roll := rng.Intn(10); {
-			case roll < 3:
-				kind = "move"
-				ep, to := clients[rng.Intn(len(clients))], switches[rng.Intn(len(switches))]
-				apply = func(s *diffSide) error { return s.rt.MoveEndpoint(ctx, ep, to) }
-			case roll < 5:
-				kind = "move-target"
-				ep, to := targets[rng.Intn(len(targets))], switches[rng.Intn(len(switches))]
-				apply = func(s *diffSide) error { return s.rt.MoveEndpoint(ctx, ep, to) }
-			case roll < 7:
-				kind = "hour"
-				h := (on.rt.Hour() + 1 + rng.Intn(5)) % policy.HoursPerDay
-				apply = func(s *diffSide) error { return s.rt.AdvanceTo(ctx, h) }
-			case roll < 9:
-				kind = "counter"
-				src, dst := clients[rng.Intn(len(clients))], targets[rng.Intn(len(targets))]
-				d := 1 + rng.Intn(3)
-				apply = func(s *diffSide) error { return s.rt.ReportEvent(ctx, src, dst, policy.FailedConnections, d) }
-			default:
-				kind = "relabel"
-				ep := clients[rng.Intn(len(clients))]
-				apply = func(s *diffSide) error { return s.rt.RelabelEndpoint(ctx, ep, "Clients") }
-			}
-		}
+		ev := deltaDiffEvent(rng, on.sw, i, opts.events, on.rt.Hour())
 		errs := map[string]error{}
 		for _, s := range sides {
 			recBefore := s.rt.Metrics().Reconfigurations
-			errs[s.name] = apply(s)
+			errs[s.name] = s.apply(ctx, ev)
 			// Every successful install must leave a clean audit. A successful
 			// event that installed nothing (an AdvanceTo crossing no boundary)
 			// is exempt: it cannot repair a world left inconsistent by an
@@ -156,7 +146,7 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 			// the self-audit — the endpoint stays moved, the rules roll back).
 			if errs[s.name] == nil && s.rt.Metrics().Reconfigurations > recBefore {
 				if vs := s.rt.Audit(); len(vs) != 0 {
-					t.Fatalf("event %d (%s) on %s: audit violations after install: %v", i, kind, s.name, vs)
+					t.Fatalf("event %d %+v on %s: audit violations after install: %v", i, ev, s.name, vs)
 				}
 			}
 		}
@@ -164,8 +154,8 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 			satOn := on.rt.Current().SatisfiedCount()
 			satOff := off.rt.Current().SatisfiedCount()
 			if d := satOn - satOff; d < -opts.bound || d > opts.bound {
-				t.Fatalf("event %d (%s): satisfied diverged beyond bound %d: delta-on=%d delta-off=%d",
-					i, kind, opts.bound, satOn, satOff)
+				t.Fatalf("event %d %+v: satisfied diverged beyond bound %d: delta-on=%d delta-off=%d",
+					i, ev, opts.bound, satOn, satOff)
 			}
 		}
 	}
@@ -206,5 +196,109 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 		if got := marshalState(t, rt2.State()); got != want {
 			t.Fatalf("%s: restored runtime re-serializes differently\ngot:  %s\nwant: %s", s.name, got, want)
 		}
+	}
+}
+
+// roundTripJournal keeps every record as it would read back from disk: a
+// JSON encode and decode of what was appended.
+type roundTripJournal struct{ recs []*store.Record }
+
+func (j *roundTripJournal) Append(rec *store.Record) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	var back store.Record
+	if err := json.Unmarshal(b, &back); err != nil {
+		return err
+	}
+	j.recs = append(j.recs, &back)
+	return nil
+}
+
+// recordEvent derives the event that produced a journal record from the
+// input half it carries: the first topology op for moves, relabels and
+// link events, the counter delta for counter and escalate records, and
+// otherwise a tick to the record's hour. A rollback record carries the
+// first of these that its failed event left behind.
+func recordEvent(rec *store.Record) Event {
+	if len(rec.TopoOps) > 0 {
+		op := rec.TopoOps[0]
+		switch op.Op {
+		case store.TopoMove:
+			return Event{Kind: EventMove, Endpoint: op.Endpoint, To: op.Node}
+		case store.TopoRelabel:
+			return Event{Kind: EventRelabel, Endpoint: op.Endpoint, Labels: op.Labels}
+		case store.TopoRemoveLink:
+			return Event{Kind: EventLinkFail, From: op.A, To: op.B}
+		case store.TopoAddLink:
+			return Event{Kind: EventLinkRestore, From: op.A, To: op.B}
+		}
+	}
+	if c := rec.Counter; c != nil {
+		return Event{Kind: EventCounter, Src: c.Src, Dst: c.Dst, Event: c.Event, Delta: c.Delta}
+	}
+	return Event{Kind: EventHour, Hour: rec.Hour}
+}
+
+// TestResolveReplay is the re-solve replay of a journal: it drives
+// TestDeltaDiffDynamics's fault-free trace through a journaled runtime,
+// then feeds each record's derived input to a fresh runtime that solves
+// and requires the result it installs to equal the recorded one byte for
+// byte; an event whose record is not a rollback must also replay without
+// error. One solver worker keeps both runs' searches identical. Only
+// results are compared: a rolled-back tick journals the clock it stopped
+// at, not the hour it aimed for, so its metrics cannot be replayed.
+func TestResolveReplay(t *testing.T) {
+	const seed, events = 101, 60
+	cfg := core.Config{Workers: 1}
+	ctx := context.Background()
+	conf, sw := chaosSetupCfg(t, cfg)
+	j := &roundTripJournal{}
+	rt, err := NewDurable(ctx, conf, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	failed := 0
+	for i := 0; i < events; i++ {
+		if err := rt.Apply(ctx, deltaDiffEvent(rng, sw, i, events, rt.Hour())); err != nil {
+			failed++
+		}
+	}
+
+	conf2, _ := chaosSetupCfg(t, cfg)
+	fresh, err := New(ctx, conf2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollbacks := 0
+	for i, rec := range j.recs {
+		var ev Event
+		if i > 0 {
+			ev = recordEvent(rec)
+			if err := fresh.Apply(ctx, ev); err != nil && rec.Kind != store.KindRollback {
+				t.Fatalf("record %d (%s, replayed as %+v): %v", i+1, rec.Kind, ev, err)
+			}
+		}
+		if rec.Kind == store.KindRollback {
+			rollbacks++
+		}
+		got, err := json.Marshal(normalizeResult(fresh.Current()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rec.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("record %d (%s, replayed as %+v): re-solved result differs\ngot:  %s\nwant: %s",
+				i+1, rec.Kind, ev, got, want)
+		}
+	}
+	if len(j.recs) != events+1 || rollbacks != failed {
+		t.Errorf("journal has %d records (%d rollbacks) for %d events (%d failed), want one per event plus the initial configure",
+			len(j.recs), rollbacks, events, failed)
 	}
 }

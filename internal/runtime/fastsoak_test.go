@@ -142,21 +142,21 @@ func TestFastpathSwapSoak(t *testing.T) {
 	clients := []string{"c1", "c2"}
 	linkDown := false
 	for i := 0; i < 36; i++ {
+		var ev Event
 		switch roll := rng.Intn(10); {
 		case roll < 3:
-			_ = rt.ReportEvent(ctx, clients[rng.Intn(2)], "web", policy.FailedConnections, 2)
+			ev = Event{Kind: EventCounter, Src: clients[rng.Intn(2)], Dst: "web", Event: policy.FailedConnections, Delta: 2}
 		case roll < 6:
-			_ = rt.MoveEndpoint(ctx, clients[rng.Intn(2)], switches[rng.Intn(len(switches))])
+			ev = Event{Kind: EventMove, Endpoint: clients[rng.Intn(2)], To: switches[rng.Intn(len(switches))]}
 		case roll < 8:
-			_ = rt.AdvanceTo(ctx, (rt.Hour()+1+rng.Intn(5))%policy.HoursPerDay)
+			ev = Event{Kind: EventHour, Hour: (rt.Hour() + 1 + rng.Intn(5)) % policy.HoursPerDay}
+		case linkDown:
+			ev = Event{Kind: EventLinkRestore, From: sw["core1"], To: sw["core2"]}
 		default:
-			if linkDown {
-				if rt.RestoreLink(ctx, sw["core1"], sw["core2"]) == nil {
-					linkDown = false
-				}
-			} else if rt.FailLink(ctx, sw["core1"], sw["core2"]) == nil {
-				linkDown = true
-			}
+			ev = Event{Kind: EventLinkFail, From: sw["core1"], To: sw["core2"]}
+		}
+		if rt.Apply(ctx, ev) == nil && (ev.Kind == EventLinkFail || ev.Kind == EventLinkRestore) {
+			linkDown = ev.Kind == EventLinkFail
 		}
 	}
 	// Don't stop until every reader has made real progress: on a fast

@@ -334,6 +334,57 @@ func (r *Runtime) Audit() []check.Violation {
 	return check.Audit(r.topo, r.graph, r.net, r.current, r.hour, r.counters)
 }
 
+// Event is one runtime event as a value: a kind plus the union of the
+// bodies janusd's /events/{kind} route takes, under the same JSON keys.
+// A kind reads only its own fields.
+type Event struct {
+	Kind     string       `json:"-"`
+	Endpoint string       `json:"endpoint"` // move, relabel
+	To       topo.NodeID  `json:"to"`       // move target; link end
+	From     topo.NodeID  `json:"from"`     // link end
+	Labels   []string     `json:"labels"`   // relabel
+	Src      string       `json:"src"`      // counter
+	Dst      string       `json:"dst"`      // counter
+	Event    policy.Event `json:"event"`    // counter
+	Delta    int          `json:"delta"`    // counter; 0 counts as 1
+	Hour     int          `json:"hour"`     // hour tick target
+}
+
+// Event kinds, each the last element of the route that takes it.
+const (
+	EventMove        = "move"
+	EventRelabel     = "relabel"
+	EventCounter     = "counter"
+	EventHour        = "hour"
+	EventLinkFail    = "linkfail"
+	EventLinkRestore = "linkrestore"
+)
+
+// EventKinds lists every kind Apply accepts.
+var EventKinds = []string{EventMove, EventRelabel, EventCounter, EventHour, EventLinkFail, EventLinkRestore}
+
+// Apply runs ev through the mutator its kind names.
+func (r *Runtime) Apply(ctx context.Context, ev Event) error {
+	switch ev.Kind {
+	case EventMove:
+		return r.MoveEndpoint(ctx, ev.Endpoint, ev.To)
+	case EventRelabel:
+		return r.RelabelEndpoint(ctx, ev.Endpoint, ev.Labels...)
+	case EventCounter:
+		if ev.Delta == 0 {
+			ev.Delta = 1
+		}
+		return r.ReportEvent(ctx, ev.Src, ev.Dst, ev.Event, ev.Delta)
+	case EventHour:
+		return r.AdvanceTo(ctx, ev.Hour)
+	case EventLinkFail:
+		return r.FailLink(ctx, ev.From, ev.To)
+	case EventLinkRestore:
+		return r.RestoreLink(ctx, ev.From, ev.To)
+	}
+	return fmt.Errorf("runtime: unknown event kind %q", ev.Kind)
+}
+
 // MoveEndpoint relocates an endpoint and reconfigures incrementally
 // (warm start + path-change penalty, §5.4).
 func (r *Runtime) MoveEndpoint(ctx context.Context, name string, to topo.NodeID) error {

@@ -3,8 +3,9 @@
 // to the northbound API, Janus composes and configures them, and the
 // southbound state — flow rules per switch — is queryable by a control
 // platform. Runtime events (mobility, membership changes, stateful
-// counters, temporal ticks, link failures) arrive as POSTs and trigger the
-// §5.4 incremental reconfiguration machinery.
+// counters, temporal ticks, link failures) arrive as POSTs to one handler,
+// which decodes a runtime.Event and hands it to Runtime.Apply, the §5.4
+// incremental reconfiguration machinery.
 //
 //	PUT    /graphs/{name}        submit or replace a policy graph
 //	                             (JSON, or the intent language with
@@ -16,12 +17,14 @@
 //	GET    /config               current configuration (assignments, links)
 //	GET    /rules                per-switch flow rules
 //	GET    /metrics              disruption counters
-//	POST   /events/move          {"endpoint": "...", "to": 3}
-//	POST   /events/relabel       {"endpoint": "...", "labels": ["..."]}
-//	POST   /events/counter       {"src": "...", "dst": "...", "event": "...", "delta": 1}
-//	POST   /events/hour          {"hour": 9}
-//	POST   /events/linkfail      {"from": 1, "to": 2}
-//	POST   /events/linkrestore   {"from": 1, "to": 2}
+//	POST   /events/{kind}        one runtime event; kind and body:
+//	       move                  {"endpoint": "...", "to": 3}
+//	       relabel               {"endpoint": "...", "labels": ["..."]}
+//	       counter               {"src": "...", "dst": "...", "event": "...", "delta": 1}
+//	                             (a missing or zero delta counts 1)
+//	       hour                  {"hour": 9}
+//	       linkfail              {"from": 1, "to": 2}
+//	       linkrestore           {"from": 1, "to": 2}
 //	POST   /inject               install a dataplane fault plan (see
 //	                             injectRequest); an empty body clears it
 //	GET    /inject               the active fault plan and injector stats
@@ -37,11 +40,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -165,12 +168,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/config", s.handleConfig)
 	s.mux.HandleFunc("/rules", s.handleRules)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/events/move", s.handleMove)
-	s.mux.HandleFunc("/events/relabel", s.handleRelabel)
-	s.mux.HandleFunc("/events/counter", s.handleCounter)
-	s.mux.HandleFunc("/events/hour", s.handleHour)
-	s.mux.HandleFunc("/events/linkfail", s.handleLinkFail)
-	s.mux.HandleFunc("/events/linkrestore", s.handleLinkRestore)
+	s.mux.HandleFunc("/events/{kind}", s.handleEvent)
 	s.mux.HandleFunc("/inject", s.handleInject)
 	s.mux.HandleFunc("/status", s.handleStatus)
 }
@@ -515,80 +513,21 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Endpoint string      `json:"endpoint"`
-		To       topo.NodeID `json:"to"`
+// handleEvent decodes the body of a runtime event of the kind the path
+// names and applies it under the lock, returning the updated satisfaction
+// summary. The request's context is threaded through so a dropped client
+// aborts the solve.
+func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
+	ev := runtime.Event{Kind: r.PathValue("kind")}
+	if !slices.Contains(runtime.EventKinds, ev.Kind) {
+		http.NotFound(w, r)
+		return
 	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		return rt.MoveEndpoint(ctx, req.Endpoint, req.To)
-	})
-}
-
-func (s *Server) handleRelabel(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Endpoint string   `json:"endpoint"`
-		Labels   []string `json:"labels"`
-	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		return rt.RelabelEndpoint(ctx, req.Endpoint, req.Labels...)
-	})
-}
-
-func (s *Server) handleCounter(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Src   string `json:"src"`
-		Dst   string `json:"dst"`
-		Event string `json:"event"`
-		Delta int    `json:"delta"`
-	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		delta := req.Delta
-		if delta == 0 {
-			delta = 1
-		}
-		return rt.ReportEvent(ctx, req.Src, req.Dst, policy.Event(req.Event), delta)
-	})
-}
-
-func (s *Server) handleHour(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Hour int `json:"hour"`
-	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		return rt.AdvanceTo(ctx, req.Hour)
-	})
-}
-
-func (s *Server) handleLinkFail(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		From topo.NodeID `json:"from"`
-		To   topo.NodeID `json:"to"`
-	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		return rt.FailLink(ctx, req.From, req.To)
-	})
-}
-
-func (s *Server) handleLinkRestore(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		From topo.NodeID `json:"from"`
-		To   topo.NodeID `json:"to"`
-	}
-	s.eventHandler(w, r, &req, func(ctx context.Context, rt *runtime.Runtime) error {
-		return rt.RestoreLink(ctx, req.From, req.To)
-	})
-}
-
-// eventHandler decodes the request into req and applies the event under
-// the lock, returning the updated satisfaction summary. The request's
-// context is threaded through so a dropped client aborts the solve.
-func (s *Server) eventHandler(w http.ResponseWriter, r *http.Request, req any, apply func(context.Context, *runtime.Runtime) error) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&ev); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -598,7 +537,7 @@ func (s *Server) eventHandler(w http.ResponseWriter, r *http.Request, req any, a
 	if rt == nil {
 		return
 	}
-	if err := apply(r.Context(), rt); err != nil { //janus:allow(lockorder): event handlers solve and retry (ctx-aware backoff sleeps) under the config lock by design
+	if err := rt.Apply(r.Context(), ev); err != nil { //janus:allow(lockorder): event handlers solve and retry (ctx-aware backoff sleeps) under the config lock by design
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}

@@ -366,3 +366,106 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Errorf("policies after storm = %v, want >= 1", body["policies"])
 	}
 }
+
+// TestEventRoutes drives every kind of /events/{kind} with its documented
+// body and checks the event's effect in /status or /config, then the
+// route's error statuses.
+func TestEventRoutes(t *testing.T) {
+	ts, tp := testServer(t)
+	id := map[string]topo.NodeID{}
+	for _, n := range tp.Nodes {
+		id[n.Name] = n.ID
+	}
+	post := func(kind, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/events/"+kind, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	// hardPath is the path /config serves c1→srv1 on.
+	hardPath := func() string {
+		t.Helper()
+		_, cfg := do(t, http.MethodGet, ts.URL+"/config", "", "")
+		as, _ := cfg["assignments"].([]any) // null once no policy has a pair
+		for _, a := range as {
+			if a := a.(map[string]any); a["src"] == "c1" && a["role"] == "hard" {
+				return a["path"].(string)
+			}
+		}
+		return ""
+	}
+	status := func() map[string]any {
+		t.Helper()
+		_, st := do(t, http.MethodGet, ts.URL+"/status", "", "")
+		return st
+	}
+	link := fmt.Sprintf(`{"from":%d,"to":%d}`, id["a"], id["b"])
+	viaHIDS := fmt.Sprintf("-%d-", id["hids"])
+
+	for _, kind := range []string{"move", "relabel", "counter", "hour", "linkfail", "linkrestore"} {
+		if code := post(kind, `{}`); code != http.StatusConflict {
+			t.Errorf("%s before configure: %d, want 409", kind, code)
+		}
+	}
+	do(t, http.MethodPut, ts.URL+"/graphs/web", "text/plain", intentBody)
+	if code, body := do(t, http.MethodPost, ts.URL+"/configure", "", ""); code != http.StatusOK {
+		t.Fatalf("configure: %d %v", code, body)
+	}
+
+	for _, step := range []struct {
+		kind, body string
+		effect     func() bool
+	}{
+		{"hour", `{"hour":9}`, func() bool { return status()["hour"].(float64) == 9 }},
+		{"linkfail", link, func() bool { return len(status()["rememberedLinks"].([]any)) == 1 }},
+		{"linkrestore", link, func() bool { return len(status()["rememberedLinks"].([]any)) == 0 }},
+		{"move", fmt.Sprintf(`{"endpoint":"c1","to":%d}`, id["mid"]),
+			func() bool { return strings.HasPrefix(hardPath(), fmt.Sprint(id["mid"])+"-") }},
+		{"counter", `{"src":"c1","dst":"srv1","event":"failed-connections","delta":4}`,
+			func() bool { return !strings.Contains(hardPath(), viaHIDS) }},
+		// No delta counts 1: the fifth failed connection trips the H-IDS
+		// escalation.
+		{"counter", `{"src":"c1","dst":"srv1","event":"failed-connections"}`,
+			func() bool { return strings.Contains(hardPath(), viaHIDS) }},
+		{"relabel", `{"endpoint":"c1","labels":["Guests"]}`, func() bool { return hardPath() == "" }},
+	} {
+		if code := post(step.kind, step.body); code != http.StatusOK {
+			t.Fatalf("POST /events/%s %s: %d, want 200", step.kind, step.body, code)
+		}
+		if !step.effect() {
+			t.Errorf("POST /events/%s %s: effect missing (status %v, c1 path %q)", step.kind, step.body, status(), hardPath())
+		}
+	}
+
+	for _, probe := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/events/teleport", `{}`, http.StatusNotFound},
+		{http.MethodGet, "/events/teleport", ``, http.StatusNotFound},
+		{http.MethodGet, "/events/move", ``, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/events/move", `{"endpoint":`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(probe.method, ts.URL+probe.path, strings.NewReader(probe.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != probe.want {
+			t.Errorf("%s %s %s: %d, want %d", probe.method, probe.path, probe.body, resp.StatusCode, probe.want)
+		}
+	}
+}
