@@ -75,13 +75,13 @@ bench-lp:
 bench-paths:
 	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkEndpointsMatching' -benchmem ./internal/paths/ ./internal/topo/
 
-# bench-dataplane runs the interpreted dataplane microbenchmarks with
-# allocation counts on the fig11 Ans install: a delivering forwarding walk
-# and an isolation miss (what every audit probe pays), and planning one
-# endpoint move's target against the installed rules (what every install
-# pays).
+# bench-dataplane runs the dataplane microbenchmarks with allocation
+# counts on the fig11 Ans install: a delivering forwarding walk and an
+# isolation miss (what every audit probe pays), planning one endpoint
+# move's target against the installed rules, and compiling the fast path
+# from them (what every install pays).
 bench-dataplane:
-	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate' -benchmem ./internal/dataplane/
+	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate|BenchmarkRecompile' -benchmem ./internal/dataplane/
 
 # bench-ablation runs every body of the root package's ablation benchmarks
 # once (candidate-path count k, warm vs cold start, the raw simplex, and the
@@ -124,7 +124,7 @@ fuzz:
 # random topologies and rule sets, with every (src, dst, proto, port) probe
 # required to return identical paths and errors from both lookups.
 fuzz-fastpath:
-	$(GO) test -fuzz=FuzzCompiledLookup -fuzztime=$(FUZZTIME) ./internal/fastpath/
+	$(GO) test -fuzz=FuzzCompiledLookup -fuzztime=$(FUZZTIME) ./internal/dataplane/
 
 # check is the quick local gate: compile, gofmt, vet, januslint, and the
 # shuffled test suite under the race detector. CI also runs difftest,

@@ -127,3 +127,21 @@ func BenchmarkPlanUpdate(b *testing.B) {
 	b.ReportMetric(float64(n.RuleCount()), "rules")
 	b.ReportMetric(float64(ops), "ops")
 }
+
+// BenchmarkRecompile times one full compile of the fast path on the fig11
+// Ans install: every class cell of every pair with rules is one Lookup.
+func BenchmarkRecompile(b *testing.B) {
+	in := loadFig11Ans(b)
+	n := dataplane.NewNetwork(in.tp)
+	if _, err := n.Apply(in.before, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Recompile()
+	}
+	c := n.Fastpath()
+	b.ReportMetric(float64(c.Flows()), "flows")
+	b.ReportMetric(float64(c.Outcomes()), "outcomes")
+}

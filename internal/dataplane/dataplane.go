@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"janus/internal/core"
-	"janus/internal/fastpath"
 	"janus/internal/policy"
 	"janus/internal/topo"
 )
@@ -74,7 +73,7 @@ type Network struct {
 	// fast is the compiled flow-classification structure, swapped atomically
 	// by Recompile at configuration settle points; readers never block
 	// writers (fastlookup.go).
-	fast    atomic.Pointer[fastpath.Compiled]
+	fast    atomic.Pointer[Compiled]
 	fastGen atomic.Uint64
 	// fastCompiles / fastCompileNanos / fastLastNanos are compile counters
 	// surfaced through FastpathStats for /metrics.
@@ -132,23 +131,19 @@ func (n *Network) RulesAt(id topo.NodeID) []Rule {
 	return out
 }
 
-// FlowRulesAt returns one flow's rules on one switch, sorted by key: the
-// flow's part of RulesAt, read through the flow index.
-func (n *Network) FlowRulesAt(id topo.NodeID, src, dst string) []Rule {
-	sw, ok := n.switches[id]
+// IngressRule returns the rule a flow enters the network on: the one
+// matchRule picks at the source's attachment for traffic from the host.
+func (n *Network) IngressRule(src, dst string, proto policy.Protocol, port int) (Rule, bool) {
+	ep, ok := n.topo.EndpointByName(src)
 	if !ok {
-		return nil
+		return Rule{}, false
 	}
 	k := flowKey{src, dst}
-	ss := sw.Table.flows[k]
-	out := make([]Rule, len(ss))
-	for i := range ss {
-		out[i] = ss[i].rule(id, k)
+	s := matchRule(n.switches[ep.Attach], k, HostPort, proto, port)
+	if s == nil {
+		return Rule{}, false
 	}
-	if len(out) > 1 {
-		sortByKey(out)
-	}
-	return out
+	return s.rule(ep.Attach, k), true
 }
 
 // CompileResult reports what applying a configuration did to the network.
@@ -305,9 +300,10 @@ func (n *Network) Lookup(src, dst string, proto policy.Protocol, port int) ([]to
 // matchRule picks the winning rule for one hop among the flow's slots on
 // the switch. Higher priority wins; equal-priority overlaps are broken by
 // Classifier.Compare (most specific classifier first), NEVER by table
-// order — the compiled fast path replays this exact selection, so it must
-// be a pure function of the rule set. A nil switch (a rule forwarding to a
-// node with no table, e.g. a dangling next hop) matches nothing.
+// order, so the pick is a pure function of the rule set. The compiled fast
+// path calls this selection through Lookup rather than replaying it. A nil
+// switch (a rule forwarding to a node with no table, e.g. a dangling next
+// hop) matches nothing.
 func matchRule(sw *Switch, flow flowKey, inPort topo.NodeID, proto policy.Protocol, port int) *slot {
 	if sw == nil {
 		return nil

@@ -1,11 +1,10 @@
-package fastpath_test
+package dataplane_test
 
 import (
 	"fmt"
 	"testing"
 
 	"janus/internal/dataplane"
-	"janus/internal/fastpath"
 	"janus/internal/policy"
 	"janus/internal/topo"
 )
@@ -52,7 +51,7 @@ func install(t *testing.T, n *dataplane.Network, rules []dataplane.Rule) {
 
 // assertSame probes both lookups with one tuple and requires identical
 // paths and identical error text.
-func assertSame(t *testing.T, n *dataplane.Network, c *fastpath.Compiled, src, dst string, proto policy.Protocol, port int) {
+func assertSame(t *testing.T, n *dataplane.Network, c *dataplane.Compiled, src, dst string, proto policy.Protocol, port int) {
 	t.Helper()
 	wi, erri := n.Lookup(src, dst, proto, port)
 	wc, errc := c.Lookup(src, dst, proto, port)
@@ -72,7 +71,7 @@ func assertSame(t *testing.T, n *dataplane.Network, c *fastpath.Compiled, src, d
 
 // grid cross-probes every endpoint pair (plus a ghost endpoint) over a
 // protocol/port grid covering mentioned and unmentioned classes.
-func grid(t *testing.T, n *dataplane.Network, c *fastpath.Compiled) {
+func grid(t *testing.T, n *dataplane.Network, c *dataplane.Compiled) {
 	t.Helper()
 	eps := []string{"cl", "srv", "lone", "ghost"}
 	for _, src := range eps {

@@ -1,4 +1,4 @@
-package fastpath_test
+package dataplane_test
 
 import (
 	"fmt"
@@ -105,8 +105,10 @@ func buildFuzzNet(t *testing.T, seed int64, nSw, nEp, nRules uint8) (*dataplane.
 // path to byte equality with the interpreted walk: for every endpoint pair
 // (plus a ghost name and self-flows) and a probe grid spanning mentioned
 // and unmentioned (proto, port) classes, paths and error strings must be
-// identical. Any divergence is a compiler bug by definition — the
-// interpreter is the semantic reference.
+// identical. Each compiled outcome is itself one Lookup call, so what this
+// checks is the rest of the compiler: that the class partition puts probes
+// that walk alike into one class, that the outcome dedup merges only equal
+// results, and that the indexing finds the right cell.
 func FuzzCompiledLookup(f *testing.F) {
 	// Pinned regression seeds: tiny net (2 switches), dense rule sets with
 	// heavy priority-tie collisions, rule-free nets (interning only),

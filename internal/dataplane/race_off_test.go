@@ -1,5 +1,5 @@
 //go:build !race
 
-package fastpath_test
+package dataplane_test
 
 const raceEnabled = false

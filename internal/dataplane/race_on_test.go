@@ -1,6 +1,6 @@
 //go:build race
 
-package fastpath_test
+package dataplane_test
 
 // raceEnabled reports that this binary was built with -race, which charges
 // extra allocations to instrumented code and invalidates AllocsPerRun

@@ -350,20 +350,6 @@ func TestTablesMatchKeyedModelUnderFaults(t *testing.T) {
 				if got := n.RulesAt(id); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 					t.Fatalf("seed %d step %d (%s): switch %d holds\n%+v\nwant %+v", seed, step, what, id, got, want)
 				}
-				// FlowRulesAt is RulesAt's part for one flow.
-				for _, src := range []string{"e0", "e1", "e2"} {
-					for _, dst := range []string{"e0", "e1", "e2"} {
-						var flow []Rule
-						for _, r := range want {
-							if r.Src == src && r.Dst == dst {
-								flow = append(flow, r)
-							}
-						}
-						if got := n.FlowRulesAt(id, src, dst); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", flow) {
-							t.Fatalf("seed %d step %d (%s): switch %d flow %s->%s holds\n%+v\nwant %+v", seed, step, what, id, src, dst, got, flow)
-						}
-					}
-				}
 			}
 			if n.RuleCount() != total {
 				t.Fatalf("seed %d step %d (%s): RuleCount %d, want %d", seed, step, what, n.RuleCount(), total)

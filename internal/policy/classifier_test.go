@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// These tables pin the exact classifier semantics the fastpath compiler
-// reproduces (internal/fastpath): every case here is an equivalence class
+// These tables pin the exact classifier semantics the compiled fast path
+// relies on (dataplane.Compiled): every case here is an equivalence class
 // the compiler's (proto, port) partition must respect. The earlier
 // TestClassifierMatches/Intersect cover the happy paths; this file is the
-// edge-case sweep ISSUE 9 calls out — overlapping port lists, zero
-// classifier vs proto-only, intersection asymmetry.
+// edge-case sweep — overlapping port lists, zero classifier vs proto-only,
+// intersection asymmetry.
 
 func cls(proto Protocol, ports ...int) Classifier {
 	return Classifier{Proto: proto, Ports: ports}

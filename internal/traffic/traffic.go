@@ -105,7 +105,7 @@ func Simulate(t *topo.Topology, n *dataplane.Network, flows []Flow) (*Result, er
 			flow:     f,
 			links:    links,
 			path:     walk,
-			reserved: reservationOf(n, walk, f),
+			reserved: reservationOf(n, f),
 		})
 	}
 
@@ -242,15 +242,11 @@ func Simulate(t *topo.Topology, n *dataplane.Network, flows []Flow) (*Result, er
 	return res, nil
 }
 
-// reservationOf finds the queue rate limit the flow's ingress rule grants.
-func reservationOf(n *dataplane.Network, walk []topo.NodeID, f Flow) float64 {
-	if len(walk) == 0 {
-		return 0
-	}
-	for _, r := range n.FlowRulesAt(walk[0], f.Src, f.Dst) {
-		if r.InPort == dataplane.HostPort && r.Match.Matches(f.Proto, f.Port) {
-			return r.QueueMbps
-		}
+// reservationOf returns the queue rate limit of the rule the flow entered
+// the network on.
+func reservationOf(n *dataplane.Network, f Flow) float64 {
+	if r, ok := n.IngressRule(f.Src, f.Dst, f.Proto, f.Port); ok {
+		return r.QueueMbps
 	}
 	return 0
 }

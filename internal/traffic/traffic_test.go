@@ -165,3 +165,44 @@ func allocationsByName(res *Result) map[string]Allocation {
 	}
 	return out
 }
+
+// TestReservationFollowsForwardingRule installs two equal-priority ingress
+// rules for one flow: a match-all rule with no queue and a tcp/80 rule with
+// a 40 Mbps queue. A tcp/80 flow forwards on the more specific rule, so it
+// must be granted that rule's queue, although "*" sorts first by Rule.Key.
+func TestReservationFollowsForwardingRule(t *testing.T) {
+	tp := topo.NewTopology("ingress")
+	a := tp.AddSwitch("a")
+	b := tp.AddSwitch("b")
+	if err := tp.AddLink(a, b, 100); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		name string
+		at   topo.NodeID
+	}{{"cl", a}, {"srv", b}} {
+		if err := tp.AddEndpoint(ep.name, ep.at, "L"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := dataplane.NewNetwork(tp)
+	web := policy.Classifier{Proto: policy.TCP, Ports: []int{80}}
+	if _, err := n.Apply([]dataplane.Rule{
+		{Switch: a, Src: "cl", Dst: "srv", NextHop: b, InPort: dataplane.HostPort, Priority: 1},
+		{Switch: a, Src: "cl", Dst: "srv", Match: web, NextHop: b, InPort: dataplane.HostPort, QueueMbps: 40, Priority: 1},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Simulate(tp, n, []Flow{
+		{Src: "cl", Dst: "srv", Proto: policy.TCP, Port: 80, DemandMbps: 50},
+		{Src: "cl", Dst: "srv", Proto: policy.UDP, Port: 53, DemandMbps: 50},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{40, 0} {
+		if a := res.Allocations[i]; !a.Delivered || a.ReservedMbps != want {
+			t.Errorf("%s/%d: delivered %v, reserved %v Mbps, want %v", a.Flow.Proto, a.Flow.Port, a.Delivered, a.ReservedMbps, want)
+		}
+	}
+}
