@@ -107,11 +107,14 @@ difftest:
 # TestResolveReplay re-solves the fault-free journal: each record's input,
 # fed to a fresh runtime at one solver worker, must reproduce the recorded
 # result, so a solver or model change shows which recorded events moved.
+# TestEventLedger holds two seeded streams to a per-event golden (delta or
+# full, affected and frozen counts, nodes, pivots, record hash); rerun it
+# with UPDATE_GOLDEN=1 only for a change that means to move it.
 # The paths run holds selective link invalidation to a fresh enumeration and
 # Valid's output to a reference enumeration on the fig11 instances.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestBuildDepIndex|TestUpdateGraphInvalidatesDepIndex|TestRestoreRebuildsDepIndex' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger' ./internal/core/ ./internal/runtime/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestValidOrderPinned' ./internal/paths/
 
 # fuzz gives the LP fuzzer a short budget beyond its checked-in seed corpus;

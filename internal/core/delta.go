@@ -25,9 +25,9 @@ import (
 
 // DepIndex is the dependency index built from an installed result. It maps
 // topology elements — links, nodes, endpoints — to the policies whose
-// current assignments traverse them or whose endpoint pairs involve them,
-// so runtime events can compute the affected policy set for a delta solve
-// with a handful of map lookups.
+// current assignments traverse them or whose endpoint pairs involve them.
+// No event reads it: a delta solve's own widening finds every stale
+// policy. It is kept only because the benchmark's trace times its build.
 type DepIndex struct {
 	period      int
 	byLink      map[[2]topo.NodeID]map[int]bool // normalized undirected
@@ -39,8 +39,7 @@ type DepIndex struct {
 }
 
 // BuildDepIndex indexes an installed result against its topology and
-// composed graph. Rebuild it whenever the installed result, the topology,
-// or the graph changes — a stale index yields wrong affected sets.
+// composed graph.
 func BuildDepIndex(t *topo.Topology, g *compose.Graph, res *Result) *DepIndex {
 	ix := &DepIndex{
 		period:      res.Period,
@@ -89,83 +88,6 @@ func addDep[K comparable](m map[K]map[int]bool, k K, pid int) {
 		m[k] = s
 	}
 	s[pid] = true
-}
-
-// Period returns the period the index was built for.
-func (ix *DepIndex) Period() int { return ix.period }
-
-// ActivePolicies returns the number of policies active in the indexed
-// period.
-func (ix *DepIndex) ActivePolicies() int { return ix.active }
-
-// AffectedByLink merges into out the policies whose assignments traverse
-// link (a, b) in either direction.
-//
-//janus:hotpath
-func (ix *DepIndex) AffectedByLink(a, b topo.NodeID, out map[int]bool) {
-	if a > b {
-		a, b = b, a
-	}
-	for pid := range ix.byLink[[2]topo.NodeID{a, b}] {
-		out[pid] = true
-	}
-}
-
-// AffectedByNode merges into out the policies whose assignments traverse
-// the node (any path through a switch also crosses every link incident to
-// it that the path uses, so quarantining a switch only needs this set).
-//
-//janus:hotpath
-func (ix *DepIndex) AffectedByNode(n topo.NodeID, out map[int]bool) {
-	for pid := range ix.byNode[n] {
-		out[pid] = true
-	}
-}
-
-// AffectedByEndpoint merges into out the policies whose endpoint pairs
-// involve the named endpoint.
-//
-//janus:hotpath
-func (ix *DepIndex) AffectedByEndpoint(name string, out map[int]bool) {
-	for pid := range ix.byEndpoint[name] {
-		out[pid] = true
-	}
-}
-
-// AffectedUnsatisfied merges into out the policies that were active but
-// unconfigured — the candidates to retry when capacity comes back.
-//
-//janus:hotpath
-func (ix *DepIndex) AffectedUnsatisfied(out map[int]bool) {
-	for pid := range ix.unsatisfied {
-		out[pid] = true
-	}
-}
-
-// AffectedSlackUsed merges into out the policies whose soft reservation
-// was given up (ξ_i = 1) — the candidates to re-reserve when capacity
-// comes back.
-//
-//janus:hotpath
-func (ix *DepIndex) AffectedSlackUsed(out map[int]bool) {
-	for pid := range ix.slackUsed {
-		out[pid] = true
-	}
-}
-
-// TemporalAffected returns the policies whose active edge sets differ
-// between the two periods (time windows opening or closing at the
-// boundary) — the seed affected set for a period-transition delta solve.
-func (c *Configurator) TemporalAffected(prevPeriod, period int) map[int]bool {
-	out := map[int]bool{}
-	for _, p := range c.graph.Policies {
-		ph, ps := activeEdges(p, prevPeriod)
-		nh, ns := activeEdges(p, period)
-		if !slices.Equal(ph, nh) || !slices.Equal(ps, ns) {
-			out[p.ID] = true
-		}
-	}
-	return out
 }
 
 // DeltaStats records how an incremental solve produced a result.

@@ -69,57 +69,6 @@ func deltaPolicyID(t *testing.T, cg *compose.Graph, i int) int {
 	return p.ID
 }
 
-func TestBuildDepIndexMappings(t *testing.T) {
-	tp, cg, _ := deltaSetup(t)
-	c := mustNew(t, tp, cg, Config{})
-	res, err := c.Configure(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := BuildDepIndex(tp, cg, res)
-	if ix.Period() != 0 {
-		t.Errorf("Period() = %d, want 0", ix.Period())
-	}
-	if ix.ActivePolicies() != 4 {
-		t.Errorf("ActivePolicies() = %d, want 4", ix.ActivePolicies())
-	}
-	// Each dedicated endpoint maps to exactly its own policy.
-	for i := 0; i < 4; i++ {
-		pid := deltaPolicyID(t, cg, i)
-		got := map[int]bool{}
-		ix.AffectedByEndpoint(deltaName("src", i), got)
-		if len(got) != 1 || !got[pid] {
-			t.Errorf("AffectedByEndpoint(src%d) = %v, want {%d}", i, got, pid)
-		}
-	}
-	// Every link an assignment traverses maps back to its policy, queried
-	// in both directions.
-	for _, a := range res.Assignments {
-		for _, l := range a.Path.Links() {
-			got := map[int]bool{}
-			ix.AffectedByLink(l[0], l[1], got)
-			if !got[a.Policy] {
-				t.Errorf("AffectedByLink(%d,%d) missing policy %d", l[0], l[1], a.Policy)
-			}
-			rev := map[int]bool{}
-			ix.AffectedByLink(l[1], l[0], rev)
-			if !rev[a.Policy] {
-				t.Errorf("AffectedByLink(%d,%d) (reversed) missing policy %d", l[1], l[0], a.Policy)
-			}
-		}
-		for _, n := range a.Path.Nodes {
-			got := map[int]bool{}
-			ix.AffectedByNode(n, got)
-			if !got[a.Policy] {
-				t.Errorf("AffectedByNode(%d) missing policy %d", n, a.Policy)
-			}
-		}
-	}
-	if got := map[int]bool{}; func() bool { ix.AffectedUnsatisfied(got); return len(got) != 0 }() {
-		t.Errorf("AffectedUnsatisfied = %v on a fully satisfied result", got)
-	}
-}
-
 func TestDeltaMatchesFullAfterMove(t *testing.T) {
 	tp, cg, sw := deltaSetup(t)
 	c := mustNew(t, tp, cg, Config{})
@@ -184,9 +133,10 @@ func TestDeltaSubModelScalesWithChange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// move relocates policy 0's first source endpoint (fig11 workloads give
-	// each policy dedicated endpoints, so one policy depends on it).
-	move := func(t *testing.T, tp *topo.Topology, ix *DepIndex) map[int]bool {
+	// move relocates policy 0's first source endpoint and seeds the policies
+	// whose groups it matches, as the runtime does (fig11 workloads give
+	// each policy dedicated endpoints, so that is one policy).
+	move := func(t *testing.T, tp *topo.Topology, g *compose.Graph, _ *Result) map[int]bool {
 		const ep = "p0-e0"
 		cur, ok := tp.EndpointByName(ep)
 		if !ok {
@@ -202,32 +152,48 @@ func TestDeltaSubModelScalesWithChange(t *testing.T) {
 			break
 		}
 		affected := map[int]bool{}
-		ix.AffectedByEndpoint(ep, affected)
+		for _, p := range g.Policies {
+			if p.Src.Contains(cur.Labels) || p.Dst.Contains(cur.Labels) {
+				affected[p.ID] = true
+			}
+		}
 		return affected
 	}
 	// linkfail removes the loaded switch-switch link the fewest policies
 	// cross (lowest key on ties) — the typical single failure, not a trunk.
-	linkfail := func(t *testing.T, tp *topo.Topology, ix *DepIndex) map[int]bool {
+	// Like the runtime it seeds nothing: freezeValid widens every policy
+	// whose assignment crossed the link.
+	linkfail := func(t *testing.T, tp *topo.Topology, _ *compose.Graph, prev *Result) map[int]bool {
+		on := map[[2]topo.NodeID]map[int]bool{}
+		for _, a := range prev.Assignments {
+			for _, l := range a.Path.Links() {
+				k := topo.LinkKey(l[0], l[1])
+				if on[k] == nil {
+					on[k] = map[int]bool{}
+				}
+				on[k][a.Policy] = true
+			}
+		}
 		var fail [2]topo.NodeID
-		var affected map[int]bool
-		for k, on := range ix.byLink {
+		least := 0
+		for k, pids := range on {
 			if tp.Nodes[k[0]].Kind != topo.Switch || tp.Nodes[k[1]].Kind != topo.Switch {
 				continue
 			}
-			tie := len(on) == len(affected) && (k[0] < fail[0] || (k[0] == fail[0] && k[1] < fail[1]))
-			if affected == nil || len(on) < len(affected) || tie {
-				fail, affected = k, on
+			tie := len(pids) == least && (k[0] < fail[0] || (k[0] == fail[0] && k[1] < fail[1]))
+			if least == 0 || len(pids) < least || tie {
+				fail, least = k, len(pids)
 			}
 		}
-		if affected == nil {
+		if least == 0 {
 			t.Fatal("no loaded switch-switch link to fail")
 		}
 		if err := tp.RemoveLink(fail[0], fail[1]); err != nil {
 			t.Fatal(err)
 		}
-		return affected
+		return map[int]bool{}
 	}
-	for name, event := range map[string]func(*testing.T, *topo.Topology, *DepIndex) map[int]bool{
+	for name, event := range map[string]func(*testing.T, *topo.Topology, *compose.Graph, *Result) map[int]bool{
 		"move": move, "linkfail": linkfail,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -244,7 +210,7 @@ func TestDeltaSubModelScalesWithChange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			affected := event(t, w.Topo, BuildDepIndex(w.Topo, w.Graph, prev))
+			affected := event(t, w.Topo, w.Graph, prev)
 			c.InvalidatePaths() // a removed link's cached paths must go; a move has none
 			delta, err := c.DeltaReconfigureContext(context.Background(), prev, DeltaRequest{Period: 0, Affected: affected})
 			if err != nil {

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"janus/internal/lp"
 	"janus/internal/milp"
-	"janus/internal/paths"
-	"janus/internal/topo"
 )
 
 // TemporalResult is the output of a temporal configuration: one Result per
@@ -154,20 +151,28 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Re-add m's variables into the shared problem, remapping indices.
+		// Copy m's variables, rows and objective into the shared problem,
+		// remapping indices; objective weights are divided by the period
+		// count (Eqn 9 sums normalized per-period objectives).
 		remap := make([]int, m.prob.NumVariables())
 		for v := 0; v < m.prob.NumVariables(); v++ {
 			lo, up := m.prob.Bounds(v)
-			remap[v] = prob.AddVariable(lo, up, 0)
+			remap[v] = prob.AddVariable(lo, up, m.prob.ObjectiveCoef(v)/float64(len(periods)))
+		}
+		for i := 0; i < m.prob.NumConstraints(); i++ {
+			sense, rhs, terms := m.prob.Constraint(i)
+			for k := range terms {
+				terms[k].Var = remap[terms[k].Var]
+			}
+			if _, err := prob.AddConstraint(sense, rhs, terms); err != nil {
+				return nil, err
+			}
 		}
 		for _, pv := range m.pvars {
 			integers = append(integers, remap[pv.v])
 		}
 		for _, pid := range m.pids {
 			integers = append(integers, remap[m.iVar[pid]])
-		}
-		if err := m.replay(prob, remap, float64(len(periods)), c.cfg.Lambda); err != nil {
-			return nil, err
 		}
 		perPeriodVar[k] = make(map[slotKey]int, len(m.pvars))
 		for i := range m.pvars {
@@ -260,94 +265,3 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	}
 	return tr, nil
 }
-
-// replay re-adds m's constraints and objective into the shared problem
-// using the variable remapping; objective weights are divided by nPeriods
-// (Eqn 9 sums normalized per-period objectives).
-func (m *model) replay(prob *lp.Problem, remap []int, nPeriods, lambda float64) error {
-	wsum := m.weightSum
-	if wsum <= 0 {
-		wsum = 1
-	}
-	for _, pid := range m.pids {
-		if err := prob.SetObjective(remap[m.iVar[pid]], m.weights[pid]/wsum/nPeriods); err != nil {
-			return err
-		}
-	}
-	// Rebuild Eqn 2/4 convexity rows from the layout.
-	type rowKey struct {
-		pid, edgeIdx int
-		src, dst     string
-	}
-	rows := map[rowKey][]lp.Term{}
-	roles := map[rowKey]EdgeRole{}
-	for _, pv := range m.pvars {
-		k := rowKey{pv.pid, pv.edgeIdx, pv.src, pv.dst}
-		rows[k] = append(rows[k], lp.Term{Var: remap[pv.v], Coef: 1})
-		roles[k] = pv.role
-	}
-	keys := make([]rowKey, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pid != b.pid {
-			return a.pid < b.pid
-		}
-		if a.edgeIdx != b.edgeIdx {
-			return a.edgeIdx < b.edgeIdx
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.dst < b.dst
-	})
-	for _, k := range keys {
-		terms := append(rows[k], lp.Term{Var: remap[m.iVar[k.pid]], Coef: -1})
-		if roles[k] == SoftEdge {
-			xi, ok := m.xiVar[k.pid]
-			if ok {
-				terms = append(terms, lp.Term{Var: remap[xi], Coef: 1})
-			}
-		}
-		if _, err := prob.AddConstraint(lp.EQ, 0, terms); err != nil {
-			return err
-		}
-	}
-	for pid, xi := range m.xiVar {
-		// Slack penalty scaled like the period objective (Eqn 6).
-		if err := prob.SetObjective(remap[xi], -lambda*m.weights[pid]/wsum/nPeriods); err != nil {
-			return err
-		}
-	}
-	// Capacity rows (Eqn 3) per period.
-	linkTerms := map[[2]topo.NodeID][]lp.Term{}
-	for _, pv := range m.pvars {
-		if pv.bw <= 0 {
-			continue
-		}
-		for _, l := range pv.path.Links() {
-			linkTerms[l] = append(linkTerms[l], lp.Term{Var: remap[pv.v], Coef: pv.bw})
-		}
-	}
-	linkKeys := make([][2]topo.NodeID, 0, len(linkTerms))
-	for l := range linkTerms {
-		linkKeys = append(linkKeys, l)
-	}
-	sort.Slice(linkKeys, func(i, j int) bool {
-		if linkKeys[i][0] != linkKeys[j][0] {
-			return linkKeys[i][0] < linkKeys[j][0]
-		}
-		return linkKeys[i][1] < linkKeys[j][1]
-	})
-	for _, l := range linkKeys {
-		capacity := m.linkCap[l]
-		if _, err := prob.AddConstraint(lp.LE, capacity, linkTerms[l]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-var _ = paths.Path{} // keep the import for the slot layout types

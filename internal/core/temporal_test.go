@@ -75,6 +75,53 @@ func TestConfigureTemporalJointMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestConfigureTemporalJointNoPathUnconfigured holds the joint model to the
+// period model's rows: a hard pair with no candidate path pins its policy's
+// I to zero in every period it is active, so a policy whose chain needs an
+// NF the topology lacks is configured by neither the chain nor the joint
+// solve.
+func TestConfigureTemporalJointNoPathUnconfigured(t *testing.T) {
+	tp := topo.NewTopology("nopath")
+	a := tp.AddSwitch("a")
+	b := tp.AddSwitch("b")
+	if err := tp.AddLink(a, b, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.AddEndpoint("d1", a, "Day"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.AddEndpoint("srv", b, "Srv"); err != nil {
+		t.Fatal(err)
+	}
+	g := policy.NewGraph("day")
+	g.AddEdge(policy.Edge{Src: "Day", Dst: "Srv", Chain: policy.Chain{policy.Firewall},
+		QoS: policy.QoS{BandwidthMbps: 10}, Cond: policy.Condition{Window: policy.TimeWindow{Start: 8, End: 20}}})
+	cg, err := compose.New(nil).Compose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := mustNew(t, tp, cg, Config{})
+	greedy, err := conf.ConfigureTemporal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint, err := conf.ConfigureTemporalJoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if greedy.TotalConfigured != 0 {
+		t.Errorf("chain configured %d policies with no path", greedy.TotalConfigured)
+	}
+	if joint.TotalConfigured != 0 {
+		t.Errorf("joint configured %d policies with no path", joint.TotalConfigured)
+	}
+	for _, res := range joint.Results {
+		if len(res.Assignments) != 0 {
+			t.Errorf("joint period %dh has assignments %v", res.Period, res.Assignments)
+		}
+	}
+}
+
 func TestConfigureTemporalJointEmptyGraph(t *testing.T) {
 	tp := topo.NewTopology("e")
 	a := tp.AddSwitch("")

@@ -349,28 +349,25 @@ func (s *Solver) pickBranch(x []float64, opts Options) int {
 	return best
 }
 
-// roundAndRepair rounds integer variables of a fractional point and
-// re-solves the continuous rest; it returns ok=false when the rounding is
-// infeasible.
-func (s *Solver) roundAndRepair(x []float64) ([]float64, float64, bool) {
+// roundRepair rounds every integer variable of a fractional point to 1
+// when it is at least at, else to 0, and re-solves the continuous rest; it
+// returns ok=false when the rounding is infeasible. at = 0.5 rounds to
+// nearest; at = 1−intTol keeps only the variables already at 1, which
+// repairs where nearest-rounding is infeasible.
+func (s *Solver) roundRepair(x []float64, at float64) ([]float64, float64, bool) {
 	var fixings *fixing
 	for _, v := range s.integers {
 		val := 0.0
-		if x[v] >= 0.5 {
+		if x[v] >= at {
 			val = 1
 		}
 		fixings = &fixing{v: v, val: val, prev: fixings} //janus:allow(hotalloc): one fixing entry per integer variable, on the periodic rounding schedule only
 	}
 	res, err := s.solveLP(fixings, nil)
-	if err != nil || res.Status != lp.Optimal {
-		return nil, 0, false
-	}
 	// The continuous re-solve may have moved other integer variables to
 	// fractional values; verify.
-	for _, v := range s.integers {
-		if f := frac(res.X[v]); f > intTol && f < 1-intTol {
-			return nil, 0, false
-		}
+	if err != nil || res.Status != lp.Optimal || !s.isIntegral(res.X) {
+		return nil, 0, false
 	}
 	return res.X, res.Objective, true
 }
@@ -383,30 +380,6 @@ func (s *Solver) isIntegral(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// greedyIncumbent floor-rounds the fractional point (only variables already
-// at 1 stay 1) and repairs; it complements roundAndRepair when
-// nearest-rounding is infeasible.
-func (s *Solver) greedyIncumbent(x []float64) ([]float64, float64, bool) {
-	var fixings *fixing
-	for _, v := range s.integers {
-		val := 0.0
-		if x[v] >= 1-intTol {
-			val = 1
-		}
-		fixings = &fixing{v: v, val: val, prev: fixings}
-	}
-	res, err := s.solveLP(fixings, nil)
-	if err != nil || res.Status != lp.Optimal {
-		return nil, 0, false
-	}
-	for _, v := range s.integers {
-		if f := frac(res.X[v]); f > intTol && f < 1-intTol {
-			return nil, 0, false
-		}
-	}
-	return res.X, res.Objective, true
 }
 
 func frac(v float64) float64 {

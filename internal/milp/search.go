@@ -155,10 +155,10 @@ func (sr *search) relaxRoot(s *Solver, warm *lp.Basis) (*lp.Solution, error) {
 			sr.acceptLocked(res.X, res.Objective)
 		}
 	}
-	if x, obj, ok := s.roundAndRepair(root.X); ok {
+	if x, obj, ok := s.roundRepair(root.X, 0.5); ok {
 		sr.acceptLocked(x, obj)
 	}
-	if x, obj, ok := s.greedyIncumbent(root.X); ok {
+	if x, obj, ok := s.roundRepair(root.X, 1-intTol); ok {
 		sr.acceptLocked(x, obj)
 	}
 	return root, nil
@@ -289,7 +289,7 @@ func (sr *search) work(ctx context.Context, w *Solver) {
 		var rok bool
 		if frac >= 0 {
 			if doRound {
-				rx, robj, rok = w.roundAndRepair(res.X)
+				rx, robj, rok = w.roundRepair(res.X, 0.5)
 			}
 			children = w.children(&node{ //janus:allow(hotalloc): the re-bounded parent must outlive the step: its children share it by design
 				fixings: nd.fixings, bound: res.Objective, basis: res.Basis, depth: nd.depth,

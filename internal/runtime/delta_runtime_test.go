@@ -2,8 +2,13 @@ package runtime
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"janus/internal/compose"
 	"janus/internal/core"
 	"janus/internal/dataplane"
 	"janus/internal/policy"
@@ -138,7 +143,7 @@ func TestDeltaFreezesEscalatedPolicy(t *testing.T) {
 }
 
 // TestDeltaAfterQuarantine quarantines a switch via retry exhaustion, then
-// checks the rebuilt dependency index no longer references it and that the
+// checks that no installed assignment visits it any more and that the
 // runtime still serves later events incrementally.
 func TestDeltaAfterQuarantine(t *testing.T) {
 	rt, sw, _, _ := deltaRT(t, core.Config{})
@@ -150,6 +155,7 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 	if err := rt.MoveEndpoint(ctx, "web", sw["agg"]); err != nil {
 		t.Fatal(err)
 	}
+	live := rt.Current()
 	rt.Network().InjectFaults(dataplane.FaultPlan{
 		Seed:     7,
 		Switches: map[topo.NodeID]dataplane.SwitchFaults{sw["core2"]: {FailRate: 1}},
@@ -165,10 +171,10 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 	if got := rt.Metrics().QuarantinedSwitches; got != 1 {
 		t.Fatalf("QuarantinedSwitches = %d, want 1", got)
 	}
-	// The install never landed, so the index still describes the live
-	// (pre-event) result and the next event must be served against it.
-	if rt.depIndex == nil {
-		t.Fatal("dep index missing after the quarantine cascade")
+	// The install never landed, so the next event is served against the
+	// pre-event result.
+	if rt.Current() != live {
+		t.Fatal("the quarantine cascade replaced the live result")
 	}
 	rt.Network().InjectFaults(dataplane.FaultPlan{})
 	// The first event after the cascade widens to both policies (their
@@ -195,34 +201,74 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 	if vs := rt.Audit(); len(vs) != 0 {
 		t.Errorf("audit after post-quarantine delta: %v", vs)
 	}
-	// The rebuilt index routes nothing over the quarantined island: its
-	// links are gone, so no current assignment can traverse it.
-	out := map[int]bool{}
-	rt.depIndex.AffectedByNode(sw["core2"], out)
-	if len(out) != 0 {
-		t.Errorf("rebuilt index still maps policies onto the quarantined switch: %v", out)
+	// Nothing is routed over the quarantined island: its links are gone,
+	// so no current assignment can traverse it.
+	for _, a := range rt.Current().Assignments {
+		if slices.Contains(a.Path.Nodes, sw["core2"]) {
+			t.Errorf("policy %d still routes %s->%s over the quarantined switch: %v", a.Policy, a.Src, a.Dst, a.Path.Nodes)
+		}
 	}
 }
 
-// TestUpdateGraphInvalidatesDepIndex swaps the composed graph and checks
-// the dependency index is dropped immediately — even when the swap's own
-// reconfiguration fails — so a later event can never consult an index
-// speaking the old graph's policy IDs.
-func TestUpdateGraphInvalidatesDepIndex(t *testing.T) {
-	rt, sw, _, _ := deltaRT(t, core.Config{})
-	if rt.depIndex == nil {
-		t.Fatal("dep index missing after initial configure")
+// TestQuarantineSeedsZeroHopPolicy quarantines a leaf switch whose only
+// traffic is a same-switch pair. Its zero-hop path crosses no link, so no
+// validity check rejects it once the switch's links are gone: the
+// quarantine must seed its policy into the sub-model itself.
+func TestQuarantineSeedsZeroHopPolicy(t *testing.T) {
+	tp := topo.NewTopology("leaf")
+	a, b, c := tp.AddSwitch("a"), tp.AddSwitch("b"), tp.AddSwitch("c")
+	for _, l := range [][2]topo.NodeID{{a, b}, {b, c}} {
+		if err := tp.AddLink(l[0], l[1], 100); err != nil {
+			t.Fatal(err)
+		}
 	}
+	var graphs []*policy.Graph
+	for i, at := range [][2]topo.NodeID{{a, a}, {b, c}, {b, c}} {
+		src, dst := fmt.Sprintf("S%d", i), fmt.Sprintf("D%d", i)
+		if err := tp.AddEndpoint(strings.ToLower(src), at[0], src); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.AddEndpoint(strings.ToLower(dst), at[1], dst); err != nil {
+			t.Fatal(err)
+		}
+		g := policy.NewGraph(src)
+		g.AddEdge(policy.Edge{Src: src, Dst: dst, Default: true, QoS: policy.QoS{BandwidthMbps: 10}})
+		graphs = append(graphs, g)
+	}
+	cg, err := compose.New(nil).Compose(graphs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := core.New(tp, cg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.quarantine(ctx, a, errors.New("injected")); err != nil {
+		t.Fatal(err)
+	}
+	if d := rt.Current().Delta; d == nil || d.Affected != 1 || d.Frozen != 2 {
+		t.Errorf("DeltaStats = %+v, want the zero-hop policy re-solved (Affected=1 Frozen=2)", d)
+	}
+}
+
+// TestUpdateGraphSolvesFullyUntilInstall swaps the composed graph with a
+// reconfiguration that fails: the next event must solve fully, since the
+// live result speaks the old graph's policy IDs, and the one after that,
+// with a result of the new graph installed, incrementally again.
+func TestUpdateGraphSolvesFullyUntilInstall(t *testing.T) {
+	rt, sw, _, _ := deltaRT(t, core.Config{})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := rt.UpdateGraph(cancelled, rt.graph, core.Config{}); err == nil {
 		t.Fatal("UpdateGraph with a cancelled context should fail")
 	}
-	if rt.depIndex != nil {
-		t.Fatal("failed graph swap left a stale dep index behind")
-	}
-	// The next event cannot be served incrementally (no index), must
-	// full-solve cleanly, and rebuilds the index for the one after.
+	// The next event cannot be served incrementally and must full-solve
+	// cleanly.
 	ctx := context.Background()
 	before := rt.Metrics()
 	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
@@ -230,25 +276,21 @@ func TestUpdateGraphInvalidatesDepIndex(t *testing.T) {
 	}
 	m := rt.Metrics()
 	if m.DeltaSolves != before.DeltaSolves || m.DeltaFallbacks != before.DeltaFallbacks {
-		t.Errorf("event without an index recorded delta activity: solves %d->%d fallbacks %d->%d",
+		t.Errorf("event after the failed graph swap recorded delta activity: solves %d->%d fallbacks %d->%d",
 			before.DeltaSolves, m.DeltaSolves, before.DeltaFallbacks, m.DeltaFallbacks)
-	}
-	if rt.depIndex == nil {
-		t.Fatal("successful install did not rebuild the dep index")
 	}
 	before = rt.Metrics()
 	if err := rt.MoveEndpoint(ctx, "web", sw["core2"]); err != nil {
 		t.Fatal(err)
 	}
 	if m := rt.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
-		t.Errorf("DeltaSolves = %d, want %d once the index is rebuilt", m.DeltaSolves, before.DeltaSolves+1)
+		t.Errorf("DeltaSolves = %d, want %d once the new graph's result is installed", m.DeltaSolves, before.DeltaSolves+1)
 	}
 }
 
-// TestRestoreRebuildsDepIndex recovers a journaled runtime and checks the
-// restored instance rebuilds its dependency index from recovered state and
-// serves events incrementally right away.
-func TestRestoreRebuildsDepIndex(t *testing.T) {
+// TestRestoreServesDeltaAtOnce recovers a journaled runtime and checks the
+// restored instance serves its first event incrementally.
+func TestRestoreServesDeltaAtOnce(t *testing.T) {
 	conf, sw := chaosSetupCfg(t, core.Config{})
 	fs := store.NewCrashFS(5)
 	st, err := store.Open(fs, "data", store.Options{})
@@ -277,9 +319,6 @@ func TestRestoreRebuildsDepIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2.SetRetryPolicy(noSleepPolicy())
-	if rt2.depIndex == nil {
-		t.Fatal("restored runtime has no dep index")
-	}
 	before := rt2.Metrics()
 	if err := rt2.MoveEndpoint(ctx, "web", sw["core1"]); err != nil {
 		t.Fatalf("post-restore move: %v", err)

@@ -9,7 +9,6 @@ import (
 
 	"janus/internal/core"
 	"janus/internal/dataplane"
-	"janus/internal/policy"
 	"janus/internal/store"
 	"janus/internal/topo"
 )
@@ -67,20 +66,10 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}
-	r := &Runtime{
-		conf:        conf,
-		graph:       state.Graph,
-		topo:        state.Topo,
-		net:         dataplane.NewNetwork(state.Topo),
-		adapter:     dataplane.NewGraphAdapter(state.Graph),
-		hour:        state.Hour,
-		counters:    state.Counters,
-		retry:       DefaultRetryPolicy().normalize(),
-		failedLinks: map[[2]topo.NodeID]float64{},
-		quarantined: map[topo.NodeID]bool{},
-	}
-	if r.counters == nil {
-		r.counters = map[string]map[policy.Event]int{}
+	r := newRuntime(conf)
+	r.hour = state.Hour
+	if state.Counters != nil {
+		r.counters = state.Counters
 	}
 	for _, fl := range state.FailedLinks {
 		r.failedLinks[topo.LinkKey(fl.From, fl.To)] = fl.CapacityMbps
@@ -103,10 +92,7 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	}
 	r.net.Recompile()
 	r.current = state.Result
-	// The dependency index and the (fresh Configurator's empty) path cache
-	// are rebuilt from recovered state, never carried across the crash: a
-	// stale index would compute affected sets against the wrong topology.
-	r.depIndex = core.BuildDepIndex(r.topo, r.graph, state.Result)
+	r.deltaReady = true
 	r.journal = j
 	return r, nil
 }

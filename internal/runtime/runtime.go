@@ -100,10 +100,10 @@ type Runtime struct {
 	current  *core.Result
 	counters map[string]map[policy.Event]int // per-flow event counters
 	metrics  Metrics
-	// depIndex maps topology elements to dependent policies for the
-	// current result; rebuilt at every install settle point and nil while
-	// no sound index exists (then events re-solve fully).
-	depIndex *core.DepIndex
+	// deltaReady reports that current speaks the live graph's policy IDs,
+	// so events may delta-solve against it: install sets it, UpdateGraph
+	// clears it.
+	deltaReady bool
 
 	retry RetryPolicy
 	// journal, when non-nil, receives one durable record per public
@@ -131,7 +131,21 @@ const maxQuarantineDepth = 8
 
 // New starts a runtime at hour 0 with an initial configuration.
 func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
-	r := &Runtime{
+	r := newRuntime(conf)
+	res, err := conf.ConfigureContext(ctx, 0)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: initial configuration: %w", err)
+	}
+	if err := r.install(ctx, res, 0); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newRuntime is a runtime on conf's topology and graph with an empty
+// dataplane, no result, and no counters, failed links, or quarantines.
+func newRuntime(conf *core.Configurator) *Runtime {
+	return &Runtime{
 		conf:        conf,
 		graph:       conf.Graph(),
 		topo:        conf.Topology(),
@@ -142,14 +156,6 @@ func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
 		failedLinks: map[[2]topo.NodeID]float64{},
 		quarantined: map[topo.NodeID]bool{},
 	}
-	res, err := conf.ConfigureContext(ctx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: initial configuration: %w", err)
-	}
-	if err := r.install(ctx, res, 0); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // SetRetryPolicy replaces the dataplane-update retry policy (tests and
@@ -246,12 +252,11 @@ func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error
 	r.metrics.SwitchesTouched += rep.SwitchesTouched
 	r.metrics.NFStateTransfers += rep.NFStateTransfers
 	r.current = res
+	r.deltaReady = true
 	// Settle point: publish the compiled fast path for the newly installed
 	// configuration (atomic swap; in-flight lookups finish on the previous
-	// generation), and rebuild the dependency index the next event's
-	// affected-set computation will consult.
+	// generation).
 	r.net.Recompile()
-	r.depIndex = core.BuildDepIndex(r.topo, r.graph, res)
 	return nil
 }
 
@@ -293,13 +298,11 @@ func (r *Runtime) quarantine(ctx context.Context, sw topo.NodeID, cause error) e
 
 	r.quarantined[sw] = true
 	r.metrics.QuarantinedSwitches++
-	// Every assignment through the switch crosses one of its links, so the
-	// node set covers everything the link removals below can touch.
-	var affected map[int]bool
-	if r.deltaUsable() {
-		affected = map[int]bool{}
-		r.depIndex.AffectedByNode(sw, affected)
-	}
+	// An assignment through the switch crosses one of its links, which
+	// freezeValid rejects once removed, unless it is a zero-hop path of a
+	// same-switch pair: no validity check sees that one, so it is seeded.
+	affected := r.deltaSeeds()
+	r.policiesVisiting(sw, affected)
 	for _, nb := range r.topo.Neighbors(sw) {
 		capacity, ok := r.topo.LinkCapacity(sw, nb)
 		if !ok {
@@ -393,9 +396,10 @@ func (r *Runtime) MoveEndpoint(ctx context.Context, name string, to topo.NodeID)
 			return fmt.Errorf("runtime: %w", err)
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoMove, Endpoint: name, Node: to})
-		// A move changes attach points, not membership: the index's
-		// endpoint→policy mapping is still current.
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, r.affectedByEndpoint(name))
+		// A move changes attach points, not membership.
+		affected := r.deltaSeeds()
+		r.matchingPolicies(name, affected)
+		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
 }
 
@@ -404,14 +408,13 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 	return r.journalOp(store.KindReconfigure, func(rec *store.Record) error {
 		// Membership before and after both matter: policies losing the
 		// endpoint must drop its pairs, policies gaining it need paths.
-		affected := r.affectedByEndpoint(name)
+		affected := r.deltaSeeds()
+		r.matchingPolicies(name, affected)
 		if err := r.topo.RelabelEndpoint(name, labels...); err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoRelabel, Endpoint: name, Labels: labels})
-		if affected != nil {
-			r.matchingPolicies(name, affected)
-		}
+		r.matchingPolicies(name, affected)
 		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
 }
@@ -422,10 +425,11 @@ func (r *Runtime) reconfigure(ctx context.Context) error {
 
 // reconfigureEvent re-solves after an event and installs the result. When
 // affected is non-nil and delta solving is usable, only the affected
-// policies are re-solved against residual capacities; any delta refusal
-// (optimality guard, degraded sub-model, oversized affected share) or a
-// rejected install (audit, apply failure) falls back to the full
-// re-solve. A nil affected set always solves fully.
+// policies, widened by the delta solve with every policy whose previous
+// assignments it cannot carry, are re-solved against residual capacities;
+// any delta refusal (optimality guard, degraded sub-model, oversized
+// affected share) or a rejected install (audit, apply failure) falls back
+// to the full re-solve. A nil affected set always solves fully.
 func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affected map[int]bool) error {
 	if affected != nil && r.deltaUsable() {
 		res, err := r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected})
@@ -464,44 +468,64 @@ func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affect
 }
 
 // deltaUsable reports whether incremental reconfiguration can run: it is
-// enabled, and a current result with a matching dependency index exists.
+// enabled, and a current result for the live graph exists.
 func (r *Runtime) deltaUsable() bool {
-	return r.current != nil && r.depIndex != nil && r.conf.DeltaEnabled()
+	return r.current != nil && r.deltaReady && r.conf.DeltaEnabled()
 }
 
-// affectedByEndpoint is the policy set an endpoint event touches (nil when
-// delta is unusable, which makes reconfigureEvent solve fully).
-func (r *Runtime) affectedByEndpoint(name string) map[int]bool {
+// deltaSeeds starts an event's affected set: empty when delta solving is
+// usable, nil (solve fully) when not. The seeds added to it are only the
+// policies no validity check in the delta solve can see; the solve widens
+// the set with every policy whose previous assignments went stale.
+func (r *Runtime) deltaSeeds() map[int]bool {
 	if !r.deltaUsable() {
 		return nil
 	}
-	out := map[int]bool{}
-	r.depIndex.AffectedByEndpoint(name, out)
-	return out
-}
-
-// affectedByLink is the policy set whose installed assignments cross the
-// link (nil when delta is unusable).
-func (r *Runtime) affectedByLink(a, b topo.NodeID) map[int]bool {
-	if !r.deltaUsable() {
-		return nil
-	}
-	out := map[int]bool{}
-	r.depIndex.AffectedByLink(a, b, out)
-	return out
+	return map[int]bool{}
 }
 
 // matchingPolicies adds to out every policy whose source or destination
-// EPG the endpoint currently matches (post-mutation membership; the
-// dependency index only knows pre-mutation membership).
+// EPG the endpoint currently matches. A nil out stays nil.
 func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 	ep, ok := r.topo.EndpointByName(name)
-	if !ok {
+	if out == nil || !ok {
 		return
 	}
 	for _, p := range r.graph.Policies {
 		if p.Src.Contains(ep.Labels) || p.Dst.Contains(ep.Labels) {
 			out[p.ID] = true
+		}
+	}
+}
+
+// unsettledPolicies adds to out the policies the current result left
+// unconfigured or without their soft reservation: the ones freed capacity
+// may help. A nil out stays nil.
+func (r *Runtime) unsettledPolicies(out map[int]bool) {
+	if out == nil {
+		return
+	}
+	for pid, ok := range r.current.Configured {
+		if !ok {
+			out[pid] = true
+		}
+	}
+	for pid, used := range r.current.SlackUsed {
+		if used {
+			out[pid] = true
+		}
+	}
+}
+
+// policiesVisiting adds to out the policies with a current assignment
+// whose path visits switch sw. A nil out stays nil.
+func (r *Runtime) policiesVisiting(sw topo.NodeID, out map[int]bool) {
+	if out == nil {
+		return
+	}
+	for _, a := range r.current.Assignments {
+		if slices.Contains(a.Path.Nodes, sw) {
+			out[a.Policy] = true
 		}
 	}
 }
@@ -581,7 +605,6 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 		if !ok {
 			return fmt.Errorf("runtime: no link %d-%d", a, b)
 		}
-		affected := r.affectedByLink(a, b)
 		if err := r.topo.RemoveLink(a, b); err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
@@ -590,7 +613,9 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 		// A removal can only delete paths: drop exactly the cached
 		// enumerations that crossed the link.
 		r.conf.InvalidateLinkPaths(a, b)
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
+		// No seeds: every assignment crossing the link is rejected by
+		// freezeValid, which widens its policy into the sub-model.
+		return r.reconfigureEvent(ctx, r.current.Period, r.hour, r.deltaSeeds())
 	})
 }
 
@@ -614,12 +639,8 @@ func (r *Runtime) RestoreLink(ctx context.Context, a, b topo.NodeID) error {
 		// unsatisfied ones and those whose soft reservation was given up.
 		// Satisfied policies stay frozen — keeping them off the restored
 		// link is the path-stability tradeoff §5.4 argues for.
-		var affected map[int]bool
-		if r.deltaUsable() {
-			affected = map[int]bool{}
-			r.depIndex.AffectedUnsatisfied(affected)
-			r.depIndex.AffectedSlackUsed(affected)
-		}
+		affected := r.deltaSeeds()
+		r.unsettledPolicies(affected)
 		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
 }
@@ -639,14 +660,11 @@ func (r *Runtime) AdvanceTo(ctx context.Context, h int) error {
 			cur = (cur + 1) % policy.HoursPerDay
 			if slices.Contains(periods, cur) {
 				// The boundary affects policies whose edge sets change
-				// across it, plus the unsatisfied/unreserved ones that may
-				// fit into whatever the closing windows free up.
-				var affected map[int]bool
-				if r.deltaUsable() {
-					affected = r.conf.TemporalAffected(r.current.Period, cur)
-					r.depIndex.AffectedUnsatisfied(affected)
-					r.depIndex.AffectedSlackUsed(affected)
-				}
+				// across it, which the delta solve widens in itself, plus
+				// the unsatisfied/unreserved ones that may fit into
+				// whatever the closing windows free up.
+				affected := r.deltaSeeds()
+				r.unsettledPolicies(affected)
 				if err := r.reconfigureEvent(ctx, cur, cur, affected); err != nil {
 					return fmt.Errorf("runtime: period transition at %dh: %w", cur, err)
 				}
@@ -704,9 +722,9 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 		}
 		// No reservation (ξ was 1): a re-solve is needed — scoped to the
 		// escalating policy when delta is usable.
-		var affected map[int]bool
-		if r.deltaUsable() {
-			affected = map[int]bool{pid: true}
+		affected := r.deltaSeeds()
+		if affected != nil {
+			affected[pid] = true
 		}
 		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
@@ -740,11 +758,12 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 		r.conf = conf
 		r.graph = g
 		r.adapter = dataplane.NewGraphAdapter(g)
-		// The old dependency index speaks the old graph's policy IDs; drop
-		// it NOW, not at install, so a failed reconfiguration cannot leave
-		// a stale index feeding wrong affected sets to later events. The
-		// fresh Configurator likewise starts with an empty path cache.
-		r.depIndex = nil
+		// The current result speaks the old graph's policy IDs; stop delta
+		// solving against it NOW, not at install, so a failed
+		// reconfiguration cannot leave later events freezing assignments
+		// of policies that no longer exist. The fresh Configurator likewise
+		// starts with an empty path cache.
+		r.deltaReady = false
 		// A graph swap re-journals the full topology and composed graph so
 		// replay never depends on records older than the swap.
 		rec.Topo = r.topo
