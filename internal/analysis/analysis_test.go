@@ -523,3 +523,59 @@ func TestLoadLayerRules(t *testing.T) {
 		t.Errorf("existence check must be skipped for rules describing another module: %v", err)
 	}
 }
+
+// TestLayerCheckMissingRulesReportedOnce runs the production layercheck
+// over a module with no layers.json. The load error must be one finding,
+// on the first package in import-path order, whatever order the packages
+// arrive in and whichever per-package pass runs first; under -race the
+// per-package passes must not share any unsynchronized state.
+func TestLayerCheckMissingRulesReportedOnce(t *testing.T) {
+	mod := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		full := filepath.Join(mod, rel)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module norules\n\ngo 1.22\n")
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for _, n := range names {
+		write(filepath.Join(n, n+".go"), "package "+n+"\n\nvar X = 1\n")
+	}
+	l, err := NewLoader(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadTree(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != len(names) {
+		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(names))
+	}
+	run := func(order []*Package) []string {
+		var got []string
+		for _, d := range RunAll(order, []*Analyzer{LayerCheck()}) {
+			got = append(got, fmt.Sprintf("%s:%d [%s] %s", filepath.Base(filepath.Dir(d.File)), d.Line, d.Check, d.Message))
+		}
+		return got
+	}
+	reversed := make([]*Package, len(pkgs))
+	for i, p := range pkgs {
+		reversed[len(pkgs)-1-i] = p
+	}
+	rotated := append(append([]*Package(nil), pkgs[3:]...), pkgs[:3]...)
+	want := run(pkgs)
+	if len(want) != 1 || !strings.HasPrefix(want[0], "a:1 [layercheck] cannot load layer rules") {
+		t.Fatalf("findings = %q, want one layer-rules load error on package a", want)
+	}
+	for _, order := range [][]*Package{reversed, rotated, pkgs} {
+		if got := run(order); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("findings = %q, want %q", got, want)
+		}
+	}
+}

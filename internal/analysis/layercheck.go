@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // LayerRules is the checked-in architecture contract: every module
@@ -147,35 +146,46 @@ func LayerCheckWith(rules *LayerRules) *Analyzer {
 }
 
 // LayerCheck returns the layercheck analyzer, which enforces the
-// package-import DAG declared in layers.json. The rules are loaded once
-// from internal/analysis/layers.json under the module root of the first
-// analyzed package; a missing or malformed file is itself a finding (the
-// contract must exist for the check to mean anything).
+// package-import DAG declared in layers.json. Prepare loads the rules,
+// before the per-package passes fan out, from internal/analysis/layers.json
+// under the module root of the first package in import-path order. A
+// missing or malformed file is itself a finding (the contract must exist
+// for the check to mean anything), reported once, on that same package, so
+// the finding does not depend on which pass the scheduler runs first.
 func LayerCheck() *Analyzer {
 	a := &Analyzer{Name: "layercheck"}
 	var (
-		once     sync.Once
-		rules    *LayerRules
-		loadErr  error
-		reported bool
+		rules   *LayerRules
+		loadErr error
+		errPkg  *Package // the package that carries loadErr's finding
 	)
-	a.Run = func(pass *Pass) {
-		once.Do(func() {
-			root, _, err := findModule(pass.Pkg.Dir)
-			if err != nil {
-				loadErr = err
-				return
+	a.Prepare = func(pkgs []*Package) {
+		rules, loadErr, errPkg = nil, nil, nil
+		for _, p := range pkgs {
+			if len(p.Files) > 0 && (errPkg == nil || p.Path < errPkg.Path) {
+				errPkg = p
 			}
-			rules, loadErr = LoadLayerRules(filepath.Join(root, "internal", "analysis", "layers.json"))
-		})
+		}
+		if errPkg == nil {
+			return
+		}
+		root, _, err := findModule(errPkg.Dir)
+		if err != nil {
+			loadErr = err
+			return
+		}
+		rules, loadErr = LoadLayerRules(filepath.Join(root, "internal", "analysis", "layers.json"))
+	}
+	a.Run = func(pass *Pass) {
 		if loadErr != nil {
-			if !reported {
-				reported = true
+			if pass.Pkg == errPkg {
 				pass.Reportf(pass.Pkg.Files[0].Package, "cannot load layer rules: %v", loadErr)
 			}
 			return
 		}
-		runLayerCheck(pass, rules)
+		if rules != nil {
+			runLayerCheck(pass, rules)
+		}
 	}
 	return a
 }

@@ -140,7 +140,7 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 		topo:   t,
 		graph:  g,
 		cfg:    cfg,
-		enum:   paths.NewEnumerator(t),
+		enum:   paths.NewPoolEnumerator(t, cfg.CandidatePaths),
 		scheme: cfg.Scheme,
 	}, nil
 }

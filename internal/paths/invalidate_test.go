@@ -53,7 +53,10 @@ func TestInvalidateLinkSelective(t *testing.T) {
 // checks that an enumerator using InvalidateLink returns exactly what a
 // fresh enumerator computes on the mutated topology, for every cached
 // (src, dst, chain) triple — selective invalidation must be exact for
-// link removals, never just heuristic.
+// link removals, never just heuristic. A pool enumerator, invalidated the
+// same way, must return the fresh enumeration's first PoolSize paths.
+// (TestInvalidateLinkPoolMatchesFresh does the same on the fig11
+// instances, where entries outgrow the pool.)
 func TestInvalidateLinkMatchesFresh(t *testing.T) {
 	base, _ := fig4(t)
 	type triple struct {
@@ -71,8 +74,12 @@ func TestInvalidateLinkMatchesFresh(t *testing.T) {
 	for _, l := range base.Links {
 		tp, ids := fig4(t)
 		e := NewEnumerator(tp)
+		pe := NewPoolEnumerator(tp, 1)
 		for _, tr := range triples {
 			if _, err := e.Valid(ids[tr.src], ids[tr.dst], tr.chain); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pe.Valid(ids[tr.src], ids[tr.dst], tr.chain); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,6 +87,7 @@ func TestInvalidateLinkMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.InvalidateLink(l.From, l.To)
+		pe.InvalidateLink(l.From, l.To)
 		fresh := NewEnumerator(tp)
 		for _, tr := range triples {
 			got, err := e.Valid(ids[tr.src], ids[tr.dst], tr.chain)
@@ -89,6 +97,20 @@ func TestInvalidateLinkMatchesFresh(t *testing.T) {
 			want, err := fresh.Valid(ids[tr.src], ids[tr.dst], tr.chain)
 			if err != nil {
 				t.Fatal(err)
+			}
+			pool, err := pe.Valid(ids[tr.src], ids[tr.dst], tr.chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := min(len(want), PoolSize(1)); len(pool) != n {
+				t.Fatalf("link %d-%d removed, triple %s->%s %v: pool enumerator gave %d paths, want the fresh first %d",
+					l.From, l.To, tr.src, tr.dst, tr.chain, len(pool), n)
+			}
+			for i := range pool {
+				if !pool[i].Equal(want[i]) {
+					t.Fatalf("link %d-%d removed, triple %s->%s %v: pool path %d differs: %s vs %s",
+						l.From, l.To, tr.src, tr.dst, tr.chain, i, pool[i].Key(), want[i].Key())
+				}
 			}
 			if len(got) != len(want) {
 				t.Fatalf("link %d-%d removed, triple %s->%s %v: selective gave %d paths, fresh %d",

@@ -78,16 +78,20 @@ type Enumerator struct {
 	maxPaths int
 	// maxHops bounds path length; 0 means DefaultMaxHops.
 	maxHops int
+	// keep is how many sorted paths an entry caches: PoolSize of the k the
+	// enumerator was built for, or 0 to cache every enumerated path.
+	keep int
 
-	// cache maps "src|dst|chain" to the sorted enumeration. linkIndex maps
-	// a normalized undirected link to the cache keys whose entries contain
-	// a path over it, so a link removal invalidates only the enumerations
-	// it can change (InvalidateLink). linkIndex entries may go stale after
-	// re-enumeration — a key registered under a link the fresh enumeration
-	// no longer crosses — which only makes invalidation conservative,
-	// never unsound.
+	// cache maps "src|dst|chain" to the first keep paths of the sorted
+	// enumeration. linkIndex maps a normalized undirected link to the
+	// cache keys, each once, whose enumeration — every path the DFS
+	// produced, not only the kept ones — crosses it, so a link removal
+	// drops only the entries it can change (InvalidateLink).
+	// InvalidateLink also removes the keys it drops from every other link,
+	// so the index names only cached entries and never grows by
+	// re-enumeration.
 	cache     map[string][]Path
-	linkIndex map[[2]topo.NodeID]map[string]bool
+	linkIndex map[[2]topo.NodeID][]string
 }
 
 // Enumeration caps: path counts grow exponentially with network size
@@ -97,21 +101,45 @@ const (
 	DefaultMaxHops  = 12
 )
 
-// NewEnumerator returns an Enumerator over the topology.
+// NewEnumerator returns an Enumerator over the topology that caches every
+// valid path it enumerates.
 func NewEnumerator(t *topo.Topology) *Enumerator {
+	return NewPoolEnumerator(t, 0)
+}
+
+// NewPoolEnumerator returns an Enumerator that caches, per (src,dst,chain),
+// only the candidate pool of a draw of k: the first PoolSize(k) sorted
+// paths, which is all Candidates with that k ever reads. k <= 0 caches
+// every path, like NewEnumerator. Candidates on it with a larger k, or
+// with k <= 0, is an error.
+func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 	return &Enumerator{
 		topo:      t,
+		keep:      PoolSize(k),
 		cache:     make(map[string][]Path),
-		linkIndex: make(map[[2]topo.NodeID]map[string]bool),
+		linkIndex: make(map[[2]topo.NodeID][]string),
 	}
 }
 
-// Valid returns all valid paths (up to the enumeration caps) from switch
+// PoolSize is how many of a pair's sorted valid paths a draw of k
+// candidates chooses from: the shortest 4k, and at least 20. k <= 0 means
+// every path and returns 0.
+func PoolSize(k int) int {
+	if k <= 0 {
+		return 0
+	}
+	return max(4*k, 20)
+}
+
+// Valid returns the valid paths (up to the enumeration caps) from switch
 // src to switch dst that traverse NF boxes of the chain's kinds in order.
 // Paths are simple (no repeated node), except that a switch may reappear
 // immediately after an NF box it steered traffic into (the NF-on-a-stick
 // detour). Results are sorted by hop count then key, so they are
-// deterministic, and cached per (src,dst,chain).
+// deterministic, and cached per (src,dst,chain). An enumerator from
+// NewPoolEnumerator returns and caches only the first PoolSize(k) of them,
+// but indexes the links of every path it enumerated, so InvalidateLink
+// stays exact.
 func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, error) {
 	key := fmt.Sprintf("%d|%d|%s", src, dst, chain)
 	if got, ok := e.cache[key]; ok {
@@ -183,8 +211,12 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 		keys[i] = p.Key()
 	}
 	sort.Sort(byHopsKey{out, keys})
-	e.cache[key] = out
 	e.indexLinks(key, out)
+	if e.keep > 0 && len(out) > e.keep {
+		// A copy, so the dropped paths' backing array is not kept alive.
+		out = append([]Path(nil), out[:e.keep]...)
+	}
+	e.cache[key] = out
 	return out, nil
 }
 
@@ -209,18 +241,20 @@ func (s byHopsKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// indexLinks registers the links crossed by a cached enumeration so
-// InvalidateLink can find the entries a link removal makes stale.
+// indexLinks registers key once under each link its enumeration crosses,
+// so InvalidateLink can find the entries a link removal makes stale. The
+// key is not in the index before the call (Valid enumerates only uncached
+// keys, and InvalidateLink removes the keys it drops), and no other key is
+// registered during it, so a link whose last key is already key has it.
 func (e *Enumerator) indexLinks(key string, ps []Path) {
 	for _, p := range ps {
 		for i := 0; i+1 < len(p.Nodes); i++ {
 			k := topo.LinkKey(p.Nodes[i], p.Nodes[i+1])
-			m := e.linkIndex[k]
-			if m == nil {
-				m = make(map[string]bool)
-				e.linkIndex[k] = m
+			keys := e.linkIndex[k]
+			if n := len(keys); n > 0 && keys[n-1] == key {
+				continue
 			}
-			m[key] = true
+			e.linkIndex[k] = append(keys, key)
 		}
 	}
 }
@@ -228,7 +262,7 @@ func (e *Enumerator) indexLinks(key string, ps []Path) {
 // Candidates returns up to k valid paths for the policy's (src,dst,chain).
 // Selection follows the paper's heuristic (§5.2): a random subset of the
 // valid paths, which "can provide a high degree of edge-disjointedness".
-// The random draw is taken from the shortest 4k valid paths (at least 20):
+// The random draw is taken from the shortest PoolSize(k) valid paths:
 // exhaustive enumeration on larger topologies surfaces thousands of long
 // meandering paths whose capacity cost would swamp any benefit of
 // disjointness, and the practical valid-path generators the paper builds
@@ -236,6 +270,9 @@ func (e *Enumerator) indexLinks(key string, ps []Path) {
 // all valid paths (the full ILP). When maxHopBudget > 0, paths longer than
 // the budget are filtered out first (latency as hop count, §5.7).
 func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain policy.Chain, k, maxHopBudget int) ([]Path, error) {
+	if e.keep > 0 && (k <= 0 || PoolSize(k) > e.keep) {
+		return nil, fmt.Errorf("paths: %d candidates need more than the %d paths this enumerator keeps per pair", k, e.keep)
+	}
 	all, err := e.Valid(src, dst, chain)
 	if err != nil {
 		return nil, err
@@ -252,14 +289,10 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 	if k <= 0 || k >= len(all) {
 		return all, nil
 	}
-	pool := 4 * k
-	if pool < 20 {
-		pool = 20
-	}
-	if pool > len(all) {
-		pool = len(all)
-	}
-	// Valid sorts by hop count, so all[:pool] is the shortest portion.
+	// Valid sorts by hop count, so all[:pool] is the shortest portion, and
+	// the hop-budget filter keeps a prefix of it: a pool enumerator's
+	// truncated entry filters to the same pool as the full enumeration.
+	pool := min(PoolSize(k), len(all))
 	idx := rng.Perm(pool)[:k]
 	sort.Ints(idx)
 	out := make([]Path, k)
@@ -274,21 +307,47 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 // shorten or add paths for any pair, so no cached entry is trustworthy.
 func (e *Enumerator) InvalidateCache() {
 	e.cache = make(map[string][]Path)
-	e.linkIndex = make(map[[2]topo.NodeID]map[string]bool)
+	e.linkIndex = make(map[[2]topo.NodeID][]string)
 }
 
-// InvalidateLink drops only the cached enumerations made stale by
-// removing link (a, b). This is exact, not heuristic: an entry is the
-// first maxPaths paths of the deterministic DFS (then sorted), and
-// removing a link only deletes paths from that DFS sequence. An entry
-// none of whose cached paths cross the removed link therefore has no
-// crossing path anywhere in its first-maxPaths prefix, so the prefix —
-// and the cached entry — is unchanged by the removal. Only use for link
-// removals; additions must use InvalidateCache.
+// InvalidateLink drops the cached entries whose enumeration crosses the
+// removed link (a, b), and keeps the rest warm. What it keeps is exact,
+// not heuristic: an enumeration is the first maxPaths paths of the
+// deterministic DFS (then sorted), and removing a link only deletes paths
+// from that DFS sequence. An enumeration none of whose paths cross the
+// removed link therefore has no crossing path anywhere in its
+// first-maxPaths prefix, so the prefix — and its sorted pool, the cached
+// entry — is unchanged by the removal. The index holds the links of every
+// enumerated path, not only the kept pool: when the DFS stopped at
+// maxPaths, removing a crossing path beyond the pool lets it reach one
+// more path, which may sort into the pool. Only use for link removals;
+// additions must use InvalidateCache.
 func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
 	k := topo.LinkKey(a, b)
-	for key := range e.linkIndex[k] {
-		delete(e.cache, key)
+	dropped := e.linkIndex[k]
+	if len(dropped) == 0 {
+		return
 	}
 	delete(e.linkIndex, k)
+	gone := make(map[string]bool, len(dropped))
+	for _, key := range dropped {
+		delete(e.cache, key)
+		gone[key] = true
+	}
+	// Unregister the dropped keys everywhere else too, so re-enumerating
+	// them registers each once again instead of twice.
+	for l, keys := range e.linkIndex {
+		kept := keys[:0]
+		for _, key := range keys {
+			if !gone[key] {
+				kept = append(kept, key)
+			}
+		}
+		if len(kept) == 0 {
+			delete(e.linkIndex, l)
+			continue
+		}
+		clear(keys[len(kept):])
+		e.linkIndex[l] = kept
+	}
 }
