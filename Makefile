@@ -69,13 +69,16 @@ bench-lp:
 	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem ./internal/lp/
 
 # bench-paths runs the topology lookup microbenchmarks with allocation
-# counts: a cold path enumeration of every pair of the fig11 Cwix instance
-# (what a cold start pays), the heap a warm path cache of those pairs
+# counts: a cold path enumeration of every pair of the fig11 Ans and Cwix
+# instances, full and for a k = 5 candidate pool, with the search nodes it
+# expands (what a cold start pays), the heap a warm path cache of those pairs
 # retains after a GC at k = 5 (the candidate pool only) and k = 0 (every
 # valid path), and resolving both groups of its 50 policies to endpoints
-# (what every model build and dependency index pays).
+# (what every model build and dependency index pays). BENCHTIME sets
+# go test's -benchtime; CI runs each benchmark once with BENCHTIME=1x.
+BENCHTIME ?= 1s
 bench-paths:
-	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkCacheResident|BenchmarkEndpointsMatching' -benchmem ./internal/paths/ ./internal/topo/
+	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkCacheResident|BenchmarkEndpointsMatching' -benchmem -benchtime $(BENCHTIME) ./internal/paths/ ./internal/topo/
 
 # bench-dataplane runs the dataplane microbenchmarks with allocation
 # counts on the fig11 Ans install: a delivering forwarding walk and an
@@ -112,15 +115,17 @@ difftest:
 # TestEventLedger holds two seeded streams to a per-event golden (delta or
 # full, affected and frozen counts, nodes, pivots, record hash); rerun it
 # with UPDATE_GOLDEN=1 only for a change that means to move it.
-# The paths run holds selective link invalidation to a fresh enumeration,
-# Valid's output to a reference enumeration, and a candidate-pool
-# enumerator's draws to a full one's, on the fig11 instances; and it holds
-# the pool enumerator's cache and link index to a bound over repeated
-# invalidation.
+# The paths run holds selective link invalidation, and invalidation after
+# a link restore, to a fresh enumeration, Valid's output to the unpruned
+# reference enumeration, and a candidate-pool enumerator's draws to a full
+# one's, on the fig11 instances; and it holds the pool enumerator's cache
+# and link index to a bound over repeated invalidation.
+# TestLinkEventsKeepPathPoolsFresh holds a runtime's path pools after link
+# failures, restores and a quarantine to a fresh configurator's.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger' ./internal/core/ ./internal/runtime/
-	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestValidOrderPinned|TestPoolCandidatesMatchFull|TestPoolCacheBounded' ./internal/paths/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded' ./internal/paths/
 
 # fuzz gives the LP fuzzer a short budget beyond its checked-in seed corpus;
 # CI runs this as a smoke, leave it running locally to hunt.

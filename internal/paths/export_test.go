@@ -1,5 +1,12 @@
 package paths
 
+import (
+	"fmt"
+
+	"janus/internal/policy"
+	"janus/internal/topo"
+)
+
 // SetMaxPaths lowers the per-entry enumeration cap of e, so external tests
 // can reach the case where the DFS stops at the cap.
 func SetMaxPaths(e *Enumerator, n int) { e.maxPaths = n }
@@ -9,25 +16,40 @@ func SetMaxHops(e *Enumerator, n int) { e.maxHops = n }
 
 // CacheStat describes an enumerator's cache: how many entries it holds,
 // the length of the longest, the total length of its link index and how
-// many of the index's (link, key) registrations repeat an earlier one.
+// many of the index's (link, entry) registrations repeat an earlier one.
 type CacheStat struct{ Entries, Longest, IndexLen, IndexDups int }
 
 // CacheStats returns e's CacheStat.
 func CacheStats(e *Enumerator) CacheStat {
 	var st CacheStat
 	st.Entries = len(e.cache)
-	for _, ps := range e.cache {
-		st.Longest = max(st.Longest, len(ps))
+	for _, slot := range e.cache {
+		st.Longest = max(st.Longest, len(e.entries[slot].paths))
 	}
-	for _, keys := range e.linkIndex {
-		st.IndexLen += len(keys)
-		seen := map[string]bool{}
-		for _, key := range keys {
-			if seen[key] {
+	for _, slots := range e.linkIndex {
+		st.IndexLen += len(slots)
+		seen := map[int32]bool{}
+		for _, slot := range slots {
+			if seen[slot] {
 				st.IndexDups++
 			}
-			seen[key] = true
+			seen[slot] = true
 		}
 	}
 	return st
 }
+
+// Distance returns the product distance the search of e prunes with from
+// (src, no waypoint passed) to (dst, chain done), or -1 when no walk in
+// the relaxed product graph reaches it.
+func Distance(e *Enumerator, src, dst topo.NodeID, chain policy.Chain) int {
+	_, dist := new(product).tables(e.topo, fmt.Sprintf("%d|%s", dst, chain), dst, chain)
+	d := dist[src]
+	if d == unreachable {
+		return -1
+	}
+	return int(d)
+}
+
+// Expanded returns how many search nodes e has expanded.
+func Expanded(e *Enumerator) int { return e.expanded }

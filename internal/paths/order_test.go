@@ -2,8 +2,6 @@ package paths_test
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"janus/internal/paths"
@@ -52,74 +50,10 @@ func fig11Triples(tb testing.TB, topoName string) (*topo.Topology, []triple) {
 	return tp, out
 }
 
-// oldKey is Path.Key as it was first written, with fmt.
-func oldKey(p paths.Path) string {
-	parts := make([]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		parts[i] = fmt.Sprint(int(n))
-	}
-	return strings.Join(parts, "-")
-}
-
-// referenceValid is Enumerator.Valid as it was first written, at the
-// default caps: a DFS over an adjacency it builds from the link list, a
-// visited map, and a sort that formats both keys in every comparison.
-func referenceValid(tp *topo.Topology, src, dst topo.NodeID, chain policy.Chain) []paths.Path {
-	adj := map[topo.NodeID][]topo.NodeID{}
-	for _, l := range tp.Links {
-		adj[l.From] = append(adj[l.From], l.To)
-	}
-	for _, nb := range adj {
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-	nodes := tp.Nodes
-	var out []paths.Path
-	visited := map[topo.NodeID]bool{src: true}
-	cur := []topo.NodeID{src}
-	var dfs func(n topo.NodeID, progress int)
-	dfs = func(n topo.NodeID, progress int) {
-		if len(out) >= paths.DefaultMaxPaths || len(cur)-1 > paths.DefaultMaxHops {
-			return
-		}
-		if n == dst && progress == len(chain) {
-			out = append(out, paths.Path{Nodes: append([]topo.NodeID(nil), cur...)})
-			return
-		}
-		for _, nb := range append([]topo.NodeID(nil), adj[n]...) {
-			isReturn := nodes[n].Kind == topo.NFBox && len(cur) >= 2 && cur[len(cur)-2] == nb
-			if visited[nb] && !isReturn {
-				continue
-			}
-			next := progress
-			if nodes[nb].Kind == topo.NFBox {
-				if progress >= len(chain) || nodes[nb].NF != chain[progress] {
-					continue
-				}
-				next = progress + 1
-			}
-			wasVisited := visited[nb]
-			visited[nb] = true
-			cur = append(cur, nb)
-			dfs(nb, next)
-			cur = cur[:len(cur)-1]
-			if !wasVisited {
-				visited[nb] = false
-			}
-		}
-	}
-	dfs(src, 0)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hops() != out[j].Hops() {
-			return out[i].Hops() < out[j].Hops()
-		}
-		return oldKey(out[i]) < oldKey(out[j])
-	})
-	return out
-}
-
-// TestValidOrderPinned holds Valid, and Path.Key, to the enumeration as
-// first written on every pair of the fig11 Ans and Cwix instances: the
-// same paths in the same order, so seeded candidate draws do not move.
+// TestValidOrderPinned holds Valid, and Path.Key, to the unpruned
+// reference enumeration, sorted with Key as first written, on every pair
+// of the fig11 Ans and Cwix instances: the same paths in the same order,
+// so seeded candidate draws do not move.
 func TestValidOrderPinned(t *testing.T) {
 	for _, name := range []string{"Ans", "Cwix"} {
 		t.Run(name, func(t *testing.T) {
@@ -131,7 +65,7 @@ func TestValidOrderPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := referenceValid(tp, tr.src, tr.dst, tr.chain)
+				want := referenceValid(tp, tr.src, tr.dst, tr.chain, paths.DefaultMaxPaths, paths.DefaultMaxHops)
 				if len(got) != len(want) {
 					t.Fatalf("%d->%d %v: %d paths, reference %d", tr.src, tr.dst, tr.chain, len(got), len(want))
 				}
@@ -147,18 +81,28 @@ func TestValidOrderPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkEnumerateCold enumerates every pair of the fig11 Cwix instance
-// with a fresh enumerator: the path work of a cold start.
+// BenchmarkEnumerateCold enumerates every pair of the fig11 Ans and Cwix
+// instances with a fresh enumerator, full (k = 0, what the instance draw
+// pays) and pooled for k = 5 (what the configurator's cold cache pays):
+// the path work of a cold start. It reports the search nodes expanded.
 func BenchmarkEnumerateCold(b *testing.B) {
-	tp, triples := fig11Triples(b, "Cwix")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := paths.NewEnumerator(tp)
-		for _, tr := range triples {
-			if _, err := e.Valid(tr.src, tr.dst, tr.chain); err != nil {
-				b.Fatal(err)
-			}
+	for _, name := range []string{"Ans", "Cwix"} {
+		tp, triples := fig11Triples(b, name)
+		for _, k := range []int{0, 5} {
+			b.Run(fmt.Sprintf("%s/k=%d", name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				expanded := 0
+				for i := 0; i < b.N; i++ {
+					e := paths.NewPoolEnumerator(tp, k)
+					for _, tr := range triples {
+						if _, err := e.Valid(tr.src, tr.dst, tr.chain); err != nil {
+							b.Fatal(err)
+						}
+					}
+					expanded += paths.Expanded(e)
+				}
+				b.ReportMetric(float64(expanded)/float64(b.N), "dfs-nodes/op")
+			})
 		}
 	}
 }

@@ -10,9 +10,11 @@ package paths
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"janus/internal/policy"
 	"janus/internal/topo"
@@ -73,8 +75,9 @@ func (p Path) Equal(o Path) bool {
 // Enumerator enumerates and caches valid paths on one topology.
 type Enumerator struct {
 	topo *topo.Topology
-	// maxPaths bounds enumeration per (src,dst,chain) triple; 0 means the
-	// DefaultMaxPaths cap. Enumeration is exhaustive up to the cap.
+	// maxPaths bounds a full enumerator's (keep == 0) enumeration per
+	// (src,dst,chain) triple; 0 means the DefaultMaxPaths cap. It never
+	// binds a pool enumerator, whose search stops at its pool instead.
 	maxPaths int
 	// maxHops bounds path length; 0 means DefaultMaxHops.
 	maxHops int
@@ -82,16 +85,34 @@ type Enumerator struct {
 	// enumerator was built for, or 0 to cache every enumerated path.
 	keep int
 
-	// cache maps "src|dst|chain" to the first keep paths of the sorted
-	// enumeration. linkIndex maps a normalized undirected link to the
-	// cache keys, each once, whose enumeration — every path the DFS
-	// produced, not only the kept ones — crosses it, so a link removal
-	// drops only the entries it can change (InvalidateLink).
-	// InvalidateLink also removes the keys it drops from every other link,
-	// so the index names only cached entries and never grows by
-	// re-enumeration.
-	cache     map[string][]Path
-	linkIndex map[[2]topo.NodeID][]string
+	// cache maps "src|dst|chain" to its slot in entries, which holds the
+	// key and the first keep paths of the sorted valid paths; free lists
+	// the slots InvalidateLink emptied, for reuse. linkIndex maps a
+	// normalized undirected link to the slots, each once, whose paths
+	// cross it, so a link removal drops only the entries it can change
+	// (InvalidateLink). InvalidateLink also removes the slots it drops
+	// from every other link, so the index names only cached entries and
+	// never grows by re-enumeration.
+	cache     map[string]int32
+	entries   []entry
+	free      []int32
+	linkIndex map[[2]topo.NodeID][]int32
+	// prod holds the product tables the search prunes with.
+	// InvalidateCache drops it, because a new link can shorten distances
+	// and a stale table would cut live branches. InvalidateLink keeps it:
+	// it then describes a supergraph of the topology, whose distances
+	// still bound every completion from below.
+	prod product
+	// rank orders node IDs as Key compares them (keyRank).
+	rank []int32
+	// expanded counts the search nodes expanded, for benchmarks.
+	expanded int
+}
+
+// entry is one cached enumeration.
+type entry struct {
+	key   string
+	paths []Path
 }
 
 // Enumeration caps: path counts grow exponentially with network size
@@ -116,8 +137,8 @@ func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 	return &Enumerator{
 		topo:      t,
 		keep:      PoolSize(k),
-		cache:     make(map[string][]Path),
-		linkIndex: make(map[[2]topo.NodeID][]string),
+		cache:     make(map[string]int32),
+		linkIndex: make(map[[2]topo.NodeID][]int32),
 	}
 }
 
@@ -131,130 +152,374 @@ func PoolSize(k int) int {
 	return max(4*k, 20)
 }
 
-// Valid returns the valid paths (up to the enumeration caps) from switch
-// src to switch dst that traverse NF boxes of the chain's kinds in order.
+// Valid returns the valid paths of at most maxHops hops from switch src
+// to switch dst that traverse NF boxes of the chain's kinds in order.
 // Paths are simple (no repeated node), except that a switch may reappear
 // immediately after an NF box it steered traffic into (the NF-on-a-stick
 // detour). Results are sorted by hop count then key, so they are
-// deterministic, and cached per (src,dst,chain). An enumerator from
-// NewPoolEnumerator returns and caches only the first PoolSize(k) of them,
-// but indexes the links of every path it enumerated, so InvalidateLink
-// stays exact.
+// deterministic, and cached per (src,dst,chain).
+//
+// An enumerator from NewEnumerator returns the first maxPaths paths of a
+// depth-first search in ascending neighbor order, sorted. One from
+// NewPoolEnumerator returns the first PoolSize(k) paths of the sort of
+// every valid path: no cap binds it, so its entry depends only on the
+// topology, and its search stops at the first hop count within which the
+// pool is complete.
 func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, error) {
 	key := fmt.Sprintf("%d|%d|%s", src, dst, chain)
-	if got, ok := e.cache[key]; ok {
-		return got, nil
-	}
-	maxPaths := e.maxPaths
-	if maxPaths <= 0 {
-		maxPaths = DefaultMaxPaths
-	}
-	maxHops := e.maxHops
-	if maxHops <= 0 {
-		maxHops = DefaultMaxHops
+	if slot, ok := e.cache[key]; ok {
+		return e.entries[slot].paths, nil
 	}
 	nodes := e.topo.Nodes
 	if int(src) >= len(nodes) || int(dst) >= len(nodes) || src < 0 || dst < 0 {
 		return nil, fmt.Errorf("paths: src %d or dst %d out of range", src, dst)
 	}
-
-	var out []Path
-	visited := make([]bool, len(nodes))
-	cur := []topo.NodeID{src}
-	visited[src] = true
-
-	// DFS over (node, chain progress). An NF box advances the chain when
-	// its kind matches the next required waypoint; entering an NF box that
-	// is not the next waypoint is disallowed (middleboxes only process
-	// traffic steered through them). Paths are simple on switches, with
-	// one exception: an NF box attached to a single switch ("NF on a
-	// stick") may bounce traffic back to the switch it came from — the
-	// standard SDN steering detour — so that switch appears twice.
-	var dfs func(n topo.NodeID, progress int)
-	dfs = func(n topo.NodeID, progress int) {
-		if len(out) >= maxPaths || len(cur)-1 > maxHops {
-			return
-		}
-		if n == dst && progress == len(chain) {
-			out = append(out, Path{Nodes: append([]topo.NodeID(nil), cur...)})
-			return
-		}
-		for _, nb := range e.topo.Neighbors(n) {
-			// The on-a-stick return hop: from an NF box back to the switch
-			// that steered traffic into it.
-			isReturn := nodes[n].Kind == topo.NFBox && len(cur) >= 2 && cur[len(cur)-2] == nb
-			if visited[nb] && !isReturn {
-				continue
-			}
-			next := progress
-			if nodes[nb].Kind == topo.NFBox {
-				if progress >= len(chain) || nodes[nb].NF != chain[progress] {
-					continue
-				}
-				next = progress + 1
-			}
-			wasVisited := visited[nb]
-			visited[nb] = true
-			cur = append(cur, nb)
-			dfs(nb, next)
-			cur = cur[:len(cur)-1]
-			if !wasVisited {
-				visited[nb] = false
-			}
-		}
+	out := e.search(src, dst, chain, key[strings.IndexByte(key, '|')+1:])
+	if len(e.rank) != len(nodes) {
+		e.rank = keyRank(len(nodes))
 	}
-	dfs(src, 0)
-
-	// Each key is formatted once, not on both sides of every comparison.
-	keys := make([]string, len(out))
-	for i, p := range out {
-		keys[i] = p.Key()
-	}
-	sort.Sort(byHopsKey{out, keys})
-	e.indexLinks(key, out)
+	sortPaths(out, e.rank)
 	if e.keep > 0 && len(out) > e.keep {
-		// A copy, so the dropped paths' backing array is not kept alive.
-		out = append([]Path(nil), out[:e.keep]...)
+		out = out[:e.keep]
 	}
-	e.cache[key] = out
+	out = compact(out)
+	slot := int32(len(e.entries))
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+		e.entries[slot] = entry{key, out}
+	} else {
+		e.entries = append(e.entries, entry{key, out})
+	}
+	e.cache[key] = slot
+	e.indexLinks(slot, out)
 	return out, nil
 }
 
-// byHopsKey sorts paths by hop count, then key; keys[i] is ps[i].Key().
-// Keys are unique, so the order is total and any sort gives the same one.
-type byHopsKey struct {
-	ps   []Path
-	keys []string
-}
-
-func (s byHopsKey) Len() int { return len(s.ps) }
-
-func (s byHopsKey) Less(i, j int) bool {
-	if hi, hj := s.ps[i].Hops(), s.ps[j].Hops(); hi != hj {
-		return hi < hj
+// search returns Valid's paths from src to dst, unsorted; dkey is
+// "dst|chain". A full enumerator runs one DFS to maxHops, stopped at
+// maxPaths. A pool enumerator deepens the hop budget h from the pair's
+// product distance and stops at the first complete level that holds keep
+// paths: every path of at most h hops is then found, and none longer can
+// sort into the first keep. Each level records only the paths one hop
+// longer than the last. Where the levels show a small pair, it finishes
+// with one DFS to maxHops instead, whose budget falls to the fewest hops
+// within which keep paths have been found; the paths recorded beyond the
+// final budget are dropped.
+func (e *Enumerator) search(src, dst topo.NodeID, chain policy.Chain, dkey string) []Path {
+	maxHops := e.maxHops
+	if maxHops <= 0 {
+		maxHops = DefaultMaxHops
 	}
-	return s.keys[i] < s.keys[j]
+	step, dist := e.prod.tables(e.topo, dkey, dst, chain)
+	h0 := int(dist[src])
+	if h0 == unreachable || h0 > maxHops {
+		return nil
+	}
+	n := len(e.topo.Nodes)
+	d := &dfs{
+		t:       e.topo,
+		dst:     dst,
+		chain:   chain,
+		step:    step,
+		dist:    dist,
+		visited: make([]bool, n),
+		cur:     make([]topo.NodeID, 1, maxHops+1),
+	}
+	defer func() { e.expanded += d.expanded }()
+	d.cur[0] = src
+	d.visited[src] = true
+	if e.keep == 0 {
+		d.limit = e.maxPaths
+		if d.limit <= 0 {
+			d.limit = DefaultMaxPaths
+		}
+		d.budget = maxHops
+		d.walk(src, 0)
+		return d.out
+	}
+	d.keep = e.keep
+	d.byHops = make([]int, maxHops+1)
+	last := 0
+	for h := h0; ; h++ {
+		before := d.expanded
+		d.budget = h
+		d.walk(src, 0)
+		d.fresh = h + 1
+		if len(d.out) >= e.keep || h == maxHops {
+			break
+		}
+		// A level that expanded less than twice the one before shows a
+		// small pair: deepening on would re-walk more than it saves, so
+		// the rest is one DFS to maxHops, whose budget falls as paths
+		// come in.
+		if x := d.expanded - before; last > 0 && x < 2*last {
+			h = maxHops - 1
+		}
+		last = d.expanded - before
+	}
+	kept := d.out[:0]
+	for _, p := range d.out {
+		if p.Hops() <= d.budget {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
-func (s byHopsKey) Swap(i, j int) {
-	s.ps[i], s.ps[j] = s.ps[j], s.ps[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// dfs is one depth-first search over (node, chain progress) from cur[0]
+// toward (dst, chain done). An NF box advances the chain when its kind
+// matches the next required waypoint; entering an NF box that is not the
+// next waypoint is disallowed (middleboxes only process traffic steered
+// through them). Paths are simple on switches, with one exception: an NF
+// box attached to a single switch ("NF on a stick") may bounce traffic
+// back to the switch it came from — the standard SDN steering detour — so
+// that switch appears twice.
+type dfs struct {
+	t     *topo.Topology
+	dst   topo.NodeID
+	chain policy.Chain
+	// step and dist are the product's tables for (dst, chain). A branch
+	// whose hops so far plus its distance exceed budget holds no path and
+	// is cut, so the search yields the same paths, in the same order, as
+	// one without the cut.
+	step   []int8
+	dist   []uint8
+	budget int
+	// limit stops the search at that many paths; 0 never does.
+	limit int
+	// keep > 0 lowers budget to the fewest hops within which keep paths
+	// have been found, counted in byHops: a longer path cannot sort into
+	// the first keep.
+	keep   int
+	byHops []int
+
+	// fresh is the fewest hops a path needs to be recorded: shorter ones
+	// were recorded at an earlier level.
+	fresh int
+	// out's paths hold slices of slab, which Valid compacts away.
+	out      []Path
+	slab     []topo.NodeID
+	visited  []bool
+	cur      []topo.NodeID
+	expanded int
 }
 
-// indexLinks registers key once under each link its enumeration crosses,
-// so InvalidateLink can find the entries a link removal makes stale. The
-// key is not in the index before the call (Valid enumerates only uncached
-// keys, and InvalidateLink removes the keys it drops), and no other key is
-// registered during it, so a link whose last key is already key has it.
-func (e *Enumerator) indexLinks(key string, ps []Path) {
+func (d *dfs) walk(n topo.NodeID, progress int) {
+	if d.limit > 0 && len(d.out) >= d.limit {
+		return
+	}
+	d.expanded++
+	if n == d.dst && progress == len(d.chain) {
+		d.record()
+		return
+	}
+	// The on-a-stick return hop: from an NF box back to the switch that
+	// steered traffic into it.
+	back := topo.NodeID(-1)
+	if d.t.Nodes[n].Kind == topo.NFBox && len(d.cur) >= 2 {
+		back = d.cur[len(d.cur)-2]
+	}
+	stride := len(d.visited)
+	steps := d.step[progress*stride:]
+	hops := len(d.cur) // of the path extended by one more node
+	for _, nb := range d.t.Neighbors(n) {
+		next := progress + int(steps[nb])
+		if next < progress || d.visited[nb] && nb != back || hops+int(d.dist[next*stride+int(nb)]) > d.budget {
+			continue
+		}
+		wasVisited := d.visited[nb]
+		d.visited[nb] = true
+		d.cur = append(d.cur, nb)
+		d.walk(nb, next)
+		d.cur = d.cur[:len(d.cur)-1]
+		if !wasVisited {
+			d.visited[nb] = false
+		}
+	}
+}
+
+// record appends the current path and, for a pool search, lowers the
+// budget to the fewest hops within which keep paths are now known.
+func (d *dfs) record() {
+	hops := len(d.cur) - 1
+	if hops < d.fresh {
+		return // an earlier, shallower level recorded it
+	}
+	d.slab = append(d.slab, d.cur...)
+	d.out = append(d.out, Path{Nodes: d.slab[len(d.slab)-len(d.cur) : len(d.slab) : len(d.slab)]})
+	if d.keep == 0 {
+		return
+	}
+	d.byHops[hops]++
+	found := 0
+	for h, c := range d.byHops[:d.budget] {
+		if found += c; found >= d.keep {
+			d.budget = h
+			return
+		}
+	}
+}
+
+// unreachable is the distance of a product state with no walk to the
+// goal.
+const unreachable = math.MaxUint8
+
+// product is the product of the topology and a chain, whose states are
+// (node, chain progress): a move along a link keeps the progress, except
+// a move into an NF box, which must be the chain's next kind and
+// advances it. The product is relaxed — a walk in it may revisit nodes —
+// so a distance in it is a lower bound on the hops of every valid
+// completion from its state. It holds the topology's reverse adjacency,
+// per chain the step table, and per "dst|chain" the distance table to
+// (dst, chain done). State (n, p) is entry p*len(t.Nodes)+n of a table.
+type product struct {
+	in    [][]topo.NodeID
+	steps map[string][]int8
+	dist  map[string][]uint8
+}
+
+// tables returns the product's tables for (dst, chain), dkey being
+// "dst|chain", computed on first use. step holds what entering node n at
+// progress p adds to the progress: 0 for a switch, 1 for the NF box of
+// the chain's next waypoint, and -1 for any other NF box, which the walk
+// may not enter. dist holds the hop distance to the goal,
+// found by a breadth-first search backwards from it; distances above 254
+// read 254. A topology that gained nodes since the last call rebuilds
+// everything.
+func (pr *product) tables(t *topo.Topology, dkey string, dst topo.NodeID, chain policy.Chain) ([]int8, []uint8) {
+	nodes := t.Nodes
+	n := len(nodes)
+	if len(pr.in) != n {
+		pr.in = make([][]topo.NodeID, n)
+		for _, l := range t.Links {
+			pr.in[l.To] = append(pr.in[l.To], l.From)
+		}
+		pr.steps = make(map[string][]int8)
+		pr.dist = make(map[string][]uint8)
+	}
+	ckey := dkey[strings.IndexByte(dkey, '|')+1:]
+	step, ok := pr.steps[ckey]
+	if !ok {
+		step = make([]int8, n*(len(chain)+1))
+		for p := 0; p <= len(chain); p++ {
+			for m, node := range nodes {
+				if node.Kind == topo.NFBox {
+					step[p*n+m] = -1
+					if p < len(chain) && node.NF == chain[p] {
+						step[p*n+m] = 1
+					}
+				}
+			}
+		}
+		pr.steps[ckey] = step
+	}
+	if dist, ok := pr.dist[dkey]; ok {
+		return step, dist
+	}
+	dist := make([]uint8, n*(len(chain)+1))
+	for i := range dist {
+		dist[i] = unreachable
+	}
+	goal := len(chain)*n + int(dst)
+	dist[goal] = 0
+	queue := make([]int, 1, len(dist))
+	queue[0] = goal
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		m, q := s%n, s/n
+		// A move into m reaches progress q from q, or from q-1 when m is
+		// the NF box of the chain's q-th waypoint.
+		p := q
+		if nodes[m].Kind == topo.NFBox {
+			if q == 0 || nodes[m].NF != chain[q-1] {
+				continue
+			}
+			p = q - 1
+		}
+		d := min(dist[s]+1, unreachable-1)
+		for _, from := range pr.in[m] {
+			if i := p*n + int(from); dist[i] == unreachable {
+				dist[i] = d
+				queue = append(queue, i)
+			}
+		}
+	}
+	pr.dist[dkey] = dist
+	return step, dist
+}
+
+// sortPaths sorts ps by hop count, then Key. Paths of equal hops
+// compare at their first differing node, where Key compares the two IDs'
+// decimal strings: rank holds each ID's place in that string order
+// (keyRank), so no key is formatted. Keys are unique, so the order is
+// total and any sort gives the same one.
+func sortPaths(ps []Path, rank []int32) {
+	sort.Slice(ps, func(i, j int) bool {
+		a, b := ps[i].Nodes, ps[j].Nodes
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return rank[a[k]] < rank[b[k]]
+			}
+		}
+		return false
+	})
+}
+
+// keyRank returns, for each of n node IDs, its place in the string order
+// of the IDs in decimal. Where one ID's string is a prefix of another's,
+// Key puts '-' (or the key's end) against a digit, which sorts first, as
+// the shorter string does.
+func keyRank(n int) []int32 {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(i, j int) bool { return strconv.Itoa(ids[i]) < strconv.Itoa(ids[j]) })
+	rank := make([]int32, n)
+	for r, id := range ids {
+		rank[id] = int32(r)
+	}
+	return rank
+}
+
+// compact copies ps into one slice of paths whose nodes share one array,
+// so an entry holds two allocations, and nothing of the search's buffers.
+func compact(ps []Path) []Path {
+	if len(ps) == 0 {
+		return nil
+	}
+	n := 0
+	for _, p := range ps {
+		n += len(p.Nodes)
+	}
+	out := make([]Path, len(ps))
+	nodes := make([]topo.NodeID, 0, n)
+	for i, p := range ps {
+		nodes = append(nodes, p.Nodes...)
+		out[i].Nodes = nodes[len(nodes)-len(p.Nodes) : len(nodes) : len(nodes)]
+	}
+	return out
+}
+
+// indexLinks registers slot once under each link its paths cross, so
+// InvalidateLink can find the entries a link removal makes stale. The
+// slot is not in the index before the call (Valid enumerates only
+// uncached keys, and InvalidateLink unregisters the slots it empties);
+// seen marks the links already registered during it.
+func (e *Enumerator) indexLinks(slot int32, ps []Path) {
+	n := len(e.topo.Nodes)
+	seen := make([]uint64, (n*n+63)/64)
 	for _, p := range ps {
 		for i := 0; i+1 < len(p.Nodes); i++ {
 			k := topo.LinkKey(p.Nodes[i], p.Nodes[i+1])
-			keys := e.linkIndex[k]
-			if n := len(keys); n > 0 && keys[n-1] == key {
-				continue
+			if at := int(k[0])*n + int(k[1]); seen[at/64]&(1<<(at%64)) == 0 {
+				seen[at/64] |= 1 << (at % 64)
+				e.linkIndex[k] = append(e.linkIndex[k], slot)
 			}
-			e.linkIndex[k] = append(keys, key)
 		}
 	}
 }
@@ -302,26 +567,31 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 	return out, nil
 }
 
-// InvalidateCache drops all cached enumerations; call after topology
-// changes that can create new paths (link additions): a new link can
-// shorten or add paths for any pair, so no cached entry is trustworthy.
+// InvalidateCache drops all cached enumerations and product distances;
+// call after topology changes that can create new paths (link additions):
+// a new link can shorten or add paths for any pair, so no cached entry is
+// trustworthy, and it can shorten distances, so a kept table would cut
+// branches that now hold paths.
 func (e *Enumerator) InvalidateCache() {
-	e.cache = make(map[string][]Path)
-	e.linkIndex = make(map[[2]topo.NodeID][]string)
+	e.cache = make(map[string]int32)
+	e.entries, e.free = nil, nil
+	e.linkIndex = make(map[[2]topo.NodeID][]int32)
+	e.prod = product{}
 }
 
-// InvalidateLink drops the cached entries whose enumeration crosses the
-// removed link (a, b), and keeps the rest warm. What it keeps is exact,
-// not heuristic: an enumeration is the first maxPaths paths of the
-// deterministic DFS (then sorted), and removing a link only deletes paths
-// from that DFS sequence. An enumeration none of whose paths cross the
-// removed link therefore has no crossing path anywhere in its
-// first-maxPaths prefix, so the prefix — and its sorted pool, the cached
-// entry — is unchanged by the removal. The index holds the links of every
-// enumerated path, not only the kept pool: when the DFS stopped at
-// maxPaths, removing a crossing path beyond the pool lets it reach one
-// more path, which may sort into the pool. Only use for link removals;
-// additions must use InvalidateCache.
+// InvalidateLink drops the cached entries that cross the removed link
+// (a, b), and keeps the rest warm. What it keeps is exact, not heuristic,
+// because removing a link only deletes paths. A full enumerator's entry
+// is the first maxPaths paths of a deterministic DFS (then sorted); if
+// none crosses the link, the DFS yields the same prefix without it. A
+// pool enumerator's entry is the first PoolSize(k) paths of the sort of
+// every valid path, with no cap; if none crosses the link, the same paths
+// still come first in what remains. Either way the index needs only the
+// links of the cached paths. The product is kept: it then describes a
+// supergraph of the topology, so its distances, and those of tables
+// built from it later, still bound every completion from below and cut
+// nothing that holds a path. Only use for link removals; additions must
+// use InvalidateCache.
 func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
 	k := topo.LinkKey(a, b)
 	dropped := e.linkIndex[k]
@@ -329,25 +599,26 @@ func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
 		return
 	}
 	delete(e.linkIndex, k)
-	gone := make(map[string]bool, len(dropped))
-	for _, key := range dropped {
-		delete(e.cache, key)
-		gone[key] = true
+	gone := make([]bool, len(e.entries))
+	for _, slot := range dropped {
+		delete(e.cache, e.entries[slot].key)
+		e.entries[slot] = entry{}
+		e.free = append(e.free, slot)
+		gone[slot] = true
 	}
-	// Unregister the dropped keys everywhere else too, so re-enumerating
-	// them registers each once again instead of twice.
-	for l, keys := range e.linkIndex {
-		kept := keys[:0]
-		for _, key := range keys {
-			if !gone[key] {
-				kept = append(kept, key)
+	// Unregister the emptied slots everywhere else too, so a slot reused
+	// by another key is not dropped for this one's links.
+	for l, slots := range e.linkIndex {
+		kept := slots[:0]
+		for _, slot := range slots {
+			if !gone[slot] {
+				kept = append(kept, slot)
 			}
 		}
 		if len(kept) == 0 {
 			delete(e.linkIndex, l)
 			continue
 		}
-		clear(keys[len(kept):])
 		e.linkIndex[l] = kept
 	}
 }

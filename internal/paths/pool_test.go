@@ -32,6 +32,12 @@ func (c caps) apply(e *paths.Enumerator) *paths.Enumerator {
 	return e
 }
 
+// uncapped returns c without its path cap.
+func (c caps) uncapped() caps {
+	c.maxPaths = 0
+	return c
+}
+
 // poolEnumerators returns one pool enumerator per distinct pool size of
 // poolKs, keyed by that size.
 func poolEnumerators(tp *topo.Topology, c caps) map[int]*paths.Enumerator {
@@ -126,7 +132,10 @@ func fabricLinks(tp *topo.Topology) []topo.Link {
 // TestPoolCandidatesMatchFull holds a pool enumerator to a full one: on
 // every pair and chain of the fig11 Ans and Cwix instances, for every k
 // of poolKs and every hop budget, the same seeded rng draws the same
-// Candidates. On Cwix it repeats with an enumeration cap the DFS hits.
+// Candidates. On Cwix it repeats with an enumeration cap of 50 paths,
+// which a capped full enumerator hits on a third of the pairs: the pool
+// enumerator, given the same cap, must still draw what an uncapped full
+// enumerator draws, because the cap binds only full enumerators.
 func TestPoolCandidatesMatchFull(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -134,15 +143,14 @@ func TestPoolCandidatesMatchFull(t *testing.T) {
 	}{{"Ans", caps{}}, {"Cwix", caps{}}, {"Cwix", caps{maxPaths: 50}}} {
 		t.Run(fmt.Sprintf("%s/maxPaths=%d", tc.name, tc.caps.maxPaths), func(t *testing.T) {
 			tp, triples := fig11Triples(t, tc.name)
-			full := fullEnumerator(tp, tc.caps)
-			over, capped := countOver(t, full, triples, paths.PoolSize(1), tc.caps.maxPaths)
+			over, capped := countOver(t, fullEnumerator(tp, tc.caps), triples, paths.PoolSize(1), tc.caps.maxPaths)
 			if tc.name == "Cwix" && over == 0 {
 				t.Fatal("no Cwix triple has more valid paths than the smallest pool: truncation is not exercised")
 			}
 			if tc.caps.maxPaths > 0 && capped == 0 {
 				t.Fatalf("no triple reaches the cap of %d paths", tc.caps.maxPaths)
 			}
-			assertSameCandidates(t, "intact", poolEnumerators(tp, tc.caps), full, triples)
+			assertSameCandidates(t, "intact", poolEnumerators(tp, tc.caps), fullEnumerator(tp, tc.caps.uncapped()), triples)
 			t.Logf("%d triples, %d above the smallest pool, %d at the cap", len(triples), over, capped)
 		})
 	}
@@ -153,13 +161,14 @@ func TestPoolCandidatesMatchFull(t *testing.T) {
 // intact topology and then selectively invalidated must draw what a fresh
 // full enumerator draws on the mutated topology. The failures take the
 // pool sizes in turn, so each size sees a third of them. On Cwix paths
-// are capped at 10 hops, which keeps the two enumerations per failure
-// cheap while most pairs still have more paths than the smallest pool,
-// and at 50 paths, a cap a third of the pairs hit: for those a removed
-// path beyond the pool lets the DFS reach one that sorts into it, which
-// only indexing every enumerated path's links catches. (No Ans entry
-// holds more than 20 paths, the smallest pool, so there a cap would
-// truncate nothing.)
+// are capped at 10 hops, which keeps the enumerations per failure cheap
+// while most pairs still have more paths than the smallest pool, and the
+// pool enumerators are given a cap of 50 paths, which a capped full
+// enumerator hits on a third of the pairs. The cap binds only full
+// enumerators, so the fresh reference is uncapped: a pool entry, and so
+// the links it indexes, must not depend on the cap. (No Ans entry holds
+// more than 20 paths, the smallest pool, so there a cap would truncate
+// nothing.)
 func TestInvalidateLinkPoolMatchesFresh(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -189,7 +198,7 @@ func TestInvalidateLinkPoolMatchesFresh(t *testing.T) {
 				}
 				e.InvalidateLink(l.From, l.To)
 				assertSameCandidates(t, fmt.Sprintf("link %d-%d failed", l.From, l.To),
-					map[int]*paths.Enumerator{size: e}, fullEnumerator(tp, tc.caps), triples)
+					map[int]*paths.Enumerator{size: e}, fullEnumerator(tp, tc.caps.uncapped()), triples)
 				if err := tp.AddLink(l.From, l.To, l.Capacity); err != nil {
 					t.Fatal(err)
 				}
