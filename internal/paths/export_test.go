@@ -16,24 +16,24 @@ func SetMaxHops(e *Enumerator, n int) { e.maxHops = n }
 
 // CacheStat describes an enumerator's cache: how many entries it holds,
 // the length of the longest, the total length of its link index and how
-// many of the index's (link, entry) registrations repeat an earlier one.
+// many of the index's (link, key) registrations repeat an earlier one.
 type CacheStat struct{ Entries, Longest, IndexLen, IndexDups int }
 
 // CacheStats returns e's CacheStat.
 func CacheStats(e *Enumerator) CacheStat {
 	var st CacheStat
 	st.Entries = len(e.cache)
-	for _, slot := range e.cache {
-		st.Longest = max(st.Longest, len(e.entries[slot].paths))
+	for _, ps := range e.cache {
+		st.Longest = max(st.Longest, len(ps))
 	}
-	for _, slots := range e.linkIndex {
-		st.IndexLen += len(slots)
-		seen := map[int32]bool{}
-		for _, slot := range slots {
-			if seen[slot] {
+	for _, keys := range e.linkIndex {
+		st.IndexLen += len(keys)
+		seen := map[string]bool{}
+		for _, key := range keys {
+			if seen[key] {
 				st.IndexDups++
 			}
-			seen[slot] = true
+			seen[key] = true
 		}
 	}
 	return st

@@ -85,18 +85,15 @@ type Enumerator struct {
 	// enumerator was built for, or 0 to cache every enumerated path.
 	keep int
 
-	// cache maps "src|dst|chain" to its slot in entries, which holds the
-	// key and the first keep paths of the sorted valid paths; free lists
-	// the slots InvalidateLink emptied, for reuse. linkIndex maps a
-	// normalized undirected link to the slots, each once, whose paths
-	// cross it, so a link removal drops only the entries it can change
-	// (InvalidateLink). InvalidateLink also removes the slots it drops
-	// from every other link, so the index names only cached entries and
-	// never grows by re-enumeration.
-	cache     map[string]int32
-	entries   []entry
-	free      []int32
-	linkIndex map[[2]topo.NodeID][]int32
+	// cache maps "src|dst|chain" to the first keep paths of the sorted
+	// valid paths. linkIndex maps a normalized undirected link to the
+	// cache keys, each once, whose cached paths cross it, so a link
+	// removal drops only the entries it can change (InvalidateLink).
+	// InvalidateLink also removes the keys it drops from every other link,
+	// so the index names only cached entries and never grows by
+	// re-enumeration.
+	cache     map[string][]Path
+	linkIndex map[[2]topo.NodeID][]string
 	// prod holds the product tables the search prunes with.
 	// InvalidateCache drops it, because a new link can shorten distances
 	// and a stale table would cut live branches. InvalidateLink keeps it:
@@ -107,12 +104,6 @@ type Enumerator struct {
 	rank []int32
 	// expanded counts the search nodes expanded, for benchmarks.
 	expanded int
-}
-
-// entry is one cached enumeration.
-type entry struct {
-	key   string
-	paths []Path
 }
 
 // Enumeration caps: path counts grow exponentially with network size
@@ -137,8 +128,8 @@ func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 	return &Enumerator{
 		topo:      t,
 		keep:      PoolSize(k),
-		cache:     make(map[string]int32),
-		linkIndex: make(map[[2]topo.NodeID][]int32),
+		cache:     make(map[string][]Path),
+		linkIndex: make(map[[2]topo.NodeID][]string),
 	}
 }
 
@@ -163,12 +154,14 @@ func PoolSize(k int) int {
 // depth-first search in ascending neighbor order, sorted. One from
 // NewPoolEnumerator returns the first PoolSize(k) paths of the sort of
 // every valid path: no cap binds it, so its entry depends only on the
-// topology, and its search stops at the first hop count within which the
-// pool is complete.
+// topology, and its search stops once the pool is complete. The two agree
+// on a pair's first PoolSize(k) paths unless the cap stopped the full
+// enumeration: its entry is then a DFS prefix, whose shortest paths need
+// not be the pair's shortest.
 func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, error) {
 	key := fmt.Sprintf("%d|%d|%s", src, dst, chain)
-	if slot, ok := e.cache[key]; ok {
-		return e.entries[slot].paths, nil
+	if got, ok := e.cache[key]; ok {
+		return got, nil
 	}
 	nodes := e.topo.Nodes
 	if int(src) >= len(nodes) || int(dst) >= len(nodes) || src < 0 || dst < 0 {
@@ -179,32 +172,25 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 		e.rank = keyRank(len(nodes))
 	}
 	sortPaths(out, e.rank)
-	if e.keep > 0 && len(out) > e.keep {
-		out = out[:e.keep]
+	if e.keep > 0 {
+		// A copy, so the search's array, and the paths it dropped, are not
+		// kept alive.
+		out = append([]Path(nil), out[:min(len(out), e.keep)]...)
 	}
-	out = compact(out)
-	slot := int32(len(e.entries))
-	if n := len(e.free); n > 0 {
-		slot, e.free = e.free[n-1], e.free[:n-1]
-		e.entries[slot] = entry{key, out}
-	} else {
-		e.entries = append(e.entries, entry{key, out})
-	}
-	e.cache[key] = slot
-	e.indexLinks(slot, out)
+	e.indexLinks(key, out)
+	e.cache[key] = out
 	return out, nil
 }
 
 // search returns Valid's paths from src to dst, unsorted; dkey is
 // "dst|chain". A full enumerator runs one DFS to maxHops, stopped at
-// maxPaths. A pool enumerator deepens the hop budget h from the pair's
-// product distance and stops at the first complete level that holds keep
-// paths: every path of at most h hops is then found, and none longer can
-// sort into the first keep. Each level records only the paths one hop
-// longer than the last. Where the levels show a small pair, it finishes
-// with one DFS to maxHops instead, whose budget falls to the fewest hops
-// within which keep paths have been found; the paths recorded beyond the
-// final budget are dropped.
+// maxPaths. A pool enumerator first walks to the pair's product distance
+// h0, which no valid path undercuts, so the walk finds every path of h0
+// hops. If it finds keep, none longer can sort into the first keep, and
+// the search stops. Otherwise one DFS to maxHops records the longer
+// paths, its budget falling to the fewest hops within which keep paths
+// have been found, and the paths recorded beyond the final budget are
+// dropped.
 func (e *Enumerator) search(src, dst topo.NodeID, chain policy.Chain, dkey string) []Path {
 	maxHops := e.maxHops
 	if maxHops <= 0 {
@@ -239,23 +225,12 @@ func (e *Enumerator) search(src, dst topo.NodeID, chain policy.Chain, dkey strin
 	}
 	d.keep = e.keep
 	d.byHops = make([]int, maxHops+1)
-	last := 0
-	for h := h0; ; h++ {
-		before := d.expanded
-		d.budget = h
+	d.budget = h0
+	d.walk(src, 0)
+	if len(d.out) < e.keep && h0 < maxHops {
+		d.fresh = h0 + 1
+		d.budget = maxHops
 		d.walk(src, 0)
-		d.fresh = h + 1
-		if len(d.out) >= e.keep || h == maxHops {
-			break
-		}
-		// A level that expanded less than twice the one before shows a
-		// small pair: deepening on would re-walk more than it saves, so
-		// the rest is one DFS to maxHops, whose budget falls as paths
-		// come in.
-		if x := d.expanded - before; last > 0 && x < 2*last {
-			h = maxHops - 1
-		}
-		last = d.expanded - before
 	}
 	kept := d.out[:0]
 	for _, p := range d.out {
@@ -294,11 +269,9 @@ type dfs struct {
 	byHops []int
 
 	// fresh is the fewest hops a path needs to be recorded: shorter ones
-	// were recorded at an earlier level.
-	fresh int
-	// out's paths hold slices of slab, which Valid compacts away.
+	// were recorded by an earlier walk.
+	fresh    int
 	out      []Path
-	slab     []topo.NodeID
 	visited  []bool
 	cur      []topo.NodeID
 	expanded int
@@ -343,10 +316,9 @@ func (d *dfs) walk(n topo.NodeID, progress int) {
 func (d *dfs) record() {
 	hops := len(d.cur) - 1
 	if hops < d.fresh {
-		return // an earlier, shallower level recorded it
+		return // an earlier, shallower walk recorded it
 	}
-	d.slab = append(d.slab, d.cur...)
-	d.out = append(d.out, Path{Nodes: d.slab[len(d.slab)-len(d.cur) : len(d.slab) : len(d.slab)]})
+	d.out = append(d.out, Path{Nodes: append([]topo.NodeID(nil), d.cur...)})
 	if d.keep == 0 {
 		return
 	}
@@ -486,40 +458,20 @@ func keyRank(n int) []int32 {
 	return rank
 }
 
-// compact copies ps into one slice of paths whose nodes share one array,
-// so an entry holds two allocations, and nothing of the search's buffers.
-func compact(ps []Path) []Path {
-	if len(ps) == 0 {
-		return nil
-	}
-	n := 0
-	for _, p := range ps {
-		n += len(p.Nodes)
-	}
-	out := make([]Path, len(ps))
-	nodes := make([]topo.NodeID, 0, n)
-	for i, p := range ps {
-		nodes = append(nodes, p.Nodes...)
-		out[i].Nodes = nodes[len(nodes)-len(p.Nodes) : len(nodes) : len(nodes)]
-	}
-	return out
-}
-
-// indexLinks registers slot once under each link its paths cross, so
-// InvalidateLink can find the entries a link removal makes stale. The
-// slot is not in the index before the call (Valid enumerates only
-// uncached keys, and InvalidateLink unregisters the slots it empties);
-// seen marks the links already registered during it.
-func (e *Enumerator) indexLinks(slot int32, ps []Path) {
-	n := len(e.topo.Nodes)
-	seen := make([]uint64, (n*n+63)/64)
+// indexLinks registers key once under each link its paths cross, so
+// InvalidateLink can find the entries a link removal makes stale. The key
+// is not in the index before the call (Valid enumerates only uncached
+// keys, and InvalidateLink removes the keys it drops), and no other key is
+// registered during it, so a link whose last key is already key has it.
+func (e *Enumerator) indexLinks(key string, ps []Path) {
 	for _, p := range ps {
 		for i := 0; i+1 < len(p.Nodes); i++ {
 			k := topo.LinkKey(p.Nodes[i], p.Nodes[i+1])
-			if at := int(k[0])*n + int(k[1]); seen[at/64]&(1<<(at%64)) == 0 {
-				seen[at/64] |= 1 << (at % 64)
-				e.linkIndex[k] = append(e.linkIndex[k], slot)
+			keys := e.linkIndex[k]
+			if n := len(keys); n > 0 && keys[n-1] == key {
+				continue
 			}
+			e.linkIndex[k] = append(keys, key)
 		}
 	}
 }
@@ -533,7 +485,10 @@ func (e *Enumerator) indexLinks(slot int32, ps []Path) {
 // disjointness, and the practical valid-path generators the paper builds
 // on (SOL, Merlin) bound path length for the same reason. k <= 0 returns
 // all valid paths (the full ILP). When maxHopBudget > 0, paths longer than
-// the budget are filtered out first (latency as hop count, §5.7).
+// the budget are filtered out first (latency as hop count, §5.7). On an
+// enumerator from NewEnumerator whose cap stopped a pair's enumeration,
+// the pool is the shortest of the paths the DFS reached, so its draws can
+// differ from a pool enumerator's, which draws from the pair's shortest.
 func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain policy.Chain, k, maxHopBudget int) ([]Path, error) {
 	if e.keep > 0 && (k <= 0 || PoolSize(k) > e.keep) {
 		return nil, fmt.Errorf("paths: %d candidates need more than the %d paths this enumerator keeps per pair", k, e.keep)
@@ -573,9 +528,8 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 // trustworthy, and it can shorten distances, so a kept table would cut
 // branches that now hold paths.
 func (e *Enumerator) InvalidateCache() {
-	e.cache = make(map[string]int32)
-	e.entries, e.free = nil, nil
-	e.linkIndex = make(map[[2]topo.NodeID][]int32)
+	e.cache = make(map[string][]Path)
+	e.linkIndex = make(map[[2]topo.NodeID][]string)
 	e.prod = product{}
 }
 
@@ -599,26 +553,25 @@ func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
 		return
 	}
 	delete(e.linkIndex, k)
-	gone := make([]bool, len(e.entries))
-	for _, slot := range dropped {
-		delete(e.cache, e.entries[slot].key)
-		e.entries[slot] = entry{}
-		e.free = append(e.free, slot)
-		gone[slot] = true
+	gone := make(map[string]bool, len(dropped))
+	for _, key := range dropped {
+		delete(e.cache, key)
+		gone[key] = true
 	}
-	// Unregister the emptied slots everywhere else too, so a slot reused
-	// by another key is not dropped for this one's links.
-	for l, slots := range e.linkIndex {
-		kept := slots[:0]
-		for _, slot := range slots {
-			if !gone[slot] {
-				kept = append(kept, slot)
+	// Unregister the dropped keys everywhere else too, so re-enumerating
+	// them registers each once again instead of twice.
+	for l, keys := range e.linkIndex {
+		kept := keys[:0]
+		for _, key := range keys {
+			if !gone[key] {
+				kept = append(kept, key)
 			}
 		}
 		if len(kept) == 0 {
 			delete(e.linkIndex, l)
 			continue
 		}
+		clear(keys[len(kept):])
 		e.linkIndex[l] = kept
 	}
 }

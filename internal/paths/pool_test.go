@@ -315,3 +315,51 @@ func BenchmarkCacheResident(b *testing.B) {
 		})
 	}
 }
+
+// TestCapSplitsFullFromPool pins where a full and a pool enumerator
+// part: once the cap stops a full enumeration, its entry is a prefix of
+// the DFS, which need not hold the shortest paths, while a pool
+// enumerator's entry is the shortest paths whatever the cap. From switch
+// 0 the DFS takes the direct link to 4 last, so a full enumerator capped
+// at two paths keeps the two 3-hop paths and never draws the 1-hop one.
+func TestCapSplitsFullFromPool(t *testing.T) {
+	tp := topo.NewTopology("cap")
+	for range 5 {
+		tp.AddSwitch("")
+	}
+	for _, l := range [][2]topo.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 4}} {
+		if err := tp.AddLink(l[0], l[1], 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const all = "0-4 0-1-3-4 0-2-3-4"
+	for _, tc := range []struct {
+		name   string
+		e      *paths.Enumerator
+		want   string
+		direct bool // whether a draw of one can be the 1-hop path
+	}{
+		{"full", paths.NewEnumerator(tp), all, true},
+		{"full capped at 2", caps{maxPaths: 2}.apply(paths.NewEnumerator(tp)), "0-1-3-4 0-2-3-4", false},
+		{"pool capped at 2", caps{maxPaths: 2}.apply(paths.NewPoolEnumerator(tp, 1)), all, true},
+	} {
+		got, err := tc.e.Valid(0, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keysOf(got) != tc.want {
+			t.Errorf("%s: Valid = %s, want %s", tc.name, keysOf(got), tc.want)
+		}
+		direct := false
+		for seed := range int64(10) {
+			drew, err := tc.e.Candidates(rand.New(rand.NewSource(seed)), 0, 4, nil, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct = direct || keysOf(drew) == "0-4"
+		}
+		if direct != tc.direct {
+			t.Errorf("%s: ten draws of one include the 1-hop path: %v, want %v", tc.name, direct, tc.direct)
+		}
+	}
+}
