@@ -119,13 +119,18 @@ difftest:
 # a link restore, to a fresh enumeration, Valid's output to the unpruned
 # reference enumeration, and a candidate-pool enumerator's draws to a full
 # one's, on the fig11 instances; and it holds the pool enumerator's cache
-# and link index to a bound over repeated invalidation.
+# to one entry per pair over repeated invalidation, and Retain to the
+# entries it is told are live.
 # TestLinkEventsKeepPathPoolsFresh holds a runtime's path pools after link
-# failures, restores and a quarantine to a fresh configurator's.
+# failures, restores, a quarantine and roaming endpoints to a fresh
+# configurator's. TestPathCacheHoldsLiveTriples holds the path cache to the
+# live (src, dst, chain) triples over 2 000 moves and relabels on fig11
+# Cwix; it runs without -race, which would take minutes for one goroutine.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
 	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh' ./internal/core/ ./internal/runtime/
-	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded' ./internal/paths/
+	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded|TestRetain' ./internal/paths/
+	$(GO) test -count=1 -run TestPathCacheHoldsLiveTriples ./internal/runtime/ -v
 
 # fuzz gives the LP fuzzer a short budget beyond its checked-in seed corpus;
 # CI runs this as a smoke, leave it running locally to hunt.

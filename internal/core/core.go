@@ -151,16 +151,19 @@ func (c *Configurator) Topology() *topo.Topology { return c.topo }
 // Graph returns the bound composed graph.
 func (c *Configurator) Graph() *compose.Graph { return c.graph }
 
-// InvalidatePaths drops the path cache; call after topology changes
-// (endpoint mobility does not change paths, but link changes do).
+// InvalidatePaths drops the path cache; call after a link addition, which
+// can add or shorten paths for any pair. Endpoint moves and relabels need
+// no call: each model build drops the entries no current pair uses.
 func (c *Configurator) InvalidatePaths() { c.enum.InvalidateCache() }
 
 // InvalidateLinkPaths drops only the cached path enumerations that crossed
-// the removed link (a, b) — exact selective invalidation for link
-// failures, keeping the candidate-path cache warm for unaffected pairs.
-// Link additions must use InvalidatePaths: a new link can create paths
-// for any pair.
+// the removed link (a, b), which is exact for link failures. Link
+// additions must use InvalidatePaths.
 func (c *Configurator) InvalidateLinkPaths(a, b topo.NodeID) { c.enum.InvalidateLink(a, b) }
+
+// PathCacheLen returns how many (src, dst, chain) entries the path cache
+// holds and how many product distance tables its search prunes with.
+func (c *Configurator) PathCacheLen() (entries, tables int) { return c.enum.CacheLen() }
 
 // DeltaEnabled reports whether incremental (delta) reconfiguration is on.
 func (c *Configurator) DeltaEnabled() bool { return !c.cfg.DeltaDisable }

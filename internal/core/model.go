@@ -75,6 +75,25 @@ func (c *Configurator) pairsOf(p *compose.Policy) [][2]string {
 	return pairsOn(c.topo, p)
 }
 
+// liveTriples returns the (src attach, dst attach, chain) of every pair of
+// every policy over all its edges, so chains of other periods and of
+// escalations stay: what a model build may draw on the network as it is.
+func (c *Configurator) liveTriples() map[paths.Triple]bool {
+	out := map[paths.Triple]bool{}
+	for _, p := range c.graph.Policies {
+		pairs := c.pairsOf(p)
+		for _, e := range p.AllEdges() {
+			chain := e.Chain.String()
+			for _, pair := range pairs {
+				src, _ := c.topo.EndpointByName(pair[0])
+				dst, _ := c.topo.EndpointByName(pair[1])
+				out[paths.Triple{Src: src.Attach, Dst: dst.Attach, Chain: chain}] = true
+			}
+		}
+	}
+	return out
+}
+
 // pairsOn is pairsOf on an explicit topology, shared with the dependency
 // index builder.
 func pairsOn(t *topo.Topology, p *compose.Policy) [][2]string {
@@ -269,6 +288,8 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 			softGroups = append(softGroups, g)
 		}
 	}
+	// The path cache keeps only what the network uses now.
+	c.enum.Retain(c.liveTriples())
 
 	// Soft constraints (Eqn 4): Σ_p P_ndp = I_i − ξ_i, with ξ penalized in
 	// the objective (Eqn 6).

@@ -14,27 +14,15 @@ func SetMaxPaths(e *Enumerator, n int) { e.maxPaths = n }
 // SetMaxHops lowers the path-length cap of e.
 func SetMaxHops(e *Enumerator, n int) { e.maxHops = n }
 
-// CacheStat describes an enumerator's cache: how many entries it holds,
-// the length of the longest, the total length of its link index and how
-// many of the index's (link, key) registrations repeat an earlier one.
-type CacheStat struct{ Entries, Longest, IndexLen, IndexDups int }
+// CacheStat describes an enumerator's cache: how many entries it holds
+// and the length of the longest.
+type CacheStat struct{ Entries, Longest int }
 
 // CacheStats returns e's CacheStat.
 func CacheStats(e *Enumerator) CacheStat {
-	var st CacheStat
-	st.Entries = len(e.cache)
+	st := CacheStat{Entries: len(e.cache)}
 	for _, ps := range e.cache {
 		st.Longest = max(st.Longest, len(ps))
-	}
-	for _, keys := range e.linkIndex {
-		st.IndexLen += len(keys)
-		seen := map[string]bool{}
-		for _, key := range keys {
-			if seen[key] {
-				st.IndexDups++
-			}
-			seen[key] = true
-		}
 	}
 	return st
 }

@@ -125,3 +125,63 @@ func TestInvalidateLinkMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainKeepsOnlyLiveEntries checks that Retain drops exactly the
+// entries of triples it is not given, keeps the others serving the same
+// slice, and that a dropped triple, drawn again, re-enumerates the paths
+// it held.
+func TestRetainKeepsOnlyLiveEntries(t *testing.T) {
+	tp, ids := fig4(t)
+	e := NewPoolEnumerator(tp, 1)
+	triples := []struct {
+		src, dst string
+		chain    policy.Chain
+	}{
+		{"s1", "s5", nil},
+		{"s1", "s5", policy.Chain{policy.Firewall}},
+		{"s3", "s6", nil},
+		{"s7", "s5", policy.Chain{policy.LightIDS, policy.Firewall}},
+	}
+	before := make([][]Path, len(triples))
+	for i, tr := range triples {
+		ps, err := e.Valid(ids[tr.src], ids[tr.dst], tr.chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) == 0 {
+			t.Fatalf("setup: triple %d has no paths", i)
+		}
+		before[i] = ps
+	}
+	live := map[Triple]bool{}
+	for _, i := range []int{1, 3} {
+		tr := triples[i]
+		live[Triple{ids[tr.src], ids[tr.dst], tr.chain.String()}] = true
+	}
+	e.Retain(live)
+	if len(e.cache) != 2 {
+		t.Fatalf("Retain kept %d entries, want the 2 live ones", len(e.cache))
+	}
+	for i, tr := range triples {
+		ps, err := e.Valid(ids[tr.src], ids[tr.dst], tr.chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != len(before[i]) {
+			t.Fatalf("triple %d: %d paths after Retain, want %d", i, len(ps), len(before[i]))
+		}
+		for j := range ps {
+			if !ps[j].Equal(before[i][j]) {
+				t.Errorf("triple %d: path %d is %s after Retain, want %s", i, j, ps[j].Key(), before[i][j].Key())
+			}
+		}
+		live, cached := i == 1 || i == 3, &ps[0] == &before[i][0]
+		if cached != live {
+			t.Errorf("triple %d: served from the cache: %v, want %v", i, cached, live)
+		}
+	}
+	e.Retain(nil)
+	if len(e.cache) != 0 {
+		t.Fatalf("Retain(nil) kept %d entries", len(e.cache))
+	}
+}

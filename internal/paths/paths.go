@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,12 +28,7 @@ type Path struct {
 }
 
 // Hops returns the number of links on the path (a latency proxy, §5.7).
-func (p Path) Hops() int {
-	if len(p.Nodes) == 0 {
-		return 0
-	}
-	return len(p.Nodes) - 1
-}
+func (p Path) Hops() int { return max(len(p.Nodes)-1, 0) }
 
 // Links returns the directed links the path traverses.
 func (p Path) Links() [][2]topo.NodeID {
@@ -60,17 +56,7 @@ func (p Path) Key() string {
 }
 
 // Equal reports whether two paths traverse the same node sequence.
-func (p Path) Equal(o Path) bool {
-	if len(p.Nodes) != len(o.Nodes) {
-		return false
-	}
-	for i := range p.Nodes {
-		if p.Nodes[i] != o.Nodes[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p Path) Equal(o Path) bool { return slices.Equal(p.Nodes, o.Nodes) }
 
 // Enumerator enumerates and caches valid paths on one topology.
 type Enumerator struct {
@@ -85,15 +71,10 @@ type Enumerator struct {
 	// enumerator was built for, or 0 to cache every enumerated path.
 	keep int
 
-	// cache maps "src|dst|chain" to the first keep paths of the sorted
-	// valid paths. linkIndex maps a normalized undirected link to the
-	// cache keys, each once, whose cached paths cross it, so a link
-	// removal drops only the entries it can change (InvalidateLink).
-	// InvalidateLink also removes the keys it drops from every other link,
-	// so the index names only cached entries and never grows by
-	// re-enumeration.
-	cache     map[string][]Path
-	linkIndex map[[2]topo.NodeID][]string
+	// cache maps (src, dst, chain) to the first keep paths of the sorted
+	// valid paths. Retain drops the entries of triples no caller draws
+	// any more, and InvalidateLink those a link removal can change.
+	cache map[Triple][]Path
 	// prod holds the product tables the search prunes with.
 	// InvalidateCache drops it, because a new link can shorten distances
 	// and a stale table would cut live branches. InvalidateLink keeps it:
@@ -126,10 +107,9 @@ func NewEnumerator(t *topo.Topology) *Enumerator {
 // with k <= 0, is an error.
 func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 	return &Enumerator{
-		topo:      t,
-		keep:      PoolSize(k),
-		cache:     make(map[string][]Path),
-		linkIndex: make(map[[2]topo.NodeID][]string),
+		topo:  t,
+		keep:  PoolSize(k),
+		cache: make(map[Triple][]Path),
 	}
 }
 
@@ -159,7 +139,7 @@ func PoolSize(k int) int {
 // enumeration: its entry is then a DFS prefix, whose shortest paths need
 // not be the pair's shortest.
 func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, error) {
-	key := fmt.Sprintf("%d|%d|%s", src, dst, chain)
+	key := Triple{src, dst, chain.String()}
 	if got, ok := e.cache[key]; ok {
 		return got, nil
 	}
@@ -167,7 +147,7 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 	if int(src) >= len(nodes) || int(dst) >= len(nodes) || src < 0 || dst < 0 {
 		return nil, fmt.Errorf("paths: src %d or dst %d out of range", src, dst)
 	}
-	out := e.search(src, dst, chain, key[strings.IndexByte(key, '|')+1:])
+	out := e.search(src, dst, chain, strconv.Itoa(int(dst))+"|"+key.Chain)
 	if len(e.rank) != len(nodes) {
 		e.rank = keyRank(len(nodes))
 	}
@@ -177,9 +157,15 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 		// kept alive.
 		out = append([]Path(nil), out[:min(len(out), e.keep)]...)
 	}
-	e.indexLinks(key, out)
 	e.cache[key] = out
 	return out, nil
+}
+
+// Triple names a cache entry: a source and a destination switch, and a
+// chain as its String.
+type Triple struct {
+	Src, Dst topo.NodeID
+	Chain    string
 }
 
 // search returns Valid's paths from src to dst, unsorted; dkey is
@@ -458,24 +444,6 @@ func keyRank(n int) []int32 {
 	return rank
 }
 
-// indexLinks registers key once under each link its paths cross, so
-// InvalidateLink can find the entries a link removal makes stale. The key
-// is not in the index before the call (Valid enumerates only uncached
-// keys, and InvalidateLink removes the keys it drops), and no other key is
-// registered during it, so a link whose last key is already key has it.
-func (e *Enumerator) indexLinks(key string, ps []Path) {
-	for _, p := range ps {
-		for i := 0; i+1 < len(p.Nodes); i++ {
-			k := topo.LinkKey(p.Nodes[i], p.Nodes[i+1])
-			keys := e.linkIndex[k]
-			if n := len(keys); n > 0 && keys[n-1] == key {
-				continue
-			}
-			e.linkIndex[k] = append(keys, key)
-		}
-	}
-}
-
 // Candidates returns up to k valid paths for the policy's (src,dst,chain).
 // Selection follows the paper's heuristic (§5.2): a random subset of the
 // valid paths, which "can provide a high degree of edge-disjointedness".
@@ -528,50 +496,49 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 // trustworthy, and it can shorten distances, so a kept table would cut
 // branches that now hold paths.
 func (e *Enumerator) InvalidateCache() {
-	e.cache = make(map[string][]Path)
-	e.linkIndex = make(map[[2]topo.NodeID][]string)
+	e.cache = make(map[Triple][]Path)
 	e.prod = product{}
 }
 
-// InvalidateLink drops the cached entries that cross the removed link
-// (a, b), and keeps the rest warm. What it keeps is exact, not heuristic,
-// because removing a link only deletes paths. A full enumerator's entry
-// is the first maxPaths paths of a deterministic DFS (then sorted); if
-// none crosses the link, the DFS yields the same prefix without it. A
-// pool enumerator's entry is the first PoolSize(k) paths of the sort of
-// every valid path, with no cap; if none crosses the link, the same paths
-// still come first in what remains. Either way the index needs only the
-// links of the cached paths. The product is kept: it then describes a
-// supergraph of the topology, so its distances, and those of tables
-// built from it later, still bound every completion from below and cut
-// nothing that holds a path. Only use for link removals; additions must
-// use InvalidateCache.
+// InvalidateLink drops the cached entries with a path that crosses the
+// removed link (a, b), and keeps the rest warm. It scans the cached paths,
+// a cost paid only on link removals. What it keeps is exact, because
+// removing a link only deletes paths. A full enumerator's entry is the
+// first maxPaths paths of a deterministic DFS (then sorted); if none
+// crosses the link, the DFS yields the same prefix without it. A pool
+// enumerator's entry is the first PoolSize(k) paths of the sort of every
+// valid path, with no cap; if none crosses the link, the same paths still
+// come first in what remains. The product is kept: it then describes a
+// supergraph of the topology, so its distances, and those of tables built
+// from it later, still bound every completion from below and cut nothing
+// that holds a path. Only use for link removals; additions must use
+// InvalidateCache.
 func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
-	k := topo.LinkKey(a, b)
-	dropped := e.linkIndex[k]
-	if len(dropped) == 0 {
-		return
-	}
-	delete(e.linkIndex, k)
-	gone := make(map[string]bool, len(dropped))
-	for _, key := range dropped {
-		delete(e.cache, key)
-		gone[key] = true
-	}
-	// Unregister the dropped keys everywhere else too, so re-enumerating
-	// them registers each once again instead of twice.
-	for l, keys := range e.linkIndex {
-		kept := keys[:0]
-		for _, key := range keys {
-			if !gone[key] {
-				kept = append(kept, key)
+	link := topo.LinkKey(a, b)
+	for key, ps := range e.cache {
+		for _, p := range ps {
+			for i := 1; i < len(p.Nodes); i++ {
+				if topo.LinkKey(p.Nodes[i-1], p.Nodes[i]) == link {
+					delete(e.cache, key)
+				}
 			}
 		}
-		if len(kept) == 0 {
-			delete(e.linkIndex, l)
-			continue
+	}
+}
+
+// CacheLen returns how many (src, dst, chain) entries e caches and how
+// many product distance tables, one per (dst, chain), its search prunes
+// with.
+func (e *Enumerator) CacheLen() (entries, tables int) { return len(e.cache), len(e.prod.dist) }
+
+// Retain drops every cached entry whose triple is not live. That is
+// exact: an entry depends only on the topology, so a triple that becomes
+// live again re-enumerates the paths it held. The product tables stay,
+// bounded by the switches times the distinct chains, whatever the pairs.
+func (e *Enumerator) Retain(live map[Triple]bool) {
+	for t := range e.cache {
+		if !live[t] {
+			delete(e.cache, t)
 		}
-		clear(keys[len(kept):])
-		e.linkIndex[l] = kept
 	}
 }
