@@ -121,6 +121,13 @@ difftest:
 # one's, on the fig11 instances; and it holds the pool enumerator's cache
 # to one entry per pair over repeated invalidation, and Retain to the
 # entries it is told are live.
+# TestCountersEscalateOnePair holds the model to a flow's counter state: an
+# escalated pair is served on its escalation edge hard, and an unroutable
+# escalation leaves its policy unconfigured. TestEscalationWithoutPathUnconfigures
+# escalates a flow and moves its destination onto the source's switch, where
+# the escalation has no path: every event must still install. And
+# TestEscalationFreezesOtherPolicies trips every escalation of a fig11 Ans
+# instance; one that had a reservation must move no other policy's path.
 # TestLinkEventsKeepPathPoolsFresh holds a runtime's path pools after link
 # failures, restores, a quarantine and roaming endpoints to a fresh
 # configurator's. TestPathCacheHoldsLiveTriples holds the path cache to the
@@ -128,7 +135,7 @@ difftest:
 # Cwix; it runs without -race, which would take minutes for one goroutine.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded|TestRetain' ./internal/paths/
 	$(GO) test -count=1 -run TestPathCacheHoldsLiveTriples ./internal/runtime/ -v
 

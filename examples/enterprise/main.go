@@ -84,7 +84,8 @@ func main() {
 	}
 
 	// Stateful escalation: five failed connections trip the >=5 condition
-	// and the flow moves onto its pre-reserved escalation path.
+	// and the flow moves onto an escalation path, in the capacity its
+	// reservation held.
 	for i := 0; i < 5; i++ {
 		check(rt.ReportEvent(context.Background(), "m1", "w1", janus.FailedConnections, 1))
 	}

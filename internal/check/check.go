@@ -12,7 +12,8 @@
 //     reachability.
 //  4. Capacity: promised queue bandwidth stays within every link capacity.
 //
-// The checker shares no code with the configurator's model builder, so a
+// The checker shares no code with the configurator's model builder beyond
+// the topology's endpoint pairs and the composer's active-edge rule, so a
 // bug in one is caught by the other.
 package check
 
@@ -52,7 +53,7 @@ func (v Violation) String() string {
 // Audit verifies the network against the composed graph and the period's
 // result at the given hour with the given per-flow event counters (nil for
 // normal state).
-func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core.Result, hour int, counters map[string]map[policy.Event]int) []Violation {
+func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core.Result, hour int, counters core.Counters) []Violation {
 	var out []Violation
 
 	// Properties 1+2: every configured policy's pairs forward through
@@ -61,14 +62,8 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 		if !res.Configured[p.ID] {
 			continue
 		}
-		state := func(src, dst string) map[policy.Event]int {
-			if counters == nil {
-				return nil
-			}
-			return counters[src+"->"+dst]
-		}
-		for _, pair := range pairsOf(t, p) {
-			edge, ok := compose.ActiveEdge(p, hour, state(pair[0], pair[1]))
+		for _, pair := range t.Pairs(p.Src, p.Dst) {
+			edge, _, ok := compose.ActiveEdge(p, hour, counters[core.FlowKey(pair[0], pair[1])])
 			if !ok {
 				continue // policy allows nothing in this state
 			}
@@ -93,7 +88,7 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 		if !res.Configured[p.ID] {
 			continue
 		}
-		for _, pair := range pairsOf(t, p) {
+		for _, pair := range t.Pairs(p.Src, p.Dst) {
 			covered[pair] = true
 		}
 	}
@@ -126,20 +121,6 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 		}
 		return out[i].Detail < out[j].Detail
 	})
-	return out
-}
-
-func pairsOf(t *topo.Topology, p *compose.Policy) [][2]string {
-	srcs := t.EndpointsMatching(p.Src)
-	dsts := t.EndpointsMatching(p.Dst)
-	var out [][2]string
-	for _, s := range srcs {
-		for _, d := range dsts {
-			if s != d {
-				out = append(out, [2]string{s, d})
-			}
-		}
-	}
 	return out
 }
 

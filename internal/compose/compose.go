@@ -152,28 +152,28 @@ func (g *Graph) Periods() []int {
 }
 
 // ActiveEdge returns the edge of p that applies at hour h under the given
-// event counters; ok=false when no edge is active. When several edges are
-// active simultaneously the most specific one wins: first the edge composed
-// from the most writers (§4.2: traffic satisfying both dynamic policies
-// goes through the composed policy), then the tightest stateful condition.
-func ActiveEdge(p *Policy, h int, counters map[policy.Event]int) (policy.Edge, bool) {
-	best := policy.Edge{}
-	found := false
-	for _, e := range p.NonDefault {
+// event counters and its index into p.AllEdges(); ok=false (and index -1)
+// when no edge is active. When several edges are active simultaneously the
+// most specific one wins: first the edge composed from the most writers
+// (§4.2: traffic satisfying both dynamic policies goes through the
+// composed policy), then the tightest stateful condition.
+func ActiveEdge(p *Policy, h int, counters map[policy.Event]int) (policy.Edge, int, bool) {
+	best := -1
+	for i, e := range p.NonDefault {
 		if !e.Cond.ActiveAt(h, counters) {
 			continue
 		}
-		if !found || moreSpecific(e, best) {
-			best, found = e, true
+		if best < 0 || moreSpecific(e, p.NonDefault[best]) {
+			best = i
 		}
 	}
-	if found {
-		return best, true
+	if best >= 0 {
+		return p.NonDefault[best], best + 1, true
 	}
 	if p.Default.Cond.ActiveAt(h, counters) {
-		return p.Default, true
+		return p.Default, 0, true
 	}
-	return policy.Edge{}, false
+	return policy.Edge{}, -1, false
 }
 
 // moreSpecific reports whether edge a should shadow edge b when both are

@@ -138,7 +138,7 @@ func TestComposeStatefulFig10a(t *testing.T) {
 		t.Errorf("default chain = %v, want plain L-IDS", p.Default.Chain)
 	}
 	// At 6 failed connections the active edge must include H-IDS but not DPI.
-	e, ok := ActiveEdge(p, 12, map[policy.Event]int{policy.FailedConnections: 6})
+	e, _, ok := ActiveEdge(p, 12, map[policy.Event]int{policy.FailedConnections: 6})
 	if !ok {
 		t.Fatal("no active edge at 6 failures")
 	}
@@ -146,7 +146,7 @@ func TestComposeStatefulFig10a(t *testing.T) {
 		t.Errorf("chain at 6 failures = %v, want H-IDS without DPI", e.Chain)
 	}
 	// At 10 failures the chain must include both H-IDS and DPI.
-	e, ok = ActiveEdge(p, 12, map[policy.Event]int{policy.FailedConnections: 10})
+	e, _, ok = ActiveEdge(p, 12, map[policy.Event]int{policy.FailedConnections: 10})
 	if !ok {
 		t.Fatal("no active edge at 10 failures")
 	}
@@ -154,7 +154,7 @@ func TestComposeStatefulFig10a(t *testing.T) {
 		t.Errorf("chain at 10 failures = %v, want H-IDS and DPI", e.Chain)
 	}
 	// At 0 failures normal traffic goes through L-IDS only.
-	e, ok = ActiveEdge(p, 12, nil)
+	e, _, ok = ActiveEdge(p, 12, nil)
 	if !ok {
 		t.Fatal("no active edge for normal traffic")
 	}
@@ -182,7 +182,7 @@ func TestComposeTemporalFig10b(t *testing.T) {
 	}
 	p := g.Policies[0]
 	// At 13h the composed FW->LB edge must be active.
-	e, ok := ActiveEdge(p, 13, nil)
+	e, _, ok := ActiveEdge(p, 13, nil)
 	if !ok {
 		t.Fatal("no active edge at 13h")
 	}
@@ -190,7 +190,7 @@ func TestComposeTemporalFig10b(t *testing.T) {
 		t.Errorf("chain at 13h = %v, want FW->LB", e.Chain)
 	}
 	// At 10h only the FW residual applies.
-	e, ok = ActiveEdge(p, 10, nil)
+	e, _, ok = ActiveEdge(p, 10, nil)
 	if !ok {
 		t.Fatal("no active edge at 10h")
 	}
@@ -198,7 +198,7 @@ func TestComposeTemporalFig10b(t *testing.T) {
 		t.Errorf("chain at 10h = %v, want FW", e.Chain)
 	}
 	// At 19h only the LB residual applies.
-	e, ok = ActiveEdge(p, 19, nil)
+	e, _, ok = ActiveEdge(p, 19, nil)
 	if !ok {
 		t.Fatal("no active edge at 19h")
 	}
@@ -206,7 +206,7 @@ func TestComposeTemporalFig10b(t *testing.T) {
 		t.Errorf("chain at 19h = %v, want LB", e.Chain)
 	}
 	// At 22h nothing is allowed.
-	if _, ok := ActiveEdge(p, 22, nil); ok {
+	if _, _, ok := ActiveEdge(p, 22, nil); ok {
 		t.Error("no edge should be active at 22h")
 	}
 }
@@ -334,13 +334,13 @@ func TestComposeDisjointWindowsConflict(t *testing.T) {
 		t.Fatalf("policies = %d, want 1 (residual edges)", len(g.Policies))
 	}
 	p := g.Policies[0]
-	if _, ok := ActiveEdge(p, 2, nil); !ok {
+	if _, _, ok := ActiveEdge(p, 2, nil); !ok {
 		t.Error("writer a's residual should be active at 2h")
 	}
-	if _, ok := ActiveEdge(p, 7, nil); !ok {
+	if _, _, ok := ActiveEdge(p, 7, nil); !ok {
 		t.Error("writer b's residual should be active at 7h")
 	}
-	if _, ok := ActiveEdge(p, 12, nil); ok {
+	if _, _, ok := ActiveEdge(p, 12, nil); ok {
 		t.Error("no edge should be active at 12h")
 	}
 }

@@ -144,10 +144,13 @@ func TestActiveEdgeDeterministic(t *testing.T) {
 		for _, p := range g.Policies {
 			for counter := 0; counter < 12; counter++ {
 				state := map[policy.Event]int{policy.FailedConnections: counter}
-				e1, ok1 := ActiveEdge(p, 12, state)
-				e2, ok2 := ActiveEdge(p, 12, state)
-				if ok1 != ok2 || (ok1 && e1.String() != e2.String()) {
+				e1, i1, ok1 := ActiveEdge(p, 12, state)
+				e2, i2, ok2 := ActiveEdge(p, 12, state)
+				if ok1 != ok2 || i1 != i2 || (ok1 && e1.String() != e2.String()) {
 					t.Fatalf("trial %d: ActiveEdge nondeterministic at counter %d", trial, counter)
+				}
+				if ok1 && p.AllEdges()[i1].String() != e1.String() {
+					t.Fatalf("trial %d: ActiveEdge index %d names %v, not the returned %v", trial, i1, p.AllEdges()[i1], e1)
 				}
 			}
 		}

@@ -9,17 +9,19 @@ import (
 	"janus/internal/milp"
 )
 
-// Configure solves one time period's configuration from scratch.
-// The period is an hour of day (0–23); static policy sets ignore it.
+// Configure solves one time period's configuration from scratch, with
+// every flow in its normal state. The period is an hour of day (0–23);
+// static policy sets ignore it.
 func (c *Configurator) Configure(period int) (*Result, error) {
-	return c.ConfigureContext(context.Background(), period)
+	return c.ConfigureContext(context.Background(), period, nil)
 }
 
-// ConfigureContext is Configure with a cancellation context: cancelling it
-// aborts the branch-and-bound search between node solves (an HTTP client
-// abandoning /configure should not leave the solver running).
-func (c *Configurator) ConfigureContext(ctx context.Context, period int) (*Result, error) {
-	return c.solvePeriod(ctx, period, nil, nil)
+// ConfigureContext is Configure for the flows' counter state, with a
+// cancellation context: cancelling it aborts the branch-and-bound search
+// between node solves (an HTTP client abandoning /configure should not
+// leave the solver running).
+func (c *Configurator) ConfigureContext(ctx context.Context, period int, counters Counters) (*Result, error) {
+	return c.solvePeriod(ctx, period, nil, nil, counters)
 }
 
 // Reconfigure re-solves period prev.Period after environment changes
@@ -31,31 +33,31 @@ func (c *Configurator) Reconfigure(prev *Result) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: Reconfigure requires a previous result")
 	}
-	return c.ReconfigureAtContext(context.Background(), prev, prev.Period)
+	return c.ReconfigureAtContext(context.Background(), prev, prev.Period, nil)
 }
 
 // ReconfigureAtContext re-solves for the given period (which may differ
-// from the previous result's, e.g. at a temporal boundary), warm-started
-// from the previous basis and penalizing path changes against the previous
-// assignments.
-func (c *Configurator) ReconfigureAtContext(ctx context.Context, prev *Result, period int) (*Result, error) {
+// from the previous result's, e.g. at a temporal boundary) and the flows'
+// counter state, warm-started from the previous basis and penalizing path
+// changes against the previous assignments.
+func (c *Configurator) ReconfigureAtContext(ctx context.Context, prev *Result, period int, counters Counters) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: ReconfigureAtContext requires a previous result")
 	}
-	return c.solvePeriod(ctx, period, prev, nil)
+	return c.solvePeriod(ctx, period, prev, nil, counters)
 }
 
 // solvePeriod builds and solves the period model. When the full solve
 // fails to produce an incumbent, it falls down the degradation ladder:
 // best incumbent → rounded LP relaxation → keep the previous configuration
 // → empty configuration, recording the serving tier in Result.Tier.
-func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result, over bwOverride) (*Result, error) {
+func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result, over bwOverride, counters Counters) (*Result, error) {
 	start := time.Now()
 	var prevAssign []Assignment
 	if prev != nil {
 		prevAssign = prev.Assignments
 	}
-	m, err := c.buildModel(period, prevAssign, over)
+	m, err := c.buildModel(period, prevAssign, over, counters)
 	if err != nil {
 		return nil, err
 	}

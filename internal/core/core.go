@@ -23,6 +23,7 @@ import (
 	"janus/internal/lp"
 	"janus/internal/milp"
 	"janus/internal/paths"
+	"janus/internal/policy"
 	"janus/internal/topo"
 )
 
@@ -174,12 +175,21 @@ type EdgeRole int
 // Edge roles in a period model.
 const (
 	// HardEdge must be configured for the policy to count as satisfied
-	// (default edges and pure-temporal edges active in the period; Eqn 2).
+	// (default edges and pure-temporal edges active in the period, or the
+	// escalation edge a pair's counters made active; Eqn 2).
 	HardEdge EdgeRole = iota
 	// SoftEdge is reserved best-effort via the slack ξ (stateful
-	// escalation edges; Eqn 4).
+	// escalation edges, and the other edges of an escalated pair; Eqn 4).
 	SoftEdge
 )
+
+// Counters holds each flow's stateful event counts, keyed by FlowKey: the
+// state a solve serves (§5.3). A nil map, or a flow without an entry, is
+// normal traffic.
+type Counters map[string]map[policy.Event]int
+
+// FlowKey is the Counters key of the flow from endpoint src to dst.
+func FlowKey(src, dst string) string { return src + "->" + dst }
 
 // Assignment is one configured path: policy pid's edge (by index into
 // Policy.AllEdges()) for endpoint pair (Src, Dst) uses Path.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"janus/internal/compose"
@@ -347,6 +350,93 @@ func TestStatefulSlackUnderScarcity(t *testing.T) {
 	}
 	if !res.SlackUsed[pid] {
 		t.Error("escalation reservation is impossible; ξ should be 1")
+	}
+}
+
+// TestCountersEscalateOnePair holds the model to a flow's counter state: a
+// pair whose counters made the H-IDS escalation its active edge is served
+// on it hard and reserves the default soft, while the other pair of the
+// same policy keeps the default hard. If the escalation chain cannot be
+// routed, the escalated pair's hard row is empty and the whole policy is
+// unconfigured (Eqn 2), where without counters it is configured with its
+// reservation given up.
+func TestCountersEscalateOnePair(t *testing.T) {
+	setup := func(withHIDS bool) (*Configurator, int) {
+		tp := topo.NewTopology("escalate")
+		a := tp.AddSwitch("")
+		b := tp.AddSwitch("")
+		mid := tp.AddSwitch("")
+		link := func(x, y topo.NodeID) {
+			t.Helper()
+			if err := tp.AddLink(x, y, 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		link(a, b)
+		link(a, mid)
+		link(mid, b)
+		if withHIDS {
+			hids := tp.AddNF("hids", policy.HeavyIDS)
+			link(mid, hids)
+			link(hids, b)
+		}
+		for _, ep := range []struct {
+			name  string
+			at    topo.NodeID
+			label string
+		}{{"c1", a, "Clients"}, {"c2", a, "Clients"}, {"srv", b, "Web"}} {
+			if err := tp.AddEndpoint(ep.name, ep.at, ep.label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := policy.NewGraph("g")
+		g.AddEdge(policy.Edge{Src: "Clients", Dst: "Web", Default: true,
+			QoS: policy.QoS{BandwidthMbps: 10}})
+		g.AddEdge(policy.Edge{Src: "Clients", Dst: "Web",
+			Chain: policy.Chain{policy.HeavyIDS},
+			QoS:   policy.QoS{BandwidthMbps: 10},
+			Cond:  policy.Condition{Stateful: policy.WhenAtLeast(policy.FailedConnections, 5)}})
+		cg, err := compose.New(nil).Compose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustNew(t, tp, cg, Config{}), cg.Policies[0].ID
+	}
+	counters := Counters{FlowKey("c1", "srv"): {policy.FailedConnections: 5}}
+	ctx := context.Background()
+
+	c, pid := setup(true)
+	res, err := c.ConfigureContext(ctx, 0, counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Configured[pid] || res.SlackUsed[pid] {
+		t.Fatalf("configured %v, slack used %v; want configured with its reservation", res.Configured[pid], res.SlackUsed[pid])
+	}
+	roles := map[string]EdgeRole{}
+	for _, a := range res.Assignments {
+		roles[fmt.Sprintf("%s/%d", a.Src, a.EdgeIdx)] = a.Role
+	}
+	want := map[string]EdgeRole{"c1/1": HardEdge, "c1/0": SoftEdge, "c2/0": HardEdge, "c2/1": SoftEdge}
+	if !reflect.DeepEqual(roles, want) {
+		t.Errorf("roles by pair/edge = %v, want %v", roles, want)
+	}
+
+	c, pid = setup(false)
+	res, err = c.ConfigureContext(ctx, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Configured[pid] || !res.SlackUsed[pid] {
+		t.Fatalf("without counters: configured %v, slack used %v; want configured, reservation given up", res.Configured[pid], res.SlackUsed[pid])
+	}
+	res, err = c.ConfigureContext(ctx, 0, counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Configured[pid] || len(res.Assignments) != 0 {
+		t.Errorf("escalated onto an unroutable chain: configured %v with %d assignments, want unconfigured with none",
+			res.Configured[pid], len(res.Assignments))
 	}
 }
 

@@ -59,7 +59,7 @@ func TestConfigureContextCancelled(t *testing.T) {
 	conf := ladderSetup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := conf.ConfigureContext(ctx, 0); !errors.Is(err, context.Canceled) {
+	if _, err := conf.ConfigureContext(ctx, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled configure should propagate context.Canceled, got %v", err)
 	}
 }
@@ -73,7 +73,7 @@ func TestKeepPreviousServesPriorConfig(t *testing.T) {
 	if len(prev.Assignments) == 0 {
 		t.Fatal("setup policy should be configured")
 	}
-	m, err := conf.buildModel(0, prev.Assignments, nil)
+	m, err := conf.buildModel(0, prev.Assignments, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestKeepPreviousServesPriorConfig(t *testing.T) {
 // feeds /metrics SolverWorkers, which read 0 after an lp-round install.
 func TestLPRoundTierReportsOneWorker(t *testing.T) {
 	conf := ladderSetup(t)
-	m, err := conf.buildModel(0, nil, nil)
+	m, err := conf.buildModel(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

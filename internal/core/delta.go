@@ -54,7 +54,7 @@ func BuildDepIndex(t *topo.Topology, g *compose.Graph, res *Result) *DepIndex {
 		if len(hard) == 0 {
 			continue
 		}
-		pairs := pairsOn(t, p)
+		pairs := t.Pairs(p.Src, p.Dst)
 		if len(pairs) == 0 {
 			continue
 		}
@@ -98,13 +98,16 @@ type DeltaStats struct {
 	Frozen   int
 }
 
-// DeltaRequest scopes an incremental reconfiguration: the period to solve
-// and the policies the triggering event may have affected. The solver
-// widens the set with policies whose frozen assignments would be unsound
-// (stale links, changed endpoint pairs, changed active edges).
+// DeltaRequest scopes an incremental reconfiguration: the period to solve,
+// the flows' counter state, and the policies the triggering event may have
+// affected. The solver widens the set with policies whose frozen
+// assignments would be unsound (stale links, changed endpoint pairs,
+// changed active edges); a counter event that changes a flow's active
+// edge names its policy itself.
 type DeltaRequest struct {
 	Period   int
 	Affected map[int]bool
+	Counters Counters
 }
 
 // ErrDeltaFallback is the sentinel wrapped by delta-solve errors that mean
@@ -158,6 +161,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 	}
 	var candidates []frozenPolicy
 	active := 0
+	allPairs := c.policyPairs()
 	pairsByPid := map[int][][2]string{}
 	weightByPid := map[int]float64{}
 	for _, p := range pols {
@@ -165,7 +169,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 		if len(hard) == 0 {
 			continue
 		}
-		pairs := pairsOn(c.topo, p)
+		pairs := allPairs[p.ID]
 		if len(pairs) == 0 {
 			continue
 		}
@@ -276,7 +280,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			Tier:       TierFull,
 		}
 	} else {
-		m, err := c.buildModelScoped(req.Period, prevAffAssign, nil, &modelScope{include: scopeSet, residual: residual})
+		m, err := c.buildModelScoped(req.Period, prevAffAssign, nil, req.Counters, allPairs, &modelScope{include: scopeSet, residual: residual})
 		if err != nil {
 			return nil, deltaFallback("building sub-model: %v", err)
 		}

@@ -85,7 +85,7 @@ func TestDeltaMatchesFullAfterMove(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delta solve: %v", err)
 	}
-	full, err := c.ReconfigureAtContext(context.Background(), prev, 0)
+	full, err := c.ReconfigureAtContext(context.Background(), prev, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDeltaSubModelScalesWithChange(t *testing.T) {
 			if err != nil {
 				t.Fatalf("delta solve: %v", err)
 			}
-			full, err := c.ReconfigureAtContext(context.Background(), prev, 0)
+			full, err := c.ReconfigureAtContext(context.Background(), prev, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

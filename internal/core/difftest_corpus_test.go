@@ -40,7 +40,7 @@ func corpusModel(t *testing.T, name, topoName string, spec workload.Spec, cfg Co
 		}
 		prev = res.Assignments
 	}
-	m, err := conf.buildModel(h, prev, nil)
+	m, err := conf.buildModel(h, prev, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

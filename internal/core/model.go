@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"janus/internal/compose"
 	"janus/internal/lp"
 	"janus/internal/paths"
+	"janus/internal/policy"
 	"janus/internal/topo"
 )
 
@@ -67,43 +69,40 @@ func activeEdges(p *compose.Policy, h int) (hard, soft []int) {
 	return hard, soft
 }
 
-// pairsOf resolves the endpoint pairs of a policy: the cross product of the
-// endpoints matching its source and destination EPGs (§5.1: "the endpoint
-// to EPG mapping can be used to infer the policy associated with each
-// <src,dst> endpoint pair").
-func (c *Configurator) pairsOf(p *compose.Policy) [][2]string {
-	return pairsOn(c.topo, p)
+// escalatedEdge returns the soft edge that a pair's counter state makes
+// its active edge at hour h, or -1 when the pair is served as the policy
+// is: on its hard edges, reserving its soft ones.
+func escalatedEdge(p *compose.Policy, h int, soft []int, state map[policy.Event]int) int {
+	if _, i, ok := compose.ActiveEdge(p, h, state); ok && slices.Contains(soft, i) {
+		return i
+	}
+	return -1
+}
+
+// policyPairs resolves the endpoint pairs of every policy once, keyed by
+// policy ID: the cross product of the endpoints matching its source and
+// destination EPGs.
+func (c *Configurator) policyPairs() map[int][][2]string {
+	out := make(map[int][][2]string, len(c.graph.Policies))
+	for _, p := range c.graph.Policies {
+		out[p.ID] = c.topo.Pairs(p.Src, p.Dst)
+	}
+	return out
 }
 
 // liveTriples returns the (src attach, dst attach, chain) of every pair of
 // every policy over all its edges, so chains of other periods and of
 // escalations stay: what a model build may draw on the network as it is.
-func (c *Configurator) liveTriples() map[paths.Triple]bool {
+func (c *Configurator) liveTriples(pairsByPid map[int][][2]string) map[paths.Triple]bool {
 	out := map[paths.Triple]bool{}
 	for _, p := range c.graph.Policies {
-		pairs := c.pairsOf(p)
+		pairs := pairsByPid[p.ID]
 		for _, e := range p.AllEdges() {
 			chain := e.Chain.String()
 			for _, pair := range pairs {
 				src, _ := c.topo.EndpointByName(pair[0])
 				dst, _ := c.topo.EndpointByName(pair[1])
 				out[paths.Triple{Src: src.Attach, Dst: dst.Attach, Chain: chain}] = true
-			}
-		}
-	}
-	return out
-}
-
-// pairsOn is pairsOf on an explicit topology, shared with the dependency
-// index builder.
-func pairsOn(t *topo.Topology, p *compose.Policy) [][2]string {
-	srcs := t.EndpointsMatching(p.Src)
-	dsts := t.EndpointsMatching(p.Dst)
-	var out [][2]string
-	for _, s := range srcs {
-		for _, d := range dsts {
-			if s != d {
-				out = append(out, [2]string{s, d})
 			}
 		}
 	}
@@ -139,16 +138,16 @@ type modelScope struct {
 	residual map[[2]topo.NodeID]float64
 }
 
-// buildModel constructs the period-h optimization (Eqns 1–6 and 10).
-// prevAssign, when non-nil, adds path-change penalties (Eqns 7–8) against
-// that assignment set.
-func (c *Configurator) buildModel(h int, prevAssign []Assignment, over bwOverride) (*model, error) {
-	return c.buildModelScoped(h, prevAssign, over, nil)
+// buildModel constructs the period-h optimization (Eqns 1–6 and 10) for
+// the flows' counter state. prevAssign, when non-nil, adds path-change
+// penalties (Eqns 7–8) against that assignment set.
+func (c *Configurator) buildModel(h int, prevAssign []Assignment, over bwOverride, counters Counters) (*model, error) {
+	return c.buildModelScoped(h, prevAssign, over, counters, c.policyPairs(), nil)
 }
 
-// buildModelScoped is buildModel restricted to a scope; a nil scope builds
-// the full period model.
-func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwOverride, scope *modelScope) (*model, error) {
+// buildModelScoped is buildModel over each policy's resolved endpoint
+// pairs, restricted to a scope; a nil scope builds the full period model.
+func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwOverride, counters Counters, pairsByPid map[int][][2]string, scope *modelScope) (*model, error) {
 	m := &model{
 		prob:           lp.NewProblem(),
 		period:         h,
@@ -202,7 +201,7 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 		if len(hard) == 0 {
 			continue // policy not active in this period
 		}
-		pairs := c.pairsOf(p)
+		pairs := pairsByPid[p.ID]
 		if len(pairs) == 0 {
 			continue // no endpoints currently in the groups
 		}
@@ -213,83 +212,104 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 		m.iVar[p.ID] = iv
 		m.integers = append(m.integers, iv)
 
+		// A pair whose counters made an escalation edge active is served on
+		// it hard, and reserves the policy's other active edges soft; every
+		// other pair takes each edge's role for the policy.
+		var esc []int
+		if len(soft) > 0 {
+			esc = make([]int, len(pairs))
+			for j, pair := range pairs {
+				esc[j] = escalatedEdge(p, h, soft, counters[FlowKey(pair[0], pair[1])])
+			}
+		}
+		pairRole := func(edgeIdx, j int, role EdgeRole) EdgeRole {
+			switch {
+			case esc == nil || esc[j] < 0:
+				return role
+			case esc[j] == edgeIdx:
+				return HardEdge
+			}
+			return SoftEdge
+		}
+
 		all := p.AllEdges()
-		addEdgeVars := func(edgeIdx int, role EdgeRole) ([][]lp.Term, error) {
+		var softRows [][]lp.Term
+		// addEdge adds the path variables of one edge for every pair, with
+		// a hard pair's row under Eqn 2 at once and a soft pair's row kept
+		// for Eqn 4, whose ξ comes after every policy's variables.
+		addEdge := func(edgeIdx int, role EdgeRole) error {
 			e := all[edgeIdx]
 			bw, err := e.QoS.MinBandwidthMbps(c.scheme)
 			if err != nil {
-				return nil, fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
+				return fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
 			}
 			bw *= over.factor(p.ID, h)
 			hopBudget, _, err := e.QoS.HopBudget(c.scheme)
 			if err != nil {
-				return nil, fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
+				return fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
 			}
 			jitLevel, hasJit, err := e.QoS.JitterLevel(c.scheme)
 			if err != nil {
-				return nil, fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
+				return fmt.Errorf("core: policy %d edge %d: %w", p.ID, edgeIdx, err)
 			}
-			rows := make([][]lp.Term, 0, len(pairs))
-			for _, pair := range pairs {
+			for j, pair := range pairs {
 				srcEP, ok := c.topo.EndpointByName(pair[0])
 				if !ok {
-					return nil, fmt.Errorf("core: unknown endpoint %q", pair[0])
+					return fmt.Errorf("core: unknown endpoint %q", pair[0])
 				}
 				dstEP, ok := c.topo.EndpointByName(pair[1])
 				if !ok {
-					return nil, fmt.Errorf("core: unknown endpoint %q", pair[1])
+					return fmt.Errorf("core: unknown endpoint %q", pair[1])
 				}
 				rng := slotRNG(p.ID, e.Chain, pair[0], pair[1])
 				cands, err := c.enum.Candidates(rng, srcEP.Attach, dstEP.Attach, e.Chain, c.cfg.CandidatePaths, hopBudget)
 				if err != nil {
-					return nil, fmt.Errorf("core: policy %d pair %v: %w", p.ID, pair, err)
+					return fmt.Errorf("core: policy %d pair %v: %w", p.ID, pair, err)
 				}
+				r := pairRole(edgeIdx, j, role)
 				terms := make([]lp.Term, 0, len(cands))
 				for _, cp := range cands {
 					pv := m.prob.AddBinary(0)
 					m.integers = append(m.integers, pv)
 					m.pvars = append(m.pvars, pathVar{
-						v: pv, pid: p.ID, edgeIdx: edgeIdx, role: role,
+						v: pv, pid: p.ID, edgeIdx: edgeIdx, role: r,
 						src: pair[0], dst: pair[1], path: cp, bw: bw,
 						jitter: jitLevel, hasJit: hasJit,
 					})
 					terms = append(terms, lp.Term{Var: pv, Coef: 1})
 				}
-				rows = append(rows, terms)
-			}
-			return rows, nil
-		}
-
-		for _, ei := range hard {
-			rows, err := addEdgeVars(ei, HardEdge)
-			if err != nil {
-				return nil, err
-			}
-			// Eqn 2: Σ_p P = I_i for every pair (group atomicity).
-			for _, terms := range rows {
+				if r == SoftEdge {
+					softRows = append(softRows, terms)
+					continue
+				}
+				// Eqn 2: Σ_p P = I_i for every pair (group atomicity).
 				if len(terms) == 0 {
 					m.unconfigurable[p.ID] = true
 				}
 				terms = append(terms, lp.Term{Var: iv, Coef: -1})
 				if _, err := m.prob.AddConstraint(lp.EQ, 0, terms); err != nil {
-					return nil, err
+					return err
 				}
+			}
+			return nil
+		}
+
+		for _, ei := range hard {
+			if err := addEdge(ei, HardEdge); err != nil {
+				return nil, err
 			}
 		}
-		if len(soft) > 0 {
-			g := softGroup{pid: p.ID}
-			for _, ei := range soft {
-				rows, err := addEdgeVars(ei, SoftEdge)
-				if err != nil {
-					return nil, err
-				}
-				g.rows = append(g.rows, rows...)
+		for _, ei := range soft {
+			if err := addEdge(ei, SoftEdge); err != nil {
+				return nil, err
 			}
-			softGroups = append(softGroups, g)
+		}
+		if len(softRows) > 0 {
+			softGroups = append(softGroups, softGroup{pid: p.ID, rows: softRows})
 		}
 	}
 	// The path cache keeps only what the network uses now.
-	c.enum.Retain(c.liveTriples())
+	c.enum.Retain(c.liveTriples(pairsByPid))
 
 	// Soft constraints (Eqn 4): Σ_p P_ndp = I_i − ξ_i, with ξ penalized in
 	// the objective (Eqn 6).

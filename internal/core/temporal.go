@@ -41,7 +41,7 @@ func (c *Configurator) configureTemporal(over bwOverride) (*TemporalResult, erro
 	tr := &TemporalResult{Periods: periods}
 	var prev *Result
 	for _, h := range periods {
-		res, err := c.solvePeriod(context.Background(), h, prev, over)
+		res, err := c.solvePeriod(context.Background(), h, prev, over, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: temporal chain at %dh: %w", h, err)
 		}
@@ -95,7 +95,7 @@ func (c *Configurator) ConfigureTemporalIndependent() (*TemporalResult, error) {
 				errs[i] = fmt.Errorf("core: independent chain at %dh: %w", h, err)
 				return
 			}
-			res, err := fresh.solvePeriod(context.Background(), h, nil, nil)
+			res, err := fresh.solvePeriod(context.Background(), h, nil, nil, nil)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: independent chain at %dh: %w", h, err)
 				return
@@ -147,7 +147,7 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	models := make([]*model, len(periods))
 	perPeriodVar := make([]map[slotKey]int, len(periods))
 	for k, h := range periods {
-		m, err := c.buildModel(h, nil, nil)
+		m, err := c.buildModel(h, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"janus/internal/policy"
 	"janus/internal/store"
 	"janus/internal/topo"
+	"janus/internal/workload"
 )
 
 // deltaRT builds a runtime on the chaos fabric with the given solver
@@ -108,8 +109,8 @@ func TestDeltaGuardFallsBackToFull(t *testing.T) {
 
 // TestDeltaFreezesEscalatedPolicy escalates the stateful web policy, then
 // serves an unrelated event incrementally: the frozen web assignments must
-// keep the promoted H-IDS chain hard (the PR 3 bug class — an install that
-// silently demotes a counter-escalated chain).
+// keep the escalated pair's H-IDS chain hard (the bug class of an install
+// that silently de-escalates a counter-escalated chain).
 func TestDeltaFreezesEscalatedPolicy(t *testing.T) {
 	rt, sw, webID, _ := deltaRT(t, core.Config{})
 	ctx := context.Background()
@@ -135,10 +136,124 @@ func TestDeltaFreezesEscalatedPolicy(t *testing.T) {
 		}
 	}
 	if !escalated {
-		t.Error("frozen web policy lost its promoted escalation-edge assignment")
+		t.Error("frozen web policy lost its hard escalation-edge assignment")
 	}
 	if vs := rt.Audit(); len(vs) != 0 {
 		t.Errorf("audit after freezing escalated policy: %v", vs)
+	}
+}
+
+// TestEscalationWithoutPathUnconfigures escalates c1's flow to web onto
+// the H-IDS chain, then moves web onto c1's switch, where that chain has no
+// path. The move must succeed and leave the web policy unconfigured, since
+// the escalated pair has no hard path; an unrelated move and an hour tick
+// after it must succeed too. Moving web on to e2 configures the policy
+// again, with the escalated flow through the H-IDS.
+func TestEscalationWithoutPathUnconfigures(t *testing.T) {
+	rt, sw, webID, _ := deltaRT(t, core.Config{})
+	ctx := context.Background()
+	audited := func(step string) {
+		t.Helper()
+		if vs := rt.Audit(); len(vs) != 0 {
+			t.Fatalf("audit after %s: %v", step, vs)
+		}
+	}
+	if err := rt.ReportEvent(ctx, "c1", "web", policy.FailedConnections, 5); err != nil {
+		t.Fatalf("escalating: %v", err)
+	}
+	if err := rt.MoveEndpoint(ctx, "web", sw["e1"]); err != nil {
+		t.Fatalf("moving web onto c1's switch: %v", err)
+	}
+	if rt.Current().Configured[webID] {
+		t.Error("web policy configured although its escalated pair has no H-IDS path")
+	}
+	audited("moving web onto e1")
+	if err := rt.MoveEndpoint(ctx, "db", sw["core2"]); err != nil {
+		t.Fatalf("unrelated move: %v", err)
+	}
+	audited("the unrelated move")
+	if err := rt.AdvanceTo(ctx, 10); err != nil {
+		t.Fatalf("hour tick: %v", err)
+	}
+	audited("the hour tick")
+
+	before := rt.Metrics().Reconfigurations
+	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
+		t.Fatalf("moving web onto e2: %v", err)
+	}
+	if !rt.Current().Configured[webID] {
+		t.Fatal("web policy still unconfigured after web left c1's switch")
+	}
+	if got := rt.Metrics().Reconfigurations; got != before+1 {
+		t.Errorf("Reconfigurations = %d, want %d", got, before+1)
+	}
+	audited("moving web onto e2")
+	walk, err := rt.Network().Lookup("c1", "web", policy.TCP, 80)
+	if err != nil {
+		t.Fatalf("lookup c1->web: %v", err)
+	}
+	if !crossesHIDS(rt.topo, walk) {
+		t.Errorf("escalated walk %v skips H-IDS", walk)
+	}
+}
+
+// TestEscalationFreezesOtherPolicies trips the escalation of every source
+// flow of a fig11 Ans instance, one flow at a time. Every trip must
+// install. One whose policy held the escalation's reservation re-solves
+// that policy alone, in the capacity the reservation freed, so no other
+// policy changes a path (§5.3: "no other policy will have to change its
+// path").
+func TestEscalationFreezesOtherPolicies(t *testing.T) {
+	w, err := workload.Generate("Ans", workload.Spec{Policies: 50, EndpointsPerPolicy: 2, StatefulEdges: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, err := core.New(w.Topo, w.Graph, core.Config{CandidatePaths: 5, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := func(res *core.Result, pid int) *core.Result {
+		out := &core.Result{}
+		for _, a := range res.Assignments {
+			if a.Policy != pid {
+				out.Assignments = append(out.Assignments, a)
+			}
+		}
+		return out
+	}
+	reserved := 0
+	for i := 0; i < w.Spec.Policies; i++ {
+		for e := 0; e < w.Spec.EndpointsPerPolicy; e++ {
+			src, dst := fmt.Sprintf("p%d-e%d", i, e), fmt.Sprintf("p%d-dst", i)
+			pid, _ := rt.policyFor(src, dst)
+			prev := rt.Current()
+			held := false
+			for _, a := range prev.Assignments {
+				held = held || (a.Policy == pid && a.Src == src && a.Dst == dst && a.Role == core.SoftEdge)
+			}
+			if err := rt.ReportEvent(ctx, src, dst, policy.FailedConnections, 5); err != nil {
+				t.Fatalf("escalating %s->%s: %v", src, dst, err)
+			}
+			if !held {
+				continue
+			}
+			reserved++
+			if n := core.CountPathChanges(others(prev, pid), others(rt.Current(), pid)); n != 0 {
+				t.Errorf("escalating %s->%s onto its reservation changed %d paths of other policies", src, dst, n)
+			}
+		}
+	}
+	if reserved == 0 {
+		t.Fatal("no escalation had a reservation to use")
+	}
+	t.Logf("%d of %d escalations used a reservation", reserved, w.Spec.Policies*w.Spec.EndpointsPerPolicy)
+	if vs := rt.Audit(); len(vs) != 0 {
+		t.Errorf("audit after every escalation: %v", vs)
 	}
 }
 

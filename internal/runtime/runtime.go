@@ -1,8 +1,10 @@
 // Package runtime glues the Janus configurator to the simulated dataplane
 // and drives the system dynamics of §2.2: endpoint mobility and membership
 // changes, policy-graph churn, temporal period transitions, and stateful
-// condition triggers that reroute flows onto pre-reserved escalation paths
-// without re-solving the optimization.
+// condition triggers. Every solve sees the flows' event counters, so the
+// model itself serves an escalated flow's active edge hard; a trigger
+// re-solves only its own policy, against the capacity its reservation
+// held, and freezes every other one (§5.3).
 package runtime
 
 import (
@@ -11,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"janus/internal/check"
 	"janus/internal/compose"
@@ -98,7 +99,7 @@ type Runtime struct {
 
 	hour     int
 	current  *core.Result
-	counters map[string]map[policy.Event]int // per-flow event counters
+	counters core.Counters // per-flow event counters
 	metrics  Metrics
 	// deltaReady reports that current speaks the live graph's policy IDs,
 	// so events may delta-solve against it: install sets it, UpdateGraph
@@ -132,7 +133,7 @@ const maxQuarantineDepth = 8
 // New starts a runtime at hour 0 with an initial configuration.
 func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
 	r := newRuntime(conf)
-	res, err := conf.ConfigureContext(ctx, 0)
+	res, err := conf.ConfigureContext(ctx, 0, r.counters)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: initial configuration: %w", err)
 	}
@@ -151,7 +152,7 @@ func newRuntime(conf *core.Configurator) *Runtime {
 		topo:        conf.Topology(),
 		net:         dataplane.NewNetwork(conf.Topology()),
 		adapter:     dataplane.NewGraphAdapter(conf.Graph()),
-		counters:    map[string]map[policy.Event]int{},
+		counters:    core.Counters{},
 		retry:       DefaultRetryPolicy().normalize(),
 		failedLinks: map[[2]topo.NodeID]float64{},
 		quarantined: map[topo.NodeID]bool{},
@@ -432,11 +433,11 @@ func (r *Runtime) reconfigure(ctx context.Context) error {
 // to the full re-solve. A nil affected set always solves fully.
 func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affected map[int]bool) error {
 	if affected != nil && r.deltaUsable() {
-		res, err := r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected})
+		res, err := r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected, Counters: r.counters})
 		switch {
 		case err == nil:
 			qBefore := r.metrics.QuarantinedSwitches
-			ierr := r.install(ctx, r.escalate(res, hour), hour)
+			ierr := r.install(ctx, res, hour)
 			if ierr == nil {
 				if r.metrics.QuarantinedSwitches == qBefore {
 					r.metrics.DeltaSolves++
@@ -460,11 +461,11 @@ func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affect
 			return fmt.Errorf("runtime: delta reconfiguring: %w", err)
 		}
 	}
-	res, err := r.conf.ReconfigureAtContext(ctx, r.current, period)
+	res, err := r.conf.ReconfigureAtContext(ctx, r.current, period, r.counters)
 	if err != nil {
 		return fmt.Errorf("runtime: reconfiguring: %w", err)
 	}
-	return r.install(ctx, r.escalate(res, hour), hour)
+	return r.install(ctx, res, hour)
 }
 
 // deltaUsable reports whether incremental reconfiguration can run: it is
@@ -528,69 +529,6 @@ func (r *Runtime) policiesVisiting(sw topo.NodeID, out map[int]bool) {
 			out[a.Policy] = true
 		}
 	}
-}
-
-// escalate re-promotes reserved escalation paths for flows whose event
-// counters already satisfy a stateful condition: a fresh solve always
-// serves the default edge hard and the escalation soft, so installing it
-// verbatim would silently de-escalate flows that tripped their condition
-// earlier (the self-audit catches exactly this). Returns res unchanged
-// when no flow is escalated.
-func (r *Runtime) escalate(res *core.Result, hour int) *core.Result {
-	var flows []escalation
-	for flow, state := range r.counters {
-		src, dst, ok := strings.Cut(flow, "->")
-		if !ok {
-			continue
-		}
-		pid, p := r.policyFor(src, dst)
-		if p == nil {
-			continue
-		}
-		edge, ok := compose.ActiveEdge(p, hour, state)
-		if !ok {
-			continue
-		}
-		edgeIdx := indexOfEdge(p, edge)
-		if edgeIdx <= 0 {
-			continue // default edge active; nothing to promote
-		}
-		flows = append(flows, escalation{pid, src, dst, edgeIdx})
-	}
-	return promote(res, flows...)
-}
-
-// escalation names a flow whose active edge is the non-default edgeIdx.
-type escalation struct {
-	pid      int
-	src, dst string
-	edgeIdx  int
-}
-
-// promote returns a copy of res in which each flow's assignment on its
-// active edge is served hard and the one that was hard (the old default
-// path) is demoted to a soft reservation. With no flows it returns res
-// itself.
-func promote(res *core.Result, flows ...escalation) *core.Result {
-	if len(flows) == 0 {
-		return res
-	}
-	clone := *res
-	clone.Assignments = append([]core.Assignment(nil), res.Assignments...)
-	for _, f := range flows {
-		for i := range clone.Assignments {
-			pa := &clone.Assignments[i]
-			if pa.Policy != f.pid || pa.Src != f.src || pa.Dst != f.dst {
-				continue
-			}
-			if pa.EdgeIdx == f.edgeIdx {
-				pa.Role = core.HardEdge
-			} else if pa.Role == core.HardEdge {
-				pa.Role = core.SoftEdge
-			}
-		}
-	}
-	return &clone
 }
 
 // FailLink removes a link from the topology and reconfigures with
@@ -677,13 +615,16 @@ func (r *Runtime) AdvanceTo(ctx context.Context, h int) error {
 }
 
 // ReportEvent increments a flow's event counter (e.g. a failed connection
-// observed at an IDS) and, when a stateful policy's escalation condition
-// fires, reroutes the flow onto its pre-reserved escalation path without
-// re-solving (§5.3: "it could reserve paths for changed policy beforehand
-// ... no other policy will have to change its path").
+// observed at an IDS). A count that leaves the flow's active edge as it was
+// is only journaled. One that changes it — a stateful condition firing —
+// re-solves the flow's policy, delta-scoped when delta solving is usable:
+// the model serves the newly active edge hard, and the sub-model fits it
+// into the capacity the policy's reservation held while every other policy
+// stays frozen (§5.3: "it could reserve paths for changed policy
+// beforehand ... no other policy will have to change its path").
 func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Event, delta int) error {
 	return r.journalOp(store.KindCounter, func(rec *store.Record) error {
-		flow := src + "->" + dst
+		flow := core.FlowKey(src, dst)
 		// Find the composed policy for this endpoint pair before touching
 		// the counter: a flow no policy covers is rejected without mutating
 		// (or journaling) anything.
@@ -694,39 +635,22 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 		if r.counters[flow] == nil {
 			r.counters[flow] = map[policy.Event]int{}
 		}
-		was, wasOK := compose.ActiveEdge(p, r.hour, r.counters[flow])
+		_, was, _ := compose.ActiveEdge(p, r.hour, r.counters[flow])
 		r.counters[flow][ev] += delta
 		rec.Counter = &store.CounterDelta{Src: src, Dst: dst, Event: ev, Delta: delta}
-		edge, ok := compose.ActiveEdge(p, r.hour, r.counters[flow])
-		if !ok {
-			return nil // no active edge: traffic dropped by policy
-		}
-		edgeIdx := indexOfEdge(p, edge)
-		if edgeIdx <= 0 {
-			return nil // default edge active; nothing to reroute
-		}
-		if wasOK && indexOfEdge(p, was) == edgeIdx {
-			// The count moved but not the active edge — every temporal edge
-			// past the first window is a non-default one — and what is
-			// installed already serves it.
+		if _, now, _ := compose.ActiveEdge(p, r.hour, r.counters[flow]); now == was {
 			return nil
 		}
 		rec.Kind = store.KindEscalate
-		// Locate the reserved soft assignment for this (policy, edge, pair).
-		for _, a := range r.current.Assignments {
-			if a.Policy == pid && a.EdgeIdx == edgeIdx && a.Src == src && a.Dst == dst {
-				// Promote the reservation to installed rules for this flow.
-				r.metrics.StatefulReroutes++
-				return r.install(ctx, promote(r.current, escalation{pid, src, dst, edgeIdx}), r.hour)
-			}
-		}
-		// No reservation (ξ was 1): a re-solve is needed — scoped to the
-		// escalating policy when delta is usable.
 		affected := r.deltaSeeds()
 		if affected != nil {
 			affected[pid] = true
 		}
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
+		if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, affected); err != nil {
+			return err
+		}
+		r.metrics.StatefulReroutes++
+		return nil
 	})
 }
 
@@ -785,13 +709,4 @@ func (r *Runtime) Verify() []string {
 	}
 	sort.Strings(problems)
 	return problems
-}
-
-func indexOfEdge(p *compose.Policy, e policy.Edge) int {
-	for i, cand := range p.AllEdges() {
-		if cand.String() == e.String() {
-			return i
-		}
-	}
-	return -1
 }

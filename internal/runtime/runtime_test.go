@@ -101,8 +101,7 @@ func TestStatefulTriggerUsesReservedPath(t *testing.T) {
 	if r.Metrics().StatefulReroutes != 0 {
 		t.Error("no reroute expected below threshold")
 	}
-	// Fifth failure crosses >=5: the flow must move onto the reserved
-	// H-IDS path without a full reconfiguration.
+	// Fifth failure crosses >=5: the flow must move onto an H-IDS path.
 	if err := r.ReportEvent(context.Background(), "c1", "srv", policy.FailedConnections, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +413,7 @@ func TestCounterEventOnTemporalEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, p := r.policyFor("c1", "srv")
-	if edge, ok := compose.ActiveEdge(p, 12, nil); !ok || indexOfEdge(p, edge) <= 0 {
+	if edge, i, ok := compose.ActiveEdge(p, 12, nil); !ok || i <= 0 {
 		t.Fatalf("the active edge at hour 12 should be a non-default one, got %v (ok=%v)", edge, ok)
 	}
 

@@ -45,10 +45,11 @@ const (
 	// KindTick is a clock advance, including any temporal-period
 	// transitions (tier changes ride along in the result and metrics).
 	KindTick Kind = "tick"
-	// KindCounter is a stateful-event count that did not reroute.
+	// KindCounter is a stateful-event count that left the flow's active
+	// edge as it was.
 	KindCounter Kind = "counter"
-	// KindEscalate is a stateful escalation onto a reserved path (or the
-	// full reconfiguration when no reservation existed).
+	// KindEscalate is a stateful-event count that changed the flow's
+	// active edge, and the re-solve that served it.
 	KindEscalate Kind = "escalate"
 	// KindQuarantine marks an event whose install quarantined a switch.
 	KindQuarantine Kind = "quarantine"

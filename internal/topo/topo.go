@@ -217,6 +217,24 @@ func (t *Topology) EndpointsMatching(epg policy.EPG) []string {
 	return out
 }
 
+// Pairs returns the endpoint pairs of a policy between groups src and dst:
+// every (source, destination) of distinct endpoints matching them, in
+// name order (§5.1: "the endpoint to EPG mapping can be used to infer the
+// policy associated with each <src,dst> endpoint pair").
+func (t *Topology) Pairs(src, dst policy.EPG) [][2]string {
+	srcs := t.EndpointsMatching(src)
+	dsts := t.EndpointsMatching(dst)
+	var out [][2]string
+	for _, s := range srcs {
+		for _, d := range dsts {
+			if s != d {
+				out = append(out, [2]string{s, d})
+			}
+		}
+	}
+	return out
+}
+
 // Neighbors returns the IDs of the nodes n has a link to, ascending. The
 // slice is the topology's own index and must not be modified; a topology
 // mutation builds a new index and leaves slices already returned intact,
