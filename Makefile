@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane bench-ablation fuzz fuzz-fastpath difftest deltadiff
+.PHONY: all build fmt vet lint test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane bench-ablation fuzz fuzz-fastpath difftest deltadiff loc
 
 all: check
 
@@ -24,6 +24,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# loc prints the product line count the ROADMAP standing rules cite: the
+# non-blank lines of non-test .go files under cmd/ and internal/, without
+# internal/analysis and testdata directories.
+loc:
+	@find cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/analysis/*' ! -path '*/testdata/*' \
+		-exec cat {} + | grep -cv '^[[:space:]]*$$'
 
 # test-race shuffles test order (-shuffle=on) to flush hidden inter-test
 # ordering dependencies; the seed is printed on failure for replay.

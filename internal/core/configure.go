@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"janus/internal/lp"
 	"janus/internal/milp"
+	"janus/internal/topo"
 )
 
 // Configure solves one time period's configuration from scratch, with
@@ -120,10 +124,9 @@ func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []As
 	}
 }
 
-// extractResult converts a solved model into a Result: configured flags
-// from the I_i indicators, assignments from the selected path variables,
-// and the link report (reservations from the integer solution, shadow
-// prices from the root relaxation, §5.6 sensitivity analysis).
+// extractResult converts a solved model into a Result: the decoded
+// solution and the link report (reservations from the integer solution,
+// shadow prices from the root relaxation, §5.6 sensitivity analysis).
 func (c *Configurator) extractResult(m *model, sol *milp.Solution, tier DegradationTier, period int, start time.Time) *Result {
 	res := &Result{
 		Period:     period,
@@ -131,66 +134,26 @@ func (c *Configurator) extractResult(m *model, sol *milp.Solution, tier Degradat
 		SlackUsed:  make(map[int]bool),
 		Status:     sol.Status,
 		Tier:       tier,
-		Stats: Stats{
-			Variables:        m.prob.NumVariables(),
-			Constraints:      m.prob.NumConstraints(),
-			Nodes:            sol.Nodes,
-			LPIterations:     sol.LPIterations,
-			Refactorizations: sol.Refactorizations,
-			PricingSwitches:  sol.PricingSwitches,
-			Workers:          sol.Workers,
-			Duration:         time.Since(start),
-		},
-		basis: sol.RootBasis,
+		Stats:      m.stats(sol, start),
+		basis:      sol.RootBasis,
 	}
+	// A nil X means a limit hit before any incumbent was found (and rung 2
+	// failed): the model always admits the all-zero solution.
+	m.decode(sol.X, res)
 	if sol.X == nil {
-		// The model always admits the all-zero solution, so this indicates
-		// a limit hit before any incumbent was found (and rung 2 failed).
-		for _, pid := range m.pids {
-			res.Configured[pid] = false
-		}
 		return res
 	}
 	res.Objective = sol.Objective
-	for _, pid := range m.pids {
-		res.Configured[pid] = sol.X[m.iVar[pid]] > 0.5
+	links := make([][2]topo.NodeID, 0, len(m.linkRow))
+	for l := range m.linkRow {
+		links = append(links, l)
 	}
-	for pid, xi := range m.xiVar {
-		res.SlackUsed[pid] = sol.X[xi] > 0.5
-	}
-	for _, pv := range m.pvars {
-		if sol.X[pv.v] > 0.5 {
-			res.Assignments = append(res.Assignments, Assignment{
-				Policy:  pv.pid,
-				EdgeIdx: pv.edgeIdx,
-				Role:    pv.role,
-				Src:     pv.src,
-				Dst:     pv.dst,
-				Path:    pv.path,
-				BW:      pv.bw,
-			})
+	res.Links = c.linkReport(links, reservedBW(res.Assignments), func(l [2]topo.NodeID) float64 {
+		if row := m.linkRow[l]; row < len(sol.RootDuals) {
+			return sol.RootDuals[row]
 		}
-	}
-	// Link report: reservations from the integer solution, shadow prices
-	// from the root relaxation (§5.6 sensitivity analysis).
-	reserved := map[[2]int64]float64{}
-	for _, a := range res.Assignments {
-		for _, l := range a.Path.Links() {
-			reserved[[2]int64{int64(l[0]), int64(l[1])}] += a.BW
-		}
-	}
-	for l, row := range m.linkRow {
-		capacity, _ := c.topo.LinkCapacity(l[0], l[1])
-		use := LinkUse{
-			From: l[0], To: l[1],
-			Capacity: capacity,
-			Reserved: reserved[[2]int64{int64(l[0]), int64(l[1])}],
-		}
-		if sol.RootDuals != nil && row < len(sol.RootDuals) {
-			use.ShadowPrice = sol.RootDuals[row]
-		}
-		res.Links = append(res.Links, use)
-	}
+		return 0
+	})
 	return res
 }
 
@@ -199,32 +162,81 @@ func (c *Configurator) extractResult(m *model, sol *milp.Solution, tier Degradat
 // verbatim — stale paths beat no paths, and because the assignments are
 // identical the dataplane sees zero rule churn.
 func (c *Configurator) keepPrevious(prev *Result, period int, m *model, failed *milp.Solution, start time.Time) *Result {
-	res := &Result{
+	return &Result{
 		Period:      period,
-		Configured:  make(map[int]bool, len(prev.Configured)),
-		SlackUsed:   make(map[int]bool, len(prev.SlackUsed)),
+		Configured:  maps.Clone(prev.Configured),
+		SlackUsed:   maps.Clone(prev.SlackUsed),
 		Assignments: append([]Assignment(nil), prev.Assignments...),
 		Objective:   prev.Objective,
 		Links:       append([]LinkUse(nil), prev.Links...),
 		Status:      failed.Status,
 		Tier:        TierKeepPrevious,
-		Stats: Stats{
-			Variables:        m.prob.NumVariables(),
-			Constraints:      m.prob.NumConstraints(),
-			Nodes:            failed.Nodes,
-			LPIterations:     failed.LPIterations,
-			Refactorizations: failed.Refactorizations,
-			PricingSwitches:  failed.PricingSwitches,
-			Workers:          failed.Workers,
-			Duration:         time.Since(start),
-		},
-		basis: prev.basis,
+		Stats:       m.stats(failed, start),
+		basis:       prev.basis,
 	}
-	for pid, ok := range prev.Configured {
-		res.Configured[pid] = ok
+}
+
+// decode reads a solution vector of the model into res: the configured
+// flags from the I_i indicators, the slack flags from the ξ_i and the
+// assignments from the selected path variables. A nil x configures no
+// policy.
+func (m *model) decode(x []float64, res *Result) {
+	for _, pid := range m.pids {
+		res.Configured[pid] = x != nil && x[m.iVar[pid]] > 0.5
 	}
-	for pid, used := range prev.SlackUsed {
-		res.SlackUsed[pid] = used
+	if x == nil {
+		return
 	}
-	return res
+	for pid, xi := range m.xiVar {
+		res.SlackUsed[pid] = x[xi] > 0.5
+	}
+	for _, pv := range m.pvars {
+		if x[pv.v] > 0.5 {
+			res.Assignments = append(res.Assignments, Assignment{
+				Policy: pv.pid, EdgeIdx: pv.edgeIdx, Role: pv.role,
+				Src: pv.src, Dst: pv.dst, Path: pv.path, BW: pv.bw,
+			})
+		}
+	}
+}
+
+// stats is the effort a solve of the model took, timed from start.
+func (m *model) stats(sol *milp.Solution, start time.Time) Stats {
+	return Stats{
+		Variables:   m.prob.NumVariables(),
+		Constraints: m.prob.NumConstraints(),
+		Effort:      sol.Effort,
+		Duration:    time.Since(start),
+	}
+}
+
+// reservedBW sums the bandwidth the assignments reserve on each directed
+// link.
+func reservedBW(as []Assignment) map[[2]topo.NodeID]float64 {
+	out := map[[2]topo.NodeID]float64{}
+	for _, a := range as {
+		for _, l := range a.Path.Links() {
+			out[l] += a.BW
+		}
+	}
+	return out
+}
+
+// linkReport is a result's link report: one LinkUse per distinct link of
+// links, sorted by (From, To), with its capacity, the bandwidth reserved on
+// it and its shadow price. Links gone from the topology are dropped; an
+// empty report is nil.
+func (c *Configurator) linkReport(links [][2]topo.NodeID, reserved map[[2]topo.NodeID]float64, price func([2]topo.NodeID) float64) []LinkUse {
+	slices.SortFunc(links, func(a, b [2]topo.NodeID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	var out []LinkUse
+	for _, l := range slices.Compact(links) {
+		capacity, ok := c.topo.LinkCapacity(l[0], l[1])
+		if !ok {
+			continue
+		}
+		out = append(out, LinkUse{From: l[0], To: l[1], Capacity: capacity, Reserved: reserved[l], ShadowPrice: price(l)})
+	}
+	return out
 }

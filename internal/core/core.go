@@ -274,19 +274,9 @@ func (t DegradationTier) Degraded() bool { return t >= TierLPRound }
 
 // Stats aggregates solver effort.
 type Stats struct {
-	Variables    int
-	Constraints  int
-	Nodes        int
-	LPIterations int
-	// Refactorizations counts LP basis refactorizations across every node
-	// solve; near-zero per node means warm starts reused the retained
-	// factorization.
-	Refactorizations int
-	// PricingSwitches counts candidate-list pricing exhaustions that fell
-	// back to a full Dantzig scan across every node solve.
-	PricingSwitches int
-	// Workers is the branch-and-bound worker count that served the solve.
-	Workers  int
+	Variables   int
+	Constraints int
+	milp.Effort
 	Duration time.Duration
 }
 
@@ -331,17 +321,6 @@ func (r *Result) SatisfiedCount() int {
 		}
 	}
 	return n
-}
-
-// AssignmentFor returns the hard-edge path configured for a (policy, pair),
-// or ok=false.
-func (r *Result) AssignmentFor(pid int, src, dst string) (Assignment, bool) {
-	for _, a := range r.Assignments {
-		if a.Policy == pid && a.Src == src && a.Dst == dst && a.Role == HardEdge {
-			return a, true
-		}
-	}
-	return Assignment{}, false
 }
 
 // Bottlenecks returns links with positive shadow price, most constrained

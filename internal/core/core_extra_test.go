@@ -8,6 +8,7 @@ import (
 	"janus/internal/paths"
 	"janus/internal/policy"
 	"janus/internal/topo"
+	"janus/internal/workload"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -25,6 +26,35 @@ func TestConfigDefaults(t *testing.T) {
 	c2 := Config{TimeLimit: -1, StallNodes: -1}.withDefaults()
 	if c2.TimeLimit != 0 || c2.StallNodes != 0 {
 		t.Errorf("negative sentinels: %+v", c2)
+	}
+}
+
+// TestFullSolveLinksSorted holds a full solve's link report to the order a
+// delta solve's has: each link of the topology the model reserves on once,
+// ascending by (From, To), so results are byte-reproducible without a
+// re-sort downstream.
+func TestFullSolveLinksSorted(t *testing.T) {
+	w, err := workload.Generate("Ans", workload.Spec{Policies: 6, EndpointsPerPolicy: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mustNew(t, w.Topo, w.Graph, Config{Seed: 7}).Configure(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Links) < 10 {
+		t.Fatalf("link report has %d links, want at least 10 to show an order", len(res.Links))
+	}
+	for i, l := range res.Links {
+		if _, ok := w.Topo.LinkCapacity(l.From, l.To); !ok {
+			t.Errorf("link %d->%d is not in the topology", l.From, l.To)
+		}
+		if i == 0 {
+			continue
+		}
+		if p := res.Links[i-1]; p.From > l.From || p.From == l.From && p.To >= l.To {
+			t.Fatalf("links %d->%d then %d->%d: not strictly sorted by (From, To)", p.From, p.To, l.From, l.To)
+		}
 	}
 }
 
@@ -79,14 +109,14 @@ func TestResultAccessors(t *testing.T) {
 	if r.SatisfiedCount() != 2 {
 		t.Errorf("SatisfiedCount = %d, want 2", r.SatisfiedCount())
 	}
-	if _, ok := r.AssignmentFor(0, "a", "b"); !ok {
-		t.Error("AssignmentFor should find the hard assignment")
+	if _, ok := hardAssignment(r, 0, "a", "b"); !ok {
+		t.Error("hardAssignment should find the hard assignment")
 	}
-	if got, _ := r.AssignmentFor(0, "a", "b"); got.Role != HardEdge {
-		t.Error("AssignmentFor must prefer the hard edge")
+	if got, _ := hardAssignment(r, 0, "a", "b"); got.Role != HardEdge {
+		t.Error("hardAssignment must prefer the hard edge")
 	}
-	if _, ok := r.AssignmentFor(9, "a", "b"); ok {
-		t.Error("AssignmentFor on missing policy should fail")
+	if _, ok := hardAssignment(r, 9, "a", "b"); ok {
+		t.Error("hardAssignment on missing policy should fail")
 	}
 }
 

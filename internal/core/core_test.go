@@ -102,10 +102,10 @@ func TestFig2Contention(t *testing.T) {
 		t.Fatal("marketing policy missing from composed graph")
 	}
 	if res.Configured[mktg.ID] {
-		if _, ok := res.AssignmentFor(mktg.ID, "m1", "w1"); !ok {
+		if _, ok := hardAssignment(res, mktg.ID, "m1", "w1"); !ok {
 			t.Error("marketing configured but m1->w1 has no path")
 		}
-		if _, ok := res.AssignmentFor(mktg.ID, "m2", "w1"); !ok {
+		if _, ok := hardAssignment(res, mktg.ID, "m2", "w1"); !ok {
 			t.Error("marketing configured but m2->w1 has no path")
 		}
 	}
@@ -559,8 +559,8 @@ func TestReconfigureAfterEndpointMove(t *testing.T) {
 	// The marketing policy's paths should be untouched: only IT moved.
 	mktg, _ := cg.Lookup("Mktg", "Web")
 	if first.Configured[mktg.ID] && second.Configured[mktg.ID] {
-		a1, ok1 := first.AssignmentFor(mktg.ID, "m1", "w1")
-		a2, ok2 := second.AssignmentFor(mktg.ID, "m1", "w1")
+		a1, ok1 := hardAssignment(first, mktg.ID, "m1", "w1")
+		a2, ok2 := hardAssignment(second, mktg.ID, "m1", "w1")
 		if ok1 && ok2 && !a1.Path.Equal(a2.Path) {
 			t.Error("marketing path changed although only IT endpoint moved")
 		}
@@ -806,4 +806,15 @@ func pathOf(ids ...int) (p paths.Path) {
 		p.Nodes = append(p.Nodes, topo.NodeID(id))
 	}
 	return p
+}
+
+// hardAssignment returns the hard-edge path r configures for a (policy,
+// pair), or ok=false.
+func hardAssignment(r *Result, pid int, src, dst string) (Assignment, bool) {
+	for _, a := range r.Assignments {
+		if a.Policy == pid && a.Src == src && a.Dst == dst && a.Role == HardEdge {
+			return a, true
+		}
+	}
+	return Assignment{}, false
 }

@@ -77,7 +77,7 @@ func TestKeepPreviousServesPriorConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := conf.keepPrevious(prev, 5, m, &milp.Solution{Status: milp.Limit, Nodes: 3}, time.Now())
+	res := conf.keepPrevious(prev, 5, m, &milp.Solution{Status: milp.Limit, Effort: milp.Effort{Nodes: 3}}, time.Now())
 	if res.Tier != TierKeepPrevious {
 		t.Errorf("tier = %s, want keep-previous", res.Tier)
 	}

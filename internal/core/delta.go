@@ -152,14 +152,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 	// affected set when its previous state cannot be carried soundly:
 	// active edges changed across the period boundary, no previous entry
 	// exists, or freezeValid rejects its assignments.
-	type frozenPolicy struct {
-		pid        int
-		weight     float64
-		configured bool
-		slack      bool
-		hasSlack   bool
-	}
-	var candidates []frozenPolicy
+	var candidates []int
 	active := 0
 	allPairs := c.policyPairs()
 	pairsByPid := map[int][][2]string{}
@@ -184,16 +177,11 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			affected[p.ID] = true // the boundary changed its edge set
 			continue
 		}
-		cfg, inPrev := prev.Configured[p.ID]
-		if !inPrev {
+		if _, inPrev := prev.Configured[p.ID]; !inPrev {
 			affected[p.ID] = true // newly active: nothing to freeze
 			continue
 		}
-		slack, hasSlack := prev.SlackUsed[p.ID]
-		candidates = append(candidates, frozenPolicy{
-			pid: p.ID, weight: p.Weight, configured: cfg,
-			slack: slack, hasSlack: hasSlack,
-		})
+		candidates = append(candidates, p.ID)
 	}
 	if active == 0 {
 		return nil, deltaFallback("no active policies in period %d", req.Period)
@@ -205,13 +193,13 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 	}
 	frozen := candidates[:0]
 	var frozenAssigns []Assignment
-	for _, f := range candidates {
-		if !freezeValid(c.topo, pairsByPid[f.pid], f.configured, prevByPid[f.pid]) {
-			affected[f.pid] = true
+	for _, pid := range candidates {
+		if !freezeValid(c.topo, pairsByPid[pid], prev.Configured[pid], prevByPid[pid]) {
+			affected[pid] = true
 			continue
 		}
-		frozen = append(frozen, f)
-		frozenAssigns = append(frozenAssigns, prevByPid[f.pid]...)
+		frozen = append(frozen, pid)
+		frozenAssigns = append(frozenAssigns, prevByPid[pid]...)
 	}
 
 	// The affected share gate: when the event touched most of the model, a
@@ -297,14 +285,7 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 		sub = c.extractResult(m, sol, tier, req.Period, start)
 	}
 
-	res := c.mergeDelta(prev, sub, frozenAssigns, affectedActive, len(frozen), func(r *Result) {
-		for _, f := range frozen {
-			r.Configured[f.pid] = f.configured
-			if f.hasSlack {
-				r.SlackUsed[f.pid] = f.slack
-			}
-		}
-	}, pairsByPid, weightByPid)
+	res := c.mergeDelta(prev, sub, frozen, frozenAssigns, affectedActive, pairsByPid, weightByPid)
 	res.Stats.Duration = time.Since(start)
 
 	// Optimality guard: compare satisfied counts over the policies active
@@ -380,10 +361,11 @@ func pathAttached(t *topo.Topology, a Assignment) bool {
 }
 
 // mergeDelta assembles the merged result: frozen assignments plus the
-// sub-model's, configured/slack flags from both sides, a recomputed
-// objective, and a link report rebuilt from the merged assignments with
-// shadow prices preferred from the sub-model's root relaxation.
-func (c *Configurator) mergeDelta(prev, sub *Result, frozenAssigns []Assignment, affected, frozenCount int, applyFrozen func(*Result), pairsByPid map[int][][2]string, weightByPid map[int]float64) *Result {
+// sub-model's, the frozen policies' flags from prev and the affected ones'
+// from the sub-model, a recomputed objective, and a link report over the
+// merged assignments with shadow prices preferred from the sub-model's
+// root relaxation.
+func (c *Configurator) mergeDelta(prev, sub *Result, frozen []int, frozenAssigns []Assignment, affected int, pairsByPid map[int][][2]string, weightByPid map[int]float64) *Result {
 	res := &Result{
 		Period:      sub.Period,
 		Configured:  make(map[int]bool, len(pairsByPid)),
@@ -392,13 +374,18 @@ func (c *Configurator) mergeDelta(prev, sub *Result, frozenAssigns []Assignment,
 		Status:      sub.Status,
 		Tier:        sub.Tier,
 		Stats:       sub.Stats,
-		Delta:       &DeltaStats{Affected: affected, Frozen: frozenCount},
+		Delta:       &DeltaStats{Affected: affected, Frozen: len(frozen)},
 		// Keep the previous root basis: the sub-model's basis does not
 		// match the full model's dimensions, and the next full solve warm
 		// starts best from the last full factorization.
 		basis: prev.basis,
 	}
-	applyFrozen(res)
+	for _, pid := range frozen {
+		res.Configured[pid] = prev.Configured[pid]
+		if used, ok := prev.SlackUsed[pid]; ok {
+			res.SlackUsed[pid] = used
+		}
+	}
 	for pid, ok := range sub.Configured {
 		res.Configured[pid] = ok
 	}
@@ -450,58 +437,21 @@ func (c *Configurator) mergeDelta(prev, sub *Result, frozenAssigns []Assignment,
 	}
 	res.Objective = obj / wsum
 
-	// Link report: reservations recomputed from the merged assignments;
-	// shadow prices from the sub-model where it had a capacity row, else
-	// carried from the previous report. Links that no longer exist are
-	// dropped.
-	reserved := map[[2]topo.NodeID]float64{}
-	for _, a := range res.Assignments {
-		for _, l := range a.Path.Links() {
-			reserved[l] += a.BW
-		}
-	}
-	subDual := make(map[[2]topo.NodeID]float64, len(sub.Links))
-	for _, lu := range sub.Links {
-		subDual[[2]topo.NodeID{lu.From, lu.To}] = lu.ShadowPrice
-	}
-	prevDual := make(map[[2]topo.NodeID]float64, len(prev.Links))
-	keys := map[[2]topo.NodeID]bool{}
+	// Link report over every link the merged assignments reserve or either
+	// side reported; a sub-model price overrides the previous one.
+	reserved := reservedBW(res.Assignments)
+	links := make([][2]topo.NodeID, 0, len(reserved)+len(prev.Links)+len(sub.Links))
 	for l := range reserved {
-		keys[l] = true
+		links = append(links, l)
 	}
-	for l := range subDual {
-		keys[l] = true
-	}
-	for _, lu := range prev.Links {
-		l := [2]topo.NodeID{lu.From, lu.To}
-		prevDual[l] = lu.ShadowPrice
-		keys[l] = true
-	}
-	ordered := make([][2]topo.NodeID, 0, len(keys))
-	for l := range keys {
-		ordered = append(ordered, l)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i][0] != ordered[j][0] {
-			return ordered[i][0] < ordered[j][0]
+	price := make(map[[2]topo.NodeID]float64, len(prev.Links)+len(sub.Links))
+	for _, report := range [][]LinkUse{prev.Links, sub.Links} {
+		for _, lu := range report {
+			l := [2]topo.NodeID{lu.From, lu.To}
+			links = append(links, l)
+			price[l] = lu.ShadowPrice
 		}
-		return ordered[i][1] < ordered[j][1]
-	})
-	for _, l := range ordered {
-		capacity, ok := c.topo.LinkCapacity(l[0], l[1])
-		if !ok {
-			continue
-		}
-		sp, ok := subDual[l]
-		if !ok {
-			sp = prevDual[l]
-		}
-		res.Links = append(res.Links, LinkUse{
-			From: l[0], To: l[1],
-			Capacity:    capacity,
-			Reserved:    reserved[l],
-			ShadowPrice: sp,
-		})
 	}
+	res.Links = c.linkReport(links, reserved, func(l [2]topo.NodeID) float64 { return price[l] })
 	return res
 }

@@ -99,7 +99,7 @@ func TestDeltaMatchesFullAfterMove(t *testing.T) {
 		t.Errorf("DeltaStats = %+v, want Affected=1 Frozen=3", *delta.Delta)
 	}
 	// The moved pair's new path starts at the new attach switch.
-	if a, ok := delta.AssignmentFor(pid0, "src0", "dst0"); !ok {
+	if a, ok := hardAssignment(delta, pid0, "src0", "dst0"); !ok {
 		t.Error("moved pair lost its assignment")
 	} else if a.Path.Nodes[0] != sw["d"] {
 		t.Errorf("moved pair's path starts at %d, want new attach %d", a.Path.Nodes[0], sw["d"])
@@ -108,8 +108,8 @@ func TestDeltaMatchesFullAfterMove(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		pid := deltaPolicyID(t, cg, i)
 		src, dst := deltaName("src", i), deltaName("dst", i)
-		before, ok1 := prev.AssignmentFor(pid, src, dst)
-		after, ok2 := delta.AssignmentFor(pid, src, dst)
+		before, ok1 := hardAssignment(prev, pid, src, dst)
+		after, ok2 := hardAssignment(delta, pid, src, dst)
 		if !ok1 || !ok2 || !before.Path.Equal(after.Path) {
 			t.Errorf("policy %d should be frozen: before=%v after=%v", pid, before.Path, after.Path)
 		}
@@ -261,7 +261,7 @@ func TestDeltaWidensStaleFrozen(t *testing.T) {
 	if res.Delta.Affected != 2 || res.Delta.Frozen != 2 {
 		t.Errorf("DeltaStats = %+v, want the stale policy widened (Affected=2 Frozen=2)", *res.Delta)
 	}
-	if a, ok := res.AssignmentFor(pid1, "src1", "dst1"); !ok {
+	if a, ok := hardAssignment(res, pid1, "src1", "dst1"); !ok {
 		t.Error("widened policy lost its assignment")
 	} else if a.Path.Nodes[0] != sw["c"] {
 		t.Errorf("widened policy's path starts at %d, want new attach %d", a.Path.Nodes[0], sw["c"])

@@ -178,7 +178,7 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 		for i := range m.pvars {
 			pv := &m.pvars[i]
 			perPeriodVar[k][slotKey{pv.pid, pv.edgeIdx, pv.src, pv.dst, pv.path.Key()}] = remap[pv.v]
-			pv.v = remap[pv.v] // keep layout usable for extraction
+			pv.v = remap[pv.v] // so decode reads the joint solution
 		}
 		for pid := range m.iVar {
 			m.iVar[pid] = remap[m.iVar[pid]]
@@ -227,35 +227,14 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	tr := &TemporalResult{Periods: periods, Duration: time.Since(start)}
 	var prev *Result
 	for k, h := range periods {
-		m := models[k]
 		res := &Result{
 			Period:     h,
 			Configured: map[int]bool{},
 			SlackUsed:  map[int]bool{},
 			Status:     sol.Status,
-			Stats: Stats{
-				Variables:        prob.NumVariables(),
-				Constraints:      prob.NumConstraints(),
-				Nodes:            sol.Nodes,
-				LPIterations:     sol.LPIterations,
-				Refactorizations: sol.Refactorizations,
-				PricingSwitches:  sol.PricingSwitches,
-				Workers:          sol.Workers,
-			},
+			Stats:      Stats{Variables: prob.NumVariables(), Constraints: prob.NumConstraints(), Effort: sol.Effort},
 		}
-		if sol.X != nil {
-			for _, pid := range m.pids {
-				res.Configured[pid] = sol.X[m.iVar[pid]] > 0.5
-			}
-			for _, pv := range m.pvars {
-				if sol.X[pv.v] > 0.5 {
-					res.Assignments = append(res.Assignments, Assignment{
-						Policy: pv.pid, EdgeIdx: pv.edgeIdx, Role: pv.role,
-						Src: pv.src, Dst: pv.dst, Path: pv.path, BW: pv.bw,
-					})
-				}
-			}
-		}
+		models[k].decode(sol.X, res)
 		if prev != nil {
 			tr.PathChanges += CountPathChanges(prev, res)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +13,10 @@ import (
 
 // twoPeriodSetup builds a diamond network and two policies that partition
 // the day: Day (8-20) and Night (20-8), each wanting 60 of the 100 Mbps
-// direct link, so each period has slack for exactly one.
-func twoPeriodSetup(t *testing.T) (*topo.Topology, *compose.Graph) {
+// direct link, so each period has slack for exactly one. With escalation,
+// Day also has a stateful edge through an H-IDS behind mid, which its
+// period reserves soft (Eqn 4).
+func twoPeriodSetup(t *testing.T, escalation bool) (*topo.Topology, *compose.Graph) {
 	t.Helper()
 	tp := topo.NewTopology("2p")
 	a := tp.AddSwitch("a")
@@ -27,6 +31,11 @@ func twoPeriodSetup(t *testing.T) (*topo.Topology, *compose.Graph) {
 	link(a, b, 100)
 	link(a, mid, 100)
 	link(mid, b, 100)
+	if escalation {
+		hids := tp.AddNF("hids", policy.HeavyIDS)
+		link(mid, hids, 100)
+		link(hids, b, 100)
+	}
 	if err := tp.AddEndpoint("d1", a, "Day"); err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +48,11 @@ func twoPeriodSetup(t *testing.T) (*topo.Topology, *compose.Graph) {
 	gd := policy.NewGraph("day")
 	gd.AddEdge(policy.Edge{Src: "Day", Dst: "Srv", QoS: policy.QoS{BandwidthMbps: 60},
 		Cond: policy.Condition{Window: policy.TimeWindow{Start: 8, End: 20}}})
+	if escalation {
+		gd.AddEdge(policy.Edge{Src: "Day", Dst: "Srv", Chain: policy.Chain{policy.HeavyIDS},
+			QoS: policy.QoS{BandwidthMbps: 20}, Cond: policy.Condition{Window: policy.TimeWindow{Start: 8, End: 20},
+				Stateful: policy.WhenAtLeast(policy.FailedConnections, 5)}})
+	}
 	gn := policy.NewGraph("night")
 	gn.AddEdge(policy.Edge{Src: "Night", Dst: "Srv", QoS: policy.QoS{BandwidthMbps: 60},
 		Cond: policy.Condition{Window: policy.TimeWindow{Start: 20, End: 8}}})
@@ -49,29 +63,55 @@ func twoPeriodSetup(t *testing.T) (*topo.Topology, *compose.Graph) {
 	return tp, cg
 }
 
+// TestConfigureTemporalJointMatchesGreedy holds the Eqn 9 joint solve to
+// the greedy chain on instances where both are optimal: the same number of
+// configured policies and, in each period, slack flags for the same
+// policies, so a stateful edge's reservation shows in both.
 func TestConfigureTemporalJointMatchesGreedy(t *testing.T) {
-	tp, cg := twoPeriodSetup(t)
-	conf := mustNew(t, tp, cg, Config{TimeLimit: 30 * time.Second})
-	greedy, err := conf.ConfigureTemporal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := conf.ConfigureTemporalJoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joint.Results) != len(greedy.Results) {
-		t.Fatalf("joint has %d period results, greedy %d", len(joint.Results), len(greedy.Results))
-	}
-	// Both must configure each policy in its own period: total 2 each...
-	// actually each policy is active in exactly one of the two periods
-	// (boundaries at 8 and 20 plus hour 0, which falls in the night
-	// window), so the totals must agree.
-	if joint.TotalConfigured != greedy.TotalConfigured {
-		t.Errorf("joint configured %d, greedy %d", joint.TotalConfigured, greedy.TotalConfigured)
-	}
-	if joint.TotalConfigured == 0 {
-		t.Error("joint configured nothing")
+	for _, escalation := range []bool{false, true} {
+		t.Run(fmt.Sprintf("escalation=%v", escalation), func(t *testing.T) {
+			tp, cg := twoPeriodSetup(t, escalation)
+			conf := mustNew(t, tp, cg, Config{TimeLimit: 30 * time.Second})
+			greedy, err := conf.ConfigureTemporal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			joint, err := conf.ConfigureTemporalJoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(joint.Results) != len(greedy.Results) {
+				t.Fatalf("joint has %d period results, greedy %d", len(joint.Results), len(greedy.Results))
+			}
+			// Each policy is active in exactly one of the two windows
+			// (boundaries at 8 and 20 plus hour 0, which falls in the night
+			// window), so the totals must agree.
+			if joint.TotalConfigured != greedy.TotalConfigured {
+				t.Errorf("joint configured %d, greedy %d", joint.TotalConfigured, greedy.TotalConfigured)
+			}
+			if joint.TotalConfigured == 0 {
+				t.Error("joint configured nothing")
+			}
+			slackKeys := func(r *Result) []int {
+				var pids []int
+				for pid := range r.SlackUsed {
+					pids = append(pids, pid)
+				}
+				slices.Sort(pids)
+				return pids
+			}
+			reserved := 0
+			for k, g := range greedy.Results {
+				want, got := slackKeys(g), slackKeys(joint.Results[k])
+				if !slices.Equal(got, want) {
+					t.Errorf("period %dh: joint slack flags for policies %v, greedy %v", g.Period, got, want)
+				}
+				reserved += len(want)
+			}
+			if escalation && reserved == 0 {
+				t.Error("the greedy chain reserved no stateful edge")
+			}
+		})
 	}
 }
 
@@ -144,7 +184,7 @@ func TestConfigureTemporalJointEmptyGraph(t *testing.T) {
 }
 
 func TestTemporalChainPeriodsMatchGraph(t *testing.T) {
-	tp, cg := twoPeriodSetup(t)
+	tp, cg := twoPeriodSetup(t, false)
 	conf := mustNew(t, tp, cg, Config{})
 	tr, err := conf.ConfigureTemporal()
 	if err != nil {
@@ -174,7 +214,7 @@ func TestTemporalChainPeriodsMatchGraph(t *testing.T) {
 }
 
 func TestNegotiateNilBaselineComputesOne(t *testing.T) {
-	tp, cg := twoPeriodSetup(t)
+	tp, cg := twoPeriodSetup(t, false)
 	conf := mustNew(t, tp, cg, Config{})
 	nego, err := conf.Negotiate(nil, 50, 5)
 	if err != nil {

@@ -231,7 +231,7 @@ func (n *Network) AccountNFState(assignments []core.Assignment) int {
 		if a.Role != core.HardEdge {
 			continue
 		}
-		flow := a.Src + "->" + a.Dst
+		flow := core.FlowKey(a.Src, a.Dst)
 		for _, node := range a.Path.Nodes {
 			if n.topo.Nodes[node].Kind != topo.NFBox {
 				continue
@@ -323,10 +323,10 @@ func matchRule(sw *Switch, flow flowKey, inPort topo.NodeID, proto policy.Protoc
 	return best
 }
 
-// QueueLoad sums, per directed link, the queue rate limits of rules
+// queueLoad sums, per directed link, the queue rate limits of rules
 // forwarding onto that link — the bandwidth the dataplane has promised.
 // Links whose promises exceed capacity indicate a configuration bug.
-func (n *Network) QueueLoad() map[[2]topo.NodeID]float64 {
+func (n *Network) queueLoad() map[[2]topo.NodeID]float64 {
 	out := map[[2]topo.NodeID]float64{}
 	for id, sw := range n.switches {
 		for _, ss := range sw.Table.flows {
@@ -344,7 +344,7 @@ func (n *Network) QueueLoad() map[[2]topo.NodeID]float64 {
 // capacity.
 func (n *Network) OverSubscribed() []string {
 	var out []string
-	for l, load := range n.QueueLoad() {
+	for l, load := range n.queueLoad() {
 		if capacity, ok := n.topo.LinkCapacity(l[0], l[1]); ok && load > capacity+1e-6 {
 			out = append(out, fmt.Sprintf("%d->%d: %.1f/%.1f Mbps", l[0], l[1], load, capacity))
 		}

@@ -83,7 +83,7 @@ func TestCompileAndApply(t *testing.T) {
 		t.Errorf("network holds %d rules, want %d", n.RuleCount(), len(rules))
 	}
 	// Queue rate limits must reflect the reserved bandwidth.
-	for _, loads := range n.QueueLoad() {
+	for _, loads := range n.queueLoad() {
 		if loads != 10 {
 			t.Errorf("queue load %v, want 10 Mbps per link", loads)
 		}

@@ -60,8 +60,8 @@ func TestRollbackPlanWithCrashedSwitch(t *testing.T) {
 			}
 			n.RollbackPlan(plan)
 
-			if got := plan.AppliedPhase(); got != 0 {
-				t.Errorf("AppliedPhase after rollback = %d, want 0", got)
+			if got := plan.applied; got != 0 {
+				t.Errorf("applied phase after rollback = %d, want 0", got)
 			}
 			after := tableSnapshot(n)
 			for id, want := range before {
@@ -123,8 +123,8 @@ func TestRollbackPlanCrashMidRevert(t *testing.T) {
 	if !errors.As(err, &opErr) || opErr.Switch != ids["bottom"] {
 		t.Fatalf("error should identify the crashed switch, got %v", err)
 	}
-	if got := plan.AppliedPhase(); got != 0 {
-		t.Fatalf("AppliedPhase = %d after failed phase 1, want 0", got)
+	if got := plan.applied; got != 0 {
+		t.Fatalf("applied phase = %d after failed phase 1, want 0", got)
 	}
 	n.RollbackPlan(plan)
 	after := tableSnapshot(n)

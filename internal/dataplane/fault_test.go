@@ -66,8 +66,8 @@ func TestApplyPhaseRevertsOnFailure(t *testing.T) {
 	if !reflect.DeepEqual(before, snapshotRules(n)) {
 		t.Fatal("failed phase left partial state behind")
 	}
-	if plan.AppliedPhase() != 0 {
-		t.Fatalf("failed phase must not advance AppliedPhase, got %d", plan.AppliedPhase())
+	if plan.applied != 0 {
+		t.Fatalf("failed phase must not advance the applied phase, got %d", plan.applied)
 	}
 
 	// Clearing the fault makes the same plan retryable to completion.
@@ -75,8 +75,8 @@ func TestApplyPhaseRevertsOnFailure(t *testing.T) {
 	if err := n.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if plan.AppliedPhase() != 3 {
-		t.Fatalf("retried plan should complete, applied=%d", plan.AppliedPhase())
+	if plan.applied != 3 {
+		t.Fatalf("retried plan should complete, applied=%d", plan.applied)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestRollbackPlanRestoresExactRuleSet(t *testing.T) {
 	if !reflect.DeepEqual(before, snapshotRules(n)) {
 		t.Fatal("rollback did not restore the exact prior rule set")
 	}
-	if plan.AppliedPhase() != 0 {
-		t.Fatalf("rolled-back plan should be reusable, applied=%d", plan.AppliedPhase())
+	if plan.applied != 0 {
+		t.Fatalf("rolled-back plan should be reusable, applied=%d", plan.applied)
 	}
 	// And it is: applying again from scratch completes.
 	if err := n.ApplyPlan(plan); err != nil {

@@ -288,7 +288,7 @@ func TestTablesMatchKeyedModelUnderFaults(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			var what string
 			switch k := rng.Intn(10); {
-			case plan == nil || plan.AppliedPhase() == 3 && k < 5:
+			case plan == nil || plan.applied == 3 && k < 5:
 				if plan != nil {
 					m.undo = nil // the applied plan is kept
 				}
@@ -301,8 +301,8 @@ func TestTablesMatchKeyedModelUnderFaults(t *testing.T) {
 				rng.Shuffle(len(target), func(a, b int) { target[a], target[b] = target[b], target[a] })
 				plan = n.PlanUpdate(target)
 				what = "plan"
-			case k < 6 && plan.AppliedPhase() < 3:
-				phase := plan.AppliedPhase() + 1
+			case k < 6 && plan.applied < 3:
+				phase := plan.applied + 1
 				what = fmt.Sprintf("apply phase %d", phase)
 				if err := n.ApplyPhase(plan, phase); err != nil {
 					failed++

@@ -69,9 +69,6 @@ type undoEntry struct {
 	existed bool
 }
 
-// AppliedPhase returns the last successfully applied phase (0 = none).
-func (p *UpdatePlan) AppliedPhase() int { return p.applied }
-
 // Report summarizes the plan as a CompileResult (NFStateTransfers is not
 // the plan's concern; see Network.AccountNFState).
 func (p *UpdatePlan) Report() CompileResult {
@@ -168,15 +165,15 @@ func (n *Network) PlanUpdate(target []Rule) *UpdatePlan {
 }
 
 // ApplyPhase executes all operations of one phase. Phases must be applied
-// strictly in order (1, 2, 3); applying a phase other than
-// plan.AppliedPhase()+1 returns an error without touching the network.
+// strictly in order (1, 2, 3); applying any phase but the one after the
+// last applied one returns an error without touching the network.
 //
 // The phase is atomic with respect to injected faults: if any operation
 // fails, the operations already performed in this phase are reverted in
 // reverse order and the failure is returned — the network is exactly as
 // the previous phase left it, so after every ApplyPhase call each flow is
 // still routed entirely by its old or entirely by its new path. The failed
-// phase may be retried (AppliedPhase is unchanged).
+// phase may be retried (the plan's applied phase is unchanged).
 func (n *Network) ApplyPhase(plan *UpdatePlan, phase int) error {
 	if phase < 1 || phase > 3 {
 		return fmt.Errorf("dataplane: phase %d out of range", phase)

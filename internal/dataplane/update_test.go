@@ -177,7 +177,7 @@ func TestApplyPhaseOutOfOrder(t *testing.T) {
 	if err := n.ApplyPhase(plan, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.AppliedPhase(); got != 3 {
+	if got := plan.applied; got != 3 {
 		t.Fatalf("applied phase = %d, want 3", got)
 	}
 	if err := n.ApplyPhase(plan, 1); err == nil {

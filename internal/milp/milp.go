@@ -98,6 +98,16 @@ type Solution struct {
 	X         []float64
 	// Bound is the best proven upper bound on the objective.
 	Bound float64
+	Effort
+	// RootDuals holds the dual values of the root LP relaxation, used for
+	// sensitivity analysis (§5.6 ranks bottleneck links by shadow price).
+	RootDuals []float64
+	// RootBasis snapshots the root relaxation basis for warm restarts.
+	RootBasis *lp.Basis
+}
+
+// Effort counts the work a solve did.
+type Effort struct {
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
 	// LPIterations accumulates simplex pivots across all node solves.
@@ -109,11 +119,6 @@ type Solution struct {
 	// PricingSwitches accumulates candidate-list → full-scan pricing
 	// fallbacks across all node solves.
 	PricingSwitches int
-	// RootDuals holds the dual values of the root LP relaxation, used for
-	// sensitivity analysis (§5.6 ranks bottleneck links by shadow price).
-	RootDuals []float64
-	// RootBasis snapshots the root relaxation basis for warm restarts.
-	RootBasis *lp.Basis
 	// Workers is the number of branch-and-bound workers the solve ran with.
 	Workers int
 }

@@ -114,7 +114,7 @@ func (s *Solver) newSearch(opts Options) *search {
 	sr := &search{
 		opts:   opts,
 		open:   frontier{lifo: opts.Workers == 1},
-		sol:    &Solution{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1), Workers: opts.Workers},
+		sol:    &Solution{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1), Effort: Effort{Workers: opts.Workers}},
 		incObj: math.Inf(-1),
 	}
 	if opts.TimeLimit > 0 {

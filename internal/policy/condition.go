@@ -71,9 +71,6 @@ type StatefulCond struct {
 	Ranges map[Event]CountRange `json:"ranges,omitempty"`
 }
 
-// Always returns the always-true stateful condition.
-func Always() StatefulCond { return StatefulCond{} }
-
 // WhenAtLeast returns the condition "counter(ev) >= n"
 // (e.g. "> 4 failed connections" is WhenAtLeast(FailedConnections, 5)).
 func WhenAtLeast(ev Event, n int) StatefulCond {

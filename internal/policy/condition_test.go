@@ -82,9 +82,9 @@ func TestStatefulCondAnd(t *testing.T) {
 		t.Errorf("cross-event And = %v, %v; want 2 ranges", c, ok)
 	}
 	// Always ∧ x = x.
-	d, ok := Always().And(a)
+	d, ok := StatefulCond{}.And(a)
 	if !ok || d.Key() != a.Key() {
-		t.Errorf("Always().And(a) = %v, want %v", d.Key(), a.Key())
+		t.Errorf("StatefulCond{}.And(a) = %v, want %v", d.Key(), a.Key())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestStatefulCondHolds(t *testing.T) {
 	if c.Holds(nil) {
 		t.Error(">=5 should not hold with missing counter (treated as 0)")
 	}
-	if !Always().Holds(nil) {
+	if !(StatefulCond{}).Holds(nil) {
 		t.Error("Always should hold")
 	}
 }
@@ -115,8 +115,8 @@ func TestStatefulCondKeyDeterministic(t *testing.T) {
 			t.Fatal("Key should be deterministic across map iteration orders")
 		}
 	}
-	if Always().Key() != "always" {
-		t.Errorf("Always key = %q", Always().Key())
+	if (StatefulCond{}).Key() != "always" {
+		t.Errorf("Always key = %q", StatefulCond{}.Key())
 	}
 }
 

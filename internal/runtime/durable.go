@@ -207,22 +207,14 @@ func (r *Runtime) noteTopoOp(op store.TopoOp) {
 	r.pendingOps = append(r.pendingOps, op)
 }
 
-// normalizeResult clones a result with its wall-clock solve duration zeroed
-// and its link report canonically ordered (the solver emits links in map
-// order), so journaled results are byte-reproducible across runs.
+// normalizeResult clones a result with its wall-clock solve duration
+// zeroed, so journaled results are byte-reproducible across runs.
 func normalizeResult(res *core.Result) *core.Result {
 	if res == nil {
 		return nil
 	}
 	clone := *res
 	clone.Stats.Duration = 0
-	clone.Links = append([]core.LinkUse(nil), res.Links...)
-	sort.Slice(clone.Links, func(i, j int) bool {
-		if clone.Links[i].From != clone.Links[j].From {
-			return clone.Links[i].From < clone.Links[j].From
-		}
-		return clone.Links[i].To < clone.Links[j].To
-	})
 	return &clone
 }
 

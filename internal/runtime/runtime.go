@@ -302,7 +302,7 @@ func (r *Runtime) quarantine(ctx context.Context, sw topo.NodeID, cause error) e
 	// An assignment through the switch crosses one of its links, which
 	// freezeValid rejects once removed, unless it is a zero-hop path of a
 	// same-switch pair: no validity check sees that one, so it is seeded.
-	affected := r.deltaSeeds()
+	affected := map[int]bool{}
 	r.policiesVisiting(sw, affected)
 	for _, nb := range r.topo.Neighbors(sw) {
 		capacity, ok := r.topo.LinkCapacity(sw, nb)
@@ -398,7 +398,7 @@ func (r *Runtime) MoveEndpoint(ctx context.Context, name string, to topo.NodeID)
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoMove, Endpoint: name, Node: to})
 		// A move changes attach points, not membership.
-		affected := r.deltaSeeds()
+		affected := map[int]bool{}
 		r.matchingPolicies(name, affected)
 		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
@@ -409,7 +409,7 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 	return r.journalOp(store.KindReconfigure, func(rec *store.Record) error {
 		// Membership before and after both matter: policies losing the
 		// endpoint must drop its pairs, policies gaining it need paths.
-		affected := r.deltaSeeds()
+		affected := map[int]bool{}
 		r.matchingPolicies(name, affected)
 		if err := r.topo.RelabelEndpoint(name, labels...); err != nil {
 			return fmt.Errorf("runtime: %w", err)
@@ -420,19 +420,15 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 	})
 }
 
-func (r *Runtime) reconfigure(ctx context.Context) error {
-	return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
-}
-
-// reconfigureEvent re-solves after an event and installs the result. When
-// affected is non-nil and delta solving is usable, only the affected
-// policies, widened by the delta solve with every policy whose previous
-// assignments it cannot carry, are re-solved against residual capacities;
-// any delta refusal (optimality guard, degraded sub-model, oversized
-// affected share) or a rejected install (audit, apply failure) falls back
-// to the full re-solve. A nil affected set always solves fully.
+// reconfigureEvent re-solves after an event and installs the result.
+// affected holds the event's seeds: only the policies no validity check in
+// the delta solve can see. When delta solving is usable, the seeds, widened
+// by the delta solve with every policy whose previous assignments went
+// stale, are re-solved against residual capacities. Otherwise, and on any
+// delta refusal (optimality guard, degraded sub-model, oversized affected
+// share) or rejected install (audit, apply failure), the full re-solve runs.
 func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affected map[int]bool) error {
-	if affected != nil && r.deltaUsable() {
+	if r.deltaUsable() {
 		res, err := r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected, Counters: r.counters})
 		switch {
 		case err == nil:
@@ -474,22 +470,11 @@ func (r *Runtime) deltaUsable() bool {
 	return r.current != nil && r.deltaReady && r.conf.DeltaEnabled()
 }
 
-// deltaSeeds starts an event's affected set: empty when delta solving is
-// usable, nil (solve fully) when not. The seeds added to it are only the
-// policies no validity check in the delta solve can see; the solve widens
-// the set with every policy whose previous assignments went stale.
-func (r *Runtime) deltaSeeds() map[int]bool {
-	if !r.deltaUsable() {
-		return nil
-	}
-	return map[int]bool{}
-}
-
 // matchingPolicies adds to out every policy whose source or destination
-// EPG the endpoint currently matches. A nil out stays nil.
+// EPG the endpoint currently matches.
 func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 	ep, ok := r.topo.EndpointByName(name)
-	if out == nil || !ok {
+	if !ok {
 		return
 	}
 	for _, p := range r.graph.Policies {
@@ -501,11 +486,8 @@ func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 
 // unsettledPolicies adds to out the policies the current result left
 // unconfigured or without their soft reservation: the ones freed capacity
-// may help. A nil out stays nil.
+// may help.
 func (r *Runtime) unsettledPolicies(out map[int]bool) {
-	if out == nil {
-		return
-	}
 	for pid, ok := range r.current.Configured {
 		if !ok {
 			out[pid] = true
@@ -519,11 +501,8 @@ func (r *Runtime) unsettledPolicies(out map[int]bool) {
 }
 
 // policiesVisiting adds to out the policies with a current assignment
-// whose path visits switch sw. A nil out stays nil.
+// whose path visits switch sw.
 func (r *Runtime) policiesVisiting(sw topo.NodeID, out map[int]bool) {
-	if out == nil {
-		return
-	}
 	for _, a := range r.current.Assignments {
 		if slices.Contains(a.Path.Nodes, sw) {
 			out[a.Policy] = true
@@ -553,7 +532,7 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 		r.conf.InvalidateLinkPaths(a, b)
 		// No seeds: every assignment crossing the link is rejected by
 		// freezeValid, which widens its policy into the sub-model.
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, r.deltaSeeds())
+		return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
 	})
 }
 
@@ -577,7 +556,7 @@ func (r *Runtime) RestoreLink(ctx context.Context, a, b topo.NodeID) error {
 		// unsatisfied ones and those whose soft reservation was given up.
 		// Satisfied policies stay frozen — keeping them off the restored
 		// link is the path-stability tradeoff §5.4 argues for.
-		affected := r.deltaSeeds()
+		affected := map[int]bool{}
 		r.unsettledPolicies(affected)
 		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
 	})
@@ -601,7 +580,7 @@ func (r *Runtime) AdvanceTo(ctx context.Context, h int) error {
 				// across it, which the delta solve widens in itself, plus
 				// the unsatisfied/unreserved ones that may fit into
 				// whatever the closing windows free up.
-				affected := r.deltaSeeds()
+				affected := map[int]bool{}
 				r.unsettledPolicies(affected)
 				if err := r.reconfigureEvent(ctx, cur, cur, affected); err != nil {
 					return fmt.Errorf("runtime: period transition at %dh: %w", cur, err)
@@ -642,11 +621,7 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 			return nil
 		}
 		rec.Kind = store.KindEscalate
-		affected := r.deltaSeeds()
-		if affected != nil {
-			affected[pid] = true
-		}
-		if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, affected); err != nil {
+		if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, map[int]bool{pid: true}); err != nil {
 			return err
 		}
 		r.metrics.StatefulReroutes++
@@ -692,7 +667,7 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 		// replay never depends on records older than the swap.
 		rec.Topo = r.topo
 		rec.Graph = g
-		return r.reconfigure(ctx)
+		return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
 	})
 }
 

@@ -119,6 +119,14 @@ func TestSubmitConfigureQuery(t *testing.T) {
 	if asgs := body["assignments"].([]any); len(asgs) < 2 {
 		t.Fatalf("want hard + reserved assignments, got %v", asgs)
 	}
+	// The link report is sorted by (From, To) where the solve makes it.
+	links := body["links"].([]any)
+	for i := 1; i < len(links); i++ {
+		p, l := links[i-1].(map[string]any), links[i].(map[string]any)
+		if p["From"].(float64) > l["From"].(float64) || p["From"] == l["From"] && p["To"].(float64) >= l["To"].(float64) {
+			t.Errorf("config links %v then %v: not sorted by (From, To)", p, l)
+		}
+	}
 	// Rules present.
 	code, body = do(t, http.MethodGet, ts.URL+"/rules", "", "")
 	if code != http.StatusOK || len(body) == 0 {

@@ -202,7 +202,7 @@ func apply(state *State, rec *Record) error {
 		if state.Counters == nil {
 			state.Counters = map[string]map[policy.Event]int{}
 		}
-		flow := rec.Counter.Src + "->" + rec.Counter.Dst
+		flow := core.FlowKey(rec.Counter.Src, rec.Counter.Dst)
 		if state.Counters[flow] == nil {
 			state.Counters[flow] = map[policy.Event]int{}
 		}
