@@ -113,12 +113,18 @@ difftest:
 # deltadiff runs the incremental-reconfiguration differential harness under
 # the race detector: twin runtimes (delta on vs off) replay seeded event
 # schedules — moves, link failures/restores, period advances, escalations,
-# injected faults — and every installed result, metric-visible satisfaction
+# graph swaps, injected faults — and every installed result, metric-visible satisfaction
 # count, and journal replay must match byte-for-byte. This is the permanent
 # gate for delta-solve changes, alongside the unit/edge-case suites.
 # TestResolveReplay re-solves the fault-free journal: each record's input,
 # fed to a fresh runtime at one solver worker, must reproduce the recorded
 # result, so a solver or model change shows which recorded events moved.
+# A graph swap carries the live result into the new graph's policy IDs and
+# delta-solves what it changed: TestCarryRenumbersByKey holds the carry,
+# TestGraphSwapFullSolveHoldsPreviousPaths the full solve's view of the
+# carried paths, TestUpdateGraphFailedSwapKeepsLiveGraph a failed swap,
+# TestGraphSwapQuarantineRecovers the journal of a swap that quarantines,
+# and TestConfigureSolvesOnlyChangedPolicies the /configure route.
 # TestEventLedger holds two seeded streams to a per-event golden (delta or
 # full, affected and frozen counts, nodes, pivots, record hash); rerun it
 # with UPDATE_GOLDEN=1 only for a change that means to move it.
@@ -142,7 +148,7 @@ difftest:
 # Cwix; it runs without -race, which would take minutes for one goroutine.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphSolvesFullyUntilInstall|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphFailedSwapKeepsLiveGraph|TestGraphSwap|TestCarryRenumbersByKey|TestConfigureSolvesOnlyChangedPolicies|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/ ./internal/server/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded|TestRetain' ./internal/paths/
 	$(GO) test -count=1 -run TestPathCacheHoldsLiveTriples ./internal/runtime/ -v
 

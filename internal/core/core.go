@@ -146,6 +146,21 @@ func New(t *topo.Topology, g *compose.Graph, cfg Config) (*Configurator, error) 
 	}, nil
 }
 
+// Rebind returns a configurator for graph g and cfg on c's topology. It
+// keeps c's path cache when cfg keeps the candidate count: a cached pool
+// depends only on the topology and the chain, and each model build drops
+// the entries no live pair uses.
+func (c *Configurator) Rebind(g *compose.Graph, cfg Config) (*Configurator, error) {
+	n, err := New(c.topo, g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if n.cfg.CandidatePaths == c.cfg.CandidatePaths {
+		n.enum = c.enum
+	}
+	return n, nil
+}
+
 // Topology returns the bound topology.
 func (c *Configurator) Topology() *topo.Topology { return c.topo }
 

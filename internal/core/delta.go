@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"time"
@@ -300,6 +301,65 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 		return nil, deltaFallback("delta satisfied %d, more than %d below previous %d", got, c.cfg.DeltaMaxSatisfiedDrop, prevSat)
 	}
 	return res, nil
+}
+
+// Carry renumbers prev, a result for graph from, into the policy IDs of
+// c's graph, matching policies by their (src, dst) EPG key: composition
+// numbers policies in key order, so a pair added or removed before another
+// shifts its ID. Policies gone from the graph are dropped. affected holds
+// the policies a delta solve against the carried result must re-solve: new
+// ones, and ones whose edges or weight changed. same reports that c's
+// graph equals from: every policy kept its ID, edges and weight. The
+// carried result has no warm basis, since its model had another shape.
+func (c *Configurator) Carry(prev *Result, from *compose.Graph) (carried *Result, affected map[int]bool, same bool) {
+	old := make(map[string]*compose.Policy, len(from.Policies))
+	for _, p := range from.Policies {
+		old[p.Key()] = p
+	}
+	newID := make(map[int]int, len(from.Policies))
+	affected = map[int]bool{}
+	same = len(from.Policies) == len(c.graph.Policies)
+	for _, p := range c.graph.Policies {
+		was, ok := old[p.Key()]
+		if !ok {
+			affected[p.ID] = true
+			same = false
+			continue
+		}
+		newID[was.ID] = p.ID
+		if was.Weight != p.Weight || //janus:allow(floatcmp): a configured weight compared with itself, never a computed float
+			!reflect.DeepEqual(was.Default, p.Default) || !reflect.DeepEqual(was.NonDefault, p.NonDefault) {
+			affected[p.ID] = true
+			same = false
+		}
+		if was.ID != p.ID {
+			same = false
+		}
+	}
+	carried = &Result{
+		Period:     prev.Period,
+		Configured: make(map[int]bool, len(prev.Configured)),
+		SlackUsed:  make(map[int]bool, len(prev.SlackUsed)),
+		Objective:  prev.Objective,
+		Links:      prev.Links,
+	}
+	for pid, ok := range prev.Configured {
+		if id, live := newID[pid]; live {
+			carried.Configured[id] = ok
+		}
+	}
+	for pid, used := range prev.SlackUsed {
+		if id, live := newID[pid]; live {
+			carried.SlackUsed[id] = used
+		}
+	}
+	for _, a := range prev.Assignments {
+		if id, live := newID[a.Policy]; live {
+			a.Policy = id
+			carried.Assignments = append(carried.Assignments, a)
+		}
+	}
+	return carried, affected, same
 }
 
 // freezeValid reports whether a policy's previous assignments can be

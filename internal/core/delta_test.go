@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"janus/internal/compose"
@@ -337,5 +339,101 @@ func TestDeltaCancelledContextIsRealError(t *testing.T) {
 	}
 	if errors.Is(err, ErrDeltaFallback) {
 		t.Fatalf("cancellation must not masquerade as a fallback: %v", err)
+	}
+}
+
+// TestCarryRenumbersByKey carries a result across a graph swap that adds a
+// pair sorting first, drops one, and changes another's bandwidth: every
+// kept policy's flags and assignments follow it to its new ID, and the
+// affected set is exactly the new and the changed policy. A swap to the
+// same graph, also as decoded from the journal, is reported as such.
+func TestCarryRenumbersByKey(t *testing.T) {
+	tp, cg, _ := deltaSetup(t)
+	cfg := Config{Workers: 1}
+	c, err := New(tp, cg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := c.Configure(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writers []*policy.Graph
+	for i, bw := range []float64{10, 0, 20, 10} {
+		if bw == 0 {
+			continue // writer g1 leaves
+		}
+		g := policy.NewGraph(deltaName("g", i))
+		g.AddEdge(policy.Edge{Src: deltaName("S", i), Dst: deltaName("D", i), Default: true,
+			QoS: policy.QoS{BandwidthMbps: bw}})
+		writers = append(writers, g)
+	}
+	first := policy.NewGraph("first")
+	first.AddEdge(policy.Edge{Src: "A", Dst: "D0", QoS: policy.QoS{BandwidthMbps: 10}})
+	next, err := compose.New(nil).Compose(append(writers, first)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := c.Rebind(next, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := nc.PathCacheLen(); got == 0 {
+		t.Error("rebind dropped the configurator's path cache")
+	}
+	carried, affected, same := nc.Carry(prev, cg)
+	if same {
+		t.Error("a changed graph reported as the same")
+	}
+	idOf := func(g *compose.Graph, src, dst string) int {
+		p, ok := g.Lookup(src, dst)
+		if !ok {
+			t.Fatalf("no policy %s|%s", src, dst)
+		}
+		return p.ID
+	}
+	newP, changed := idOf(next, "A", "D0"), idOf(next, "S2", "D2")
+	if len(affected) != 2 || !affected[newP] || !affected[changed] {
+		t.Errorf("affected = %v, want {%d (new), %d (changed)}", affected, newP, changed)
+	}
+	for _, i := range []int{0, 2, 3} {
+		src, dst := deltaName("S", i), deltaName("D", i)
+		was, now := idOf(cg, src, dst), idOf(next, src, dst)
+		if carried.Configured[now] != prev.Configured[was] {
+			t.Errorf("policy %s|%s: carried configured %v, was %v", src, dst, carried.Configured[now], prev.Configured[was])
+		}
+	}
+	if len(carried.Configured) != 3 || len(carried.Assignments) != 3 {
+		t.Errorf("carried %d configured flags and %d assignments, want the 3 kept policies'", len(carried.Configured), len(carried.Assignments))
+	}
+	for _, a := range carried.Assignments {
+		p := next.PolicyByID(a.Policy)
+		if p == nil || !slices.Contains(tp.Pairs(p.Src, p.Dst), [2]string{a.Src, a.Dst}) {
+			t.Errorf("assignment %s carried to the wrong policy %v", a.Key(), p)
+		}
+	}
+
+	b, err := json.Marshal(cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded compose.Graph
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*compose.Graph{cg, &decoded} {
+		sc, err := c.Rebind(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, affected, same := sc.Carry(prev, cg)
+		if !same || len(affected) != 0 || len(kept.Assignments) != len(prev.Assignments) {
+			t.Errorf("swap to the same graph: same=%v affected=%v, %d of %d assignments kept", same, affected, len(kept.Assignments), len(prev.Assignments))
+		}
+	}
+	if other, err := c.Rebind(cg, Config{CandidatePaths: 3}); err != nil {
+		t.Fatal(err)
+	} else if n, _ := other.PathCacheLen(); n != 0 {
+		t.Errorf("rebind to another candidate count kept %d cached pools", n)
 	}
 }

@@ -62,9 +62,21 @@ func chaosSetupCfg(t *testing.T, cfg core.Config) (*core.Configurator, map[strin
 			t.Fatal(err)
 		}
 	}
+	conf, err := core.New(tp, composeWriters(t, chaosWriters(10, false)...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conf, sw
+}
+
+// chaosWriters returns the fabric's writer graphs: "web", whose default
+// edge reserves webMbps, and "db", plus, with peer, a writer of
+// Clients→Clients traffic, whose pair sorts before both others and so
+// takes policy ID 0 and renumbers them.
+func chaosWriters(webMbps float64, peer bool) []*policy.Graph {
 	g1 := policy.NewGraph("web")
 	g1.AddEdge(policy.Edge{Src: "Clients", Dst: "Web", Default: true,
-		QoS: policy.QoS{BandwidthMbps: 10}})
+		QoS: policy.QoS{BandwidthMbps: webMbps}})
 	g1.AddEdge(policy.Edge{Src: "Clients", Dst: "Web",
 		Chain: policy.Chain{policy.HeavyIDS},
 		QoS:   policy.QoS{BandwidthMbps: 10},
@@ -78,15 +90,24 @@ func chaosSetupCfg(t *testing.T, cfg core.Config) (*core.Configurator, map[strin
 		Chain: policy.Chain{policy.Firewall},
 		QoS:   policy.QoS{BandwidthMbps: 5},
 		Cond:  policy.Condition{Window: policy.TimeWindow{Start: 9, End: 18}}})
-	cg, err := compose.New(nil).Compose(g1, g2)
+	out := []*policy.Graph{g1, g2}
+	if peer {
+		g3 := policy.NewGraph("peer")
+		g3.AddEPG(policy.NewEPG("Peers", "Clients"))
+		g3.AddEdge(policy.Edge{Src: "Clients", Dst: "Peers", QoS: policy.QoS{BandwidthMbps: 20}})
+		out = append(out, g3)
+	}
+	return out
+}
+
+// composeWriters composes writer graphs or fails the test.
+func composeWriters(t *testing.T, writers ...*policy.Graph) *compose.Graph {
+	t.Helper()
+	cg, err := compose.New(nil).Compose(writers...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf, err := core.New(tp, cg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return conf, sw
+	return cg
 }
 
 // TestChaosSoak replays a seeded randomized fault schedule — ≥5% op

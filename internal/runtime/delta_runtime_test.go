@@ -371,35 +371,93 @@ func TestQuarantineSeedsZeroHopPolicy(t *testing.T) {
 	}
 }
 
-// TestUpdateGraphSolvesFullyUntilInstall swaps the composed graph with a
-// reconfiguration that fails: the next event must solve fully, since the
-// live result speaks the old graph's policy IDs, and the one after that,
-// with a result of the new graph installed, incrementally again.
-func TestUpdateGraphSolvesFullyUntilInstall(t *testing.T) {
-	rt, sw, _, _ := deltaRT(t, core.Config{})
-	cancelled, cancel := context.WithCancel(context.Background())
+// TestUpdateGraphFailedSwapKeepsLiveGraph swaps the composed graph with a
+// reconfiguration that fails: the swap must leave the live graph and
+// result in place, journal nothing, and let the next event delta-solve.
+// The same swap, retried, re-solves only the policy it changed, and a swap
+// to the graph already live solves fully.
+func TestUpdateGraphFailedSwapKeepsLiveGraph(t *testing.T) {
+	conf, sw := chaosSetupCfg(t, core.Config{})
+	j := &roundTripJournal{}
+	ctx := context.Background()
+	rt, err := NewDurable(ctx, conf, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetRetryPolicy(noSleepPolicy())
+	live, cur, recs := rt.graph, rt.Current(), len(j.recs)
+	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := rt.UpdateGraph(cancelled, rt.graph, core.Config{}); err == nil {
+	redraw := composeWriters(t, chaosWriters(40, false)...)
+	if err := rt.UpdateGraph(cancelled, redraw, core.Config{}); err == nil {
 		t.Fatal("UpdateGraph with a cancelled context should fail")
 	}
-	// The next event cannot be served incrementally and must full-solve
-	// cleanly.
-	ctx := context.Background()
+	if rt.graph != live || rt.Current() != cur {
+		t.Fatal("a failed swap replaced the live graph or result")
+	}
+	if len(j.recs) != recs {
+		t.Errorf("a failed swap that changed nothing journaled %d records", len(j.recs)-recs)
+	}
 	before := rt.Metrics()
 	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
 		t.Fatalf("move after failed graph swap: %v", err)
 	}
-	m := rt.Metrics()
-	if m.DeltaSolves != before.DeltaSolves || m.DeltaFallbacks != before.DeltaFallbacks {
-		t.Errorf("event after the failed graph swap recorded delta activity: solves %d->%d fallbacks %d->%d",
-			before.DeltaSolves, m.DeltaSolves, before.DeltaFallbacks, m.DeltaFallbacks)
+	if m := rt.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
+		t.Errorf("DeltaSolves = %d, want %d after a failed swap", m.DeltaSolves, before.DeltaSolves+1)
 	}
-	before = rt.Metrics()
-	if err := rt.MoveEndpoint(ctx, "web", sw["core2"]); err != nil {
+	if err := rt.UpdateGraph(ctx, redraw, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if m := rt.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
-		t.Errorf("DeltaSolves = %d, want %d once the new graph's result is installed", m.DeltaSolves, before.DeltaSolves+1)
+	if d := rt.Current().Delta; d == nil || d.Affected != 1 {
+		t.Errorf("bandwidth swap: DeltaStats = %+v, want the web policy alone re-solved", d)
+	}
+	if err := rt.UpdateGraph(ctx, composeWriters(t, chaosWriters(40, false)...), core.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := rt.Current().Delta; d != nil {
+		t.Errorf("a swap to the live graph was a delta solve (%+v), want a full one", d)
+	}
+	if vs := rt.Audit(); len(vs) != 0 {
+		t.Errorf("audit after the swaps: %v", vs)
+	}
+}
+
+// TestGraphSwapFullSolveHoldsPreviousPaths adds a writer whose pair sorts
+// first, which renumbers both other policies, on a runtime that always
+// solves fully. Every valid path is a candidate (CandidatePaths 0), so the
+// full solve must find each previous assignment under its policy's new ID
+// and give it one Eqn 7 α: the swap's model has exactly one variable per
+// previous assignment more than a cold configure of the new graph.
+func TestGraphSwapFullSolveHoldsPreviousPaths(t *testing.T) {
+	cfg := core.Config{DeltaDisable: true, Workers: 1}
+	conf, _ := chaosSetupCfg(t, cfg)
+	ctx := context.Background()
+	rt, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := rt.Current()
+	g := composeWriters(t, chaosWriters(10, true)...)
+	if err := rt.UpdateGraph(ctx, g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Current()
+	if res.Delta != nil {
+		t.Fatalf("swap with delta solving off served by a delta solve: %+v", res.Delta)
+	}
+	cold, err := core.New(rt.topo, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := cold.Configure(res.Period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alphas := res.Stats.Variables - base.Stats.Variables; alphas != len(prev.Assignments) {
+		t.Errorf("swap model has %d α variables, want one per previous assignment (%d)", alphas, len(prev.Assignments))
+	}
+	if rt.PathChanges() != 0 {
+		t.Errorf("adding an uncontended writer moved %d paths", rt.PathChanges())
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,8 +24,8 @@ import (
 // states — the merged delta results must replay exactly like full ones.
 
 // TestDeltaDiffDynamics runs the clean dynamics suite: mobility, temporal
-// boundaries, stateful counters, benign relabels, and one link flap, with
-// no fault injection.
+// boundaries, stateful counters, benign relabels, one link flap and four
+// graph swaps, with no fault injection.
 func TestDeltaDiffDynamics(t *testing.T) {
 	runDeltaDiff(t, deltaDiffOpts{seed: 101, events: 60, bound: 1})
 }
@@ -126,6 +127,24 @@ func deltaDiffEvent(rng *rand.Rand, sw map[string]topo.NodeID, i, n, hour int) E
 	return Event{Kind: EventRelabel, Endpoint: clients[rng.Intn(len(clients))], Labels: []string{"Clients"}}
 }
 
+// deltaDiffSwap returns the writer graphs a deltadiff trace of n events
+// swaps in before event i, or nil: the web writer's bandwidth redrawn and
+// then restored, and the peer writer, whose pair sorts first and so
+// renumbers every other policy, added and later removed.
+func deltaDiffSwap(i, n int) []*policy.Graph {
+	switch i {
+	case n / 6:
+		return chaosWriters(40, false)
+	case n / 3:
+		return chaosWriters(10, false)
+	case n / 2:
+		return chaosWriters(10, true)
+	case n / 6 * 5:
+		return chaosWriters(10, false)
+	}
+	return nil
+}
+
 func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 	on := newDiffSide(t, "delta-on", opts, core.Config{})
 	off := newDiffSide(t, "delta-off", opts, core.Config{DeltaDisable: true})
@@ -133,12 +152,12 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 	rng := rand.New(rand.NewSource(opts.seed))
 	ctx := context.Background()
 
-	for i := 0; i < opts.events; i++ {
-		ev := deltaDiffEvent(rng, on.sw, i, opts.events, on.rt.Hour())
+	// step runs one step of the trace on both sides and checks them.
+	step := func(i int, what string, apply func(*diffSide) error) {
 		errs := map[string]error{}
 		for _, s := range sides {
 			recBefore := s.rt.Metrics().Reconfigurations
-			errs[s.name] = s.apply(ctx, ev)
+			errs[s.name] = apply(s)
 			// Every successful install must leave a clean audit. A successful
 			// event that installed nothing (an AdvanceTo crossing no boundary)
 			// is exempt: it cannot repair a world left inconsistent by an
@@ -146,7 +165,7 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 			// the self-audit — the endpoint stays moved, the rules roll back).
 			if errs[s.name] == nil && s.rt.Metrics().Reconfigurations > recBefore {
 				if vs := s.rt.Audit(); len(vs) != 0 {
-					t.Fatalf("event %d %+v on %s: audit violations after install: %v", i, ev, s.name, vs)
+					t.Fatalf("event %d %s on %s: audit violations after install: %v", i, what, s.name, vs)
 				}
 			}
 		}
@@ -154,10 +173,19 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 			satOn := on.rt.Current().SatisfiedCount()
 			satOff := off.rt.Current().SatisfiedCount()
 			if d := satOn - satOff; d < -opts.bound || d > opts.bound {
-				t.Fatalf("event %d %+v: satisfied diverged beyond bound %d: delta-on=%d delta-off=%d",
-					i, ev, opts.bound, satOn, satOff)
+				t.Fatalf("event %d %s: satisfied diverged beyond bound %d: delta-on=%d delta-off=%d",
+					i, what, opts.bound, satOn, satOff)
 			}
 		}
+	}
+	for i := 0; i < opts.events; i++ {
+		if writers := deltaDiffSwap(i, opts.events); writers != nil {
+			step(i, "graph swap", func(s *diffSide) error {
+				return s.rt.UpdateGraph(ctx, composeWriters(t, writers...), s.cfg)
+			})
+		}
+		ev := deltaDiffEvent(rng, on.sw, i, opts.events, on.rt.Hour())
+		step(i, fmt.Sprintf("%+v", ev), func(s *diffSide) error { return s.apply(ctx, ev) })
 	}
 
 	mOn, mOff := on.rt.Metrics(), off.rt.Metrics()
@@ -242,11 +270,12 @@ func recordEvent(rec *store.Record) Event {
 }
 
 // TestResolveReplay is the re-solve replay of a journal: it drives
-// TestDeltaDiffDynamics's fault-free trace through a journaled runtime,
-// then feeds each record's derived input to a fresh runtime that solves
-// and requires the result it installs to equal the recorded one byte for
-// byte; an event whose record is not a rollback must also replay without
-// error. One solver worker keeps both runs' searches identical. Only
+// TestDeltaDiffDynamics's fault-free trace, graph swaps included, through
+// a journaled runtime, then feeds each record's derived input to a fresh
+// runtime that solves and requires the result it installs to equal the
+// recorded one byte for byte; an event whose record is not a rollback must
+// also replay without error. A record carrying a composed graph replays as
+// a swap to that graph, as read back from the journal. One solver worker keeps both runs' searches identical. Only
 // results are compared: a rolled-back tick journals the clock it stopped
 // at, not the hour it aimed for, so its metrics cannot be replayed.
 func TestResolveReplay(t *testing.T) {
@@ -260,8 +289,14 @@ func TestResolveReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	failed := 0
+	failed, swaps := 0, 0
 	for i := 0; i < events; i++ {
+		if writers := deltaDiffSwap(i, events); writers != nil {
+			if err := rt.UpdateGraph(ctx, composeWriters(t, writers...), cfg); err != nil {
+				t.Fatalf("graph swap before event %d: %v", i, err)
+			}
+			swaps++
+		}
 		if err := rt.Apply(ctx, deltaDiffEvent(rng, sw, i, events, rt.Hour())); err != nil {
 			failed++
 		}
@@ -275,7 +310,12 @@ func TestResolveReplay(t *testing.T) {
 	rollbacks := 0
 	for i, rec := range j.recs {
 		var ev Event
-		if i > 0 {
+		switch {
+		case i > 0 && rec.Graph != nil:
+			if err := fresh.UpdateGraph(ctx, rec.Graph, cfg); err != nil {
+				t.Fatalf("record %d (%s, replayed as a graph swap): %v", i+1, rec.Kind, err)
+			}
+		case i > 0:
 			ev = recordEvent(rec)
 			if err := fresh.Apply(ctx, ev); err != nil && rec.Kind != store.KindRollback {
 				t.Fatalf("record %d (%s, replayed as %+v): %v", i+1, rec.Kind, ev, err)
@@ -297,8 +337,8 @@ func TestResolveReplay(t *testing.T) {
 				i+1, rec.Kind, ev, got, want)
 		}
 	}
-	if len(j.recs) != events+1 || rollbacks != failed {
-		t.Errorf("journal has %d records (%d rollbacks) for %d events (%d failed), want one per event plus the initial configure",
-			len(j.recs), rollbacks, events, failed)
+	if len(j.recs) != events+swaps+1 || rollbacks != failed {
+		t.Errorf("journal has %d records (%d rollbacks) for %d events (%d failed) and %d swaps, want one per event and swap plus the initial configure",
+			len(j.recs), rollbacks, events, failed, swaps)
 	}
 }

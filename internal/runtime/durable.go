@@ -92,7 +92,6 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	}
 	r.net.Recompile()
 	r.current = state.Result
-	r.deltaReady = true
 	r.journal = j
 	return r, nil
 }

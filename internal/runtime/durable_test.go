@@ -4,8 +4,11 @@ import (
 	"context"
 	"testing"
 
+	"janus/internal/core"
+	"janus/internal/dataplane"
 	"janus/internal/policy"
 	"janus/internal/store"
+	"janus/internal/topo"
 )
 
 // TestInvalidRequestsJournalNothing asserts that failed events which mutate
@@ -56,5 +59,48 @@ func TestInvalidRequestsJournalNothing(t *testing.T) {
 	}
 	if got := st.LastSeq(); got != boot+1 {
 		t.Fatalf("valid event journaled to seq %d, want %d", got, boot+1)
+	}
+}
+
+// TestGraphSwapQuarantineRecovers fails every rule operation on one switch
+// while a graph swap installs, so the install quarantines the switch, and
+// then reopens the journal: each swap, whether it lands or not, must
+// recover into the live state. The topology a landed swap journals already
+// lacks the quarantined switch's links, so its record must not carry their
+// removals again; a failed swap journals only the removals.
+func TestGraphSwapQuarantineRecovers(t *testing.T) {
+	for _, name := range []string{"e1", "e2", "agg", "core1", "core2"} {
+		conf, sw := chaosSetup(t)
+		fs := store.NewCrashFS(3)
+		st, err := store.Open(fs, "data", store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		rt, err := NewDurable(ctx, conf, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetRetryPolicy(noSleepPolicy())
+		rt.Network().InjectFaults(dataplane.FaultPlan{Seed: 1,
+			Switches: map[topo.NodeID]dataplane.SwitchFaults{sw[name]: {FailRate: 1}}})
+		swapErr := rt.UpdateGraph(ctx, composeWriters(t, chaosWriters(10, true)...), core.Config{})
+		if len(rt.Quarantined()) == 0 {
+			t.Fatalf("%s: the swap quarantined nothing (err %v)", name, swapErr)
+		}
+		want := marshalState(t, rt.State())
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := store.Open(fs, "data", store.Options{})
+		if err != nil {
+			t.Fatalf("%s (swap err %v): reopening the journal: %v", name, swapErr, err)
+		}
+		if got := marshalState(t, st2.RecoveredState()); got != want {
+			t.Errorf("%s (swap err %v): recovered state diverges from live state", name, swapErr)
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func TestEventLedger(t *testing.T) {
 	}
 	var got bytes.Buffer
 
-	// TestResolveReplay's fault-free trace.
+	// TestResolveReplay's fault-free trace, without its graph swaps.
 	conf, sw := chaosSetupCfg(t, core.Config{Workers: 1})
 	const seed, events = 101, 60
 	rng := rand.New(rand.NewSource(seed))

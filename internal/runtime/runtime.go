@@ -101,10 +101,6 @@ type Runtime struct {
 	current  *core.Result
 	counters core.Counters // per-flow event counters
 	metrics  Metrics
-	// deltaReady reports that current speaks the live graph's policy IDs,
-	// so events may delta-solve against it: install sets it, UpdateGraph
-	// clears it.
-	deltaReady bool
 
 	retry RetryPolicy
 	// journal, when non-nil, receives one durable record per public
@@ -253,7 +249,6 @@ func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error
 	r.metrics.SwitchesTouched += rep.SwitchesTouched
 	r.metrics.NFStateTransfers += rep.NFStateTransfers
 	r.current = res
-	r.deltaReady = true
 	// Settle point: publish the compiled fast path for the newly installed
 	// configuration (atomic swap; in-flight lookups finish on the previous
 	// generation).
@@ -457,6 +452,12 @@ func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affect
 			return fmt.Errorf("runtime: delta reconfiguring: %w", err)
 		}
 	}
+	return r.resolve(ctx, period, hour)
+}
+
+// resolve re-solves the whole period model against the current result and
+// installs the result.
+func (r *Runtime) resolve(ctx context.Context, period, hour int) error {
 	res, err := r.conf.ReconfigureAtContext(ctx, r.current, period, r.counters)
 	if err != nil {
 		return fmt.Errorf("runtime: reconfiguring: %w", err)
@@ -465,9 +466,9 @@ func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affect
 }
 
 // deltaUsable reports whether incremental reconfiguration can run: it is
-// enabled, and a current result for the live graph exists.
+// enabled, and a current result exists.
 func (r *Runtime) deltaUsable() bool {
-	return r.current != nil && r.deltaReady && r.conf.DeltaEnabled()
+	return r.current != nil && r.conf.DeltaEnabled()
 }
 
 // matchingPolicies adds to out every policy whose source or destination
@@ -647,27 +648,43 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 }
 
 // UpdateGraph swaps in a new composed policy graph (graph churn, §2.2) and
-// reconfigures with path-change minimization against the previous state.
+// reconfigures against the live result carried into the new graph's policy
+// IDs (core.Configurator.Carry), keeping the path cache. A changed graph
+// is an event like any other: the delta solve re-solves the policies the
+// swap added or changed, with the same fallbacks to a full solve. A graph
+// equal to the live one is the operator asking for a global
+// re-optimisation, and solves fully. The swap is all or nothing: when no
+// configuration of the new graph installs, the live graph, configurator
+// and result stay as they were.
 func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Config) error {
 	return r.journalOp(store.KindConfigure, func(rec *store.Record) error {
-		conf, err := core.New(r.topo, g, cfg)
+		conf, err := r.conf.Rebind(g, cfg)
 		if err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
-		r.conf = conf
-		r.graph = g
-		r.adapter = dataplane.NewGraphAdapter(g)
-		// The current result speaks the old graph's policy IDs; stop delta
-		// solving against it NOW, not at install, so a failed
-		// reconfiguration cannot leave later events freezing assignments
-		// of policies that no longer exist. The fresh Configurator likewise
-		// starts with an empty path cache.
-		r.deltaReady = false
+		carried, affected, same := conf.Carry(r.current, r.graph)
+		oldConf, oldGraph, oldAdapter, oldCurrent := r.conf, r.graph, r.adapter, r.current
+		r.conf, r.graph, r.adapter = conf, g, dataplane.NewGraphAdapter(g)
+		if same {
+			err = r.resolve(ctx, r.current.Period, r.hour)
+		} else {
+			r.current = carried
+			err = r.reconfigureEvent(ctx, carried.Period, r.hour, affected)
+		}
+		if err != nil {
+			// No install succeeded, so the dataplane still realizes the
+			// old result under the old graph.
+			r.conf, r.graph, r.adapter, r.current = oldConf, oldGraph, oldAdapter, oldCurrent
+			return err
+		}
 		// A graph swap re-journals the full topology and composed graph so
-		// replay never depends on records older than the swap.
+		// replay never depends on records older than the swap. The
+		// topology already holds whatever a quarantine during the swap
+		// removed, so those ops must not replay on top of it.
 		rec.Topo = r.topo
 		rec.Graph = g
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
+		r.pendingOps = nil
+		return nil
 	})
 }
 

@@ -134,6 +134,47 @@ func TestSubmitConfigureQuery(t *testing.T) {
 	}
 }
 
+// TestConfigureSolvesOnlyChangedPolicies drives graph churn through the
+// routes: POST /configure with the writers unchanged solves fully, the
+// operator's way to ask for a global re-optimisation, while a PUT that
+// redraws one writer's bandwidth, then POST /configure, re-solves only
+// that writer's policy.
+func TestConfigureSolvesOnlyChangedPolicies(t *testing.T) {
+	s, tp := newTestServer(t)
+	if err := tp.AddEndpoint("db1", 2, "DB"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	put := func(name, body string) {
+		t.Helper()
+		if code, out := do(t, http.MethodPut, ts.URL+"/graphs/"+name, "text/plain", body); code != http.StatusOK {
+			t.Fatalf("PUT %s: %d %v", name, code, out)
+		}
+	}
+	configure := func() *core.DeltaStats {
+		t.Helper()
+		code, out := do(t, http.MethodPost, ts.URL+"/configure", "", "")
+		if code != http.StatusOK || out["satisfied"].(float64) != 2 {
+			t.Fatalf("POST configure: %d %v, want both policies satisfied", code, out)
+		}
+		return s.rt.Current().Delta
+	}
+	put("web", "graph w\nClients -> Web: minbw 20Mbps\n")
+	put("db", "graph d\nClients -> DB: minbw 10Mbps\n")
+	configure()
+	if d := configure(); d != nil {
+		t.Errorf("configure with unchanged writers was a delta solve (%+v), want a full one", d)
+	}
+	put("db", "graph d\nClients -> DB: minbw 30Mbps\n")
+	if d := configure(); d == nil || d.Affected != 1 {
+		t.Errorf("configure after one writer's bandwidth PUT: DeltaStats = %+v, want Affected 1", d)
+	}
+	if m := s.rt.Metrics(); m.Reconfigurations != 2 || m.DeltaSolves != 1 {
+		t.Errorf("%d reconfigurations, %d delta solves; want 2 and 1", m.Reconfigurations, m.DeltaSolves)
+	}
+}
+
 func TestSubmitJSONGraph(t *testing.T) {
 	ts, _ := testServer(t)
 	g := policy.NewGraph("x")
