@@ -39,9 +39,13 @@ test-race:
 
 # chaos replays the seeded fault-injection soak (random op failures, a
 # mid-update switch crash, a link flap) under the race detector, asserting
-# the self-audit stays clean and failed updates roll back exactly.
+# the self-audit stays clean, failed updates roll back exactly, and the
+# live result is for the period that contains the clock after every event.
+# TestChaosSoakCrashInTick lands the crash inside an hour tick's install,
+# and TestQuarantineDuringPeriodTransition quarantines a switch at a period
+# boundary: the re-solve around it must serve the tick's period.
 chaos:
-	$(GO) test -race -count=1 -run TestChaosSoak ./internal/runtime/ -v
+	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition' ./internal/runtime/ -v
 
 # crashsoak sweeps every injected crash point of the durability layer: for
 # each counted disk operation (journal write, fsync, snapshot rename) the
@@ -114,7 +118,8 @@ difftest:
 # the race detector: twin runtimes (delta on vs off) replay seeded event
 # schedules — moves, link failures/restores, period advances, escalations,
 # graph swaps, injected faults — and every installed result, metric-visible satisfaction
-# count, and journal replay must match byte-for-byte. This is the permanent
+# count, and journal replay must match byte-for-byte, with each side's live
+# result for the period that contains its clock after every event. This is the permanent
 # gate for delta-solve changes, alongside the unit/edge-case suites.
 # TestResolveReplay re-solves the fault-free journal: each record's input,
 # fed to a fresh runtime at one solver worker, must reproduce the recorded
@@ -141,6 +146,9 @@ difftest:
 # the escalation has no path: every event must still install. And
 # TestEscalationFreezesOtherPolicies trips every escalation of a fig11 Ans
 # instance; one that had a reservation must move no other policy's path.
+# TestQuarantineDuringPeriodTransition holds a quarantine at an hour tick to
+# the tick's period, and TestRestoreKeepsNFStateLedger holds a restored
+# runtime's NF state transfers to the live one's.
 # TestLinkEventsKeepPathPoolsFresh holds a runtime's path pools after link
 # failures, restores, a quarantine and roaming endpoints to a fresh
 # configurator's. TestPathCacheHoldsLiveTriples holds the path cache to the
@@ -148,7 +156,7 @@ difftest:
 # Cwix; it runs without -race, which would take minutes for one goroutine.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphFailedSwapKeepsLiveGraph|TestGraphSwap|TestCarryRenumbersByKey|TestConfigureSolvesOnlyChangedPolicies|TestRestoreServesDeltaAtOnce|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/ ./internal/server/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphFailedSwapKeepsLiveGraph|TestGraphSwap|TestCarryRenumbersByKey|TestConfigureSolvesOnlyChangedPolicies|TestRestoreServesDeltaAtOnce|TestRestoreKeepsNFStateLedger|TestQuarantineDuringPeriodTransition|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/ ./internal/server/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded|TestRetain' ./internal/paths/
 	$(GO) test -count=1 -run TestPathCacheHoldsLiveTriples ./internal/runtime/ -v
 

@@ -112,10 +112,11 @@ type DeltaRequest struct {
 }
 
 // ErrDeltaFallback is the sentinel wrapped by delta-solve errors that mean
-// "no incremental result; run the full re-solve": guard trips, degraded
-// sub-model solves, oversized affected sets. Errors not matching it —
-// context cancellation chief among them — are real failures and must not
-// trigger a fallback solve.
+// "no incremental result; run the full re-solve": no previous result, no
+// active policy in the period, an oversized affected set, a sub-model that
+// fails to build, fails to solve or degrades below a full-tier answer, and
+// the optimality guard. Errors not matching it — context cancellation chief
+// among them — are real failures and must not trigger a fallback solve.
 var ErrDeltaFallback = errors.New("delta fallback")
 
 func deltaFallback(format string, args ...any) error {
@@ -218,16 +219,13 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 
 	// Residual capacities: full capacity minus the bandwidth frozen
 	// assignments hold, per directed link, clamped at zero (a link can be
-	// legitimately oversubscribed transiently after capacity loss).
+	// legitimately oversubscribed transiently after capacity loss). Every
+	// frozen link exists: freezeValid has just checked it.
 	residual := map[[2]topo.NodeID]float64{}
 	for _, a := range frozenAssigns {
 		for _, l := range a.Path.Links() {
 			if _, seen := residual[l]; !seen {
-				capacity, ok := c.topo.LinkCapacity(l[0], l[1])
-				if !ok {
-					return nil, deltaFallback("frozen path uses nonexistent link %v", l)
-				}
-				residual[l] = capacity
+				residual[l], _ = c.topo.LinkCapacity(l[0], l[1])
 			}
 			residual[l] -= a.BW
 		}

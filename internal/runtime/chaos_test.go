@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -115,9 +116,22 @@ func composeWriters(t *testing.T, writers ...*policy.Graph) *compose.Graph {
 // over mobility, temporal, and stateful dynamics, and asserts the
 // robustness invariants: the self-audit is clean after every successful
 // install (no blackholes, no silently dropped chains), hard-failed events
-// leave the rule set bit-for-bit untouched, and every reconfiguration
-// records its serving tier.
-func TestChaosSoak(t *testing.T) {
+// leave the rule set bit-for-bit untouched, the live result is for the
+// period that contains the clock after every event, and every
+// reconfiguration records its serving tier. agg crashes at its 20th
+// operation, inside a move.
+func TestChaosSoak(t *testing.T) { runChaosSoak(t, 20) }
+
+// TestChaosSoakCrashInTick is the soak with agg crashing at its 9th
+// operation: 9 is the smallest count that lands the crash inside an hour
+// tick's install (event 10, the tick that crosses 9 h), so the quarantine
+// and the re-solve around agg run within a period transition, and must
+// install the period of the tick, not the one the clock left.
+func TestChaosSoakCrashInTick(t *testing.T) { runChaosSoak(t, 9) }
+
+// runChaosSoak runs the chaos soak with agg crashing at its crashAfter-th
+// dataplane operation.
+func runChaosSoak(t *testing.T, crashAfter int) {
 	conf, sw := chaosSetup(t)
 	rt, err := New(context.Background(), conf)
 	if err != nil {
@@ -127,7 +141,7 @@ func TestChaosSoak(t *testing.T) {
 	rt.Network().InjectFaults(dataplane.FaultPlan{
 		Seed:          11,
 		Default:       dataplane.SwitchFaults{FailRate: 0.06},
-		CrashAfterOps: map[topo.NodeID]int{sw["agg"]: 20},
+		CrashAfterOps: map[topo.NodeID]int{sw["agg"]: crashAfter},
 	})
 
 	rng := rand.New(rand.NewSource(42))
@@ -170,6 +184,7 @@ func TestChaosSoak(t *testing.T) {
 		case EventLinkRestore:
 			flapRestored = flapFailed && evErr == nil
 		}
+		checkPeriod(t, rt, fmt.Sprintf("event %d %+v", i, ev))
 		if evErr == nil {
 			successes++
 			// Zero audit violations after every successful install.

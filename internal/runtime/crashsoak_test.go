@@ -101,6 +101,7 @@ func referenceStates(t *testing.T, evs []Event) map[uint64]string {
 		// topology changes, quarantines survive a rollback); only events
 		// that changed nothing leave the sequence untouched.
 		_ = rt.Apply(ctx, ev) //janus:allow(errdrop): soak schedules events that may fail; post-state is recorded either way
+		checkPeriod(t, rt, fmt.Sprintf("reference %+v", ev))
 		states[j.seq] = marshalState(t, rt.State())
 	}
 	return states

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -363,7 +362,7 @@ func TestQuarantineSeedsZeroHopPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.quarantine(ctx, a, errors.New("injected")); err != nil {
+	if err := rt.reconfigureEvent(ctx, rt.Current().Period, rt.Hour(), rt.quarantine(a)); err != nil {
 		t.Fatal(err)
 	}
 	if d := rt.Current().Delta; d == nil || d.Affected != 1 || d.Frozen != 2 {

@@ -20,7 +20,8 @@ import (
 // self-audit is clean after a successful install, (2) the satisfied-policy
 // counts of the two sides stay within the configured bound whenever their
 // worlds are still comparable (no divergent quarantines or link states),
-// and (3) at the end, both journals recover into byte-identical restored
+// (3) each runtime's live result is for the period that contains its
+// clock, and (4) at the end, both journals recover into byte-identical restored
 // states — the merged delta results must replay exactly like full ones.
 
 // TestDeltaDiffDynamics runs the clean dynamics suite: mobility, temporal
@@ -158,6 +159,7 @@ func runDeltaDiff(t *testing.T, opts deltaDiffOpts) {
 		for _, s := range sides {
 			recBefore := s.rt.Metrics().Reconfigurations
 			errs[s.name] = apply(s)
+			checkPeriod(t, s.rt, fmt.Sprintf("event %d %s on %s", i, what, s.name))
 			// Every successful install must leave a clean audit. A successful
 			// event that installed nothing (an AdvanceTo crossing no boundary)
 			// is exempt: it cannot repair a world left inconsistent by an

@@ -84,13 +84,13 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	}
 
 	// Reinstall the recovered configuration verbatim — recovery cost is
-	// rule compilation, never a solve.
+	// rule compilation, never a solve. Apply also rebuilds the NF state
+	// ledger from the recovered assignments, so the next move off a
+	// stateful box counts its transfer.
 	rules := dataplane.CompileRules(r.topo, r.adapter, state.Result)
-	plan := r.net.PlanUpdate(rules)
-	if err := r.net.ApplyPlan(plan); err != nil {
+	if _, err := r.net.Apply(rules, state.Result.Assignments); err != nil {
 		return nil, fmt.Errorf("runtime: restore: reinstalling rules: %w", err)
 	}
-	r.net.Recompile()
 	r.current = state.Result
 	r.journal = j
 	return r, nil

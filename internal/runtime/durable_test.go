@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"context"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"janus/internal/core"
@@ -101,6 +103,71 @@ func TestGraphSwapQuarantineRecovers(t *testing.T) {
 		}
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreKeepsNFStateLedger restores a runtime from its journaled
+// state and fails the link its flow takes into a stateful firewall, on the
+// live and the restored runtime alike: the flow moves to the other
+// firewall, and both must count the one state transfer that move costs,
+// so Restore must rebuild the per-flow middlebox ledger as it reinstalls.
+func TestRestoreKeepsNFStateLedger(t *testing.T) {
+	tp := topo.NewTopology("diamond")
+	a, b := tp.AddSwitch("a"), tp.AddSwitch("b")
+	fws := []topo.NodeID{tp.AddNF("fw1", policy.StatefulFW), tp.AddNF("fw2", policy.StatefulFW)}
+	for _, fw := range fws {
+		for _, l := range [][2]topo.NodeID{{a, fw}, {fw, b}} {
+			if err := tp.AddLink(l[0], l[1], 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tp.AddEndpoint("c1", a, "C"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.AddEndpoint("srv", b, "S"); err != nil {
+		t.Fatal(err)
+	}
+	g := policy.NewGraph("g")
+	g.AddEdge(policy.Edge{Src: "C", Dst: "S", Default: true, Chain: policy.Chain{policy.StatefulFW},
+		QoS: policy.QoS{BandwidthMbps: 10}})
+	conf, err := core.New(tp, composeWriters(t, g), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	live, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(live.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state store.State
+	if err := json.Unmarshal(raw, &state); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&state, core.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var used topo.NodeID = -1
+	for _, fw := range fws {
+		if slices.Contains(live.Current().Assignments[0].Path.Nodes, fw) {
+			used = fw
+		}
+	}
+	if used < 0 {
+		t.Fatalf("the flow crosses no firewall: %v", live.Current().Assignments)
+	}
+	for name, r := range map[string]*Runtime{"live": live, "restored": restored} {
+		if err := r.FailLink(ctx, a, used); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := r.Metrics().NFStateTransfers; got != 1 {
+			t.Errorf("%s: NFStateTransfers = %d after the flow moved firewalls, want 1", name, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"janus/internal/compose"
 	"janus/internal/core"
 	"janus/internal/dataplane"
 	"janus/internal/policy"
@@ -81,6 +82,59 @@ func TestRetryExhaustionQuarantines(t *testing.T) {
 	}
 	if len(r.topo.Neighbors(midID)) != 0 {
 		t.Errorf("quarantine should remove mid's links, still has %v", r.topo.Neighbors(midID))
+	}
+}
+
+// TestQuarantineDuringPeriodTransition crosses the 9 h boundary with the
+// firewall failing every operation: the install of the FW period must
+// quarantine fw, and the re-solve around it must stay in the period of the
+// tick, leaving the policy unconfigured rather than installing the byte
+// counter path of the period the clock has left.
+func TestQuarantineDuringPeriodTransition(t *testing.T) {
+	tp, conf := temporalSetup(t)
+	ctx := context.Background()
+	r, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetRetryPolicy(noSleepPolicy())
+	fw := tp.NodesOfKind(topo.NFBox, policy.Firewall)[0]
+	r.Network().InjectFaults(dataplane.FaultPlan{
+		Seed:     5,
+		Switches: map[topo.NodeID]dataplane.SwitchFaults{fw: {FailRate: 1}},
+	})
+	if err := r.AdvanceTo(ctx, 10); err != nil {
+		t.Fatalf("tick should converge via quarantine, got %v", err)
+	}
+	if got := r.Current().Period; got != 9 {
+		t.Errorf("Current().Period = %d at hour %d, want 9", got, r.Hour())
+	}
+	if q := r.Quarantined(); len(q) != 1 || q[0] != fw {
+		t.Errorf("Quarantined() = %v, want [%d]", q, fw)
+	}
+	if vs := r.Audit(); len(vs) != 0 {
+		t.Errorf("audit after the tick: %v", vs)
+	}
+}
+
+// periodAt is the period of g that contains hour h: the largest boundary of
+// g.Periods() at or before h (0 is always a boundary).
+func periodAt(g *compose.Graph, h int) int {
+	period := 0
+	for _, p := range g.Periods() {
+		if p <= h {
+			period = p
+		}
+	}
+	return period
+}
+
+// checkPeriod fails the test unless the live result is for the period that
+// contains the runtime's hour.
+func checkPeriod(t *testing.T, r *Runtime, what string) {
+	t.Helper()
+	if got, want := r.Current().Period, periodAt(r.graph, r.Hour()); got != want {
+		t.Fatalf("%s: live result is for period %d at hour %d, want %d", what, got, r.Hour(), want)
 	}
 }
 

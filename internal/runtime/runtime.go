@@ -113,17 +113,14 @@ type Runtime struct {
 	// them back.
 	failedLinks map[[2]topo.NodeID]float64
 	quarantined map[topo.NodeID]bool
-	// quarantineDepth bounds the quarantine -> reconfigure -> fail ->
-	// quarantine recursion.
-	quarantineDepth int
 }
 
 // tierHistoryLen bounds Metrics.TierHistory: the metrics ride in every
 // journal record and snapshot, so the history is a recent window, not a log.
 const tierHistoryLen = 64
 
-// maxQuarantineDepth bounds cascading quarantines within one install; a
-// real topology runs out of alternate paths long before this.
+// maxQuarantineDepth bounds the quarantines one reconfiguration may make;
+// a real topology runs out of alternate paths long before this.
 const maxQuarantineDepth = 8
 
 // New starts a runtime at hour 0 with an initial configuration.
@@ -185,29 +182,20 @@ func (r *Runtime) Network() *dataplane.Network { return r.net }
 func (r *Runtime) Hour() int { return r.hour }
 
 // install compiles res into rules and applies them transactionally: the
-// three-phase plan is retried with backoff on injected faults; after the
-// retry budget the plan is rolled back and the failing switch quarantined
-// (degraded reconfiguration without it); after a successful apply the
-// installed state is self-audited and rolled back to the prior rule set on
-// any violation. hour is the wall-clock hour the configuration is for
-// (audit resolves temporal policies against it).
+// three-phase plan is retried with backoff on injected faults and rolled
+// back after the retry budget; after a successful apply the installed
+// state is self-audited and rolled back on any violation. hour is the
+// wall-clock hour the configuration is for (audit resolves temporal
+// policies against it). It never solves: reconfigure handles a failure.
 func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rules := dataplane.CompileRules(r.topo, r.adapter, res)
 	plan := r.net.PlanUpdate(rules)
 	if err := r.applyPlanWithRetry(ctx, plan); err != nil {
 		r.net.RollbackPlan(plan)
 		// The rollback restored the previous settled rule set: republish
-		// the compiled fast path for it before anything else (quarantine
-		// may reconfigure, which recompiles again on its own install).
+		// the compiled fast path for it.
 		r.net.Recompile()
 		r.metrics.ApplyRollbacks++
-		var opErr *dataplane.OpError
-		if errors.As(err, &opErr) && ctx.Err() == nil {
-			return r.quarantine(ctx, opErr.Switch, err)
-		}
 		return fmt.Errorf("runtime: install rolled back: %w", err)
 	}
 
@@ -279,24 +267,15 @@ func (r *Runtime) applyPlanWithRetry(ctx context.Context, plan *dataplane.Update
 }
 
 // quarantine takes a persistently failing switch out of service: its links
-// are removed from the topology (capacities remembered for RestoreLink)
-// and a degraded reconfiguration routes around it, reusing the link-failure
-// machinery.
-func (r *Runtime) quarantine(ctx context.Context, sw topo.NodeID, cause error) error {
-	if r.quarantined[sw] {
-		return fmt.Errorf("runtime: switch %d already quarantined: %w", sw, cause)
-	}
-	if r.quarantineDepth >= maxQuarantineDepth {
-		return fmt.Errorf("runtime: quarantine cascade exceeded depth %d: %w", maxQuarantineDepth, cause)
-	}
-	r.quarantineDepth++
-	defer func() { r.quarantineDepth-- }()
-
+// are removed from the topology (capacities remembered for RestoreLink) and
+// their cached paths dropped. It returns the seeds of the re-solve around
+// the switch: the policies with an assignment visiting it. An assignment
+// through the switch crosses one of its links, which freezeValid rejects
+// once removed, unless it is a zero-hop path of a same-switch pair: no
+// validity check sees that one, so it is seeded.
+func (r *Runtime) quarantine(sw topo.NodeID) map[int]bool {
 	r.quarantined[sw] = true
 	r.metrics.QuarantinedSwitches++
-	// An assignment through the switch crosses one of its links, which
-	// freezeValid rejects once removed, unless it is a zero-hop path of a
-	// same-switch pair: no validity check sees that one, so it is seeded.
 	affected := map[int]bool{}
 	r.policiesVisiting(sw, affected)
 	for _, nb := range r.topo.Neighbors(sw) {
@@ -311,10 +290,7 @@ func (r *Runtime) quarantine(ctx context.Context, sw topo.NodeID, cause error) e
 		r.failedLinks[topo.LinkKey(sw, nb)] = capacity
 		r.conf.InvalidateLinkPaths(sw, nb)
 	}
-	if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, affected); err != nil {
-		return fmt.Errorf("runtime: degraded reconfiguration after quarantining switch %d: %w", sw, err)
-	}
-	return nil
+	return affected
 }
 
 // Quarantined lists switches currently quarantined, ascending.
@@ -415,60 +391,66 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 	})
 }
 
-// reconfigureEvent re-solves after an event and installs the result.
-// affected holds the event's seeds: only the policies no validity check in
-// the delta solve can see. When delta solving is usable, the seeds, widened
-// by the delta solve with every policy whose previous assignments went
-// stale, are re-solved against residual capacities. Otherwise, and on any
-// delta refusal (optimality guard, degraded sub-model, oversized affected
-// share) or rejected install (audit, apply failure), the full re-solve runs.
+// reconfigureEvent re-solves period after an event and installs the
+// result for hour, delta-first when delta solving is enabled. affected
+// holds the event's seeds: only the policies no validity check in the
+// delta solve can see.
 func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affected map[int]bool) error {
-	if r.deltaUsable() {
-		res, err := r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected, Counters: r.counters})
-		switch {
-		case err == nil:
-			qBefore := r.metrics.QuarantinedSwitches
-			ierr := r.install(ctx, res, hour)
-			if ierr == nil {
-				if r.metrics.QuarantinedSwitches == qBefore {
-					r.metrics.DeltaSolves++
-					r.metrics.DeltaAffectedPolicies += res.Delta.Affected
-				} else {
-					// The merged result never landed: its apply failed and
-					// the quarantine path re-solved fully on its own.
-					r.metrics.DeltaFallbacks++
-				}
-				return nil
+	return r.reconfigure(ctx, period, hour, affected, r.conf.DeltaEnabled())
+}
+
+// reconfigure is the runtime's one solve→install loop. A pass solves, by
+// delta when delta is set, else the whole period model, and installs the
+// result. A delta refusal (ErrDeltaFallback) or a rejected delta install
+// sends the next pass to the full solve. An apply failure whose switch
+// exhausted its retries first quarantines the switch; the next pass then
+// re-solves the same period for the same hour around it, delta-first
+// again, seeded with the policies that visited it. A failure on a switch
+// already quarantined, or after maxQuarantineDepth quarantines,
+// quarantines nothing. The loop ends at the first install or at a failed
+// full pass.
+func (r *Runtime) reconfigure(ctx context.Context, period, hour int, affected map[int]bool, delta bool) error {
+	for quarantines := 0; ; {
+		var res *core.Result
+		var err error
+		if delta {
+			res, err = r.conf.DeltaReconfigureContext(ctx, r.current, core.DeltaRequest{Period: period, Affected: affected, Counters: r.counters})
+			if errors.Is(err, core.ErrDeltaFallback) {
+				r.metrics.DeltaFallbacks++
+				delta = false
+			} else if err != nil {
+				return fmt.Errorf("runtime: delta reconfiguring: %w", err)
 			}
-			if ctx.Err() != nil {
-				return ierr
-			}
-			// The audit or the dataplane rejected the merged result; the
-			// full solve below gets its global view.
-			r.metrics.DeltaFallbacks++
-		case errors.Is(err, core.ErrDeltaFallback):
-			r.metrics.DeltaFallbacks++
-		default:
-			return fmt.Errorf("runtime: delta reconfiguring: %w", err)
 		}
+		if !delta {
+			if res, err = r.conf.ReconfigureAtContext(ctx, r.current, period, r.counters); err != nil {
+				return fmt.Errorf("runtime: reconfiguring: %w", err)
+			}
+		}
+		if err = r.install(ctx, res, hour); err == nil {
+			if delta {
+				r.metrics.DeltaSolves++
+				r.metrics.DeltaAffectedPolicies += res.Delta.Affected
+			}
+			return nil
+		}
+		if ctx.Err() != nil {
+			return err
+		}
+		if delta {
+			r.metrics.DeltaFallbacks++ // the merged result never landed
+		}
+		var opErr *dataplane.OpError
+		if errors.As(err, &opErr) && !r.quarantined[opErr.Switch] && quarantines < maxQuarantineDepth {
+			quarantines++
+			affected, delta = r.quarantine(opErr.Switch), r.conf.DeltaEnabled()
+			continue
+		}
+		if !delta {
+			return err
+		}
+		delta = false
 	}
-	return r.resolve(ctx, period, hour)
-}
-
-// resolve re-solves the whole period model against the current result and
-// installs the result.
-func (r *Runtime) resolve(ctx context.Context, period, hour int) error {
-	res, err := r.conf.ReconfigureAtContext(ctx, r.current, period, r.counters)
-	if err != nil {
-		return fmt.Errorf("runtime: reconfiguring: %w", err)
-	}
-	return r.install(ctx, res, hour)
-}
-
-// deltaUsable reports whether incremental reconfiguration can run: it is
-// enabled, and a current result exists.
-func (r *Runtime) deltaUsable() bool {
-	return r.current != nil && r.conf.DeltaEnabled()
 }
 
 // matchingPolicies adds to out every policy whose source or destination
@@ -666,7 +648,7 @@ func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Co
 		oldConf, oldGraph, oldAdapter, oldCurrent := r.conf, r.graph, r.adapter, r.current
 		r.conf, r.graph, r.adapter = conf, g, dataplane.NewGraphAdapter(g)
 		if same {
-			err = r.resolve(ctx, r.current.Period, r.hour)
+			err = r.reconfigure(ctx, r.current.Period, r.hour, nil, false)
 		} else {
 			r.current = carried
 			err = r.reconfigureEvent(ctx, carried.Period, r.hour, affected)

@@ -191,8 +191,11 @@ func TestMembershipChange(t *testing.T) {
 	}
 }
 
-func TestAdvanceToTemporalBoundary(t *testing.T) {
-	// Policy via FW 9-18, via BC otherwise.
+// temporalSetup builds two switches a and b, joined through a firewall fw
+// and a byte counter bc, and one policy C→S via BC from 18 h to 9 h and via
+// FW from 9 h to 18 h.
+func temporalSetup(t *testing.T) (*topo.Topology, *core.Configurator) {
+	t.Helper()
 	tp := topo.NewTopology("t")
 	a := tp.AddSwitch("a")
 	b := tp.AddSwitch("b")
@@ -229,6 +232,11 @@ func TestAdvanceToTemporalBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tp, conf
+}
+
+func TestAdvanceToTemporalBoundary(t *testing.T) {
+	tp, conf := temporalSetup(t)
 	r, err := New(context.Background(), conf)
 	if err != nil {
 		t.Fatal(err)
