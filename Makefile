@@ -44,8 +44,13 @@ test-race:
 # TestChaosSoakCrashInTick lands the crash inside an hour tick's install,
 # and TestQuarantineDuringPeriodTransition quarantines a switch at a period
 # boundary: the re-solve around it must serve the tick's period.
+# TestQuarantinedSwitchDoesNotWedge keeps a quarantined switch failing
+# every operation: later events must still install, since its rules were
+# written off with the quarantine. TestGraphSwapSolvesClockPeriod swaps in
+# a graph with a firewall window at 10 h: the swap must solve the new
+# graph's period at the clock.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition' ./internal/runtime/ -v
+	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod' ./internal/runtime/ -v
 
 # crashsoak sweeps every injected crash point of the durability layer: for
 # each counted disk operation (journal write, fsync, snapshot rename) the
@@ -127,9 +132,11 @@ difftest:
 # A graph swap carries the live result into the new graph's policy IDs and
 # delta-solves what it changed: TestCarryRenumbersByKey holds the carry,
 # TestGraphSwapFullSolveHoldsPreviousPaths the full solve's view of the
-# carried paths, TestUpdateGraphFailedSwapKeepsLiveGraph a failed swap,
-# TestGraphSwapQuarantineRecovers the journal of a swap that quarantines,
-# and TestConfigureSolvesOnlyChangedPolicies the /configure route.
+# carried paths, TestGraphSwapSolvesClockPeriod the period a swap solves
+# (the new graph's at the clock), TestUpdateGraphFailedSwapKeepsLiveGraph
+# a failed swap, TestGraphSwapQuarantineRecovers the journal of a swap
+# that quarantines, and TestConfigureSolvesOnlyChangedPolicies the
+# /configure route.
 # TestEventLedger holds two seeded streams to a per-event golden (delta or
 # full, affected and frozen counts, nodes, pivots, record hash); rerun it
 # with UPDATE_GOLDEN=1 only for a change that means to move it.
@@ -147,8 +154,10 @@ difftest:
 # TestEscalationFreezesOtherPolicies trips every escalation of a fig11 Ans
 # instance; one that had a reservation must move no other policy's path.
 # TestQuarantineDuringPeriodTransition holds a quarantine at an hour tick to
-# the tick's period, and TestRestoreKeepsNFStateLedger holds a restored
-# runtime's NF state transfers to the live one's.
+# the tick's period, TestQuarantinedSwitchDoesNotWedge holds the events
+# after a quarantine to installing while the switch keeps failing, and
+# TestRestoreKeepsNFStateLedger holds a restored runtime's NF state
+# transfers to the live one's.
 # TestLinkEventsKeepPathPoolsFresh holds a runtime's path pools after link
 # failures, restores, a quarantine and roaming endpoints to a fresh
 # configurator's. TestPathCacheHoldsLiveTriples holds the path cache to the
@@ -156,7 +165,7 @@ difftest:
 # Cwix; it runs without -race, which would take minutes for one goroutine.
 deltadiff:
 	$(GO) test -race -count=1 -run 'TestDeltaDiff|TestResolveReplay' ./internal/runtime/ -v
-	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphFailedSwapKeepsLiveGraph|TestGraphSwap|TestCarryRenumbersByKey|TestConfigureSolvesOnlyChangedPolicies|TestRestoreServesDeltaAtOnce|TestRestoreKeepsNFStateLedger|TestQuarantineDuringPeriodTransition|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/ ./internal/server/
+	$(GO) test -race -count=1 -run 'TestDelta|TestQuarantineSeedsZeroHopPolicy|TestUpdateGraphFailedSwapKeepsLiveGraph|TestGraphSwap|TestCarryRenumbersByKey|TestConfigureSolvesOnlyChangedPolicies|TestRestoreServesDeltaAtOnce|TestRestoreKeepsNFStateLedger|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod|TestEventLedger|TestLinkEventsKeepPathPoolsFresh|TestCountersEscalateOnePair|TestEscalation' ./internal/core/ ./internal/runtime/ ./internal/server/
 	$(GO) test -race -count=1 -run 'TestInvalidateLink|TestInvalidateCacheDropsDistances|TestValidOrderPinned|TestValidMatchesReference|TestPoolCandidatesMatchFull|TestPoolCacheBounded|TestRetain' ./internal/paths/
 	$(GO) test -count=1 -run TestPathCacheHoldsLiveTriples ./internal/runtime/ -v
 

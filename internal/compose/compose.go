@@ -151,6 +151,18 @@ func (g *Graph) Periods() []int {
 	return out
 }
 
+// PeriodAt returns the period that contains hour h: the largest boundary
+// of Periods at or before h.
+func (g *Graph) PeriodAt(h int) int {
+	period := 0
+	for _, p := range g.Periods() {
+		if p <= h {
+			period = p
+		}
+	}
+	return period
+}
+
 // ActiveEdge returns the edge of p that applies at hour h under the given
 // event counters and its index into p.AllEdges(); ok=false (and index -1)
 // when no edge is active. When several edges are active simultaneously the

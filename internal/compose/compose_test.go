@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"slices"
 	"testing"
 
 	"janus/internal/policy"
@@ -236,23 +237,45 @@ func TestComposeInvalidInput(t *testing.T) {
 }
 
 func TestComposedPeriods(t *testing.T) {
-	a := policy.NewGraph("a")
-	a.AddEdge(policy.Edge{Src: "C", Dst: "S",
-		Cond: policy.Condition{Window: policy.TimeWindow{Start: 9, End: 18}}})
-	a.AddEdge(policy.Edge{Src: "C", Dst: "S",
-		Cond: policy.Condition{Window: policy.TimeWindow{Start: 18, End: 9}}})
-	g, err := New(nil).Compose(a)
-	if err != nil {
-		t.Fatal(err)
+	build := func(edges ...policy.Edge) *Graph {
+		t.Helper()
+		g := policy.NewGraph("g")
+		for _, e := range edges {
+			g.AddEdge(e)
+		}
+		cg, err := New(nil).Compose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cg
 	}
-	got := g.Periods()
-	want := []int{0, 9, 18}
-	if len(got) != len(want) {
-		t.Fatalf("Periods = %v, want %v", got, want)
+	window := func(chain policy.Chain, start, end int) policy.Edge {
+		return policy.Edge{Src: "C", Dst: "S", Chain: chain,
+			Cond: policy.Condition{Window: policy.TimeWindow{Start: start, End: end}}}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Periods = %v, want %v", got, want)
+	cases := []struct {
+		name   string
+		g      *Graph
+		want   []int
+		hourAt map[int]int // hour -> PeriodAt
+	}{
+		{"day/night", build(window(nil, 9, 18), window(nil, 18, 9)),
+			[]int{0, 9, 18}, map[int]int{0: 0, 8: 0, 9: 9, 17: 9, 18: 18, 23: 18}},
+		// Fig 6 policy 1: FW at 1-9, L-IDS 9-14, BC 14-1 (wraps).
+		{"fig6", build(window(policy.Chain{policy.Firewall}, 1, 9),
+			window(policy.Chain{policy.LightIDS}, 9, 14), window(policy.Chain{policy.ByteCounter}, 14, 1)),
+			[]int{0, 1, 9, 14}, map[int]int{0: 0, 1: 1, 13: 9, 14: 14, 23: 14}},
+		{"static", build(policy.Edge{Src: "C", Dst: "S"}),
+			[]int{0}, map[int]int{0: 0, 12: 0, 23: 0}},
+	}
+	for _, tc := range cases {
+		if got := tc.g.Periods(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Periods = %v, want %v", tc.name, got, tc.want)
+		}
+		for h, want := range tc.hourAt {
+			if got := tc.g.PeriodAt(h); got != want {
+				t.Errorf("%s: PeriodAt(%d) = %d, want %d", tc.name, h, got, want)
+			}
 		}
 	}
 }

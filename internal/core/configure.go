@@ -53,8 +53,8 @@ func (c *Configurator) ReconfigureAtContext(ctx context.Context, prev *Result, p
 
 // solvePeriod builds and solves the period model. When the full solve
 // fails to produce an incumbent, it falls down the degradation ladder:
-// best incumbent → rounded LP relaxation → keep the previous configuration
-// → empty configuration, recording the serving tier in Result.Tier.
+// best incumbent → keep the previous configuration → empty configuration,
+// recording the serving tier in Result.Tier.
 func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result, over bwOverride, counters Counters) (*Result, error) {
 	start := time.Now()
 	var prevAssign []Assignment
@@ -75,7 +75,7 @@ func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result
 		return nil, fmt.Errorf("core: solving period %d: %w", period, err)
 	}
 	if tier == TierNone && prev != nil {
-		// Rung 3: keep the previous configuration untouched.
+		// Keep the previous configuration untouched.
 		return c.keepPrevious(prev, period, m, sol, start), nil
 	}
 	return c.extractResult(m, sol, tier, period, start), nil
@@ -83,10 +83,10 @@ func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result
 
 // solveModel runs branch and bound on a built model with the standard
 // options: branch priorities on the I_i group decisions, the greedy MIP
-// start, and an optional warm basis. When the search produces no incumbent
-// it falls to the rounded LP relaxation (rung 2 of the degradation
-// ladder); tier is TierNone when even that failed, and the caller decides
-// whether a previous configuration can be kept instead.
+// start, and an optional warm basis. Tier is TierNone when the search
+// produced no incumbent — its root already tried both roundings of the
+// relaxation — and the caller decides whether a previous configuration can
+// be kept instead.
 func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []Assignment, warm *lp.Basis) (*milp.Solution, DegradationTier, error) {
 	solver := milp.NewSolver(m.prob, m.integers)
 	// Branch on group decisions (I_i) before individual path indicators:
@@ -115,11 +115,7 @@ func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []As
 		// A node/time/stall limit stopped the proof; the incumbent serves.
 		return sol, TierIncumbent, nil
 	default:
-		// Limit with no incumbent, Infeasible, or Unbounded. Rung 2: round
-		// the LP relaxation.
-		if rsol, ok := solver.RelaxAndRound(ctx); ok {
-			return rsol, TierLPRound, nil
-		}
+		// Limit with no incumbent, Infeasible, or Unbounded.
 		return sol, TierNone, nil
 	}
 }
@@ -137,8 +133,8 @@ func (c *Configurator) extractResult(m *model, sol *milp.Solution, tier Degradat
 		Stats:      m.stats(sol, start),
 		basis:      sol.RootBasis,
 	}
-	// A nil X means a limit hit before any incumbent was found (and rung 2
-	// failed): the model always admits the all-zero solution.
+	// A nil X means a limit hit before any incumbent was found: the model
+	// always admits the all-zero solution.
 	m.decode(sol.X, res)
 	if sol.X == nil {
 		return res

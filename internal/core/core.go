@@ -255,15 +255,14 @@ const (
 	// TierIncumbent served the best incumbent after a node/time/stall
 	// limit stopped the optimality proof.
 	TierIncumbent
-	// TierLPRound served a rounded LP relaxation because branch and bound
-	// found no incumbent within its budget.
-	TierLPRound
 	// TierKeepPrevious kept the previous period's configuration untouched:
-	// the solve failed outright and serving stale paths beats serving none.
-	TierKeepPrevious
-	// TierNone is the empty configuration: the solve failed and there was
-	// no previous configuration to fall back to.
-	TierNone
+	// the search found no incumbent and serving stale paths beats serving
+	// none. Results are journaled with their tier as an integer, so the
+	// two last rungs keep the values 3 and 4 they have always had.
+	TierKeepPrevious DegradationTier = 3
+	// TierNone is the empty configuration: the search found no incumbent
+	// and there was no previous configuration to fall back to.
+	TierNone DegradationTier = 4
 )
 
 func (t DegradationTier) String() string {
@@ -272,8 +271,6 @@ func (t DegradationTier) String() string {
 		return "full"
 	case TierIncumbent:
 		return "incumbent"
-	case TierLPRound:
-		return "lp-round"
 	case TierKeepPrevious:
 		return "keep-previous"
 	case TierNone:
@@ -285,7 +282,7 @@ func (t DegradationTier) String() string {
 
 // Degraded reports whether the tier is below a normal solve (full or
 // best-incumbent — the paper's heuristic accepts incumbents by design).
-func (t DegradationTier) Degraded() bool { return t >= TierLPRound }
+func (t DegradationTier) Degraded() bool { return t >= TierKeepPrevious }
 
 // Stats aggregates solver effort.
 type Stats struct {

@@ -131,6 +131,16 @@ func (n *Network) RulesAt(id topo.NodeID) []Rule {
 	return out
 }
 
+// DropTable empties one switch's flow table without the fault gauntlet:
+// the controller writing off the rules of a switch it has taken out of
+// service, which it could not delete through the failing switch. The
+// compiled fast path picks the change up at the next Recompile.
+func (n *Network) DropTable(id topo.NodeID) {
+	if sw, ok := n.switches[id]; ok {
+		sw.Table = newFlowTable()
+	}
+}
+
 // IngressRule returns the rule a flow enters the network on: the one
 // matchRule picks at the source's attachment for traffic from the host.
 func (n *Network) IngressRule(src, dst string, proto policy.Protocol, port int) (Rule, bool) {

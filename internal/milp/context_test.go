@@ -71,46 +71,3 @@ func TestSolveContextCancelMidSearch(t *testing.T) {
 		t.Fatalf("unexpected error: %v", solveErr)
 	}
 }
-
-func TestRelaxAndRound(t *testing.T) {
-	p, vars := hardProblem(20)
-	s := NewSolver(p, vars)
-	sol, ok := s.RelaxAndRound(context.Background())
-	if !ok {
-		t.Fatal("RelaxAndRound should find a rounded solution")
-	}
-	if sol.X == nil || sol.Status != Feasible {
-		t.Fatalf("rounded solution missing: %+v", sol)
-	}
-	for _, v := range vars {
-		f := frac(sol.X[v])
-		if f > intTol && f < 1-intTol {
-			t.Fatalf("variable %d fractional after rounding: %g", v, sol.X[v])
-		}
-	}
-	// The rounded objective can never beat the relaxation bound.
-	if sol.Objective > sol.Bound+tol {
-		t.Fatalf("objective %g exceeds relaxation bound %g", sol.Objective, sol.Bound)
-	}
-	// Bounds must be restored: a full Solve afterwards still works.
-	full, err := s.Solve(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Objective < sol.Objective-tol {
-		t.Fatalf("full solve (%g) should be at least as good as rounding (%g)", full.Objective, sol.Objective)
-	}
-}
-
-func TestRelaxAndRoundInfeasible(t *testing.T) {
-	p := lp.NewProblem()
-	a := p.AddBinary(1)
-	b := p.AddBinary(1)
-	// a + b >= 3 is unsatisfiable with binaries.
-	if _, err := p.AddConstraint(lp.GE, 3, []lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewSolver(p, []int{a, b}).RelaxAndRound(context.Background()); ok {
-		t.Fatal("infeasible relaxation should not round")
-	}
-}

@@ -229,29 +229,6 @@ func (s *Solver) Solve(ctx context.Context, opts Options) (*Solution, error) {
 	return sr.result()
 }
 
-// RelaxAndRound solves the LP relaxation at the root and repairs a rounded
-// point into an integer-feasible solution (nearest rounding with LP repair,
-// then floor rounding). It is the second rung of the degradation ladder:
-// when branch and bound exhausts its budget with no incumbent, a rounded
-// relaxation still yields a usable — if suboptimal — configuration. Returns
-// ok=false when the relaxation is infeasible or no rounding repairs.
-func (s *Solver) RelaxAndRound(ctx context.Context) (*Solution, bool) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
-		return nil, false
-	}
-	sr := s.newSearch(Options{Workers: 1})
-	defer s.restoreBounds()
-	root, err := sr.relaxRoot(s, nil)
-	if err != nil || root == nil || sr.incumbent == nil {
-		return nil, false
-	}
-	sr.sol.Status, sr.sol.Objective, sr.sol.X = Feasible, sr.incObj, sr.incumbent
-	return sr.sol, true
-}
-
 // children builds the two child nodes of branching variable v with LP value
 // x, ordering them so the more promising child is explored first (dive
 // toward the nearer integer). It returns an array, not a slice, so the hot

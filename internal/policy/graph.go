@@ -3,7 +3,6 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -183,26 +182,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Periods returns the sorted hour boundaries at which this graph's temporal
-// conditions change, always including hour 0. A static graph returns [0].
-func (g *Graph) Periods() []int {
-	set := map[int]bool{0: true}
-	for _, e := range g.Edges {
-		w := e.Cond.Window
-		if w.IsAllDay() {
-			continue
-		}
-		set[w.Start%HoursPerDay] = true
-		set[w.End%HoursPerDay] = true
-	}
-	out := make([]int, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // MarshalJSON/UnmarshalJSON use the plain struct encoding; defined here so

@@ -180,29 +180,6 @@ func TestGraphAddEdgeImplicitEPGs(t *testing.T) {
 	}
 }
 
-func TestGraphPeriods(t *testing.T) {
-	// Fig 6 policy 1: FW at 1-9, L-IDS 9-14, BC 14-1 (wraps).
-	g := NewGraph("temporal")
-	g.AddEdge(Edge{Src: "Mktg", Dst: "Web", Chain: Chain{Firewall}, Cond: Condition{Window: TimeWindow{1, 9}}})
-	g.AddEdge(Edge{Src: "Mktg", Dst: "Web", Chain: Chain{LightIDS}, Cond: Condition{Window: TimeWindow{9, 14}}})
-	g.AddEdge(Edge{Src: "Mktg", Dst: "Web", Chain: Chain{ByteCounter}, Cond: Condition{Window: TimeWindow{14, 1}}})
-	got := g.Periods()
-	want := []int{0, 1, 9, 14}
-	if len(got) != len(want) {
-		t.Fatalf("Periods = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Periods = %v, want %v", got, want)
-		}
-	}
-	static := NewGraph("static")
-	static.AddEdge(Edge{Src: "A", Dst: "B"})
-	if p := static.Periods(); len(p) != 1 || p[0] != 0 {
-		t.Errorf("static Periods = %v, want [0]", p)
-	}
-}
-
 func TestEffectiveWeight(t *testing.T) {
 	g := NewGraph("g")
 	if g.EffectiveWeight() != 1 {

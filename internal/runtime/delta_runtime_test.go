@@ -26,11 +26,11 @@ func deltaRT(t *testing.T, cfg core.Config) (*Runtime, map[string]topo.NodeID, i
 		t.Fatal(err)
 	}
 	rt.SetRetryPolicy(noSleepPolicy())
-	web, ok := rt.graph.Lookup("Clients", "Web")
+	web, ok := rt.conf.Graph().Lookup("Clients", "Web")
 	if !ok {
 		t.Fatal("web policy not found")
 	}
-	db, ok := rt.graph.Lookup("Clients", "DB")
+	db, ok := rt.conf.Graph().Lookup("Clients", "DB")
 	if !ok {
 		t.Fatal("db policy not found")
 	}
@@ -256,61 +256,61 @@ func TestEscalationFreezesOtherPolicies(t *testing.T) {
 	}
 }
 
-// TestDeltaAfterQuarantine quarantines a switch via retry exhaustion, then
-// checks that no installed assignment visits it any more and that the
-// runtime still serves later events incrementally.
-func TestDeltaAfterQuarantine(t *testing.T) {
+// quarantineCore2 builds deltaRT's runtime, makes every operation on core2
+// fail and moves c1 onto core2, which quarantines it. It returns the
+// runtime with core2's faults still on, and the move's error.
+func quarantineCore2(t *testing.T) (*Runtime, map[string]topo.NodeID, error) {
+	t.Helper()
 	rt, sw, _, _ := deltaRT(t, core.Config{})
 	ctx := context.Background()
 	// Drain hard-path rules off core2 (web flows terminate there; db flows
 	// never cross it). The escalation reservation's soft path may still
-	// traverse core2, so the quarantine below cascades: the degraded
-	// re-solve cannot delete those rules either and the event hard-fails.
+	// traverse core2, so stale rules stay parked on it.
 	if err := rt.MoveEndpoint(ctx, "web", sw["agg"]); err != nil {
 		t.Fatal(err)
 	}
-	live := rt.Current()
 	rt.Network().InjectFaults(dataplane.FaultPlan{
 		Seed:     7,
 		Switches: map[topo.NodeID]dataplane.SwitchFaults{sw["core2"]: {FailRate: 1}},
 	})
 	// Moving c1 onto core2 forces ingress rules there (sources get ingress
 	// rules; destinations deliver without one), which fail until the
-	// runtime quarantines core2. The cascade then hard-fails the event:
-	// the degraded re-solve cannot delete the stale soft-path rules parked
-	// on the dead switch either. c1 stays stranded on the island.
-	if err := rt.MoveEndpoint(ctx, "c1", sw["core2"]); err == nil {
-		t.Fatal("move onto the all-failing switch should hard-fail through the quarantine cascade")
-	}
+	// runtime quarantines core2.
+	err := rt.MoveEndpoint(ctx, "c1", sw["core2"])
 	if got := rt.Metrics().QuarantinedSwitches; got != 1 {
 		t.Fatalf("QuarantinedSwitches = %d, want 1", got)
 	}
-	// The install never landed, so the next event is served against the
-	// pre-event result.
-	if rt.Current() != live {
-		t.Fatal("the quarantine cascade replaced the live result")
+	return rt, sw, err
+}
+
+// TestDeltaAfterQuarantine quarantines a switch via retry exhaustion, then
+// checks that no installed assignment visits it any more and that the
+// runtime still serves later events incrementally.
+func TestDeltaAfterQuarantine(t *testing.T) {
+	rt, sw, err := quarantineCore2(t)
+	// The quarantine writes off the stale rules parked on core2, so the
+	// re-solve around it installs, with c1 stranded on the island.
+	if err != nil {
+		t.Fatalf("move onto the all-failing switch should install through the quarantine: %v", err)
 	}
+	if _, err := rt.Network().Lookup("c1", "web", policy.TCP, 80); err == nil {
+		t.Error("c1 on the quarantined switch still reaches web")
+	}
+	if vs := rt.Audit(); len(vs) != 0 {
+		t.Errorf("audit after the quarantine: %v", vs)
+	}
+	// The install around the quarantine already left c1 stranded, so
+	// single-policy events are incremental again at once: the unconfigured
+	// policies carry no assignments, which freeze trivially.
 	rt.Network().InjectFaults(dataplane.FaultPlan{})
-	// The first event after the cascade widens to both policies (their
-	// frozen paths no longer start at c1's attach switch), trips the
-	// affected-share gate, and reconciles through a full solve.
-	before := rt.Metrics()
-	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
-		t.Fatalf("post-quarantine settling move: %v", err)
-	}
-	m := rt.Metrics()
-	if m.DeltaFallbacks != before.DeltaFallbacks+1 {
-		t.Errorf("DeltaFallbacks = %d, want %d (stale frozen paths must widen past the share gate)",
-			m.DeltaFallbacks, before.DeltaFallbacks+1)
-	}
-	// Once reconciled, single-policy events are incremental again: the
-	// unconfigured policies carry no assignments, which freeze trivially.
-	before = rt.Metrics()
-	if err := rt.MoveEndpoint(ctx, "web", sw["agg"]); err != nil {
-		t.Fatalf("post-quarantine move: %v", err)
-	}
-	if m := rt.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
-		t.Errorf("DeltaSolves = %d, want %d after quarantine settled", m.DeltaSolves, before.DeltaSolves+1)
+	for _, to := range []string{"e2", "agg"} {
+		before := rt.Metrics()
+		if err := rt.MoveEndpoint(context.Background(), "web", sw[to]); err != nil {
+			t.Fatalf("post-quarantine move to %s: %v", to, err)
+		}
+		if m := rt.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
+			t.Errorf("move to %s: DeltaSolves = %d, want %d after quarantine settled", to, m.DeltaSolves, before.DeltaSolves+1)
+		}
 	}
 	if vs := rt.Audit(); len(vs) != 0 {
 		t.Errorf("audit after post-quarantine delta: %v", vs)
@@ -321,6 +321,25 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 		if slices.Contains(a.Path.Nodes, sw["core2"]) {
 			t.Errorf("policy %d still routes %s->%s over the quarantined switch: %v", a.Policy, a.Src, a.Dst, a.Path.Nodes)
 		}
+	}
+}
+
+// TestQuarantinedSwitchDoesNotWedge leaves core2 failing every operation
+// after its quarantine. Its rules were written off with the quarantine, so
+// no later plan touches it, and every later event must install.
+func TestQuarantinedSwitchDoesNotWedge(t *testing.T) {
+	rt, sw, _ := quarantineCore2(t)
+	ctx := context.Background()
+	for i, to := range []string{"e2", "agg", "e2", "agg"} {
+		if err := rt.MoveEndpoint(ctx, "web", sw[to]); err != nil {
+			t.Fatalf("move %d of web, to %s, with the quarantined core2 still failing: %v", i+1, to, err)
+		}
+		if vs := rt.Audit(); len(vs) != 0 {
+			t.Fatalf("audit after move %d: %v", i+1, vs)
+		}
+	}
+	if n := len(rt.Network().RulesAt(sw["core2"])); n != 0 {
+		t.Errorf("the quarantined core2 holds %d rules", n)
 	}
 }
 
@@ -362,7 +381,7 @@ func TestQuarantineSeedsZeroHopPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.reconfigureEvent(ctx, rt.Current().Period, rt.Hour(), rt.quarantine(a)); err != nil {
+	if err := rt.reconfigureEvent(ctx, rt.quarantine(a)); err != nil {
 		t.Fatal(err)
 	}
 	if d := rt.Current().Delta; d == nil || d.Affected != 1 || d.Frozen != 2 {
@@ -384,14 +403,14 @@ func TestUpdateGraphFailedSwapKeepsLiveGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.SetRetryPolicy(noSleepPolicy())
-	live, cur, recs := rt.graph, rt.Current(), len(j.recs)
+	live, cur, recs := rt.conf.Graph(), rt.Current(), len(j.recs)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	redraw := composeWriters(t, chaosWriters(40, false)...)
 	if err := rt.UpdateGraph(cancelled, redraw, core.Config{}); err == nil {
 		t.Fatal("UpdateGraph with a cancelled context should fail")
 	}
-	if rt.graph != live || rt.Current() != cur {
+	if rt.conf.Graph() != live || rt.Current() != cur {
 		t.Fatal("a failed swap replaced the live graph or result")
 	}
 	if len(j.recs) != recs {
@@ -457,6 +476,39 @@ func TestGraphSwapFullSolveHoldsPreviousPaths(t *testing.T) {
 	}
 	if rt.PathChanges() != 0 {
 		t.Errorf("adding an uncontended writer moved %d paths", rt.PathChanges())
+	}
+}
+
+// TestGraphSwapSolvesClockPeriod swaps, at 10 h, from an all-day byte
+// counter graph (one period, 0) to temporalSetup's graph, whose 9–18 h
+// period needs the firewall. The swap must solve the new graph's period at
+// the clock, not the live result's: period 0 would install the byte
+// counter path, which fails the firewall window's audit.
+func TestGraphSwapSolvesClockPeriod(t *testing.T) {
+	tp, temporal := temporalSetup(t)
+	allDay := policy.NewGraph("g")
+	allDay.AddEdge(policy.Edge{Src: "C", Dst: "S", Chain: policy.Chain{policy.ByteCounter},
+		QoS: policy.QoS{BandwidthMbps: 5}})
+	conf, err := core.New(tp, composeWriters(t, allDay), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt, err := New(ctx, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.AdvanceTo(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.UpdateGraph(ctx, temporal.Graph(), core.Config{}); err != nil {
+		t.Fatalf("swap at 10 h: %v", err)
+	}
+	if got := rt.Current().Period; got != 9 {
+		t.Errorf("Current().Period = %d after the swap at 10 h, want 9", got)
+	}
+	if vs := rt.Audit(); len(vs) != 0 {
+		t.Errorf("audit after the swap: %v", vs)
 	}
 }
 

@@ -43,7 +43,7 @@ func NewDurable(ctx context.Context, conf *core.Configurator, j Journal) (*Runti
 // On append failure the runtime stays usable but journal-free.
 func (r *Runtime) EnableJournal(j Journal) error {
 	r.journal = j
-	rec := &store.Record{Kind: store.KindConfigure, Topo: r.topo, Graph: r.graph}
+	rec := &store.Record{Kind: store.KindConfigure, Topo: r.topo, Graph: r.conf.Graph()}
 	r.fillRecord(rec)
 	if err := j.Append(rec); err != nil {
 		r.journal = nil
@@ -87,7 +87,7 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	// rule compilation, never a solve. Apply also rebuilds the NF state
 	// ledger from the recovered assignments, so the next move off a
 	// stateful box counts its transfer.
-	rules := dataplane.CompileRules(r.topo, r.adapter, state.Result)
+	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), state.Result)
 	if _, err := r.net.Apply(rules, state.Result.Assignments); err != nil {
 		return nil, fmt.Errorf("runtime: restore: reinstalling rules: %w", err)
 	}
@@ -104,7 +104,7 @@ func (r *Runtime) State() *store.State {
 	return &store.State{
 		Hour:        r.hour,
 		Topo:        r.topo,
-		Graph:       r.graph,
+		Graph:       r.conf.Graph(),
 		Result:      normalizeResult(r.current),
 		Counters:    r.counters,
 		Quarantined: r.Quarantined(),

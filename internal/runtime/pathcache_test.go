@@ -81,7 +81,7 @@ func TestLinkEventsKeepPathPoolsFresh(t *testing.T) {
 	}
 	assertFresh("failing a link and restoring it")
 
-	if err := rt.reconfigureEvent(ctx, rt.Current().Period, rt.Hour(), rt.quarantine(hub)); err != nil {
+	if err := rt.reconfigureEvent(ctx, rt.quarantine(hub)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.UpdateGraph(ctx, w.Graph, cfg); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"janus/internal/compose"
 	"janus/internal/core"
 	"janus/internal/dataplane"
 	"janus/internal/policy"
@@ -117,23 +116,11 @@ func TestQuarantineDuringPeriodTransition(t *testing.T) {
 	}
 }
 
-// periodAt is the period of g that contains hour h: the largest boundary of
-// g.Periods() at or before h (0 is always a boundary).
-func periodAt(g *compose.Graph, h int) int {
-	period := 0
-	for _, p := range g.Periods() {
-		if p <= h {
-			period = p
-		}
-	}
-	return period
-}
-
 // checkPeriod fails the test unless the live result is for the period that
 // contains the runtime's hour.
 func checkPeriod(t *testing.T, r *Runtime, what string) {
 	t.Helper()
-	if got, want := r.Current().Period, periodAt(r.graph, r.Hour()); got != want {
+	if got, want := r.Current().Period, r.conf.Graph().PeriodAt(r.Hour()); got != want {
 		t.Fatalf("%s: live result is for period %d at hour %d, want %d", what, got, r.Hour(), want)
 	}
 }
@@ -168,7 +155,7 @@ func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 			a.Role = core.SoftEdge
 		}
 	}
-	if err := r.install(context.Background(), &bad, r.hour); err == nil {
+	if err := r.install(context.Background(), &bad); err == nil {
 		t.Fatal("installing a de-escalated config over escalated counters should fail the audit")
 	}
 	m := r.Metrics()

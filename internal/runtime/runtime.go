@@ -89,13 +89,12 @@ type Metrics struct {
 }
 
 // Runtime is a live Janus instance: a configurator, its current result, and
-// the dataplane it keeps in sync.
+// the dataplane it keeps in sync. The configurator holds the live composed
+// graph, and every solve is for the graph's period that contains the hour.
 type Runtime struct {
-	conf    *core.Configurator
-	graph   *compose.Graph
-	topo    *topo.Topology
-	net     *dataplane.Network
-	adapter *dataplane.GraphAdapter
+	conf *core.Configurator
+	topo *topo.Topology
+	net  *dataplane.Network
 
 	hour     int
 	current  *core.Result
@@ -130,7 +129,7 @@ func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: initial configuration: %w", err)
 	}
-	if err := r.install(ctx, res, 0); err != nil {
+	if err := r.install(ctx, res); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -141,10 +140,8 @@ func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
 func newRuntime(conf *core.Configurator) *Runtime {
 	return &Runtime{
 		conf:        conf,
-		graph:       conf.Graph(),
 		topo:        conf.Topology(),
 		net:         dataplane.NewNetwork(conf.Topology()),
-		adapter:     dataplane.NewGraphAdapter(conf.Graph()),
 		counters:    core.Counters{},
 		retry:       DefaultRetryPolicy().normalize(),
 		failedLinks: map[[2]topo.NodeID]float64{},
@@ -184,11 +181,10 @@ func (r *Runtime) Hour() int { return r.hour }
 // install compiles res into rules and applies them transactionally: the
 // three-phase plan is retried with backoff on injected faults and rolled
 // back after the retry budget; after a successful apply the installed
-// state is self-audited and rolled back on any violation. hour is the
-// wall-clock hour the configuration is for (audit resolves temporal
-// policies against it). It never solves: reconfigure handles a failure.
-func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error {
-	rules := dataplane.CompileRules(r.topo, r.adapter, res)
+// state is self-audited at the runtime's hour and rolled back on any
+// violation. It never solves: reconfigure handles a failure.
+func (r *Runtime) install(ctx context.Context, res *core.Result) error {
+	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), res)
 	plan := r.net.PlanUpdate(rules)
 	if err := r.applyPlanWithRetry(ctx, plan); err != nil {
 		r.net.RollbackPlan(plan)
@@ -202,7 +198,7 @@ func (r *Runtime) install(ctx context.Context, res *core.Result, hour int) error
 	// Self-audit: the installed rules must actually realize the intent.
 	// Any violation rolls the dataplane back to the exact prior rule set
 	// and keeps the prior result live.
-	if vs := check.Audit(r.topo, r.graph, r.net, res, hour, r.counters); len(vs) > 0 {
+	if vs := r.audit(res); len(vs) > 0 {
 		r.metrics.AuditViolations += len(vs)
 		r.metrics.AuditRollbacks++
 		r.net.RollbackPlan(plan)
@@ -267,15 +263,18 @@ func (r *Runtime) applyPlanWithRetry(ctx context.Context, plan *dataplane.Update
 }
 
 // quarantine takes a persistently failing switch out of service: its links
-// are removed from the topology (capacities remembered for RestoreLink) and
-// their cached paths dropped. It returns the seeds of the re-solve around
-// the switch: the policies with an assignment visiting it. An assignment
-// through the switch crosses one of its links, which freezeValid rejects
-// once removed, unless it is a zero-hop path of a same-switch pair: no
-// validity check sees that one, so it is seeded.
+// are removed from the topology (capacities remembered for RestoreLink),
+// their cached paths dropped, and its rules written off without touching
+// the switch — no walk reaches a switch without links, and a plan that
+// deleted them would fail on it at every later event. It returns the
+// seeds of the re-solve around the switch: the policies with an assignment
+// visiting it. An assignment through the switch crosses one of its links,
+// which freezeValid rejects once removed, unless it is a zero-hop path of
+// a same-switch pair: no validity check sees that one, so it is seeded.
 func (r *Runtime) quarantine(sw topo.NodeID) map[int]bool {
 	r.quarantined[sw] = true
 	r.metrics.QuarantinedSwitches++
+	r.net.DropTable(sw)
 	affected := map[int]bool{}
 	r.policiesVisiting(sw, affected)
 	for _, nb := range r.topo.Neighbors(sw) {
@@ -305,8 +304,11 @@ func (r *Runtime) Quarantined() []topo.NodeID {
 
 // Audit re-checks the live dataplane against the current configuration and
 // returns any violations (empty means the installed state is sound).
-func (r *Runtime) Audit() []check.Violation {
-	return check.Audit(r.topo, r.graph, r.net, r.current, r.hour, r.counters)
+func (r *Runtime) Audit() []check.Violation { return r.audit(r.current) }
+
+// audit checks the live dataplane against res at the runtime's hour.
+func (r *Runtime) audit(res *core.Result) []check.Violation {
+	return check.Audit(r.topo, r.conf.Graph(), r.net, res, r.hour, r.counters)
 }
 
 // Event is one runtime event as a value: a kind plus the union of the
@@ -371,7 +373,7 @@ func (r *Runtime) MoveEndpoint(ctx context.Context, name string, to topo.NodeID)
 		// A move changes attach points, not membership.
 		affected := map[int]bool{}
 		r.matchingPolicies(name, affected)
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
+		return r.reconfigureEvent(ctx, affected)
 	})
 }
 
@@ -387,29 +389,29 @@ func (r *Runtime) RelabelEndpoint(ctx context.Context, name string, labels ...st
 		}
 		r.noteTopoOp(store.TopoOp{Op: store.TopoRelabel, Endpoint: name, Labels: labels})
 		r.matchingPolicies(name, affected)
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
+		return r.reconfigureEvent(ctx, affected)
 	})
 }
 
-// reconfigureEvent re-solves period after an event and installs the
-// result for hour, delta-first when delta solving is enabled. affected
-// holds the event's seeds: only the policies no validity check in the
-// delta solve can see.
-func (r *Runtime) reconfigureEvent(ctx context.Context, period, hour int, affected map[int]bool) error {
-	return r.reconfigure(ctx, period, hour, affected, r.conf.DeltaEnabled())
+// reconfigureEvent re-solves after an event and installs the result,
+// delta-first when delta solving is enabled. affected holds the event's
+// seeds: only the policies no validity check in the delta solve can see.
+func (r *Runtime) reconfigureEvent(ctx context.Context, affected map[int]bool) error {
+	return r.reconfigure(ctx, affected, r.conf.DeltaEnabled())
 }
 
-// reconfigure is the runtime's one solve→install loop. A pass solves, by
-// delta when delta is set, else the whole period model, and installs the
-// result. A delta refusal (ErrDeltaFallback) or a rejected delta install
-// sends the next pass to the full solve. An apply failure whose switch
-// exhausted its retries first quarantines the switch; the next pass then
-// re-solves the same period for the same hour around it, delta-first
-// again, seeded with the policies that visited it. A failure on a switch
-// already quarantined, or after maxQuarantineDepth quarantines,
-// quarantines nothing. The loop ends at the first install or at a failed
-// full pass.
-func (r *Runtime) reconfigure(ctx context.Context, period, hour int, affected map[int]bool, delta bool) error {
+// reconfigure is the runtime's one solve→install loop. A pass solves the
+// live graph's period that contains the runtime's hour, by delta when
+// delta is set, else the whole period model, and installs the result. A
+// delta refusal (ErrDeltaFallback) or a rejected delta install sends the
+// next pass to the full solve. An apply failure whose switch exhausted its
+// retries first quarantines the switch; the next pass then re-solves
+// around it, delta-first again, seeded with the policies that visited it.
+// A failure on a switch already quarantined, or after maxQuarantineDepth
+// quarantines, quarantines nothing. The loop ends at the first install or
+// at a failed full pass.
+func (r *Runtime) reconfigure(ctx context.Context, affected map[int]bool, delta bool) error {
+	period := r.conf.Graph().PeriodAt(r.hour)
 	for quarantines := 0; ; {
 		var res *core.Result
 		var err error
@@ -427,7 +429,7 @@ func (r *Runtime) reconfigure(ctx context.Context, period, hour int, affected ma
 				return fmt.Errorf("runtime: reconfiguring: %w", err)
 			}
 		}
-		if err = r.install(ctx, res, hour); err == nil {
+		if err = r.install(ctx, res); err == nil {
 			if delta {
 				r.metrics.DeltaSolves++
 				r.metrics.DeltaAffectedPolicies += res.Delta.Affected
@@ -460,7 +462,7 @@ func (r *Runtime) matchingPolicies(name string, out map[int]bool) {
 	if !ok {
 		return
 	}
-	for _, p := range r.graph.Policies {
+	for _, p := range r.conf.Graph().Policies {
 		if p.Src.Contains(ep.Labels) || p.Dst.Contains(ep.Labels) {
 			out[p.ID] = true
 		}
@@ -515,7 +517,7 @@ func (r *Runtime) FailLink(ctx context.Context, a, b topo.NodeID) error {
 		r.conf.InvalidateLinkPaths(a, b)
 		// No seeds: every assignment crossing the link is rejected by
 		// freezeValid, which widens its policy into the sub-model.
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, nil)
+		return r.reconfigureEvent(ctx, nil)
 	})
 }
 
@@ -541,37 +543,38 @@ func (r *Runtime) RestoreLink(ctx context.Context, a, b topo.NodeID) error {
 		// link is the path-stability tradeoff §5.4 argues for.
 		affected := map[int]bool{}
 		r.unsettledPolicies(affected)
-		return r.reconfigureEvent(ctx, r.current.Period, r.hour, affected)
+		return r.reconfigureEvent(ctx, affected)
 	})
 }
 
 // AdvanceTo moves the clock to hour h; if the composed graph changes
-// periods in between, each boundary's configuration is applied in order.
-// On error the clock stops at the last successfully applied boundary.
+// periods in between, the clock stops at each boundary in order while that
+// boundary's configuration is applied. On error the clock stays at the
+// last successfully applied boundary.
 func (r *Runtime) AdvanceTo(ctx context.Context, h int) error {
 	return r.journalOp(store.KindTick, func(rec *store.Record) error {
 		if h < 0 || h >= policy.HoursPerDay {
 			return fmt.Errorf("runtime: hour %d out of range", h)
 		}
-		periods := r.graph.Periods()
-		// Collect boundaries crossed while walking forward from r.hour to h.
-		cur := r.hour
-		for cur != h {
-			cur = (cur + 1) % policy.HoursPerDay
-			if slices.Contains(periods, cur) {
-				// The boundary affects policies whose edge sets change
-				// across it, which the delta solve widens in itself, plus
-				// the unsatisfied/unreserved ones that may fit into
-				// whatever the closing windows free up.
-				affected := map[int]bool{}
-				r.unsettledPolicies(affected)
-				if err := r.reconfigureEvent(ctx, cur, cur, affected); err != nil {
-					return fmt.Errorf("runtime: period transition at %dh: %w", cur, err)
-				}
-				r.hour = cur
+		periods := r.conf.Graph().Periods()
+		for settled := r.hour; r.hour != h; {
+			r.hour = (r.hour + 1) % policy.HoursPerDay
+			if !slices.Contains(periods, r.hour) {
+				continue
 			}
+			// The boundary affects policies whose edge sets change across
+			// it, which the delta solve widens in itself, plus the
+			// unsatisfied/unreserved ones that may fit into whatever the
+			// closing windows free up.
+			affected := map[int]bool{}
+			r.unsettledPolicies(affected)
+			if err := r.reconfigureEvent(ctx, affected); err != nil {
+				failed := r.hour
+				r.hour = settled
+				return fmt.Errorf("runtime: period transition at %dh: %w", failed, err)
+			}
+			settled = r.hour
 		}
-		r.hour = h
 		return nil
 	})
 }
@@ -604,7 +607,7 @@ func (r *Runtime) ReportEvent(ctx context.Context, src, dst string, ev policy.Ev
 			return nil
 		}
 		rec.Kind = store.KindEscalate
-		if err := r.reconfigureEvent(ctx, r.current.Period, r.hour, map[int]bool{pid: true}); err != nil {
+		if err := r.reconfigureEvent(ctx, map[int]bool{pid: true}); err != nil {
 			return err
 		}
 		r.metrics.StatefulReroutes++
@@ -621,7 +624,7 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 	if !ok {
 		return -1, nil
 	}
-	for _, p := range r.graph.Policies {
+	for _, p := range r.conf.Graph().Policies {
 		if p.Src.Contains(srcEP.Labels) && p.Dst.Contains(dstEP.Labels) {
 			return p.ID, p
 		}
@@ -633,30 +636,30 @@ func (r *Runtime) policyFor(src, dst string) (int, *compose.Policy) {
 // reconfigures against the live result carried into the new graph's policy
 // IDs (core.Configurator.Carry), keeping the path cache. A changed graph
 // is an event like any other: the delta solve re-solves the policies the
-// swap added or changed, with the same fallbacks to a full solve. A graph
-// equal to the live one is the operator asking for a global
-// re-optimisation, and solves fully. The swap is all or nothing: when no
-// configuration of the new graph installs, the live graph, configurator
-// and result stay as they were.
+// swap added or changed, for the new graph's period at the clock, with the
+// same fallbacks to a full solve. A graph equal to the live one is the
+// operator asking for a global re-optimisation, and solves fully. The swap
+// is all or nothing: when no configuration of the new graph installs, the
+// live configurator, with its graph, and the live result stay as they were.
 func (r *Runtime) UpdateGraph(ctx context.Context, g *compose.Graph, cfg core.Config) error {
 	return r.journalOp(store.KindConfigure, func(rec *store.Record) error {
 		conf, err := r.conf.Rebind(g, cfg)
 		if err != nil {
 			return fmt.Errorf("runtime: %w", err)
 		}
-		carried, affected, same := conf.Carry(r.current, r.graph)
-		oldConf, oldGraph, oldAdapter, oldCurrent := r.conf, r.graph, r.adapter, r.current
-		r.conf, r.graph, r.adapter = conf, g, dataplane.NewGraphAdapter(g)
+		carried, affected, same := conf.Carry(r.current, r.conf.Graph())
+		oldConf, oldCurrent := r.conf, r.current
+		r.conf = conf
 		if same {
-			err = r.reconfigure(ctx, r.current.Period, r.hour, nil, false)
+			err = r.reconfigure(ctx, nil, false)
 		} else {
 			r.current = carried
-			err = r.reconfigureEvent(ctx, carried.Period, r.hour, affected)
+			err = r.reconfigureEvent(ctx, affected)
 		}
 		if err != nil {
 			// No install succeeded, so the dataplane still realizes the
 			// old result under the old graph.
-			r.conf, r.graph, r.adapter, r.current = oldConf, oldGraph, oldAdapter, oldCurrent
+			r.conf, r.current = oldConf, oldCurrent
 			return err
 		}
 		// A graph swap re-journals the full topology and composed graph so

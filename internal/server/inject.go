@@ -20,20 +20,29 @@ type injectRequest struct {
 		FailRate    float64 `json:"failRate"`
 		OpLatencyMs int     `json:"opLatencyMs"`
 	} `json:"default"`
-	Switches []struct {
-		Switch      topo.NodeID `json:"switch"`
-		FailRate    float64     `json:"failRate"`
-		OpLatencyMs int         `json:"opLatencyMs"`
-	} `json:"switches"`
-	CrashAfterOps []struct {
-		Switch topo.NodeID `json:"switch"`
-		Ops    int         `json:"ops"`
-	} `json:"crashAfterOps"`
-	FlakyLinks []struct {
-		From     topo.NodeID `json:"from"`
-		To       topo.NodeID `json:"to"`
-		FailRate float64     `json:"failRate"`
-	} `json:"flakyLinks"`
+	Switches      []switchFaults `json:"switches"`
+	CrashAfterOps []crashAfter   `json:"crashAfterOps"`
+	FlakyLinks    []flakyLink    `json:"flakyLinks"`
+}
+
+// switchFaults is one switch's dataplane.SwitchFaults on the wire.
+type switchFaults struct {
+	Switch      topo.NodeID `json:"switch"`
+	FailRate    float64     `json:"failRate"`
+	OpLatencyMs int         `json:"opLatencyMs"`
+}
+
+// crashAfter schedules a switch crash after its ops-th operation.
+type crashAfter struct {
+	Switch topo.NodeID `json:"switch"`
+	Ops    int         `json:"ops"`
+}
+
+// flakyLink fails installs on one directed link at FailRate.
+type flakyLink struct {
+	From     topo.NodeID `json:"from"`
+	To       topo.NodeID `json:"to"`
+	FailRate float64     `json:"failRate"`
 }
 
 // plan converts the wire form into a dataplane.FaultPlan.
@@ -89,11 +98,7 @@ func injectView(plan dataplane.FaultPlan, active bool, stats dataplane.FaultStat
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := plan.Switches[id]
-		req.Switches = append(req.Switches, struct {
-			Switch      topo.NodeID `json:"switch"`
-			FailRate    float64     `json:"failRate"`
-			OpLatencyMs int         `json:"opLatencyMs"`
-		}{id, f.FailRate, int(f.OpLatency / time.Millisecond)})
+		req.Switches = append(req.Switches, switchFaults{id, f.FailRate, int(f.OpLatency / time.Millisecond)})
 	}
 	ids = ids[:0]
 	for id := range plan.CrashAfterOps {
@@ -101,10 +106,7 @@ func injectView(plan dataplane.FaultPlan, active bool, stats dataplane.FaultStat
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		req.CrashAfterOps = append(req.CrashAfterOps, struct {
-			Switch topo.NodeID `json:"switch"`
-			Ops    int         `json:"ops"`
-		}{id, plan.CrashAfterOps[id]})
+		req.CrashAfterOps = append(req.CrashAfterOps, crashAfter{id, plan.CrashAfterOps[id]})
 	}
 	links := make([][2]topo.NodeID, 0, len(plan.FlakyLinks))
 	for l := range plan.FlakyLinks {
@@ -117,11 +119,7 @@ func injectView(plan dataplane.FaultPlan, active bool, stats dataplane.FaultStat
 		return links[i][1] < links[j][1]
 	})
 	for _, l := range links {
-		req.FlakyLinks = append(req.FlakyLinks, struct {
-			From     topo.NodeID `json:"from"`
-			To       topo.NodeID `json:"to"`
-			FailRate float64     `json:"failRate"`
-		}{l[0], l[1], plan.FlakyLinks[l]})
+		req.FlakyLinks = append(req.FlakyLinks, flakyLink{l[0], l[1], plan.FlakyLinks[l]})
 	}
 	out["plan"] = req
 	return out
