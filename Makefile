@@ -58,8 +58,11 @@ chaos:
 # from disk, and asserts recovery is audit-clean and byte-identical to a
 # never-crashed reference runtime. The warm-restart tests assert graceful
 # shutdown recovers from the snapshot with zero replayed records.
+# TestRestoreAuditsRecoveredResult holds Restore to the install path: the
+# journaled state restores to itself, metrics included, and a recovered
+# result that fails the self-audit is refused.
 crashsoak:
-	$(GO) test -race -count=1 -run 'TestCrashSoak|TestWarmRestartRecoversWithZeroReplay|TestCrashSweepEveryPoint|TestCrashDuringSnapshotRename|TestDurableRestartRoundTrip' \
+	$(GO) test -race -count=1 -run 'TestCrashSoak|TestWarmRestartRecoversWithZeroReplay|TestCrashSweepEveryPoint|TestCrashDuringSnapshotRename|TestDurableRestartRoundTrip|TestRestoreAuditsRecoveredResult' \
 		./internal/store/ ./internal/runtime/ ./internal/server/ -v
 
 # fastsoak is the swap-under-load race soak for the compiled

@@ -7,14 +7,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"janus"
 	"janus/internal/compose"
 	"janus/internal/core"
-	"janus/internal/dataplane"
 	"janus/internal/policy"
+	"janus/internal/runtime"
 	"janus/internal/topo"
 	"janus/internal/traffic"
 )
@@ -42,13 +43,11 @@ func main() {
 	check(err)
 	conf, err := core.New(tp, cg, core.Config{})
 	check(err)
-	res, err := conf.Configure(0)
+	// The runtime solves, installs the rules, and self-audits them.
+	rt, err := runtime.New(context.Background(), conf)
 	check(err)
+	res, net := rt.Current(), rt.Network()
 	fmt.Printf("configured %d/%d policies\n", res.SatisfiedCount(), len(res.Configured))
-
-	net := dataplane.NewNetwork(tp)
-	_, err = net.Apply(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res), res.Assignments)
-	check(err)
 
 	// Offer 400 Mbps onto the 200 Mbps link.
 	sim, err := traffic.Simulate(tp, net, []traffic.Flow{

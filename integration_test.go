@@ -81,7 +81,10 @@ func TestPipelineInvariants(t *testing.T) {
 			// Apply to the dataplane and re-check from the rules side.
 			net := dataplane.NewNetwork(w.Topo)
 			rules := dataplane.CompileRules(w.Topo, dataplane.NewGraphAdapter(w.Graph), res)
-			net.Apply(rules, res.Assignments)
+			if err := net.ApplyPlan(net.PlanUpdate(rules)); err != nil {
+				t.Fatal(err)
+			}
+			net.Recompile()
 			if over := net.OverSubscribed(); len(over) != 0 {
 				t.Errorf("dataplane oversubscribed: %v", over)
 			}

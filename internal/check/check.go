@@ -12,6 +12,10 @@
 //     reachability.
 //  4. Capacity: promised queue bandwidth stays within every link capacity.
 //
+// Properties 1–3 are asked of the compiled classifier (dataplane.Compiled)
+// that readers are served, whose every class cell is one interpreted
+// forwarding walk over the tables; property 4 reads the tables.
+//
 // The checker shares no code with the configurator's model builder beyond
 // the topology's endpoint pairs and the composer's active-edge rule, so a
 // bug in one is caught by the other.
@@ -50,10 +54,17 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s (policy %d): %s", v.Kind, v.Policy, v.Detail)
 }
 
-// Audit verifies the network against the composed graph and the period's
-// result at the given hour with the given per-flow event counters (nil for
-// normal state).
+// Audit verifies the network's published classifier and its tables against
+// the composed graph and the period's result at the given hour with the
+// given per-flow event counters (nil for normal state).
 func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core.Result, hour int, counters core.Counters) []Violation {
+	return AuditCompiled(t, g, net, net.Fastpath(), res, hour, counters)
+}
+
+// AuditCompiled is Audit of c, a classifier compiled from net's tables and
+// not necessarily published yet: the install audits what it is about to
+// publish.
+func AuditCompiled(t *topo.Topology, g *compose.Graph, net *dataplane.Network, c *dataplane.Compiled, res *core.Result, hour int, counters core.Counters) []Violation {
 	var out []Violation
 
 	// Properties 1+2: every configured policy's pairs forward through
@@ -68,7 +79,7 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 				continue // policy allows nothing in this state
 			}
 			proto, port := sampleTraffic(edge.Match)
-			walk, err := net.Lookup(pair[0], pair[1], proto, port)
+			walk, err := c.Lookup(pair[0], pair[1], proto, port)
 			if err != nil {
 				out = append(out, Violation{Unreachable, p.ID,
 					fmt.Sprintf("%s->%s: %v", pair[0], pair[1], err)})
@@ -82,33 +93,72 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 	}
 
 	// Property 3: isolation. Probe every endpoint pair; pairs with no
-	// covering configured policy must blackhole.
-	covered := map[[2]string]bool{}
+	// covering configured policy must blackhole, on TCP/80 and on every
+	// other class the pair's compiled rules cut.
+	//
+	// The sweep reads every ordered pair, so each endpoint's name is
+	// resolved once: ids holds each endpoint's id in c (-1 if c lacks it),
+	// and covered is a bit matrix over those ids.
+	m := c.Endpoints()
+	covered := make([]uint64, (m*m+63)/64)
+	bit := func(src, dst string) (int, bool) {
+		s, sok := c.Endpoint(src)
+		d, dok := c.Endpoint(dst)
+		return int(s)*m + int(d), sok && dok
+	}
 	for _, p := range g.Policies {
 		if !res.Configured[p.ID] {
 			continue
 		}
 		for _, pair := range t.Pairs(p.Src, p.Dst) {
-			covered[pair] = true
+			if k, ok := bit(pair[0], pair[1]); ok {
+				covered[k/64] |= 1 << (k % 64)
+			}
 		}
 	}
-	for _, src := range t.Endpoints {
-		for _, dst := range t.Endpoints {
-			if src.Name == dst.Name || covered[[2]string{src.Name, dst.Name}] {
-				continue
-			}
+	ids := make([]int32, len(t.Endpoints))
+	for i, ep := range t.Endpoints {
+		ids[i] = -1
+		if id, ok := c.Endpoint(ep.Name); ok {
+			ids[i] = id
+		}
+	}
+	for i, src := range t.Endpoints {
+		for j, dst := range t.Endpoints {
 			// Endpoints on one switch are locally switched without fabric
 			// rules; isolating them needs edge-port ACLs, which are below
 			// this model's abstraction. Only cross-fabric leaks count.
-			if src.Attach == dst.Attach {
+			if src.Name == dst.Name || src.Attach == dst.Attach || ids[i] < 0 || ids[j] < 0 {
 				continue
 			}
-			if walk, err := net.Lookup(src.Name, dst.Name, policy.TCP, 80); err == nil {
+			if k := int(ids[i])*m + int(ids[j]); covered[k/64]&(1<<(k%64)) != 0 {
+				continue
+			}
+			if walk, err := c.LookupInterned(ids[i], ids[j], policy.TCP, 80); err == nil {
 				out = append(out, Violation{LeakyIsolation, -1,
 					fmt.Sprintf("%s->%s reachable without a policy (walk %v)", src.Name, dst.Name, walk)})
 			}
 		}
 	}
+	// A pair without rules has one class, which the TCP/80 probe read. The
+	// others — the uncovered pairs with rules, few — may leak on another.
+	c.EachEntry(func(src, dst string) {
+		if k, _ := bit(src, dst); covered[k/64]&(1<<(k%64)) != 0 {
+			return
+		}
+		s, _ := t.EndpointByName(src)
+		d, _ := t.EndpointByName(dst)
+		if s.Attach == d.Attach {
+			return
+		}
+		if _, err := c.Lookup(src, dst, policy.TCP, 80); err == nil {
+			return // reported above
+		}
+		if class, walk, ok := c.DeliveringClass(src, dst); ok {
+			out = append(out, Violation{LeakyIsolation, -1,
+				fmt.Sprintf("%s->%s reachable without a policy on %s (walk %v)", src, dst, class, walk)})
+		}
+	})
 
 	// Property 4: capacity.
 	for _, over := range net.OverSubscribed() {
@@ -124,7 +174,7 @@ func Audit(t *topo.Topology, g *compose.Graph, net *dataplane.Network, res *core
 	return out
 }
 
-func traversesChain(t *topo.Topology, walk []topo.NodeID, chain policy.Chain) bool {
+func traversesChain(t *topo.Topology, walk dataplane.Path, chain policy.Chain) bool {
 	prog := 0
 	for _, n := range walk {
 		if prog < len(chain) && t.Nodes[n].Kind == topo.NFBox && t.Nodes[n].NF == chain[prog] {

@@ -57,8 +57,18 @@ func auditSetup(t *testing.T) (*topo.Topology, *compose.Graph, *dataplane.Networ
 		t.Fatal("setup policy unsatisfied")
 	}
 	net := dataplane.NewNetwork(tp)
-	net.Apply(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res), res.Assignments)
+	install(t, net, dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res))
 	return tp, cg, net, res
+}
+
+// install applies rules to net and publishes the compiled classifier Audit
+// reads.
+func install(t *testing.T, net *dataplane.Network, rules []dataplane.Rule) {
+	t.Helper()
+	if err := net.ApplyPlan(net.PlanUpdate(rules)); err != nil {
+		t.Fatal(err)
+	}
+	net.Recompile()
 }
 
 func TestAuditCleanConfiguration(t *testing.T) {
@@ -97,7 +107,7 @@ func TestAuditDetectsChainViolation(t *testing.T) {
 		a2.Path = pathOf(t, tp, "a", "b")
 		direct.Assignments = append(direct.Assignments, a2)
 	}
-	bypass.Apply(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), &direct), direct.Assignments)
+	install(t, bypass, dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), &direct))
 	got := Audit(tp, cg, bypass, res, 0, nil)
 	found := false
 	for _, v := range got {
@@ -119,7 +129,7 @@ func TestAuditDetectsLeakyIsolation(t *testing.T) {
 	}}
 	rules := append(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res), leak...)
 	leaky := dataplane.NewNetwork(tp)
-	leaky.Apply(rules, res.Assignments)
+	install(t, leaky, rules)
 	_ = net
 	got := Audit(tp, cg, leaky, res, 0, nil)
 	found := false
@@ -130,6 +140,34 @@ func TestAuditDetectsLeakyIsolation(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("outsider rule should leak isolation, got %v", got)
+	}
+}
+
+// TestAuditDetectsLeakOutsideTCP80 installs a UDP/53-only rule for the
+// uncovered outsider->srv flow. The TCP/80 probe blackholes, so the leak
+// shows only in the pair's other compiled classes, which the isolation
+// check reads too.
+func TestAuditDetectsLeakOutsideTCP80(t *testing.T) {
+	tp, cg, _, res := auditSetup(t)
+	leak := dataplane.Rule{
+		Switch: 0, Src: "outsider", Dst: "srv",
+		Match:   policy.Classifier{Proto: policy.UDP, Ports: []int{53}},
+		NextHop: 1, InPort: dataplane.HostPort, Priority: 1,
+	}
+	leaky := dataplane.NewNetwork(tp)
+	install(t, leaky, append(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res), leak))
+	if _, err := leaky.Lookup("outsider", "srv", policy.TCP, 80); err == nil {
+		t.Fatal("setup: the TCP/80 probe should blackhole")
+	}
+	var leaks []Violation
+	for _, v := range Audit(tp, cg, leaky, res, 0, nil) {
+		if v.Kind == LeakyIsolation {
+			leaks = append(leaks, v)
+		}
+	}
+	want := "outsider->srv reachable without a policy on udp/53 (walk [0 1])"
+	if len(leaks) != 1 || leaks[0].Detail != want {
+		t.Fatalf("leaks = %v, want one: %s", leaks, want)
 	}
 }
 
@@ -145,7 +183,7 @@ func TestAuditDetectsOverCapacity(t *testing.T) {
 		a2.BW = 10000
 		boosted.Assignments = append(boosted.Assignments, a2)
 	}
-	over.Apply(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), &boosted), boosted.Assignments)
+	install(t, over, dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), &boosted))
 	got := Audit(tp, cg, over, res, 0, nil)
 	found := false
 	for _, v := range got {

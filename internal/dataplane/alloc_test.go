@@ -61,6 +61,14 @@ func TestCompiledLookupZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("FastLookup allocates %.1f per run, want exactly 0", avg)
 	}
+
+	// The audit's isolation read of a pair whose classes all blackhole
+	// walks the decisions without allocating.
+	if avg := testing.AllocsPerRun(200, func() {
+		_, sinkPath, _ = c.DeliveringClass("cl", "lone")
+	}); avg != 0 {
+		t.Errorf("DeliveringClass allocates %.1f per run, want exactly 0", avg)
+	}
 }
 
 // BenchmarkFlowArrival compares interpreted per-hop walking with the
@@ -75,9 +83,7 @@ func BenchmarkFlowArrival(b *testing.B) {
 		{Switch: ids["s0"], Src: "cl", Dst: "srv", Match: policy.Classifier{}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 1},
 		{Switch: ids["s1"], Src: "cl", Dst: "srv", Match: policy.Classifier{}, NextHop: ids["s2"], InPort: ids["s0"], Priority: 1},
 	}
-	if _, err := n.Apply(rules, nil); err != nil {
-		b.Fatal(err)
-	}
+	install(b, n, rules)
 	c := n.Fastpath()
 
 	b.Run("interpreted", func(b *testing.B) {

@@ -133,9 +133,7 @@ func BenchmarkPlanUpdate(b *testing.B) {
 func BenchmarkRecompile(b *testing.B) {
 	in := loadFig11Ans(b)
 	n := dataplane.NewNetwork(in.tp)
-	if _, err := n.Apply(in.before, nil); err != nil {
-		b.Fatal(err)
-	}
+	install(b, n, in.before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -70,9 +70,9 @@ type Network struct {
 	nfState map[string]topo.NodeID
 	// faults, when non-nil, makes every table operation fallible (fault.go).
 	faults *faultState
-	// fast is the compiled flow-classification structure, swapped atomically
-	// by Recompile at configuration settle points; readers never block
-	// writers (fastlookup.go).
+	// fast is the compiled flow-classification structure, set from
+	// creation and swapped atomically by Publish at configuration settle
+	// points; readers never block writers (fastlookup.go).
 	fast    atomic.Pointer[Compiled]
 	fastGen atomic.Uint64
 	// fastCompiles / fastCompileNanos / fastLastNanos are compile counters
@@ -80,7 +80,7 @@ type Network struct {
 	fastCompiles     atomic.Uint64
 	fastCompileNanos atomic.Int64
 	fastLastNanos    atomic.Int64
-	// fastObserver, when non-nil, is invoked by Recompile with each new
+	// fastObserver, when non-nil, is invoked by Publish with each new
 	// generation and the rules it compiled (a test hook for the swap soak;
 	// called on the writer's goroutine, serialized like all mutations).
 	fastObserver func(gen uint64, rules []Rule)
@@ -98,6 +98,8 @@ func NewNetwork(t *topo.Topology) *Network {
 	for _, node := range t.Nodes {
 		n.switches[node.ID] = &Switch{ID: node.ID, Table: newFlowTable()}
 	}
+	// The empty tables' classifier is generation 0 and no counted compile.
+	n.fast.Store(n.compile())
 	return n
 }
 
@@ -134,7 +136,7 @@ func (n *Network) RulesAt(id topo.NodeID) []Rule {
 // DropTable empties one switch's flow table without the fault gauntlet:
 // the controller writing off the rules of a switch it has taken out of
 // service, which it could not delete through the failing switch. The
-// compiled fast path picks the change up at the next Recompile.
+// published fast path keeps the dropped rules until the next Publish.
 func (n *Network) DropTable(id topo.NodeID) {
 	if sw, ok := n.switches[id]; ok {
 		sw.Table = newFlowTable()
@@ -211,26 +213,6 @@ type matchLookup interface {
 	MatchFor(policyID, edgeIdx int) policy.Classifier
 }
 
-// Apply installs a rule set, replacing the previous configuration, and
-// returns the delta report. It is the bulk path over the same fallible,
-// transactional machinery as PlanUpdate/ApplyPlan: every table operation
-// runs the fault-injection gauntlet, and on any failure the network is
-// rolled back to the exact pre-apply rule set and the error returned. NF
-// state transfers are detected by comparing, per flow and NF kind, which
-// NF box the old and new paths traverse.
-func (n *Network) Apply(rules []Rule, assignments []core.Assignment) (CompileResult, error) {
-	plan := n.PlanUpdate(rules)
-	if err := n.ApplyPlan(plan); err != nil {
-		n.RollbackPlan(plan)
-		n.Recompile()
-		return CompileResult{}, err
-	}
-	rep := plan.Report()
-	rep.NFStateTransfers = n.AccountNFState(assignments)
-	n.Recompile()
-	return rep, nil
-}
-
 // AccountNFState updates the per-flow middlebox state ledger for the given
 // assignments and returns the number of state transfers: for each hard
 // assignment, a flow whose state lived on a different NF box of the same
@@ -300,7 +282,7 @@ func (n *Network) Lookup(src, dst string, proto policy.Protocol, port int) ([]to
 			if cur == dstEP.Attach {
 				return walk, nil // delivered to the attached endpoint
 			}
-			return walk, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", cur, src, dst) //janus:allow(hotalloc): check.Audit's isolation probes expect a blackhole and format this error per probe; ROADMAP.md item 3 removes that cost
+			return walk, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", cur, src, dst) //janus:allow(hotalloc): error construction on the failure path; compile records one per class cell that blackholes
 		}
 		prev, cur = cur, rule.NextHop
 	}

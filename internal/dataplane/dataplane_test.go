@@ -62,6 +62,21 @@ func lineSetup(t *testing.T) (*topo.Topology, *compose.Graph, *core.Result) {
 	return tp, cg, res
 }
 
+// apply installs rules the way the runtime's install does — plan, apply,
+// roll back on failure, account NF state, recompile — and returns the
+// plan's delta report.
+func apply(n *Network, rules []Rule, assignments []core.Assignment) (CompileResult, error) {
+	plan := n.PlanUpdate(rules)
+	if err := n.ApplyPlan(plan); err != nil {
+		n.RollbackPlan(plan)
+		return CompileResult{}, err
+	}
+	rep := plan.Report()
+	rep.NFStateTransfers = n.AccountNFState(assignments)
+	n.Recompile()
+	return rep, nil
+}
+
 func TestCompileAndApply(t *testing.T) {
 	tp, cg, res := lineSetup(t)
 	n := NewNetwork(tp)
@@ -69,7 +84,7 @@ func TestCompileAndApply(t *testing.T) {
 	if len(rules) == 0 {
 		t.Fatal("no rules compiled")
 	}
-	rep, _ := n.Apply(rules, res.Assignments)
+	rep, _ := apply(n, rules, res.Assignments)
 	if rep.RulesInstalled != len(rules) {
 		t.Errorf("installed %d, want %d", rep.RulesInstalled, len(rules))
 	}
@@ -97,8 +112,8 @@ func TestApplyIdempotent(t *testing.T) {
 	tp, cg, res := lineSetup(t)
 	n := NewNetwork(tp)
 	rules := CompileRules(tp, NewGraphAdapter(cg), res)
-	n.Apply(rules, res.Assignments)
-	rep, _ := n.Apply(rules, res.Assignments)
+	apply(n, rules, res.Assignments)
+	rep, _ := apply(n, rules, res.Assignments)
 	if rep.RulesInstalled != 0 || rep.RulesUpdated != 0 || rep.RulesRemoved != 0 {
 		t.Errorf("re-applying same rules should be a no-op: %+v", rep)
 	}
@@ -110,7 +125,7 @@ func TestApplyIdempotent(t *testing.T) {
 func TestLookupFollowsRules(t *testing.T) {
 	tp, cg, res := lineSetup(t)
 	n := NewNetwork(tp)
-	n.Apply(CompileRules(tp, NewGraphAdapter(cg), res), res.Assignments)
+	apply(n, CompileRules(tp, NewGraphAdapter(cg), res), res.Assignments)
 	walk, err := n.Lookup("cl", "srv", policy.TCP, 80)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
@@ -138,7 +153,7 @@ func TestRuleDiffOnPathChange(t *testing.T) {
 	tp, cg, res := lineSetup(t)
 	n := NewNetwork(tp)
 	adapter := NewGraphAdapter(cg)
-	n.Apply(CompileRules(tp, adapter, res), res.Assignments)
+	apply(n, CompileRules(tp, adapter, res), res.Assignments)
 	before := n.RuleCount()
 
 	// Force a different path: reroute the assignment through the plain b-c
@@ -151,7 +166,7 @@ func TestRuleDiffOnPathChange(t *testing.T) {
 		a2.Path = pathFromNames(t, tp, "a", "b", "c", "d")
 		mod.Assignments = append(mod.Assignments, a2)
 	}
-	rep, _ := n.Apply(CompileRules(tp, adapter, mod), mod.Assignments)
+	rep, _ := apply(n, CompileRules(tp, adapter, mod), mod.Assignments)
 	if rep.RulesUpdated == 0 && rep.RulesInstalled == 0 {
 		t.Error("path change should modify rules")
 	}
@@ -192,15 +207,15 @@ func TestNFStateTransferOnBoxChange(t *testing.T) {
 			Path: pathOfIDs(a, mid, b), BW: 5,
 		}}
 	}
-	rep, _ := n.Apply(nil, asg(ids1))
+	rep, _ := apply(n, nil, asg(ids1))
 	if rep.NFStateTransfers != 0 {
 		t.Errorf("first placement transfers = %d, want 0", rep.NFStateTransfers)
 	}
-	rep, _ = n.Apply(nil, asg(ids1))
+	rep, _ = apply(n, nil, asg(ids1))
 	if rep.NFStateTransfers != 0 {
 		t.Errorf("same box transfers = %d, want 0", rep.NFStateTransfers)
 	}
-	rep, _ = n.Apply(nil, asg(ids2))
+	rep, _ = apply(n, nil, asg(ids2))
 	if rep.NFStateTransfers != 1 {
 		t.Errorf("box change transfers = %d, want 1", rep.NFStateTransfers)
 	}
@@ -232,7 +247,7 @@ func TestGraphAdapterUnknownSlots(t *testing.T) {
 func TestStringRendering(t *testing.T) {
 	tp, cg, res := lineSetup(t)
 	n := NewNetwork(tp)
-	n.Apply(CompileRules(tp, NewGraphAdapter(cg), res), res.Assignments)
+	apply(n, CompileRules(tp, NewGraphAdapter(cg), res), res.Assignments)
 	s := n.String()
 	if !strings.Contains(s, "cl->srv") {
 		t.Errorf("String output missing flow: %q", s)

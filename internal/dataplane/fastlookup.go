@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"janus/internal/policy"
@@ -21,15 +22,16 @@ import (
 // representative. Probes in one class see the same rules match at every
 // hop, so that result is every member's.
 //
-// Swap protocol: writers (Apply / ApplyPlan+RollbackPlan callers, i.e. the
-// runtime's install path) call Recompile after the rule set settles; the
-// compile runs off to the side against the settled tables and is published
-// with a single atomic pointer store. Readers load the pointer once per
-// lookup and keep using that generation even if a swap lands mid-call —
-// every observed result is therefore consistent with the pre- or post-swap
-// rule set, never a torn mix. Mid-plan states (between ApplyPhase calls)
-// are intentionally NOT compiled: the fast path always serves the last
-// settled configuration.
+// Swap protocol: a Network serves a classifier from its creation
+// (generation 0, compiled from the empty tables). Writers (the runtime's
+// install path) call Compile once the rule set settles, audit the
+// structure it returns, and Publish it with a single atomic pointer store
+// only when the audit is clean; Recompile does both without an audit.
+// Readers load the pointer once per lookup and keep using that generation
+// even if a swap lands mid-call — every observed result is therefore
+// consistent with the pre- or post-swap rule set, never a torn mix.
+// Mid-plan states (between ApplyPhase calls) are intentionally NOT
+// compiled: the fast path always serves the last settled configuration.
 
 // Path is a precomputed forwarding path. It is shared between lookups and
 // MUST NOT be mutated by callers.
@@ -42,9 +44,10 @@ type Compiled struct {
 	generation uint64
 
 	// eps interns endpoint names to dense ids; attach[id] is the endpoint's
-	// attachment node.
+	// attachment node and names[id] its name.
 	eps    map[string]int32
 	attach []topo.NodeID
+	names  []string
 
 	// flows maps srcID<<32|dstID to an index into entries for pairs that
 	// have at least one installed rule.
@@ -79,7 +82,9 @@ type outcome struct {
 	err  error
 }
 
-// Generation returns the swap generation stamped at compile time.
+// Generation returns the swap generation stamped when the structure was
+// published (0 for a network's first classifier and for one not yet
+// published).
 func (c *Compiled) Generation() uint64 { return c.generation }
 
 // Flows returns the number of (src,dst) pairs with compiled entries.
@@ -107,6 +112,22 @@ func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Pat
 	if !ok {
 		return nil, fmt.Errorf("dataplane: unknown endpoint %q", dst) //janus:allow(hotalloc): error construction on the failure path only
 	}
+	return c.LookupInterned(sid, did, proto, port)
+}
+
+// Endpoint returns the id an endpoint name is interned to, for
+// LookupInterned.
+func (c *Compiled) Endpoint(name string) (int32, bool) {
+	id, ok := c.eps[name]
+	return id, ok
+}
+
+// LookupInterned is Lookup of two endpoints by their interned ids
+// (Endpoint), so a sweep over many pairs resolves each name once. The ids
+// must come from this structure.
+//
+//janus:hotpath
+func (c *Compiled) LookupInterned(sid, did int32, proto policy.Protocol, port int) (Path, error) {
 	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
 	if !ok {
 		// No installed rules for the pair: the interpreted walk stops at
@@ -122,7 +143,7 @@ func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Pat
 		if at == c.attach[did] {
 			return p, nil
 		}
-		return p, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, src, dst) //janus:allow(hotalloc): error construction on the failure path only
+		return p, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, c.names[sid], c.names[did]) //janus:allow(hotalloc): check's isolation probes expect a blackhole for pairs without rules and format this error per probe; ROADMAP.md item 3 removes that cost
 	}
 	e := &c.entries[ei]
 	// Manual binary searches: sort.Search costs a closure allocation.
@@ -156,17 +177,62 @@ func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Pat
 	return o.path, o.err
 }
 
-// compile builds the lookup structure for the installed tables, stamped
-// with the given swap generation. Endpoints are interned first name first;
-// every class cell of every pair with rules holds one Lookup call's result.
-func (n *Network) compile(generation uint64) *Compiled {
+// EachEntry calls fn with the endpoint names of every pair that has a
+// compiled entry (at least one installed rule), in no particular order.
+func (c *Compiled) EachEntry(fn func(src, dst string)) {
+	for k := range c.flows {
+		fn(c.names[k>>32], c.names[uint32(k)])
+	}
+}
+
+// DeliveringClass returns the first class of the (src, dst) pair's entry,
+// in decision order, whose outcome delivers: its protocol and port, each
+// "other" for the unmentioned class, rendered "proto/port", and its path.
+// A pair without an entry has no classes here (Lookup answers its one
+// class). Reading the classes allocates nothing; only a find formats.
+func (c *Compiled) DeliveringClass(src, dst string) (string, Path, bool) {
+	sid, ok := c.eps[src]
+	if !ok {
+		return "", nil, false
+	}
+	did, ok := c.eps[dst]
+	if !ok {
+		return "", nil, false
+	}
+	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
+	if !ok {
+		return "", nil, false
+	}
+	e := &c.entries[ei]
+	for i, oi := range e.decisions {
+		o := &c.outcomes[oi]
+		if o.err != nil {
+			continue
+		}
+		pi, qi := i/(len(e.ports)+1), i%(len(e.ports)+1)
+		proto, port := "other", "other"
+		if pi < len(e.protos) {
+			proto = string(e.protos[pi])
+		}
+		if qi < len(e.ports) {
+			port = strconv.Itoa(e.ports[qi])
+		}
+		return proto + "/" + port, o.path, true
+	}
+	return "", nil, false
+}
+
+// compile builds the lookup structure for the installed tables. Endpoints
+// are interned first name first; every class cell of every pair with rules
+// holds one Lookup call's result.
+func (n *Network) compile() *Compiled {
 	t := n.topo
 	c := &Compiled{
-		generation: generation,
-		eps:        make(map[string]int32, len(t.Endpoints)),
-		attach:     make([]topo.NodeID, 0, len(t.Endpoints)),
-		flows:      make(map[uint64]int32),
-		single:     make([]Path, len(t.Nodes)),
+		eps:    make(map[string]int32, len(t.Endpoints)),
+		attach: make([]topo.NodeID, 0, len(t.Endpoints)),
+		names:  make([]string, 0, len(t.Endpoints)),
+		flows:  make(map[uint64]int32),
+		single: make([]Path, len(t.Nodes)),
 	}
 	for i := range t.Nodes {
 		c.single[i] = Path{t.Nodes[i].ID}
@@ -177,6 +243,7 @@ func (n *Network) compile(generation uint64) *Compiled {
 		}
 		c.eps[ep.Name] = int32(len(c.attach))
 		c.attach = append(c.attach, ep.Attach)
+		c.names = append(c.names, ep.Name)
 	}
 
 	// The classes of a pair are cut by what any of its rules mentions, on
@@ -316,31 +383,44 @@ func (n *Network) AllRules() []Rule {
 	return out
 }
 
-// Recompile rebuilds the compiled fast path from the currently installed
-// tables and publishes it atomically under the next generation number.
-// Must be called from the writer (mutation-serialized) side, at points
-// where the rule set is settled — after a successful Apply/ApplyPlan or
-// after a RollbackPlan restored the previous configuration.
-func (n *Network) Recompile() *Compiled {
-	gen := n.fastGen.Add(1)
+// Compile builds the compiled fast path from the currently installed
+// tables without publishing it, and counts the compile in FastpathStats.
+// Must be called from the writer (mutation-serialized) side, at a point
+// where the rule set is settled: after a successful ApplyPlan, or after a
+// table change outside a plan (DropTable, a crash).
+func (n *Network) Compile() *Compiled {
 	start := time.Now()
-	c := n.compile(gen)
+	c := n.compile()
 	elapsed := time.Since(start)
-	n.fast.Store(c)
 	n.fastCompiles.Add(1)
 	n.fastCompileNanos.Add(int64(elapsed))
 	n.fastLastNanos.Store(int64(elapsed))
-	if n.fastObserver != nil {
-		n.fastObserver(gen, n.AllRules())
-	}
 	return c
 }
 
-// Fastpath returns the current compiled structure, or nil before the first
-// Recompile. Safe from any goroutine.
+// Publish stamps c, a structure Compile built from the tables as they
+// still are, with the next generation number and swaps it in atomically.
+// Writer-side only; each structure is published at most once.
+func (n *Network) Publish(c *Compiled) {
+	c.generation = n.fastGen.Add(1)
+	n.fast.Store(c)
+	if n.fastObserver != nil {
+		n.fastObserver(c.generation, n.AllRules())
+	}
+}
+
+// Recompile compiles the installed tables and publishes the result.
+func (n *Network) Recompile() *Compiled {
+	c := n.Compile()
+	n.Publish(c)
+	return c
+}
+
+// Fastpath returns the currently published structure. Safe from any
+// goroutine.
 func (n *Network) Fastpath() *Compiled { return n.fast.Load() }
 
-// SetRecompileObserver installs a hook invoked by every Recompile with the
+// SetRecompileObserver installs a hook invoked by every Publish with the
 // new generation and the exact rules it compiled (the slice is freshly
 // allocated per call and safe to retain). Writer-side only; pass nil to
 // clear. Test instrumentation for the swap-under-load soak.
@@ -348,26 +428,20 @@ func (n *Network) SetRecompileObserver(fn func(gen uint64, rules []Rule)) {
 	n.fastObserver = fn
 }
 
-// FastLookup classifies a flow through the compiled fast path, falling
-// back to the interpreted walk only before the first Recompile. Safe from
-// any number of goroutines concurrently with writer-side swaps (the
-// fallback is NOT: it reads live tables, so concurrent readers should only
-// arrive after an initial compile — the runtime compiles during bring-up).
+// FastLookup classifies a flow through the published compiled structure.
+// Safe from any number of goroutines concurrently with writer-side swaps.
 //
 //janus:hotpath
 func (n *Network) FastLookup(src, dst string, proto policy.Protocol, port int) (Path, error) {
-	if c := n.fast.Load(); c != nil {
-		return c.Lookup(src, dst, proto, port)
-	}
-	w, err := n.Lookup(src, dst, proto, port)
-	return Path(w), err
+	return n.fast.Load().Lookup(src, dst, proto, port)
 }
 
 // FastpathStats is the /metrics view of the compiled fast path.
 type FastpathStats struct {
 	// Generation is the current compiled generation (0 = never compiled).
 	Generation uint64 `json:"generation"`
-	// Compiles counts Recompile calls.
+	// Compiles counts Compile calls; a network's first classifier is not
+	// counted.
 	Compiles uint64 `json:"compiles"`
 	// Flows / Endpoints / Outcomes describe the current structure.
 	Flows     int `json:"flows"`
@@ -386,11 +460,10 @@ func (n *Network) FastpathStats() FastpathStats {
 		LastCompileMicros:  float64(n.fastLastNanos.Load()) / 1e3,
 		TotalCompileMicros: float64(n.fastCompileNanos.Load()) / 1e3,
 	}
-	if c := n.fast.Load(); c != nil {
-		s.Generation = c.Generation()
-		s.Flows = c.Flows()
-		s.Endpoints = c.Endpoints()
-		s.Outcomes = c.Outcomes()
-	}
+	c := n.fast.Load()
+	s.Generation = c.Generation()
+	s.Flows = c.Flows()
+	s.Endpoints = c.Endpoints()
+	s.Outcomes = c.Outcomes()
 	return s
 }

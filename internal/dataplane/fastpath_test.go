@@ -42,11 +42,12 @@ func stick(t *testing.T) (*topo.Topology, map[string]topo.NodeID) {
 }
 
 // install applies the rules and recompiles, failing the test on error.
-func install(t *testing.T, n *dataplane.Network, rules []dataplane.Rule) {
+func install(t testing.TB, n *dataplane.Network, rules []dataplane.Rule) {
 	t.Helper()
-	if _, err := n.Apply(rules, nil); err != nil {
+	if err := n.ApplyPlan(n.PlanUpdate(rules)); err != nil {
 		t.Fatal(err)
 	}
+	n.Recompile()
 }
 
 // assertSame probes both lookups with one tuple and requires identical
@@ -145,13 +146,18 @@ func TestCompiledLoopError(t *testing.T) {
 	}
 }
 
-// TestCompiledGenerations checks the generation counter advances by one per
-// Recompile and is stamped on the published structure.
+// TestCompiledGenerations checks a new network serves an uncounted
+// generation 0, that the generation advances by one per publish and is
+// stamped on the published structure, and that a compile left unpublished
+// is counted but takes no generation.
 func TestCompiledGenerations(t *testing.T) {
 	tp, _ := stick(t)
 	n := dataplane.NewNetwork(tp)
-	if n.Fastpath() != nil {
-		t.Fatal("no compiled structure before first compile")
+	if c := n.Fastpath(); c == nil || c.Generation() != 0 {
+		t.Fatalf("a new network should serve generation 0, got %v", c)
+	}
+	if st := n.FastpathStats(); st.Generation != 0 || st.Compiles != 0 {
+		t.Fatalf("stats = %+v, want generation 0, compiles 0", st)
 	}
 	for want := uint64(1); want <= 3; want++ {
 		c := n.Recompile()
@@ -162,14 +168,23 @@ func TestCompiledGenerations(t *testing.T) {
 			t.Fatal("Recompile must publish the structure it returns")
 		}
 	}
+	unpublished := n.Compile()
+	if n.Fastpath() == unpublished || unpublished.Generation() != 0 {
+		t.Fatal("Compile must not publish")
+	}
 	st := n.FastpathStats()
-	if st.Generation != 3 || st.Compiles != 3 {
-		t.Fatalf("stats = %+v, want generation 3, compiles 3", st)
+	if st.Generation != 3 || st.Compiles != 4 {
+		t.Fatalf("stats = %+v, want generation 3, compiles 4", st)
+	}
+	n.Publish(unpublished)
+	if n.Fastpath() != unpublished || unpublished.Generation() != 4 {
+		t.Fatalf("Publish stamped generation %d, want 4", unpublished.Generation())
 	}
 }
 
-// TestFastLookupFallback checks FastLookup serves the interpreter before
-// any compile and the compiled structure after.
+// TestFastLookupFallback checks FastLookup serves the classifier a new
+// network is created with — every cross-switch probe blackholes — until a
+// recompile publishes the installed rules: it has no interpreted fallback.
 func TestFastLookupFallback(t *testing.T) {
 	tp, ids := stick(t)
 	n := dataplane.NewNetwork(tp)
@@ -177,18 +192,19 @@ func TestFastLookupFallback(t *testing.T) {
 		{Switch: ids["s0"], Src: "cl", Dst: "srv", Match: policy.Classifier{}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 1},
 		{Switch: ids["s1"], Src: "cl", Dst: "srv", Match: policy.Classifier{}, NextHop: ids["s2"], InPort: ids["s0"], Priority: 1},
 	}
-	// ApplyPlan alone does not recompile: the fallback path serves.
+	// ApplyPlan alone does not recompile: generation 0 serves.
 	if err := n.ApplyPlan(n.PlanUpdate(rules)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := n.FastLookup("cl", "srv", policy.TCP, 80)
-	if err != nil || len(p) != 3 {
-		t.Fatalf("fallback FastLookup = %v, %v", p, err)
+	want := fmt.Sprintf("dataplane: blackhole at switch %d for cl->srv", ids["s0"])
+	if err == nil || err.Error() != want || fmt.Sprint(p) != fmt.Sprint([]topo.NodeID{ids["s0"]}) {
+		t.Fatalf("new network FastLookup = %v, %v; want [%d], %s", p, err, ids["s0"], want)
 	}
 	n.Recompile()
-	p2, err := n.FastLookup("cl", "srv", policy.TCP, 80)
-	if err != nil || fmt.Sprint(p2) != fmt.Sprint(p) {
-		t.Fatalf("compiled FastLookup = %v, %v; want %v", p2, err, p)
+	p, err = n.FastLookup("cl", "srv", policy.TCP, 80)
+	if err != nil || fmt.Sprint(p) != fmt.Sprint([]topo.NodeID{ids["s0"], ids["s1"], ids["s2"]}) {
+		t.Fatalf("compiled FastLookup = %v, %v", p, err)
 	}
 }
 
@@ -231,4 +247,32 @@ func TestPriorityTieCompiledAgreement(t *testing.T) {
 	}
 	assertSame(t, n, c, "cl", "srv", policy.TCP, 80)
 	assertSame(t, n, c, "cl", "srv", policy.TCP, 22)
+}
+
+// TestDeliveringClass checks the audit's isolation read: the first class of
+// a pair's entry that delivers, named by its protocol and port ("other"
+// for the unmentioned class), and nothing for a pair whose classes all
+// blackhole or that has no entry.
+func TestDeliveringClass(t *testing.T) {
+	tp, ids := stick(t)
+	n := dataplane.NewNetwork(tp)
+	install(t, n, []dataplane.Rule{
+		// cl->srv delivers only on udp, any port; tcp/53 is mentioned and
+		// dead-ends at s1.
+		{Switch: ids["s0"], Src: "cl", Dst: "srv", Match: policy.Classifier{Proto: policy.TCP, Ports: []int{53}}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 2},
+		{Switch: ids["s0"], Src: "cl", Dst: "srv", Match: policy.Classifier{Proto: policy.UDP}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 1},
+		{Switch: ids["s1"], Src: "cl", Dst: "srv", Match: policy.Classifier{Proto: policy.UDP}, NextHop: ids["s2"], InPort: ids["s0"], Priority: 1},
+		// cl->lone forwards off s0 but dead-ends at s1 on every class.
+		{Switch: ids["s0"], Src: "cl", Dst: "lone", Match: policy.Classifier{}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 1},
+	})
+	c := n.Fastpath()
+	class, p, ok := c.DeliveringClass("cl", "srv")
+	if !ok || class != "udp/53" || fmt.Sprint(p) != fmt.Sprint([]topo.NodeID{ids["s0"], ids["s1"], ids["s2"]}) {
+		t.Fatalf("cl->srv = %q %v %v, want udp/53 over s0 s1 s2", class, p, ok)
+	}
+	for _, pair := range [][2]string{{"cl", "lone"}, {"srv", "cl"}, {"ghost", "srv"}} {
+		if class, p, ok := c.DeliveringClass(pair[0], pair[1]); ok {
+			t.Errorf("%v delivers on %q over %v, want no class", pair, class, p)
+		}
+	}
 }

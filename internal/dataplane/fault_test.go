@@ -212,14 +212,14 @@ func TestCrashSwitchExplicit(t *testing.T) {
 func TestApplyRollsBackOnFault(t *testing.T) {
 	tp, ids := diamond(t)
 	n := NewNetwork(tp)
-	if _, err := n.Apply(rulesFor(t, tp, ids["a"], ids["top"], ids["b"]), nil); err != nil {
+	if _, err := apply(n, rulesFor(t, tp, ids["a"], ids["top"], ids["b"]), nil); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshotRules(n)
 	n.InjectFaults(FaultPlan{Switches: map[topo.NodeID]SwitchFaults{
 		ids["bottom"]: {FailRate: 1},
 	}})
-	if _, err := n.Apply(rulesFor(t, tp, ids["a"], ids["bottom"], ids["b"]), nil); err == nil {
+	if _, err := apply(n, rulesFor(t, tp, ids["a"], ids["bottom"], ids["b"]), nil); err == nil {
 		t.Fatal("apply through a dead switch should fail")
 	}
 	if !reflect.DeepEqual(before, snapshotRules(n)) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"janus/internal/core"
-	"janus/internal/dataplane"
 	"janus/internal/store"
 	"janus/internal/topo"
 )
@@ -53,11 +52,14 @@ func (r *Runtime) EnableJournal(j Journal) error {
 }
 
 // Restore rebuilds a runtime from recovered durable state without
-// re-solving: the journaled configuration result is recompiled into rules
-// and installed on a fresh dataplane, and the composed graph, escalated
-// chains, quarantine set, and remembered link capacities come back exactly
-// as journaled. cfg is the solver configuration future reconfigurations
-// will use; j (may be nil) is the journal for subsequent events.
+// re-solving: the journaled configuration result is reinstalled on a fresh
+// dataplane through install, retried and self-audited like every other
+// install, and the composed graph, escalated chains, quarantine set, and
+// remembered link capacities come back exactly as journaled. A recovered
+// result that fails its audit is refused. The metrics are the journaled
+// ones: a restore counts nothing. cfg is the solver configuration future
+// reconfigurations will use; j (may be nil) is the journal for subsequent
+// events.
 func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	if state == nil || state.Topo == nil || state.Graph == nil || state.Result == nil {
 		return nil, fmt.Errorf("runtime: restore: state is missing topology, graph, or result")
@@ -84,14 +86,12 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	}
 
 	// Reinstall the recovered configuration verbatim — recovery cost is
-	// rule compilation, never a solve. Apply also rebuilds the NF state
-	// ledger from the recovered assignments, so the next move off a
-	// stateful box counts its transfer.
-	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), state.Result)
-	if _, err := r.net.Apply(rules, state.Result.Assignments); err != nil {
+	// rule compilation and the audit, never a solve. The install also
+	// rebuilds the NF state ledger from the recovered assignments, so the
+	// next move off a stateful box counts its transfer.
+	if _, err := r.install(context.Background(), state.Result); err != nil {
 		return nil, fmt.Errorf("runtime: restore: reinstalling rules: %w", err)
 	}
-	r.current = state.Result
 	r.journal = j
 	return r, nil
 }

@@ -171,3 +171,55 @@ func TestRestoreKeepsNFStateLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreAuditsRecoveredResult restores a runtime from its journaled
+// state twice. The state as journaled must restore to the same state,
+// metrics included: a restore counts nothing. A recovered result that
+// claims a policy configured without any of its assignments must fail the
+// reinstall's self-audit, and Restore must refuse it.
+func TestRestoreAuditsRecoveredResult(t *testing.T) {
+	conf, _ := chaosSetup(t)
+	live, err := New(context.Background(), conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(live.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *store.State {
+		var state store.State
+		if err := json.Unmarshal(raw, &state); err != nil {
+			t.Fatal(err)
+		}
+		return &state
+	}
+
+	restored, err := Restore(decode(), core.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(restored.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(raw) {
+		t.Fatalf("restored state differs from the journaled one:\n%s\n%s", again, raw)
+	}
+
+	bad := decode()
+	dropped := bad.Result.Assignments[0].Policy
+	if !bad.Result.Configured[dropped] {
+		t.Fatalf("setup: policy %d should be configured", dropped)
+	}
+	kept := bad.Result.Assignments[:0]
+	for _, a := range bad.Result.Assignments {
+		if a.Policy != dropped {
+			kept = append(kept, a)
+		}
+	}
+	bad.Result.Assignments = kept
+	if _, err := Restore(bad, core.Config{}, nil); err == nil {
+		t.Fatalf("Restore installed a result whose policy %d has no rules", dropped)
+	}
+}

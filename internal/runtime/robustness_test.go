@@ -127,7 +127,8 @@ func checkPeriod(t *testing.T, r *Runtime, what string) {
 
 // TestAuditRollbackKeepsPriorRules installs a result that contradicts the
 // flow's escalated counter state: the self-audit must reject it, roll the
-// dataplane back to the prior rule set, and keep the prior result live.
+// dataplane back to the prior rule set, keep the prior result live, and
+// publish no classifier generation.
 func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 	_, _, conf := statefulSetup(t)
 	r, err := New(context.Background(), conf)
@@ -142,6 +143,7 @@ func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 	}
 	before := snapshotRules(r.Network())
 	prior := r.Current()
+	published := r.Network().Fastpath()
 
 	// Hand-build a de-escalated result (default edge hard again) — exactly
 	// what a naive reconfigure would install — and push it through install.
@@ -155,7 +157,7 @@ func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 			a.Role = core.SoftEdge
 		}
 	}
-	if err := r.install(context.Background(), &bad); err == nil {
+	if _, err := r.install(context.Background(), &bad); err == nil {
 		t.Fatal("installing a de-escalated config over escalated counters should fail the audit")
 	}
 	m := r.Metrics()
@@ -167,6 +169,9 @@ func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 	}
 	if r.Current() != prior {
 		t.Error("failed install must keep the prior result live")
+	}
+	if r.Network().Fastpath() != published {
+		t.Errorf("failed audit published generation %d over %d", r.Network().Fastpath().Generation(), published.Generation())
 	}
 	if vs := r.Audit(); len(vs) != 0 {
 		t.Errorf("audit after rollback: %v", vs)

@@ -129,9 +129,11 @@ func New(ctx context.Context, conf *core.Configurator) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: initial configuration: %w", err)
 	}
-	if err := r.install(ctx, res); err != nil {
+	rep, err := r.install(ctx, res)
+	if err != nil {
 		return nil, err
 	}
+	r.account(nil, res, rep)
 	return r, nil
 }
 
@@ -180,37 +182,51 @@ func (r *Runtime) Hour() int { return r.hour }
 
 // install compiles res into rules and applies them transactionally: the
 // three-phase plan is retried with backoff on injected faults and rolled
-// back after the retry budget; after a successful apply the installed
-// state is self-audited at the runtime's hour and rolled back on any
-// violation. It never solves: reconfigure handles a failure.
-func (r *Runtime) install(ctx context.Context, res *core.Result) error {
+// back after the retry budget. After a successful apply it compiles the
+// fast path from the new tables and self-audits that classifier at the
+// runtime's hour; a violation rolls the tables back, and only a clean
+// audit publishes it and makes res current. Either rollback restores the
+// tables the published classifier was compiled from, so a failure leaves
+// nothing to recompile; the one exception, a switch that crashed
+// mid-update and lost its table, fails every retry, and the quarantine
+// that follows republishes. It never solves (reconfigure handles a
+// failure) and counts only its failures: the caller accounts an installed
+// result.
+func (r *Runtime) install(ctx context.Context, res *core.Result) (dataplane.CompileResult, error) {
 	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), res)
 	plan := r.net.PlanUpdate(rules)
 	if err := r.applyPlanWithRetry(ctx, plan); err != nil {
 		r.net.RollbackPlan(plan)
-		// The rollback restored the previous settled rule set: republish
-		// the compiled fast path for it.
-		r.net.Recompile()
 		r.metrics.ApplyRollbacks++
-		return fmt.Errorf("runtime: install rolled back: %w", err)
+		return dataplane.CompileResult{}, fmt.Errorf("runtime: install rolled back: %w", err)
 	}
 
-	// Self-audit: the installed rules must actually realize the intent.
-	// Any violation rolls the dataplane back to the exact prior rule set
-	// and keeps the prior result live.
-	if vs := r.audit(res); len(vs) > 0 {
+	// Self-audit: the classifier readers are about to be served must
+	// realize the intent. Any violation rolls the dataplane back to the
+	// exact prior rule set and keeps the prior result and classifier live.
+	fast := r.net.Compile()
+	if vs := check.AuditCompiled(r.topo, r.conf.Graph(), r.net, fast, res, r.hour, r.counters); len(vs) > 0 {
 		r.metrics.AuditViolations += len(vs)
 		r.metrics.AuditRollbacks++
 		r.net.RollbackPlan(plan)
-		r.net.Recompile()
-		return fmt.Errorf("runtime: self-audit failed with %d violations (first: %s/%s), rolled back",
+		return dataplane.CompileResult{}, fmt.Errorf("runtime: self-audit failed with %d violations (first: %s/%s), rolled back",
 			len(vs), vs[0].Kind, vs[0].Detail)
 	}
 
 	rep := plan.Report()
 	rep.NFStateTransfers = r.net.AccountNFState(res.Assignments)
-	if r.current != nil {
-		r.metrics.PathChanges += core.CountPathChanges(r.current, res)
+	r.current = res
+	// Settle point: publish the audited classifier (atomic swap; in-flight
+	// lookups finish on the previous generation).
+	r.net.Publish(fast)
+	return rep, nil
+}
+
+// account adds an installed result's solve statistics and rule delta to
+// the metrics; prev is the result it replaced, nil at bring-up.
+func (r *Runtime) account(prev, res *core.Result, rep dataplane.CompileResult) {
+	if prev != nil {
+		r.metrics.PathChanges += core.CountPathChanges(prev, res)
 		r.metrics.Reconfigurations++
 		h := append(r.metrics.TierHistory, res.Tier.String())
 		r.metrics.TierHistory = h[max(0, len(h)-tierHistoryLen):]
@@ -232,12 +248,6 @@ func (r *Runtime) install(ctx context.Context, res *core.Result) error {
 	r.metrics.RulesRemoved += rep.RulesRemoved
 	r.metrics.SwitchesTouched += rep.SwitchesTouched
 	r.metrics.NFStateTransfers += rep.NFStateTransfers
-	r.current = res
-	// Settle point: publish the compiled fast path for the newly installed
-	// configuration (atomic swap; in-flight lookups finish on the previous
-	// generation).
-	r.net.Recompile()
-	return nil
 }
 
 // applyPlanWithRetry drives ApplyPlan under the retry policy. ApplyPlan
@@ -266,15 +276,18 @@ func (r *Runtime) applyPlanWithRetry(ctx context.Context, plan *dataplane.Update
 // are removed from the topology (capacities remembered for RestoreLink),
 // their cached paths dropped, and its rules written off without touching
 // the switch — no walk reaches a switch without links, and a plan that
-// deleted them would fail on it at every later event. It returns the
-// seeds of the re-solve around the switch: the policies with an assignment
-// visiting it. An assignment through the switch crosses one of its links,
-// which freezeValid rejects once removed, unless it is a zero-hop path of
-// a same-switch pair: no validity check sees that one, so it is seeded.
+// deleted them would fail on it at every later event. Writing them off
+// changes the tables outside a plan, so the fast path is republished. It
+// returns the seeds of the re-solve around the switch: the policies with
+// an assignment visiting it. An assignment through the switch crosses one
+// of its links, which freezeValid rejects once removed, unless it is a
+// zero-hop path of a same-switch pair: no validity check sees that one, so
+// it is seeded.
 func (r *Runtime) quarantine(sw topo.NodeID) map[int]bool {
 	r.quarantined[sw] = true
 	r.metrics.QuarantinedSwitches++
 	r.net.DropTable(sw)
+	r.net.Recompile()
 	affected := map[int]bool{}
 	r.policiesVisiting(sw, affected)
 	for _, nb := range r.topo.Neighbors(sw) {
@@ -302,13 +315,11 @@ func (r *Runtime) Quarantined() []topo.NodeID {
 	return out
 }
 
-// Audit re-checks the live dataplane against the current configuration and
-// returns any violations (empty means the installed state is sound).
-func (r *Runtime) Audit() []check.Violation { return r.audit(r.current) }
-
-// audit checks the live dataplane against res at the runtime's hour.
-func (r *Runtime) audit(res *core.Result) []check.Violation {
-	return check.Audit(r.topo, r.conf.Graph(), r.net, res, r.hour, r.counters)
+// Audit re-checks the published classifier and the tables against the
+// current configuration at the runtime's hour and returns any violations
+// (empty means the installed state is sound).
+func (r *Runtime) Audit() []check.Violation {
+	return check.Audit(r.topo, r.conf.Graph(), r.net, r.current, r.hour, r.counters)
 }
 
 // Event is one runtime event as a value: a kind plus the union of the
@@ -429,7 +440,10 @@ func (r *Runtime) reconfigure(ctx context.Context, affected map[int]bool, delta 
 				return fmt.Errorf("runtime: reconfiguring: %w", err)
 			}
 		}
-		if err = r.install(ctx, res); err == nil {
+		prev := r.current
+		var rep dataplane.CompileResult
+		if rep, err = r.install(ctx, res); err == nil {
+			r.account(prev, res, rep)
 			if delta {
 				r.metrics.DeltaSolves++
 				r.metrics.DeltaAffectedPolicies += res.Delta.Affected

@@ -92,22 +92,30 @@ func New(t *topo.Topology, cfg core.Config) (*Server, error) {
 // store recovered is restored first — writer graphs always, and the full
 // runtime (composed graph, escalated chains, quarantine set, remembered
 // link capacities) whenever a configuration was journaled — then the store
-// becomes the journal for every subsequent northbound mutation. Call once,
-// before serving.
+// becomes the journal for every subsequent northbound mutation. A recovered
+// runtime that fails its reinstall attaches nothing. Call once, before
+// serving.
 func (s *Server) AttachStore(st *store.Store) error {
+	state := st.RecoveredState()
+	// The runtime reinstalls through its retrying install, which may sleep
+	// between attempts; it reads only immutable fields of s, so it is
+	// restored before the lock is taken.
+	var rt *runtime.Runtime
+	if state != nil && state.Result != nil {
+		var err error
+		if rt, err = runtime.Restore(state, s.cfg, st); err != nil {
+			return fmt.Errorf("server: restoring runtime: %w", err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if state := st.RecoveredState(); state != nil {
+	if state != nil {
 		for name, g := range state.Writers {
 			s.graphs[name] = g
 		}
-		if state.Result != nil {
-			rt, err := runtime.Restore(state, s.cfg, st)
-			if err != nil {
-				return fmt.Errorf("server: restoring runtime: %w", err)
-			}
-			s.rt = rt
-		}
+	}
+	if rt != nil {
+		s.rt = rt
 	}
 	s.st = st
 	st.SetSnapshotSource(s.snapshotStateLocked)

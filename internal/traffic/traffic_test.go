@@ -55,7 +55,9 @@ func congested(t *testing.T) (*topo.Topology, *dataplane.Network) {
 		t.Fatalf("want all 3 policies configured, got %d", res.SatisfiedCount())
 	}
 	n := dataplane.NewNetwork(tp)
-	n.Apply(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res), res.Assignments)
+	if err := n.ApplyPlan(n.PlanUpdate(dataplane.CompileRules(tp, dataplane.NewGraphAdapter(cg), res))); err != nil {
+		t.Fatal(err)
+	}
 	return tp, n
 }
 
@@ -187,10 +189,10 @@ func TestReservationFollowsForwardingRule(t *testing.T) {
 	}
 	n := dataplane.NewNetwork(tp)
 	web := policy.Classifier{Proto: policy.TCP, Ports: []int{80}}
-	if _, err := n.Apply([]dataplane.Rule{
+	if err := n.ApplyPlan(n.PlanUpdate([]dataplane.Rule{
 		{Switch: a, Src: "cl", Dst: "srv", NextHop: b, InPort: dataplane.HostPort, Priority: 1},
 		{Switch: a, Src: "cl", Dst: "srv", Match: web, NextHop: b, InPort: dataplane.HostPort, QueueMbps: 40, Priority: 1},
-	}, nil); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Simulate(tp, n, []Flow{
