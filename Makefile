@@ -48,9 +48,11 @@ test-race:
 # every operation: later events must still install, since its rules were
 # written off with the quarantine. TestGraphSwapSolvesClockPeriod swaps in
 # a graph with a firewall window at 10 h: the swap must solve the new
-# graph's period at the clock.
+# graph's period at the clock. TestCrashWithCancelledContextRepublishes
+# crashes a switch mid-update and cancels the event: the fast path must be
+# rebuilt from the wiped table, and the audit must report it.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod' ./internal/runtime/ -v
+	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod|TestCrashWithCancelledContextRepublishes' ./internal/runtime/ -v
 
 # crashsoak sweeps every injected crash point of the durability layer: for
 # each counted disk operation (journal write, fsync, snapshot rename) the
@@ -58,11 +60,11 @@ chaos:
 # from disk, and asserts recovery is audit-clean and byte-identical to a
 # never-crashed reference runtime. The warm-restart tests assert graceful
 # shutdown recovers from the snapshot with zero replayed records.
-# TestRestoreAuditsRecoveredResult holds Restore to the install path: the
-# journaled state restores to itself, metrics included, and a recovered
-# result that fails the self-audit is refused.
+# TestRestoreRecoversFailedMove journals a move whose install never lands,
+# so the live result fails the audit: the journal must restore to that
+# state, metrics and audit findings included, not refuse it.
 crashsoak:
-	$(GO) test -race -count=1 -run 'TestCrashSoak|TestWarmRestartRecoversWithZeroReplay|TestCrashSweepEveryPoint|TestCrashDuringSnapshotRename|TestDurableRestartRoundTrip|TestRestoreAuditsRecoveredResult' \
+	$(GO) test -race -count=1 -run 'TestCrashSoak|TestWarmRestartRecoversWithZeroReplay|TestCrashSweepEveryPoint|TestCrashDuringSnapshotRename|TestDurableRestartRoundTrip|TestRestoreRecoversFailedMove' \
 		./internal/store/ ./internal/runtime/ ./internal/server/ -v
 
 # fastsoak is the swap-under-load race soak for the compiled

@@ -101,17 +101,14 @@ func AuditCompiled(t *topo.Topology, g *compose.Graph, net *dataplane.Network, c
 	// and covered is a bit matrix over those ids.
 	m := c.Endpoints()
 	covered := make([]uint64, (m*m+63)/64)
-	bit := func(src, dst string) (int, bool) {
-		s, sok := c.Endpoint(src)
-		d, dok := c.Endpoint(dst)
-		return int(s)*m + int(d), sok && dok
-	}
 	for _, p := range g.Policies {
 		if !res.Configured[p.ID] {
 			continue
 		}
 		for _, pair := range t.Pairs(p.Src, p.Dst) {
-			if k, ok := bit(pair[0], pair[1]); ok {
+			s, sok := c.Endpoint(pair[0])
+			d, dok := c.Endpoint(pair[1])
+			if k := int(s)*m + int(d); sok && dok {
 				covered[k/64] |= 1 << (k % 64)
 			}
 		}
@@ -134,31 +131,18 @@ func AuditCompiled(t *topo.Topology, g *compose.Graph, net *dataplane.Network, c
 			if k := int(ids[i])*m + int(ids[j]); covered[k/64]&(1<<(k%64)) != 0 {
 				continue
 			}
-			if walk, err := c.LookupInterned(ids[i], ids[j], policy.TCP, 80); err == nil {
-				out = append(out, Violation{LeakyIsolation, -1,
-					fmt.Sprintf("%s->%s reachable without a policy (walk %v)", src.Name, dst.Name, walk)})
+			class, walk, err := c.LookupAnyClass(ids[i], ids[j], policy.TCP, 80)
+			if err != nil {
+				continue
 			}
+			on := ""
+			if class != "" {
+				on = " on " + class
+			}
+			out = append(out, Violation{LeakyIsolation, -1,
+				fmt.Sprintf("%s->%s reachable without a policy%s (walk %v)", src.Name, dst.Name, on, walk)})
 		}
 	}
-	// A pair without rules has one class, which the TCP/80 probe read. The
-	// others — the uncovered pairs with rules, few — may leak on another.
-	c.EachEntry(func(src, dst string) {
-		if k, _ := bit(src, dst); covered[k/64]&(1<<(k%64)) != 0 {
-			return
-		}
-		s, _ := t.EndpointByName(src)
-		d, _ := t.EndpointByName(dst)
-		if s.Attach == d.Attach {
-			return
-		}
-		if _, err := c.Lookup(src, dst, policy.TCP, 80); err == nil {
-			return // reported above
-		}
-		if class, walk, ok := c.DeliveringClass(src, dst); ok {
-			out = append(out, Violation{LeakyIsolation, -1,
-				fmt.Sprintf("%s->%s reachable without a policy on %s (walk %v)", src, dst, class, walk)})
-		}
-	})
 
 	// Property 4: capacity.
 	for _, over := range net.OverSubscribed() {

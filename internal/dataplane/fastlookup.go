@@ -112,40 +112,83 @@ func (c *Compiled) Lookup(src, dst string, proto policy.Protocol, port int) (Pat
 	if !ok {
 		return nil, fmt.Errorf("dataplane: unknown endpoint %q", dst) //janus:allow(hotalloc): error construction on the failure path only
 	}
-	return c.LookupInterned(sid, did, proto, port)
+	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
+	if !ok {
+		return c.ruleless(sid, did)
+	}
+	e := &c.entries[ei]
+	o := &c.outcomes[e.decisions[e.class(proto, port)]]
+	return o.path, o.err
 }
 
 // Endpoint returns the id an endpoint name is interned to, for
-// LookupInterned.
+// LookupAnyClass.
 func (c *Compiled) Endpoint(name string) (int32, bool) {
 	id, ok := c.eps[name]
 	return id, ok
 }
 
-// LookupInterned is Lookup of two endpoints by their interned ids
-// (Endpoint), so a sweep over many pairs resolves each name once. The ids
-// must come from this structure.
+// LookupAnyClass is Lookup of two endpoints by their interned ids
+// (Endpoint), so a sweep over many pairs resolves each name once, widened
+// to every class of the pair: when the probe's own class does not
+// deliver, it reads the others the pair's rules cut, in decision order,
+// and returns the first that delivers, rendered "proto/port" (each
+// "other" for the unmentioned class), with its path. The class is "" when
+// the probe's own class answers, delivering or not. A pair without
+// installed rules has one class, the probe's. The ids must come from this
+// structure. Reading the classes allocates nothing; only a find formats.
 //
 //janus:hotpath
-func (c *Compiled) LookupInterned(sid, did int32, proto policy.Protocol, port int) (Path, error) {
+func (c *Compiled) LookupAnyClass(sid, did int32, proto policy.Protocol, port int) (string, Path, error) {
 	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
 	if !ok {
-		// No installed rules for the pair: the interpreted walk stops at
-		// the source attachment immediately — delivered if the endpoints
-		// share it, a one-hop blackhole otherwise.
-		at := c.attach[sid]
-		var p Path
-		if int(at) >= 0 && int(at) < len(c.single) {
-			p = c.single[at]
-		} else {
-			p = Path{at} //janus:allow(hotalloc): dangling attachment, off the steady state
-		}
-		if at == c.attach[did] {
-			return p, nil
-		}
-		return p, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, c.names[sid], c.names[did]) //janus:allow(hotalloc): check's isolation probes expect a blackhole for pairs without rules and format this error per probe; ROADMAP.md item 3 removes that cost
+		p, err := c.ruleless(sid, did)
+		return "", p, err
 	}
 	e := &c.entries[ei]
+	probe := &c.outcomes[e.decisions[e.class(proto, port)]]
+	if probe.err == nil {
+		return "", probe.path, nil
+	}
+	for i, oi := range e.decisions {
+		o := &c.outcomes[oi]
+		if o.err != nil {
+			continue
+		}
+		pi, qi := i/(len(e.ports)+1), i%(len(e.ports)+1)
+		proto, port := "other", "other"
+		if pi < len(e.protos) {
+			proto = string(e.protos[pi])
+		}
+		if qi < len(e.ports) {
+			port = strconv.Itoa(e.ports[qi])
+		}
+		return proto + "/" + port, o.path, nil //janus:allow(hotalloc): names a leak, which fails the audit
+	}
+	return "", probe.path, probe.err
+}
+
+// ruleless is the outcome of probing a pair with no installed rules: the
+// interpreted walk stops at the source attachment immediately — delivered
+// if the endpoints share it, a one-hop blackhole otherwise.
+func (c *Compiled) ruleless(sid, did int32) (Path, error) {
+	at := c.attach[sid]
+	var p Path
+	if int(at) >= 0 && int(at) < len(c.single) {
+		p = c.single[at]
+	} else {
+		p = Path{at} //janus:allow(hotalloc): dangling attachment, off the steady state
+	}
+	if at == c.attach[did] {
+		return p, nil
+	}
+	return p, fmt.Errorf("dataplane: blackhole at switch %d for %s->%s", at, c.names[sid], c.names[did]) //janus:allow(hotalloc): check's isolation probes expect a blackhole for pairs without rules and format this error per probe; ROADMAP.md item 3 removes that cost
+}
+
+// class returns the index into decisions of the class (proto, port) falls
+// in: its row by a binary search of protos (missing -> the OTHER row at
+// index len(protos)), its column likewise over ports.
+func (e *flowEntry) class(proto policy.Protocol, port int) int {
 	// Manual binary searches: sort.Search costs a closure allocation.
 	pi := len(e.protos)
 	lo, hi := 0, len(e.protos)
@@ -173,53 +216,7 @@ func (c *Compiled) LookupInterned(sid, did int32, proto policy.Protocol, port in
 	if lo < len(e.ports) && e.ports[lo] == port {
 		qi = lo
 	}
-	o := &c.outcomes[e.decisions[pi*(len(e.ports)+1)+qi]]
-	return o.path, o.err
-}
-
-// EachEntry calls fn with the endpoint names of every pair that has a
-// compiled entry (at least one installed rule), in no particular order.
-func (c *Compiled) EachEntry(fn func(src, dst string)) {
-	for k := range c.flows {
-		fn(c.names[k>>32], c.names[uint32(k)])
-	}
-}
-
-// DeliveringClass returns the first class of the (src, dst) pair's entry,
-// in decision order, whose outcome delivers: its protocol and port, each
-// "other" for the unmentioned class, rendered "proto/port", and its path.
-// A pair without an entry has no classes here (Lookup answers its one
-// class). Reading the classes allocates nothing; only a find formats.
-func (c *Compiled) DeliveringClass(src, dst string) (string, Path, bool) {
-	sid, ok := c.eps[src]
-	if !ok {
-		return "", nil, false
-	}
-	did, ok := c.eps[dst]
-	if !ok {
-		return "", nil, false
-	}
-	ei, ok := c.flows[uint64(uint32(sid))<<32|uint64(uint32(did))]
-	if !ok {
-		return "", nil, false
-	}
-	e := &c.entries[ei]
-	for i, oi := range e.decisions {
-		o := &c.outcomes[oi]
-		if o.err != nil {
-			continue
-		}
-		pi, qi := i/(len(e.ports)+1), i%(len(e.ports)+1)
-		proto, port := "other", "other"
-		if pi < len(e.protos) {
-			proto = string(e.protos[pi])
-		}
-		if qi < len(e.ports) {
-			port = strconv.Itoa(e.ports[qi])
-		}
-		return proto + "/" + port, o.path, true
-	}
-	return "", nil, false
+	return pi*(len(e.ports)+1) + qi
 }
 
 // compile builds the lookup structure for the installed tables. Endpoints

@@ -249,11 +249,12 @@ func TestPriorityTieCompiledAgreement(t *testing.T) {
 	assertSame(t, n, c, "cl", "srv", policy.TCP, 22)
 }
 
-// TestDeliveringClass checks the audit's isolation read: the first class of
-// a pair's entry that delivers, named by its protocol and port ("other"
-// for the unmentioned class), and nothing for a pair whose classes all
-// blackhole or that has no entry.
-func TestDeliveringClass(t *testing.T) {
+// TestLookupAnyClass checks the audit's isolation read: a probe whose
+// class delivers answers itself, and one whose class does not names the
+// first class of the pair's entry that delivers, by its protocol and port
+// ("other" for the unmentioned class); a pair whose classes all blackhole,
+// or that has no entry, answers with the probe's blackhole.
+func TestLookupAnyClass(t *testing.T) {
 	tp, ids := stick(t)
 	n := dataplane.NewNetwork(tp)
 	install(t, n, []dataplane.Rule{
@@ -266,13 +267,30 @@ func TestDeliveringClass(t *testing.T) {
 		{Switch: ids["s0"], Src: "cl", Dst: "lone", Match: policy.Classifier{}, NextHop: ids["s1"], InPort: dataplane.HostPort, Priority: 1},
 	})
 	c := n.Fastpath()
-	class, p, ok := c.DeliveringClass("cl", "srv")
-	if !ok || class != "udp/53" || fmt.Sprint(p) != fmt.Sprint([]topo.NodeID{ids["s0"], ids["s1"], ids["s2"]}) {
-		t.Fatalf("cl->srv = %q %v %v, want udp/53 over s0 s1 s2", class, p, ok)
+	id := func(name string) int32 {
+		t.Helper()
+		v, ok := c.Endpoint(name)
+		if !ok {
+			t.Fatalf("%s not interned", name)
+		}
+		return v
 	}
-	for _, pair := range [][2]string{{"cl", "lone"}, {"srv", "cl"}, {"ghost", "srv"}} {
-		if class, p, ok := c.DeliveringClass(pair[0], pair[1]); ok {
-			t.Errorf("%v delivers on %q over %v, want no class", pair, class, p)
+	delivered := fmt.Sprint([]topo.NodeID{ids["s0"], ids["s1"], ids["s2"]})
+	for _, tc := range []struct {
+		proto policy.Protocol
+		port  int
+		class string
+	}{{policy.TCP, 80, "udp/53"}, {policy.UDP, 53, ""}, {policy.UDP, 9, ""}} {
+		class, p, err := c.LookupAnyClass(id("cl"), id("srv"), tc.proto, tc.port)
+		if err != nil || class != tc.class || fmt.Sprint(p) != delivered {
+			t.Errorf("cl->srv %s/%d = %q %v %v, want %q over s0 s1 s2", tc.proto, tc.port, class, p, err, tc.class)
+		}
+	}
+	for _, pair := range [][2]string{{"cl", "lone"}, {"srv", "cl"}} {
+		wantPath, wantErr := c.Lookup(pair[0], pair[1], policy.TCP, 80)
+		class, p, err := c.LookupAnyClass(id(pair[0]), id(pair[1]), policy.TCP, 80)
+		if err == nil || class != "" || fmt.Sprint(p, err) != fmt.Sprint(wantPath, wantErr) {
+			t.Errorf("%v = %q %v %v, want the probe's blackhole %v %v", pair, class, p, err, wantPath, wantErr)
 		}
 	}
 }

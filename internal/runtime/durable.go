@@ -52,14 +52,20 @@ func (r *Runtime) EnableJournal(j Journal) error {
 }
 
 // Restore rebuilds a runtime from recovered durable state without
-// re-solving: the journaled configuration result is reinstalled on a fresh
-// dataplane through install, retried and self-audited like every other
-// install, and the composed graph, escalated chains, quarantine set, and
-// remembered link capacities come back exactly as journaled. A recovered
-// result that fails its audit is refused. The metrics are the journaled
-// ones: a restore counts nothing. cfg is the solver configuration future
-// reconfigurations will use; j (may be nil) is the journal for subsequent
-// events.
+// re-solving: the journaled configuration result is reapplied on a fresh
+// dataplane through the install's retried apply and its classifier
+// published, and the composed graph, escalated chains, quarantine set, and
+// remembered link capacities come back exactly as journaled. The metrics
+// are the journaled ones: a restore counts nothing. cfg is the solver
+// configuration future reconfigurations will use; j (may be nil) is the
+// journal for subsequent events.
+//
+// Unlike an install, a restore is not gated on the self-audit. An event
+// that changes the topology or a flow's counters and then fails to install
+// journals that change with the prior result, which the live runtime keeps
+// serving although it no longer passes the audit; recovery must come back
+// to that state, not refuse it. The restored runtime's Audit reports the
+// violations the live one reported.
 func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	if state == nil || state.Topo == nil || state.Graph == nil || state.Result == nil {
 		return nil, fmt.Errorf("runtime: restore: state is missing topology, graph, or result")
@@ -86,12 +92,14 @@ func Restore(state *store.State, cfg core.Config, j Journal) (*Runtime, error) {
 	}
 
 	// Reinstall the recovered configuration verbatim — recovery cost is
-	// rule compilation and the audit, never a solve. The install also
-	// rebuilds the NF state ledger from the recovered assignments, so the
-	// next move off a stateful box counts its transfer.
-	if _, err := r.install(context.Background(), state.Result); err != nil {
+	// rule compilation, never a solve. Settling also rebuilds the NF state
+	// ledger from the recovered assignments, so the next move off a
+	// stateful box counts its transfer.
+	plan, err := r.apply(context.Background(), state.Result)
+	if err != nil {
 		return nil, fmt.Errorf("runtime: restore: reinstalling rules: %w", err)
 	}
+	r.settle(state.Result, plan, r.net.Compile())
 	r.journal = j
 	return r, nil
 }

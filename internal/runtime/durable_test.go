@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -172,54 +173,56 @@ func TestRestoreKeepsNFStateLedger(t *testing.T) {
 	}
 }
 
-// TestRestoreAuditsRecoveredResult restores a runtime from its journaled
-// state twice. The state as journaled must restore to the same state,
-// metrics included: a restore counts nothing. A recovered result that
-// claims a policy configured without any of its assignments must fail the
-// reinstall's self-audit, and Restore must refuse it.
-func TestRestoreAuditsRecoveredResult(t *testing.T) {
-	conf, _ := chaosSetup(t)
-	live, err := New(context.Background(), conf)
+// TestRestoreRecoversFailedMove moves an endpoint with a cancelled
+// context on a journaled runtime: the move stands, nothing installs, and
+// the prior result, still live, no longer passes the audit. The published
+// classifier must show that, and recovery from the journal must come back
+// to the same state, metrics included (a restore counts nothing), with the
+// same audit findings rather than refuse it.
+func TestRestoreRecoversFailedMove(t *testing.T) {
+	conf, sw := chaosSetup(t)
+	fs := store.NewCrashFS(5)
+	st, err := store.Open(fs, "data", store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(live.State())
+	live, err := NewDurable(context.Background(), conf, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func() *store.State {
-		var state store.State
-		if err := json.Unmarshal(raw, &state); err != nil {
-			t.Fatal(err)
-		}
-		return &state
+	live.SetRetryPolicy(noSleepPolicy())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := live.MoveEndpoint(cancelled, "c1", sw["agg"]); err == nil {
+		t.Fatal("a move with a cancelled context installed")
+	}
+	if ep, _ := live.topo.EndpointByName("c1"); ep.Attach != sw["agg"] {
+		t.Fatalf("setup: c1 is attached at %d, want the move to stand at agg (%d)", ep.Attach, sw["agg"])
+	}
+	vs := live.Audit()
+	if len(vs) == 0 {
+		t.Fatal("the live audit is clean although c1 moved off the installed paths")
+	}
+	assertFastpathAgrees(t, live)
+	want := marshalState(t, live.State())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	restored, err := Restore(decode(), core.Config{}, nil)
+	st2, err := store.Open(fs, "data", store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := json.Marshal(restored.State())
+	defer st2.Close()
+	restored, err := Restore(st2.RecoveredState(), core.Config{}, st2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restoring the journaled state: %v", err)
 	}
-	if string(again) != string(raw) {
-		t.Fatalf("restored state differs from the journaled one:\n%s\n%s", again, raw)
+	if got := marshalState(t, restored.State()); got != want {
+		t.Errorf("restored state differs from the live one:\n%s\n%s", got, want)
 	}
-
-	bad := decode()
-	dropped := bad.Result.Assignments[0].Policy
-	if !bad.Result.Configured[dropped] {
-		t.Fatalf("setup: policy %d should be configured", dropped)
+	if got := restored.Audit(); fmt.Sprint(got) != fmt.Sprint(vs) {
+		t.Errorf("restored audit %v, live audit %v", got, vs)
 	}
-	kept := bad.Result.Assignments[:0]
-	for _, a := range bad.Result.Assignments {
-		if a.Policy != dropped {
-			kept = append(kept, a)
-		}
-	}
-	bad.Result.Assignments = kept
-	if _, err := Restore(bad, core.Config{}, nil); err == nil {
-		t.Fatalf("Restore installed a result whose policy %d has no rules", dropped)
-	}
+	assertFastpathAgrees(t, restored)
 }

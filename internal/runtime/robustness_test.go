@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -292,4 +293,76 @@ func TestTierHistoryBounded(t *testing.T) {
 	if m2 := r2.Metrics(); !reflect.DeepEqual(m2.TierHistory, m.TierHistory) || !reflect.DeepEqual(m2.TierCounts, m.TierCounts) {
 		t.Errorf("restored history %v counts %v, want %v %v", m2.TierHistory, m2.TierCounts, m.TierHistory, m.TierCounts)
 	}
+}
+
+// assertFastpathAgrees holds the published classifier to the interpreted
+// walk over the installed tables for every ordered endpoint pair on TCP/80.
+func assertFastpathAgrees(t *testing.T, r *Runtime) {
+	t.Helper()
+	for _, src := range r.topo.Endpoints {
+		for _, dst := range r.topo.Endpoints {
+			wantPath, wantErr := r.Network().Lookup(src.Name, dst.Name, policy.TCP, 80)
+			gotPath, gotErr := r.Network().FastLookup(src.Name, dst.Name, policy.TCP, 80)
+			if fmt.Sprint(gotPath, gotErr) != fmt.Sprint(dataplane.Path(wantPath), wantErr) {
+				t.Errorf("%s->%s: fast path %v %v, tables %v %v", src.Name, dst.Name, gotPath, gotErr, wantPath, wantErr)
+			}
+		}
+	}
+}
+
+// TestCrashWithCancelledContextRepublishes crashes a switch on the live
+// paths at the first operation of the install after a live path's link
+// fails and cancels the
+// context in the retry backoff, so the event ends with the plan rolled
+// back and no quarantine. The rollback cannot refill the crashed switch's
+// table: the published classifier must be rebuilt from the tables, and the
+// audit must report the flows the crashed switch now blackholes.
+func TestCrashWithCancelledContextRepublishes(t *testing.T) {
+	conf, _ := chaosSetup(t)
+	r, err := New(context.Background(), conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := r.Audit(); len(vs) != 0 {
+		t.Fatalf("setup: %v", vs)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := noSleepPolicy()
+	p.Sleep = func(context.Context, time.Duration) { cancel() }
+	r.SetRetryPolicy(p)
+	crash := map[topo.NodeID]int{}
+	for _, id := range r.Network().Switches() {
+		crash[id] = 1
+	}
+	r.Network().InjectFaults(dataplane.FaultPlan{Seed: 1, CrashAfterOps: crash})
+	prior := r.Current()
+	var link []topo.NodeID
+	for _, a := range prior.Assignments {
+		if len(a.Path.Nodes) > 1 {
+			link = a.Path.Nodes[:2]
+			break
+		}
+	}
+	if link == nil {
+		t.Fatal("setup: no live path crosses a link")
+	}
+	if err := r.FailLink(ctx, link[0], link[1]); err == nil {
+		t.Fatal("the link failure installed through a crashing switch")
+	}
+	crashed := r.Network().CrashedSwitches()
+	if len(crashed) != 1 || len(r.Quarantined()) != 0 || r.Current() != prior {
+		t.Fatalf("setup: crashed %v, quarantined %v, result replaced %v", crashed, r.Quarantined(), r.Current() != prior)
+	}
+	onPath := false
+	for _, a := range prior.Assignments {
+		onPath = onPath || slices.Contains(a.Path.Nodes, crashed[0])
+	}
+	if !onPath {
+		t.Fatalf("setup: no live path crosses the crashed switch %d", crashed[0])
+	}
+	if vs := r.Audit(); len(vs) == 0 {
+		t.Error("the audit is clean although a switch on the live paths lost its table")
+	}
+	assertFastpathAgrees(t, r)
 }

@@ -180,30 +180,19 @@ func (r *Runtime) Network() *dataplane.Network { return r.net }
 // Hour returns the runtime's current hour of day.
 func (r *Runtime) Hour() int { return r.hour }
 
-// install compiles res into rules and applies them transactionally: the
-// three-phase plan is retried with backoff on injected faults and rolled
-// back after the retry budget. After a successful apply it compiles the
-// fast path from the new tables and self-audits that classifier at the
-// runtime's hour; a violation rolls the tables back, and only a clean
-// audit publishes it and makes res current. Either rollback restores the
-// tables the published classifier was compiled from, so a failure leaves
-// nothing to recompile; the one exception, a switch that crashed
-// mid-update and lost its table, fails every retry, and the quarantine
-// that follows republishes. It never solves (reconfigure handles a
-// failure) and counts only its failures: the caller accounts an installed
-// result.
+// install applies res (apply), then compiles the fast path from the new
+// tables and self-audits that classifier at the runtime's hour. A
+// violation rolls the tables back and keeps the prior result and
+// classifier live: the plan applied in full, so its undo restores exactly
+// the tables the published classifier was compiled from, and nothing is
+// republished. Only a clean audit publishes the classifier and makes res
+// current (settle). It never solves (reconfigure handles a failure) and
+// counts only its failures: the caller accounts an installed result.
 func (r *Runtime) install(ctx context.Context, res *core.Result) (dataplane.CompileResult, error) {
-	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), res)
-	plan := r.net.PlanUpdate(rules)
-	if err := r.applyPlanWithRetry(ctx, plan); err != nil {
-		r.net.RollbackPlan(plan)
-		r.metrics.ApplyRollbacks++
-		return dataplane.CompileResult{}, fmt.Errorf("runtime: install rolled back: %w", err)
+	plan, err := r.apply(ctx, res)
+	if err != nil {
+		return dataplane.CompileResult{}, err
 	}
-
-	// Self-audit: the classifier readers are about to be served must
-	// realize the intent. Any violation rolls the dataplane back to the
-	// exact prior rule set and keeps the prior result and classifier live.
 	fast := r.net.Compile()
 	if vs := check.AuditCompiled(r.topo, r.conf.Graph(), r.net, fast, res, r.hour, r.counters); len(vs) > 0 {
 		r.metrics.AuditViolations += len(vs)
@@ -212,14 +201,36 @@ func (r *Runtime) install(ctx context.Context, res *core.Result) (dataplane.Comp
 		return dataplane.CompileResult{}, fmt.Errorf("runtime: self-audit failed with %d violations (first: %s/%s), rolled back",
 			len(vs), vs[0].Kind, vs[0].Detail)
 	}
+	return r.settle(res, plan, fast), nil
+}
 
+// apply compiles res into rules and applies them transactionally: the
+// three-phase plan is retried with backoff on injected faults and rolled
+// back after the retry budget. A rollback skips a switch that crashed
+// mid-update, whose table stays wiped, so the tables no longer match the
+// published classifier: the fast path is republished.
+func (r *Runtime) apply(ctx context.Context, res *core.Result) (*dataplane.UpdatePlan, error) {
+	rules := dataplane.CompileRules(r.topo, dataplane.NewGraphAdapter(r.conf.Graph()), res)
+	plan := r.net.PlanUpdate(rules)
+	if err := r.applyPlanWithRetry(ctx, plan); err != nil {
+		r.net.RollbackPlan(plan)
+		r.net.Recompile()
+		r.metrics.ApplyRollbacks++
+		return nil, fmt.Errorf("runtime: install rolled back: %w", err)
+	}
+	return plan, nil
+}
+
+// settle makes res, which plan applied, current and publishes fast, the
+// classifier of its tables (atomic swap; in-flight lookups finish on the
+// previous generation). It returns the plan's rule delta with the NF
+// state transfers res costs.
+func (r *Runtime) settle(res *core.Result, plan *dataplane.UpdatePlan, fast *dataplane.Compiled) dataplane.CompileResult {
 	rep := plan.Report()
 	rep.NFStateTransfers = r.net.AccountNFState(res.Assignments)
 	r.current = res
-	// Settle point: publish the audited classifier (atomic swap; in-flight
-	// lookups finish on the previous generation).
 	r.net.Publish(fast)
-	return rep, nil
+	return rep
 }
 
 // account adds an installed result's solve statistics and rule delta to
@@ -317,7 +328,10 @@ func (r *Runtime) Quarantined() []topo.NodeID {
 
 // Audit re-checks the published classifier and the tables against the
 // current configuration at the runtime's hour and returns any violations
-// (empty means the installed state is sound).
+// (empty means the installed state is sound). At the end of every event
+// the published classifier describes the installed tables and endpoint
+// attachments: an install publishes its own, and an apply rollback, a
+// quarantine and a move that installs nothing republish.
 func (r *Runtime) Audit() []check.Violation {
 	return check.Audit(r.topo, r.conf.Graph(), r.net, r.current, r.hour, r.counters)
 }
@@ -384,7 +398,14 @@ func (r *Runtime) MoveEndpoint(ctx context.Context, name string, to topo.NodeID)
 		// A move changes attach points, not membership.
 		affected := map[int]bool{}
 		r.matchingPolicies(name, affected)
-		return r.reconfigureEvent(ctx, affected)
+		if err := r.reconfigureEvent(ctx, affected); err != nil {
+			// The endpoint has moved, but the published classifier still
+			// delivers to its old attachment: republish, so readers and
+			// the audit see where the installed rules now take its flows.
+			r.net.Recompile()
+			return err
+		}
+		return nil
 	})
 }
 

@@ -97,9 +97,9 @@ func New(t *topo.Topology, cfg core.Config) (*Server, error) {
 // serving.
 func (s *Server) AttachStore(st *store.Store) error {
 	state := st.RecoveredState()
-	// The runtime reinstalls through its retrying install, which may sleep
-	// between attempts; it reads only immutable fields of s, so it is
-	// restored before the lock is taken.
+	// The runtime reinstalls through the install's retrying apply, which
+	// may sleep between attempts; it reads only immutable fields of s, so
+	// it is restored before the lock is taken.
 	var rt *runtime.Runtime
 	if state != nil && state.Result != nil {
 		var err error
