@@ -83,21 +83,24 @@ fastsoak:
 bench:
 	bash bench/run.sh
 
+# BENCHTIME sets go test's -benchtime for bench-lp, bench-paths and
+# bench-dataplane; CI runs each benchmark once with BENCHTIME=1x.
+BENCHTIME ?= 1s
+
 # bench-lp runs the simplex microbenchmarks directly (cold solve, the
 # branch-and-bound warm re-solve pattern, and one basis refactorization at
 # period-model size, where a cubic term would show) with allocation counts.
 bench-lp:
-	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem ./internal/lp/
+	$(GO) test -run xxx -bench 'BenchmarkLP' -benchmem -benchtime $(BENCHTIME) ./internal/lp/
 
 # bench-paths runs the topology lookup microbenchmarks with allocation
 # counts: a cold path enumeration of every pair of the fig11 Ans and Cwix
-# instances, full and for a k = 5 candidate pool, with the search nodes it
-# expands (what a cold start pays), the heap a warm path cache of those pairs
-# retains after a GC at k = 5 (the candidate pool only) and k = 0 (every
-# valid path), and resolving both groups of its 50 policies to endpoints
-# (what every model build and dependency index pays). BENCHTIME sets
-# go test's -benchtime; CI runs each benchmark once with BENCHTIME=1x.
-BENCHTIME ?= 1s
+# instances, at k = 0 and for a k = 5 candidate pool, with the search nodes
+# it expands (what a cold start pays), the heap a warm path cache of those
+# pairs retains after a GC at k = 5 (the candidate pool only) and k = 0 (the
+# DefaultMaxPaths shortest, every valid path there), and resolving both
+# groups of its 50 policies to endpoints (what every model build and
+# dependency index pays).
 bench-paths:
 	$(GO) test -run xxx -bench 'BenchmarkEnumerateCold|BenchmarkCacheResident|BenchmarkEndpointsMatching' -benchmem -benchtime $(BENCHTIME) ./internal/paths/ ./internal/topo/
 
@@ -107,7 +110,7 @@ bench-paths:
 # move's target against the installed rules, and compiling the fast path
 # from them (what every install pays).
 bench-dataplane:
-	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate|BenchmarkRecompile' -benchmem ./internal/dataplane/
+	$(GO) test -run xxx -bench 'BenchmarkNetworkLookup|BenchmarkPlanUpdate|BenchmarkRecompile' -benchmem -benchtime $(BENCHTIME) ./internal/dataplane/
 
 # bench-ablation runs every body of the root package's ablation benchmarks
 # once (candidate-path count k, warm vs cold start, the raw simplex, and the
@@ -147,8 +150,8 @@ difftest:
 # with UPDATE_GOLDEN=1 only for a change that means to move it.
 # The paths run holds selective link invalidation, and invalidation after
 # a link restore, to a fresh enumeration, Valid's output to the unpruned
-# reference enumeration, and a candidate-pool enumerator's draws to a full
-# one's, on the fig11 instances; and it holds the pool enumerator's cache
+# reference enumeration, and a candidate-pool enumerator's draws to a
+# k = 0 one's, on the fig11 instances; and it holds the pool enumerator's cache
 # to one entry per pair over repeated invalidation, and Retain to the
 # entries it is told are live.
 # TestCountersEscalateOnePair holds the model to a flow's counter state: an

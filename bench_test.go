@@ -50,13 +50,7 @@ func BenchmarkFig12EndpointSweep(b *testing.B) { runExperiment(b, "fig12") }
 func BenchmarkFig13OptimalityGap(b *testing.B) { runExperiment(b, "fig13") }
 
 // Tables 3 and 4: candidate-path count vs gap and runtime reduction.
-func BenchmarkTable34PathSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table34(benchParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable34PathSweep(b *testing.B) { runExperiment(b, "table3") }
 
 // Fig 14: warm start under endpoint churn.
 func BenchmarkFig14WarmStart(b *testing.B) { runExperiment(b, "fig14") }

@@ -68,12 +68,21 @@ func AuditCompiled(t *topo.Topology, g *compose.Graph, net *dataplane.Network, c
 	var out []Violation
 
 	// Properties 1+2: every configured policy's pairs forward through
-	// their active edge's chain.
+	// their active edge's chain. The loop also marks each pair as covered
+	// for the isolation sweep, in a bit matrix over the endpoints' ids in
+	// c, whether or not its policy allows anything in this state.
+	m := c.Endpoints()
+	covered := make([]uint64, (m*m+63)/64)
 	for _, p := range g.Policies {
 		if !res.Configured[p.ID] {
 			continue
 		}
 		for _, pair := range t.Pairs(p.Src, p.Dst) {
+			s, sok := c.Endpoint(pair[0])
+			d, dok := c.Endpoint(pair[1])
+			if k := int(s)*m + int(d); sok && dok {
+				covered[k/64] |= 1 << (k % 64)
+			}
 			edge, _, ok := compose.ActiveEdge(p, hour, counters[core.FlowKey(pair[0], pair[1])])
 			if !ok {
 				continue // policy allows nothing in this state
@@ -97,22 +106,7 @@ func AuditCompiled(t *topo.Topology, g *compose.Graph, net *dataplane.Network, c
 	// other class the pair's compiled rules cut.
 	//
 	// The sweep reads every ordered pair, so each endpoint's name is
-	// resolved once: ids holds each endpoint's id in c (-1 if c lacks it),
-	// and covered is a bit matrix over those ids.
-	m := c.Endpoints()
-	covered := make([]uint64, (m*m+63)/64)
-	for _, p := range g.Policies {
-		if !res.Configured[p.ID] {
-			continue
-		}
-		for _, pair := range t.Pairs(p.Src, p.Dst) {
-			s, sok := c.Endpoint(pair[0])
-			d, dok := c.Endpoint(pair[1])
-			if k := int(s)*m + int(d); sok && dok {
-				covered[k/64] |= 1 << (k % 64)
-			}
-		}
-	}
+	// resolved once: ids holds each endpoint's id in c (-1 if c lacks it).
 	ids := make([]int32, len(t.Endpoints))
 	for i, ep := range t.Endpoints {
 		ids[i] = -1

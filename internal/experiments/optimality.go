@@ -118,15 +118,6 @@ func Table4(p Params) ([]Table, error) {
 	return []Table{t4}, err
 }
 
-// Table34 runs the k sweep once and renders both paper tables.
-func Table34(p Params) ([]Table, error) {
-	t3, t4, err := table34(p)
-	if err != nil {
-		return nil, err
-	}
-	return []Table{t3, t4}, nil
-}
-
 func table34(p Params) (Table, Table, error) {
 	p = p.withDefaults()
 	policies := p.scaled(30)

@@ -7,10 +7,6 @@ import (
 	"janus/internal/topo"
 )
 
-// SetMaxPaths lowers the per-entry enumeration cap of e, so external tests
-// can reach the case where the DFS stops at the cap.
-func SetMaxPaths(e *Enumerator, n int) { e.maxPaths = n }
-
 // SetMaxHops lowers the path-length cap of e.
 func SetMaxHops(e *Enumerator, n int) { e.maxHops = n }
 

@@ -21,11 +21,11 @@ func oldKey(p paths.Path) string {
 	return strings.Join(parts, "-")
 }
 
-// referenceValid is the enumeration without the product-distance cut: a
-// DFS over (node, chain progress) in ascending neighbor order that stops
-// at maxPaths paths (0: never) and maxHops hops, over an adjacency it
-// builds from the link list, then a sort by hops and oldKey.
-func referenceValid(tp *topo.Topology, src, dst topo.NodeID, chain policy.Chain, maxPaths, maxHops int) []paths.Path {
+// referenceValid is the enumeration without the product-distance cut or
+// the keep: every valid path of at most maxHops hops, found by a DFS over
+// (node, chain progress) on an adjacency built from the link list, sorted
+// by hops and oldKey.
+func referenceValid(tp *topo.Topology, src, dst topo.NodeID, chain policy.Chain, maxHops int) []paths.Path {
 	adj := map[topo.NodeID][]topo.NodeID{}
 	for _, l := range tp.Links {
 		adj[l.From] = append(adj[l.From], l.To)
@@ -40,7 +40,7 @@ func referenceValid(tp *topo.Topology, src, dst topo.NodeID, chain policy.Chain,
 	visited[src] = true
 	var dfs func(n topo.NodeID, progress int)
 	dfs = func(n topo.NodeID, progress int) {
-		if (maxPaths > 0 && len(out) >= maxPaths) || len(cur)-1 > maxHops {
+		if len(cur)-1 > maxHops {
 			return
 		}
 		if n == dst && progress == len(chain) {
@@ -91,35 +91,27 @@ func assertPrefix(t *testing.T, what string, got, want []paths.Path, limit int) 
 	}
 }
 
-// assertMatchesReference enumerates every triple with a full enumerator,
-// a full enumerator capped at capPaths and a k = 5 pool enumerator, all at
-// maxHops, and holds them to referenceValid: the full ones to the
-// reference at the same cap, the pool one to the first PoolSize(5) paths
-// of the uncapped reference. It also holds the product distance to a
-// lower bound: an unreachable pair has no valid path, and a reachable one
-// none shorter than its distance. It returns how many triples have more
-// valid paths than the pool, and how many more than capPaths.
-func assertMatchesReference(t *testing.T, tp *topo.Topology, triples []triple, capPaths, maxHops int) (overPool, overCap int) {
+// assertMatchesReference enumerates every triple with a k = 0 and a k = 5
+// enumerator, both at maxHops, and holds each to the first PoolSize(k)
+// paths of referenceValid. It also holds the product distance to a lower
+// bound: an unreachable pair has no valid path, and a reachable one none
+// shorter than its distance. It returns how many triples have more valid
+// paths than the k = 5 pool.
+func assertMatchesReference(t *testing.T, tp *topo.Topology, triples []triple, maxHops int) (overPool int) {
 	t.Helper()
 	full := paths.NewEnumerator(tp)
-	capped := paths.NewEnumerator(tp)
-	paths.SetMaxPaths(capped, capPaths)
 	pool := paths.NewPoolEnumerator(tp, 5)
-	for _, e := range []*paths.Enumerator{full, capped, pool} {
+	for _, e := range []*paths.Enumerator{full, pool} {
 		paths.SetMaxHops(e, maxHops)
 	}
 	for _, tr := range triples {
 		what := fmt.Sprintf("%d->%d %v maxHops=%d", tr.src, tr.dst, tr.chain, maxHops)
-		all := referenceValid(tp, tr.src, tr.dst, tr.chain, 0, maxHops)
+		all := referenceValid(tp, tr.src, tr.dst, tr.chain, maxHops)
 		got, err := full.Valid(tr.src, tr.dst, tr.chain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPrefix(t, what+" k=0", got, referenceValid(tp, tr.src, tr.dst, tr.chain, paths.DefaultMaxPaths, maxHops), 0)
-		if got, err = capped.Valid(tr.src, tr.dst, tr.chain); err != nil {
-			t.Fatal(err)
-		}
-		assertPrefix(t, fmt.Sprintf("%s k=0 maxPaths=%d", what, capPaths), got, referenceValid(tp, tr.src, tr.dst, tr.chain, capPaths, maxHops), 0)
+		assertPrefix(t, what+" k=0", got, all, paths.DefaultMaxPaths)
 		if got, err = pool.Valid(tr.src, tr.dst, tr.chain); err != nil {
 			t.Fatal(err)
 		}
@@ -134,23 +126,19 @@ func assertMatchesReference(t *testing.T, tp *topo.Topology, triples []triple, c
 		if len(all) > paths.PoolSize(5) {
 			overPool++
 		}
-		if len(all) > capPaths {
-			overCap++
-		}
 	}
-	return overPool, overCap
+	return overPool
 }
 
 // TestValidMatchesReference holds the pruned search to the unpruned
 // reference on every pair and chain of the fig11 instances of Ans, Cwix,
-// Garr201008 and Redbestel, at the default caps and under a 50-path cap
-// that a third of the Cwix pairs reach.
+// Garr201008 and Redbestel, at the default caps.
 func TestValidMatchesReference(t *testing.T) {
 	for _, name := range []string{"Ans", "Cwix", "Garr201008", "Redbestel"} {
 		t.Run(name, func(t *testing.T) {
 			tp, triples := fig11Triples(t, name)
-			overPool, overCap := assertMatchesReference(t, tp, triples, 50, paths.DefaultMaxHops)
-			t.Logf("%d triples, %d above the pool, %d above the cap", len(triples), overPool, overCap)
+			overPool := assertMatchesReference(t, tp, triples, paths.DefaultMaxHops)
+			t.Logf("%d triples, %d above the pool", len(triples), overPool)
 		})
 	}
 }
@@ -190,11 +178,11 @@ func randomTopo(rng *rand.Rand, n int) *topo.Topology {
 
 // TestValidMatchesReferenceRandom repeats TestValidMatchesReference on
 // seeded random small topologies, on every ordered switch pair including
-// same-switch pairs, with chains of up to two waypoints, a 3-path cap and
-// random hop caps.
+// same-switch pairs, with chains of up to two waypoints and random hop
+// caps.
 func TestValidMatchesReferenceRandom(t *testing.T) {
 	kinds := []policy.NFKind{policy.Firewall, policy.LightIDS, policy.ByteCounter}
-	n, overPool, overCap := 0, 0, 0
+	n, overPool := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tp := randomTopo(rng, 4+rng.Intn(5))
@@ -207,20 +195,20 @@ func TestValidMatchesReferenceRandom(t *testing.T) {
 				}
 			}
 		}
-		p, c := assertMatchesReference(t, tp, triples, 3, []int{3, 6, 9, paths.DefaultMaxHops}[rng.Intn(4)])
-		n, overPool, overCap = n+len(triples), overPool+p, overCap+c
+		n += len(triples)
+		overPool += assertMatchesReference(t, tp, triples, []int{3, 6, 9, paths.DefaultMaxHops}[rng.Intn(4)])
 	}
-	if overPool == 0 || overCap == 0 {
-		t.Fatalf("%d triples, %d above the pool, %d above the cap: truncation is not exercised", n, overPool, overCap)
+	if overPool == 0 {
+		t.Fatalf("%d triples, none above the pool: truncation is not exercised", n)
 	}
-	t.Logf("%d triples, %d above the pool, %d above the cap", n, overPool, overCap)
+	t.Logf("%d triples, %d above the pool", n, overPool)
 }
 
 // TestInvalidateCacheDropsDistances fails fabric links of the fig11 Cwix
 // instance in turn, enumerates every pair with the link down, restores
 // it, calls InvalidateCache and enumerates again, on an enumerator that
 // lives through the whole sequence: a k = 5 pool enumerator over every
-// fabric link, and a full one over every third. The second enumeration
+// fabric link, and a k = 0 one over every third. The second enumeration
 // must equal a fresh enumerator's on the intact topology: product
 // distances computed with the link down are longer than with it up, and
 // a table kept past InvalidateCache would cut branches that hold paths.

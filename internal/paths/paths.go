@@ -61,14 +61,10 @@ func (p Path) Equal(o Path) bool { return slices.Equal(p.Nodes, o.Nodes) }
 // Enumerator enumerates and caches valid paths on one topology.
 type Enumerator struct {
 	topo *topo.Topology
-	// maxPaths bounds a full enumerator's (keep == 0) enumeration per
-	// (src,dst,chain) triple; 0 means the DefaultMaxPaths cap. It never
-	// binds a pool enumerator, whose search stops at its pool instead.
-	maxPaths int
 	// maxHops bounds path length; 0 means DefaultMaxHops.
 	maxHops int
 	// keep is how many sorted paths an entry caches: PoolSize of the k the
-	// enumerator was built for, or 0 to cache every enumerated path.
+	// enumerator was built for.
 	keep int
 
 	// cache maps (src, dst, chain) to the first keep paths of the sorted
@@ -88,14 +84,15 @@ type Enumerator struct {
 }
 
 // Enumeration caps: path counts grow exponentially with network size
-// (§5.2), so enumeration must be bounded even for the "all paths" ILP.
+// (§5.2), so an entry is bounded even for the "all paths" ILP, which
+// takes a pair's DefaultMaxPaths shortest.
 const (
 	DefaultMaxPaths = 1000
 	DefaultMaxHops  = 12
 )
 
-// NewEnumerator returns an Enumerator over the topology that caches every
-// valid path it enumerates.
+// NewEnumerator returns an Enumerator over the topology that caches each
+// pair's DefaultMaxPaths shortest valid paths.
 func NewEnumerator(t *topo.Topology) *Enumerator {
 	return NewPoolEnumerator(t, 0)
 }
@@ -103,8 +100,8 @@ func NewEnumerator(t *topo.Topology) *Enumerator {
 // NewPoolEnumerator returns an Enumerator that caches, per (src,dst,chain),
 // only the candidate pool of a draw of k: the first PoolSize(k) sorted
 // paths, which is all Candidates with that k ever reads. k <= 0 caches
-// every path, like NewEnumerator. Candidates on it with a larger k, or
-// with k <= 0, is an error.
+// the DefaultMaxPaths shortest, like NewEnumerator. Candidates on it with
+// a k whose pool is larger is an error.
 func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 	return &Enumerator{
 		topo:  t,
@@ -115,10 +112,10 @@ func NewPoolEnumerator(t *topo.Topology, k int) *Enumerator {
 
 // PoolSize is how many of a pair's sorted valid paths a draw of k
 // candidates chooses from: the shortest 4k, and at least 20. k <= 0 means
-// every path and returns 0.
+// every path, up to the DefaultMaxPaths shortest.
 func PoolSize(k int) int {
 	if k <= 0 {
-		return 0
+		return DefaultMaxPaths
 	}
 	return max(4*k, 20)
 }
@@ -127,17 +124,9 @@ func PoolSize(k int) int {
 // to switch dst that traverse NF boxes of the chain's kinds in order.
 // Paths are simple (no repeated node), except that a switch may reappear
 // immediately after an NF box it steered traffic into (the NF-on-a-stick
-// detour). Results are sorted by hop count then key, so they are
-// deterministic, and cached per (src,dst,chain).
-//
-// An enumerator from NewEnumerator returns the first maxPaths paths of a
-// depth-first search in ascending neighbor order, sorted. One from
-// NewPoolEnumerator returns the first PoolSize(k) paths of the sort of
-// every valid path: no cap binds it, so its entry depends only on the
-// topology, and its search stops once the pool is complete. The two agree
-// on a pair's first PoolSize(k) paths unless the cap stopped the full
-// enumeration: its entry is then a DFS prefix, whose shortest paths need
-// not be the pair's shortest.
+// detour). Of those paths, sorted by hop count then key, it returns the
+// first keep, cached per (src,dst,chain). That entry depends only on the
+// topology.
 func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, error) {
 	key := Triple{src, dst, chain.String()}
 	if got, ok := e.cache[key]; ok {
@@ -152,11 +141,9 @@ func (e *Enumerator) Valid(src, dst topo.NodeID, chain policy.Chain) ([]Path, er
 		e.rank = keyRank(len(nodes))
 	}
 	sortPaths(out, e.rank)
-	if e.keep > 0 {
-		// A copy, so the search's array, and the paths it dropped, are not
-		// kept alive.
-		out = append([]Path(nil), out[:min(len(out), e.keep)]...)
-	}
+	// A copy, so the search's array, and the paths it dropped, are not kept
+	// alive.
+	out = append([]Path(nil), out[:min(len(out), e.keep)]...)
 	e.cache[key] = out
 	return out, nil
 }
@@ -168,15 +155,13 @@ type Triple struct {
 	Chain    string
 }
 
-// search returns Valid's paths from src to dst, unsorted; dkey is
-// "dst|chain". A full enumerator runs one DFS to maxHops, stopped at
-// maxPaths. A pool enumerator first walks to the pair's product distance
-// h0, which no valid path undercuts, so the walk finds every path of h0
-// hops. If it finds keep, none longer can sort into the first keep, and
-// the search stops. Otherwise one DFS to maxHops records the longer
-// paths, its budget falling to the fewest hops within which keep paths
-// have been found, and the paths recorded beyond the final budget are
-// dropped.
+// search returns a superset of Valid's paths from src to dst, unsorted;
+// dkey is "dst|chain". It first walks to the pair's product distance h0,
+// which no valid path undercuts, so the walk finds every path of h0 hops.
+// If it finds keep, none longer can sort into the first keep, and the
+// search stops. Otherwise one DFS to maxHops records the longer paths,
+// its budget falling to the fewest hops within which keep paths have been
+// found, and the paths recorded beyond the final budget are dropped.
 func (e *Enumerator) search(src, dst topo.NodeID, chain policy.Chain, dkey string) []Path {
 	maxHops := e.maxHops
 	if maxHops <= 0 {
@@ -194,24 +179,15 @@ func (e *Enumerator) search(src, dst topo.NodeID, chain policy.Chain, dkey strin
 		chain:   chain,
 		step:    step,
 		dist:    dist,
+		budget:  h0,
+		keep:    e.keep,
+		byHops:  make([]int, maxHops+1),
 		visited: make([]bool, n),
 		cur:     make([]topo.NodeID, 1, maxHops+1),
 	}
 	defer func() { e.expanded += d.expanded }()
 	d.cur[0] = src
 	d.visited[src] = true
-	if e.keep == 0 {
-		d.limit = e.maxPaths
-		if d.limit <= 0 {
-			d.limit = DefaultMaxPaths
-		}
-		d.budget = maxHops
-		d.walk(src, 0)
-		return d.out
-	}
-	d.keep = e.keep
-	d.byHops = make([]int, maxHops+1)
-	d.budget = h0
 	d.walk(src, 0)
 	if len(d.out) < e.keep && h0 < maxHops {
 		d.fresh = h0 + 1
@@ -246,11 +222,9 @@ type dfs struct {
 	step   []int8
 	dist   []uint8
 	budget int
-	// limit stops the search at that many paths; 0 never does.
-	limit int
-	// keep > 0 lowers budget to the fewest hops within which keep paths
-	// have been found, counted in byHops: a longer path cannot sort into
-	// the first keep.
+	// keep lowers budget to the fewest hops within which keep paths have
+	// been found, counted in byHops: a longer path cannot sort into the
+	// first keep.
 	keep   int
 	byHops []int
 
@@ -264,9 +238,6 @@ type dfs struct {
 }
 
 func (d *dfs) walk(n topo.NodeID, progress int) {
-	if d.limit > 0 && len(d.out) >= d.limit {
-		return
-	}
 	d.expanded++
 	if n == d.dst && progress == len(d.chain) {
 		d.record()
@@ -297,17 +268,14 @@ func (d *dfs) walk(n topo.NodeID, progress int) {
 	}
 }
 
-// record appends the current path and, for a pool search, lowers the
-// budget to the fewest hops within which keep paths are now known.
+// record appends the current path and lowers the budget to the fewest
+// hops within which keep paths are now known.
 func (d *dfs) record() {
 	hops := len(d.cur) - 1
 	if hops < d.fresh {
 		return // an earlier, shallower walk recorded it
 	}
 	d.out = append(d.out, Path{Nodes: append([]topo.NodeID(nil), d.cur...)})
-	if d.keep == 0 {
-		return
-	}
 	d.byHops[hops]++
 	found := 0
 	for h, c := range d.byHops[:d.budget] {
@@ -452,13 +420,12 @@ func keyRank(n int) []int32 {
 // meandering paths whose capacity cost would swamp any benefit of
 // disjointness, and the practical valid-path generators the paper builds
 // on (SOL, Merlin) bound path length for the same reason. k <= 0 returns
-// all valid paths (the full ILP). When maxHopBudget > 0, paths longer than
-// the budget are filtered out first (latency as hop count, §5.7). On an
-// enumerator from NewEnumerator whose cap stopped a pair's enumeration,
-// the pool is the shortest of the paths the DFS reached, so its draws can
-// differ from a pool enumerator's, which draws from the pair's shortest.
+// every path of the entry, the pair's DefaultMaxPaths shortest (the full
+// ILP). When maxHopBudget > 0, paths longer than the budget are filtered
+// out first (latency as hop count, §5.7). A k whose pool is larger than
+// the entry is an error.
 func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain policy.Chain, k, maxHopBudget int) ([]Path, error) {
-	if e.keep > 0 && (k <= 0 || PoolSize(k) > e.keep) {
+	if PoolSize(k) > e.keep {
 		return nil, fmt.Errorf("paths: %d candidates need more than the %d paths this enumerator keeps per pair", k, e.keep)
 	}
 	all, err := e.Valid(src, dst, chain)
@@ -478,8 +445,8 @@ func (e *Enumerator) Candidates(rng *rand.Rand, src, dst topo.NodeID, chain poli
 		return all, nil
 	}
 	// Valid sorts by hop count, so all[:pool] is the shortest portion, and
-	// the hop-budget filter keeps a prefix of it: a pool enumerator's
-	// truncated entry filters to the same pool as the full enumeration.
+	// the hop-budget filter keeps a prefix of it: an entry truncated to
+	// keep filters to the same pool as every valid path would.
 	pool := min(PoolSize(k), len(all))
 	idx := rng.Perm(pool)[:k]
 	sort.Ints(idx)
@@ -503,16 +470,13 @@ func (e *Enumerator) InvalidateCache() {
 // InvalidateLink drops the cached entries with a path that crosses the
 // removed link (a, b), and keeps the rest warm. It scans the cached paths,
 // a cost paid only on link removals. What it keeps is exact, because
-// removing a link only deletes paths. A full enumerator's entry is the
-// first maxPaths paths of a deterministic DFS (then sorted); if none
-// crosses the link, the DFS yields the same prefix without it. A pool
-// enumerator's entry is the first PoolSize(k) paths of the sort of every
-// valid path, with no cap; if none crosses the link, the same paths still
-// come first in what remains. The product is kept: it then describes a
-// supergraph of the topology, so its distances, and those of tables built
-// from it later, still bound every completion from below and cut nothing
-// that holds a path. Only use for link removals; additions must use
-// InvalidateCache.
+// removing a link only deletes paths: an entry is the first keep paths of
+// the sort of every valid path, and if none crosses the link, the same
+// paths still come first in what remains. The product is kept: it then
+// describes a supergraph of the topology, so its distances, and those of
+// tables built from it later, still bound every completion from below and
+// cut nothing that holds a path. Only use for link removals; additions
+// must use InvalidateCache.
 func (e *Enumerator) InvalidateLink(a, b topo.NodeID) {
 	link := topo.LinkKey(a, b)
 	for key, ps := range e.cache {

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -308,16 +309,43 @@ func TestCandidatesHopBudget(t *testing.T) {
 	}
 }
 
+// TestMaxPathsCap lowers a k = 0 enumerator's keep below a pair's path
+// count: the entry must hold the pair's shortest paths. On the 5-switch
+// topology a depth-first search from switch 0 takes the direct link to 4
+// last, so a search stopped at two paths would miss the 1-hop one.
 func TestMaxPathsCap(t *testing.T) {
-	tp, ids := fig4(t)
-	e := NewEnumerator(tp)
-	e.maxPaths = 1
-	got, err := e.Valid(ids["s1"], ids["s5"], nil)
-	if err != nil {
-		t.Fatal(err)
+	fig, ids := fig4(t)
+	five := topo.NewTopology("five")
+	for range 5 {
+		five.AddSwitch("")
 	}
-	if len(got) != 1 {
-		t.Errorf("maxPaths=1 returned %d paths", len(got))
+	for _, l := range [][2]topo.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 4}} {
+		if err := five.AddLink(l[0], l[1], 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		tp       *topo.Topology
+		src, dst topo.NodeID
+		keep     int
+		want     string
+	}{
+		{fig, ids["s1"], ids["s5"], 1, "0-2-3-4"},
+		{five, 0, 4, 2, "0-4 0-1-3-4"},
+	} {
+		e := NewEnumerator(tc.tp)
+		e.keep = tc.keep
+		got, err := e.Valid(tc.src, tc.dst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(got))
+		for i, p := range got {
+			keys[i] = p.Key()
+		}
+		if s := strings.Join(keys, " "); s != tc.want {
+			t.Errorf("%s %d->%d keep=%d: Valid = %s, want %s", tc.tp.Name, tc.src, tc.dst, tc.keep, s, tc.want)
+		}
 	}
 }
 

@@ -18,46 +18,35 @@ var poolKs = []int{1, 2, 5, 10, 20}
 // hopBudgets are the hop budgets the pool tests filter with; 0 is none.
 var hopBudgets = []int{0, 3, 5, 7}
 
-// caps are an enumerator's enumeration caps; zero fields keep the
-// defaults.
-type caps struct{ maxPaths, maxHops int }
-
-func (c caps) apply(e *paths.Enumerator) *paths.Enumerator {
-	if c.maxPaths > 0 {
-		paths.SetMaxPaths(e, c.maxPaths)
-	}
-	if c.maxHops > 0 {
-		paths.SetMaxHops(e, c.maxHops)
+// withMaxHops lowers e's path-length cap to maxHops, unless it is 0.
+func withMaxHops(e *paths.Enumerator, maxHops int) *paths.Enumerator {
+	if maxHops > 0 {
+		paths.SetMaxHops(e, maxHops)
 	}
 	return e
 }
 
-// uncapped returns c without its path cap.
-func (c caps) uncapped() caps {
-	c.maxPaths = 0
-	return c
-}
-
 // poolEnumerators returns one pool enumerator per distinct pool size of
 // poolKs, keyed by that size.
-func poolEnumerators(tp *topo.Topology, c caps) map[int]*paths.Enumerator {
+func poolEnumerators(tp *topo.Topology, maxHops int) map[int]*paths.Enumerator {
 	out := map[int]*paths.Enumerator{}
 	for _, k := range poolKs {
 		if out[paths.PoolSize(k)] == nil {
-			out[paths.PoolSize(k)] = c.apply(paths.NewPoolEnumerator(tp, k))
+			out[paths.PoolSize(k)] = withMaxHops(paths.NewPoolEnumerator(tp, k), maxHops)
 		}
 	}
 	return out
 }
 
-// fullEnumerator returns an enumerator that keeps every path.
-func fullEnumerator(tp *topo.Topology, c caps) *paths.Enumerator {
-	return c.apply(paths.NewEnumerator(tp))
+// fullEnumerator returns a k = 0 enumerator, which keeps a pair's
+// DefaultMaxPaths shortest paths.
+func fullEnumerator(tp *topo.Topology, maxHops int) *paths.Enumerator {
+	return withMaxHops(paths.NewEnumerator(tp), maxHops)
 }
 
 // countOver returns how many triples full enumerates more than n paths
-// for, and how many it enumerates exactly limit > 0 paths for.
-func countOver(t *testing.T, full *paths.Enumerator, triples []triple, n, limit int) (over, capped int) {
+// for.
+func countOver(t *testing.T, full *paths.Enumerator, triples []triple, n int) (over int) {
 	t.Helper()
 	for _, tr := range triples {
 		ps, err := full.Valid(tr.src, tr.dst, tr.chain)
@@ -67,11 +56,8 @@ func countOver(t *testing.T, full *paths.Enumerator, triples []triple, n, limit 
 		if len(ps) > n {
 			over++
 		}
-		if limit > 0 && len(ps) == limit {
-			capped++
-		}
 	}
-	return over, capped
+	return over
 }
 
 // assertSameCandidates draws Candidates for every triple, for every k of
@@ -129,29 +115,21 @@ func fabricLinks(tp *topo.Topology) []topo.Link {
 	return out
 }
 
-// TestPoolCandidatesMatchFull holds a pool enumerator to a full one: on
+// TestPoolCandidatesMatchFull holds a pool enumerator to a k = 0 one: on
 // every pair and chain of the fig11 Ans and Cwix instances, for every k
 // of poolKs and every hop budget, the same seeded rng draws the same
-// Candidates. On Cwix it repeats with an enumeration cap of 50 paths,
-// which a capped full enumerator hits on a third of the pairs: the pool
-// enumerator, given the same cap, must still draw what an uncapped full
-// enumerator draws, because the cap binds only full enumerators.
+// Candidates. On Cwix the pools truncate: many pairs have hundreds of
+// valid paths.
 func TestPoolCandidatesMatchFull(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		caps caps
-	}{{"Ans", caps{}}, {"Cwix", caps{}}, {"Cwix", caps{maxPaths: 50}}} {
-		t.Run(fmt.Sprintf("%s/maxPaths=%d", tc.name, tc.caps.maxPaths), func(t *testing.T) {
-			tp, triples := fig11Triples(t, tc.name)
-			over, capped := countOver(t, fullEnumerator(tp, tc.caps), triples, paths.PoolSize(1), tc.caps.maxPaths)
-			if tc.name == "Cwix" && over == 0 {
+	for _, name := range []string{"Ans", "Cwix"} {
+		t.Run(name, func(t *testing.T) {
+			tp, triples := fig11Triples(t, name)
+			over := countOver(t, fullEnumerator(tp, 0), triples, paths.PoolSize(1))
+			if name == "Cwix" && over == 0 {
 				t.Fatal("no Cwix triple has more valid paths than the smallest pool: truncation is not exercised")
 			}
-			if tc.caps.maxPaths > 0 && capped == 0 {
-				t.Fatalf("no triple reaches the cap of %d paths", tc.caps.maxPaths)
-			}
-			assertSameCandidates(t, "intact", poolEnumerators(tp, tc.caps), fullEnumerator(tp, tc.caps.uncapped()), triples)
-			t.Logf("%d triples, %d above the smallest pool, %d at the cap", len(triples), over, capped)
+			assertSameCandidates(t, "intact", poolEnumerators(tp, 0), fullEnumerator(tp, 0), triples)
+			t.Logf("%d triples, %d above the smallest pool", len(triples), over)
 		})
 	}
 }
@@ -159,35 +137,28 @@ func TestPoolCandidatesMatchFull(t *testing.T) {
 // TestInvalidateLinkPoolMatchesFresh repeats TestPoolCandidatesMatchFull
 // after each single fabric-link failure: a pool enumerator warmed on the
 // intact topology and then selectively invalidated must draw what a fresh
-// full enumerator draws on the mutated topology. The failures take the
+// k = 0 enumerator draws on the mutated topology. The failures take the
 // pool sizes in turn, so each size sees a third of them. On Cwix paths
 // are capped at 10 hops, which keeps the enumerations per failure cheap
-// while most pairs still have more paths than the smallest pool, and the
-// pool enumerators are given a cap of 50 paths, which a capped full
-// enumerator hits on a third of the pairs. The cap binds only full
-// enumerators, so the fresh reference is uncapped: a pool entry, and so
-// the links it indexes, must not depend on the cap. (No Ans entry holds
-// more than 20 paths, the smallest pool, so there a cap would truncate
-// nothing.)
+// while most pairs still have more paths than the smallest pool. (No Ans
+// entry holds more than 20 paths, the smallest pool, so there the pools
+// truncate nothing.)
 func TestInvalidateLinkPoolMatchesFresh(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		caps caps
-	}{{"Ans", caps{}}, {"Cwix", caps{maxPaths: 50, maxHops: 10}}} {
-		t.Run(fmt.Sprintf("%s/maxPaths=%d/maxHops=%d", tc.name, tc.caps.maxPaths, tc.caps.maxHops), func(t *testing.T) {
+		name    string
+		maxHops int
+	}{{"Ans", 0}, {"Cwix", 10}} {
+		t.Run(fmt.Sprintf("%s/maxHops=%d", tc.name, tc.maxHops), func(t *testing.T) {
 			tp, triples := fig11Triples(t, tc.name)
-			over, capped := countOver(t, fullEnumerator(tp, tc.caps), triples, paths.PoolSize(1), tc.caps.maxPaths)
+			over := countOver(t, fullEnumerator(tp, tc.maxHops), triples, paths.PoolSize(1))
 			if tc.name == "Cwix" && over == 0 {
 				t.Fatal("no Cwix triple has more valid paths than the smallest pool: truncation is not exercised")
-			}
-			if tc.caps.maxPaths > 0 && capped == 0 {
-				t.Fatalf("no triple reaches the cap of %d paths", tc.caps.maxPaths)
 			}
 			sizes := []int{paths.PoolSize(1), paths.PoolSize(10), paths.PoolSize(20)}
 			links := fabricLinks(tp)
 			for i, l := range links {
 				size := sizes[i%len(sizes)]
-				e := poolEnumerators(tp, tc.caps)[size]
+				e := poolEnumerators(tp, tc.maxHops)[size]
 				for _, tr := range triples {
 					if _, err := e.Valid(tr.src, tr.dst, tr.chain); err != nil {
 						t.Fatal(err)
@@ -198,12 +169,12 @@ func TestInvalidateLinkPoolMatchesFresh(t *testing.T) {
 				}
 				e.InvalidateLink(l.From, l.To)
 				assertSameCandidates(t, fmt.Sprintf("link %d-%d failed", l.From, l.To),
-					map[int]*paths.Enumerator{size: e}, fullEnumerator(tp, tc.caps.uncapped()), triples)
+					map[int]*paths.Enumerator{size: e}, fullEnumerator(tp, tc.maxHops), triples)
 				if err := tp.AddLink(l.From, l.To, l.Capacity); err != nil {
 					t.Fatal(err)
 				}
 			}
-			t.Logf("%d triples, %d above the smallest pool, %d at the cap, %d fabric links", len(triples), over, capped, len(links))
+			t.Logf("%d triples, %d above the smallest pool, %d fabric links", len(triples), over, len(links))
 		})
 	}
 }
@@ -285,8 +256,8 @@ func TestPoolCacheBounded(t *testing.T) {
 
 // BenchmarkCacheResident reports the heap a warm path cache retains, in
 // KB measured after a GC, once Candidates has drawn every pair of the
-// fig11 Cwix instance: k = 5 caches each pair's 20-path pool, k = 0 every
-// valid path.
+// fig11 Cwix instance: k = 5 caches each pair's 20-path pool, k = 0 its
+// DefaultMaxPaths shortest, which on Cwix is every valid path.
 func BenchmarkCacheResident(b *testing.B) {
 	tp, triples := fig11Triples(b, "Cwix")
 	for _, k := range []int{5, 0} {
@@ -311,53 +282,5 @@ func BenchmarkCacheResident(b *testing.B) {
 			}
 			b.ReportMetric(retained/float64(b.N)/1024, "retained-KB")
 		})
-	}
-}
-
-// TestCapSplitsFullFromPool pins where a full and a pool enumerator
-// part: once the cap stops a full enumeration, its entry is a prefix of
-// the DFS, which need not hold the shortest paths, while a pool
-// enumerator's entry is the shortest paths whatever the cap. From switch
-// 0 the DFS takes the direct link to 4 last, so a full enumerator capped
-// at two paths keeps the two 3-hop paths and never draws the 1-hop one.
-func TestCapSplitsFullFromPool(t *testing.T) {
-	tp := topo.NewTopology("cap")
-	for range 5 {
-		tp.AddSwitch("")
-	}
-	for _, l := range [][2]topo.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 4}} {
-		if err := tp.AddLink(l[0], l[1], 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const all = "0-4 0-1-3-4 0-2-3-4"
-	for _, tc := range []struct {
-		name   string
-		e      *paths.Enumerator
-		want   string
-		direct bool // whether a draw of one can be the 1-hop path
-	}{
-		{"full", paths.NewEnumerator(tp), all, true},
-		{"full capped at 2", caps{maxPaths: 2}.apply(paths.NewEnumerator(tp)), "0-1-3-4 0-2-3-4", false},
-		{"pool capped at 2", caps{maxPaths: 2}.apply(paths.NewPoolEnumerator(tp, 1)), all, true},
-	} {
-		got, err := tc.e.Valid(0, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keysOf(got) != tc.want {
-			t.Errorf("%s: Valid = %s, want %s", tc.name, keysOf(got), tc.want)
-		}
-		direct := false
-		for seed := range int64(10) {
-			drew, err := tc.e.Candidates(rand.New(rand.NewSource(seed)), 0, 4, nil, 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct = direct || keysOf(drew) == "0-4"
-		}
-		if direct != tc.direct {
-			t.Errorf("%s: ten draws of one include the 1-hop path: %v, want %v", tc.name, direct, tc.direct)
-		}
 	}
 }
