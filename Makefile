@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test test-race chaos crashsoak fastsoak check bench bench-lp bench-paths bench-dataplane bench-ablation fuzz fuzz-fastpath difftest deltadiff loc
+.PHONY: all build fmt vet lint test test-race chaos crashsoak fastsoak soaklists check bench bench-lp bench-paths bench-dataplane bench-ablation fuzz fuzz-fastpath difftest deltadiff loc
 
 all: check
 
@@ -37,12 +37,15 @@ loc:
 test-race:
 	$(GO) test -shuffle=on -race ./...
 
-# chaos replays the seeded fault-injection soak (random op failures, a
-# mid-update switch crash, a link flap) under the race detector, asserting
-# the self-audit stays clean, failed updates roll back exactly, and the
-# live result is for the period that contains the clock after every event.
-# TestChaosSoakCrashInTick lands the crash inside an hour tick's install,
-# and TestQuarantineDuringPeriodTransition quarantines a switch at a period
+# The soaks below (chaos, crashsoak, fastsoak, deltadiff) each drive one
+# seeded schedule over one or more runtimes with the oracles that hold on
+# it; DESIGN.md, "Schedules and oracles", has the schedule x oracle table.
+#
+# chaos runs the fault-injection soak (random op failures, a mid-update
+# switch crash, a link flap) under the race detector, with agg crashing
+# inside a move and inside an hour tick's install, and the tests of the
+# schedule loop itself (TestSchedulesReplay, TestOracleFailureNamesStep).
+# TestQuarantineDuringPeriodTransition quarantines a switch at a period
 # boundary: the re-solve around it must serve the tick's period.
 # TestQuarantinedSwitchDoesNotWedge keeps a quarantined switch failing
 # every operation: later events must still install, since its rules were
@@ -52,13 +55,12 @@ test-race:
 # crashes a switch mid-update and cancels the event: the fast path must be
 # rebuilt from the wiped table, and the audit must report it.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod|TestCrashWithCancelledContextRepublishes' ./internal/runtime/ -v
+	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosSoakCrashInTick|TestSchedulesReplay|TestOracleFailureNamesStep|TestQuarantineDuringPeriodTransition|TestQuarantinedSwitchDoesNotWedge|TestGraphSwapSolvesClockPeriod|TestCrashWithCancelledContextRepublishes' ./internal/runtime/ -v
 
-# crashsoak sweeps every injected crash point of the durability layer: for
-# each counted disk operation (journal write, fsync, snapshot rename) the
-# soak re-runs the event schedule with a crash armed at that point, restarts
-# from disk, and asserts recovery is audit-clean and byte-identical to a
-# never-crashed reference runtime. The warm-restart tests assert graceful
+# crashsoak sweeps every injected crash point of the durability layer
+# (journal write, fsync, snapshot rename): the crash schedule re-runs with
+# a crash armed at each, restarts from disk, and must recover byte-identical
+# to a never-crashed reference. The warm-restart tests assert graceful
 # shutdown recovers from the snapshot with zero replayed records.
 # TestRestoreRecoversFailedMove journals a move whose install never lands,
 # so the live result fails the audit: the journal must restore to that
@@ -67,12 +69,10 @@ crashsoak:
 	$(GO) test -race -count=1 -run 'TestCrashSoak|TestWarmRestartRecoversWithZeroReplay|TestCrashSweepEveryPoint|TestCrashDuringSnapshotRename|TestDurableRestartRoundTrip|TestRestoreRecoversFailedMove' \
 		./internal/store/ ./internal/runtime/ ./internal/server/ -v
 
-# fastsoak is the swap-under-load race soak for the compiled
-# flow-classification fast path: reader goroutines hammer compiled lookups
-# while the runtime reconfigures, rolls back, and escalates — every swap
-# republishes the structure atomically. Run under -race; every observed
-# path is replayed post-hoc against the rule set of the generation that
-# served it, and the generation counter must be monotone.
+# fastsoak is the swap-under-load race soak for the compiled classifier:
+# reader goroutines hammer compiled lookups while the fastsoak schedule
+# reconfigures, rolls back and escalates; every observed path is replayed
+# against the rule set of the generation that served it.
 fastsoak:
 	$(GO) test -race -count=1 -run TestFastpathSwapSoak ./internal/runtime/ -v
 
@@ -128,12 +128,10 @@ difftest:
 	$(GO) test -race -count=1 ./internal/core/ -run TestDifferentialCorpus -v
 
 # deltadiff runs the incremental-reconfiguration differential harness under
-# the race detector: twin runtimes (delta on vs off) replay seeded event
-# schedules — moves, link failures/restores, period advances, escalations,
-# graph swaps, injected faults — and every installed result, metric-visible satisfaction
-# count, and journal replay must match byte-for-byte, with each side's live
-# result for the period that contains its clock after every event. This is the permanent
-# gate for delta-solve changes, alongside the unit/edge-case suites.
+# the race detector: twin runtimes (delta on vs off) replay the deltadiff
+# schedule, with and without injected faults, and their satisfied counts
+# and journal replays must agree. This is the permanent gate for
+# delta-solve changes, alongside the unit/edge-case suites.
 # TestResolveReplay re-solves the fault-free journal: each record's input,
 # fed to a fresh runtime at one solver worker, must reproduce the recorded
 # result, so a solver or model change shows which recorded events moved.
@@ -145,9 +143,9 @@ difftest:
 # a failed swap, TestGraphSwapQuarantineRecovers the journal of a swap
 # that quarantines, and TestConfigureSolvesOnlyChangedPolicies the
 # /configure route.
-# TestEventLedger holds two seeded streams to a per-event golden (delta or
-# full, affected and frozen counts, nodes, pivots, record hash); rerun it
-# with UPDATE_GOLDEN=1 only for a change that means to move it.
+# TestEventLedger holds two seeded schedules to a per-event golden (delta
+# or full, affected and frozen counts, nodes, pivots, record hash); rerun
+# it with UPDATE_GOLDEN=1 only for a change that means to move it.
 # The paths run holds selective link invalidation, and invalidation after
 # a link restore, to a fresh enumeration, Valid's output to the unpruned
 # reference enumeration, and a candidate-pool enumerator's draws to a
@@ -189,8 +187,15 @@ fuzz:
 fuzz-fastpath:
 	$(GO) test -fuzz=FuzzCompiledLookup -fuzztime=$(FUZZTIME) ./internal/dataplane/
 
+# soaklists fails if an alternative in the -run list of chaos, crashsoak,
+# fastsoak or deltadiff matches no test in the packages its command names:
+# go test accepts a pattern that matches nothing, so a renamed test would
+# otherwise drop out of its soak silently.
+soaklists:
+	$(GO) test -count=1 -run TestSoakRunListsMatchTests .
+
 # check is the quick local gate: compile, gofmt, vet, januslint, and the
 # shuffled test suite under the race detector. CI also runs difftest,
-# deltadiff, the chaos, crash and fastpath soaks, the two fuzz smokes, and
-# bench-ablation.
+# deltadiff, soaklists, the chaos, crash and fastpath soaks, the two fuzz
+# smokes, and bench-ablation.
 check: build fmt vet lint test-race

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"janus/internal/compose"
 	"janus/internal/core"
 	"janus/internal/dataplane"
 	"janus/internal/policy"
@@ -21,11 +20,7 @@ import (
 func deltaRT(t *testing.T, cfg core.Config) (*Runtime, map[string]topo.NodeID, int, int) {
 	t.Helper()
 	conf, sw := chaosSetupCfg(t, cfg)
-	rt, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetRetryPolicy(noSleepPolicy())
+	rt := start(t, conf, nil)
 	web, ok := rt.conf.Graph().Lookup("Clients", "Web")
 	if !ok {
 		t.Fatal("web policy not found")
@@ -76,9 +71,7 @@ func TestDeltaMoveOntoIsland(t *testing.T) {
 	if rt.Current().Configured[webID] {
 		t.Error("web policy cannot be satisfiable with its server on an island")
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after island move: %v", vs)
-	}
+	assertAuditClean(t, rt, "island move")
 }
 
 // TestDeltaGuardFallsBackToFull tightens the optimality guard to zero
@@ -137,9 +130,7 @@ func TestDeltaFreezesEscalatedPolicy(t *testing.T) {
 	if !escalated {
 		t.Error("frozen web policy lost its hard escalation-edge assignment")
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after freezing escalated policy: %v", vs)
-	}
+	assertAuditClean(t, rt, "freezing escalated policy")
 }
 
 // TestEscalationWithoutPathUnconfigures escalates c1's flow to web onto
@@ -151,12 +142,6 @@ func TestDeltaFreezesEscalatedPolicy(t *testing.T) {
 func TestEscalationWithoutPathUnconfigures(t *testing.T) {
 	rt, sw, webID, _ := deltaRT(t, core.Config{})
 	ctx := context.Background()
-	audited := func(step string) {
-		t.Helper()
-		if vs := rt.Audit(); len(vs) != 0 {
-			t.Fatalf("audit after %s: %v", step, vs)
-		}
-	}
 	if err := rt.ReportEvent(ctx, "c1", "web", policy.FailedConnections, 5); err != nil {
 		t.Fatalf("escalating: %v", err)
 	}
@@ -166,15 +151,15 @@ func TestEscalationWithoutPathUnconfigures(t *testing.T) {
 	if rt.Current().Configured[webID] {
 		t.Error("web policy configured although its escalated pair has no H-IDS path")
 	}
-	audited("moving web onto e1")
+	assertAuditClean(t, rt, "moving web onto e1")
 	if err := rt.MoveEndpoint(ctx, "db", sw["core2"]); err != nil {
 		t.Fatalf("unrelated move: %v", err)
 	}
-	audited("the unrelated move")
+	assertAuditClean(t, rt, "the unrelated move")
 	if err := rt.AdvanceTo(ctx, 10); err != nil {
 		t.Fatalf("hour tick: %v", err)
 	}
-	audited("the hour tick")
+	assertAuditClean(t, rt, "the hour tick")
 
 	before := rt.Metrics().Reconfigurations
 	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
@@ -186,7 +171,7 @@ func TestEscalationWithoutPathUnconfigures(t *testing.T) {
 	if got := rt.Metrics().Reconfigurations; got != before+1 {
 		t.Errorf("Reconfigurations = %d, want %d", got, before+1)
 	}
-	audited("moving web onto e2")
+	assertAuditClean(t, rt, "moving web onto e2")
 	walk, err := rt.Network().Lookup("c1", "web", policy.TCP, 80)
 	if err != nil {
 		t.Fatalf("lookup c1->web: %v", err)
@@ -212,10 +197,7 @@ func TestEscalationFreezesOtherPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := start(t, conf, nil)
 	others := func(res *core.Result, pid int) *core.Result {
 		out := &core.Result{}
 		for _, a := range res.Assignments {
@@ -251,9 +233,7 @@ func TestEscalationFreezesOtherPolicies(t *testing.T) {
 		t.Fatal("no escalation had a reservation to use")
 	}
 	t.Logf("%d of %d escalations used a reservation", reserved, w.Spec.Policies*w.Spec.EndpointsPerPolicy)
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after every escalation: %v", vs)
-	}
+	assertAuditClean(t, rt, "every escalation")
 }
 
 // quarantineCore2 builds deltaRT's runtime, makes every operation on core2
@@ -296,9 +276,7 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 	if _, err := rt.Network().Lookup("c1", "web", policy.TCP, 80); err == nil {
 		t.Error("c1 on the quarantined switch still reaches web")
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after the quarantine: %v", vs)
-	}
+	assertAuditClean(t, rt, "the quarantine")
 	// The install around the quarantine already left c1 stranded, so
 	// single-policy events are incremental again at once: the unconfigured
 	// policies carry no assignments, which freeze trivially.
@@ -312,9 +290,7 @@ func TestDeltaAfterQuarantine(t *testing.T) {
 			t.Errorf("move to %s: DeltaSolves = %d, want %d after quarantine settled", to, m.DeltaSolves, before.DeltaSolves+1)
 		}
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after post-quarantine delta: %v", vs)
-	}
+	assertAuditClean(t, rt, "post-quarantine delta")
 	// Nothing is routed over the quarantined island: its links are gone,
 	// so no current assignment can traverse it.
 	for _, a := range rt.Current().Assignments {
@@ -368,19 +344,13 @@ func TestQuarantineSeedsZeroHopPolicy(t *testing.T) {
 		g.AddEdge(policy.Edge{Src: src, Dst: dst, Default: true, QoS: policy.QoS{BandwidthMbps: 10}})
 		graphs = append(graphs, g)
 	}
-	cg, err := compose.New(nil).Compose(graphs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := composeWriters(t, graphs...)
 	conf, err := core.New(tp, cg, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := start(t, conf, nil)
 	if err := rt.reconfigureEvent(ctx, rt.quarantine(a)); err != nil {
 		t.Fatal(err)
 	}
@@ -398,11 +368,7 @@ func TestUpdateGraphFailedSwapKeepsLiveGraph(t *testing.T) {
 	conf, sw := chaosSetupCfg(t, core.Config{})
 	j := &roundTripJournal{}
 	ctx := context.Background()
-	rt, err := NewDurable(ctx, conf, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetRetryPolicy(noSleepPolicy())
+	rt := start(t, conf, j)
 	live, cur, recs := rt.conf.Graph(), rt.Current(), len(j.recs)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -435,9 +401,7 @@ func TestUpdateGraphFailedSwapKeepsLiveGraph(t *testing.T) {
 	if d := rt.Current().Delta; d != nil {
 		t.Errorf("a swap to the live graph was a delta solve (%+v), want a full one", d)
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after the swaps: %v", vs)
-	}
+	assertAuditClean(t, rt, "the swaps")
 }
 
 // TestGraphSwapFullSolveHoldsPreviousPaths adds a writer whose pair sorts
@@ -450,10 +414,7 @@ func TestGraphSwapFullSolveHoldsPreviousPaths(t *testing.T) {
 	cfg := core.Config{DeltaDisable: true, Workers: 1}
 	conf, _ := chaosSetupCfg(t, cfg)
 	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := start(t, conf, nil)
 	prev := rt.Current()
 	g := composeWriters(t, chaosWriters(10, true)...)
 	if err := rt.UpdateGraph(ctx, g, cfg); err != nil {
@@ -494,10 +455,7 @@ func TestGraphSwapSolvesClockPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := start(t, conf, nil)
 	if err := rt.AdvanceTo(ctx, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -507,36 +465,19 @@ func TestGraphSwapSolvesClockPeriod(t *testing.T) {
 	if got := rt.Current().Period; got != 9 {
 		t.Errorf("Current().Period = %d after the swap at 10 h, want 9", got)
 	}
-	if vs := rt.Audit(); len(vs) != 0 {
-		t.Errorf("audit after the swap: %v", vs)
-	}
+	assertAuditClean(t, rt, "the swap")
 }
 
 // TestRestoreServesDeltaAtOnce recovers a journaled runtime and checks the
 // restored instance serves its first event incrementally.
 func TestRestoreServesDeltaAtOnce(t *testing.T) {
-	conf, sw := chaosSetupCfg(t, core.Config{})
-	fs := store.NewCrashFS(5)
-	st, err := store.Open(fs, "data", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewDurable(context.Background(), conf, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetRetryPolicy(noSleepPolicy())
+	conf, sw := chaosSetup(t)
+	d := newDurableSide(t, "live", conf, core.Config{}, store.NewCrashFS(5), store.Options{})
 	ctx := context.Background()
-	if err := rt.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
+	if err := d.RT.MoveEndpoint(ctx, "web", sw["e2"]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := store.Open(fs, "data", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := d.reopen(t)
 	defer st2.Close()
 	rt2, err := Restore(st2.RecoveredState(), core.Config{}, nil)
 	if err != nil {
@@ -550,7 +491,5 @@ func TestRestoreServesDeltaAtOnce(t *testing.T) {
 	if m := rt2.Metrics(); m.DeltaSolves != before.DeltaSolves+1 {
 		t.Errorf("DeltaSolves = %d, want %d on the restored runtime", m.DeltaSolves, before.DeltaSolves+1)
 	}
-	if vs := rt2.Audit(); len(vs) != 0 {
-		t.Errorf("audit after post-restore delta: %v", vs)
-	}
+	assertAuditClean(t, rt2, "post-restore delta")
 }

@@ -19,18 +19,10 @@ import (
 // must not let garbage POSTs grow the journal (and pay an fsync each) per
 // request.
 func TestInvalidRequestsJournalNothing(t *testing.T) {
-	fs := store.NewCrashFS(1)
-	st, err := store.Open(fs, "data", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	conf, sw := chaosSetup(t)
-	rt, err := NewDurable(context.Background(), conf, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetRetryPolicy(noSleepPolicy())
+	d := newDurableSide(t, "live", conf, core.Config{}, store.NewCrashFS(1), store.Options{})
+	defer d.st.Close()
+	rt, st := d.RT, d.st
 	boot := st.LastSeq()
 	if boot != 1 {
 		t.Fatalf("boot journaled %d records, want 1", boot)
@@ -74,37 +66,16 @@ func TestInvalidRequestsJournalNothing(t *testing.T) {
 func TestGraphSwapQuarantineRecovers(t *testing.T) {
 	for _, name := range []string{"e1", "e2", "agg", "core1", "core2"} {
 		conf, sw := chaosSetup(t)
-		fs := store.NewCrashFS(3)
-		st, err := store.Open(fs, "data", store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		rt, err := NewDurable(ctx, conf, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.SetRetryPolicy(noSleepPolicy())
+		d := newDurableSide(t, name, conf, core.Config{}, store.NewCrashFS(3), store.Options{})
+		rt := d.RT
 		rt.Network().InjectFaults(dataplane.FaultPlan{Seed: 1,
 			Switches: map[topo.NodeID]dataplane.SwitchFaults{sw[name]: {FailRate: 1}}})
-		swapErr := rt.UpdateGraph(ctx, composeWriters(t, chaosWriters(10, true)...), core.Config{})
+		swapErr := rt.UpdateGraph(context.Background(), composeWriters(t, chaosWriters(10, true)...), core.Config{})
 		if len(rt.Quarantined()) == 0 {
 			t.Fatalf("%s: the swap quarantined nothing (err %v)", name, swapErr)
 		}
-		want := marshalState(t, rt.State())
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st2, err := store.Open(fs, "data", store.Options{})
-		if err != nil {
-			t.Fatalf("%s (swap err %v): reopening the journal: %v", name, swapErr, err)
-		}
-		if got := marshalState(t, st2.RecoveredState()); got != want {
-			t.Errorf("%s (swap err %v): recovered state diverges from live state", name, swapErr)
-		}
-		if err := st2.Close(); err != nil {
-			t.Fatal(err)
-		}
+		at := stepTB{t, fmt.Sprintf("%s (swap err %v): ", name, swapErr)}
+		d.recoverAndCheck(at, core.Config{}, map[uint64]string{d.st.LastSeq(): marshalState(t, rt.State())})
 	}
 }
 
@@ -138,16 +109,9 @@ func TestRestoreKeepsNFStateLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	live, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(live.State())
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := start(t, conf, nil)
 	var state store.State
-	if err := json.Unmarshal(raw, &state); err != nil {
+	if err := json.Unmarshal([]byte(marshalState(t, live.State())), &state); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(&state, core.Config{}, nil)
@@ -181,16 +145,8 @@ func TestRestoreKeepsNFStateLedger(t *testing.T) {
 // same audit findings rather than refuse it.
 func TestRestoreRecoversFailedMove(t *testing.T) {
 	conf, sw := chaosSetup(t)
-	fs := store.NewCrashFS(5)
-	st, err := store.Open(fs, "data", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := NewDurable(context.Background(), conf, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live.SetRetryPolicy(noSleepPolicy())
+	d := newDurableSide(t, "live", conf, core.Config{}, store.NewCrashFS(5), store.Options{})
+	live := d.RT
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := live.MoveEndpoint(cancelled, "c1", sw["agg"]); err == nil {
@@ -205,14 +161,7 @@ func TestRestoreRecoversFailedMove(t *testing.T) {
 	}
 	assertFastpathAgrees(t, live)
 	want := marshalState(t, live.State())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.Open(fs, "data", store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := d.reopen(t)
 	defer st2.Close()
 	restored, err := Restore(st2.RecoveredState(), core.Config{}, st2)
 	if err != nil {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"janus/internal/core"
@@ -35,10 +34,7 @@ func TestLinkEventsKeepPathPoolsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := start(t, conf, nil)
 	tp := w.Topo
 	var hub topo.NodeID // the busiest switch
 	for _, n := range tp.NodesOfKind(topo.Switch, "") {
@@ -120,80 +116,4 @@ func TestLinkEventsKeepPathPoolsFresh(t *testing.T) {
 			assertFresh(step.what)
 		}
 	}
-}
-
-// TestPathCacheHoldsLiveTriples drives 2 000 seeded roaming moves and
-// relabels through Apply on the fig11 Cwix instance, and after every
-// event holds the configurator's path cache to the network as it is now:
-// one entry per distinct live (src attach, dst attach, chain) triple, and
-// product distance tables within the switches times the distinct chains.
-// A cache that kept the entries of every attachment pair it had seen
-// would grow past the live triples within a few roams. Each event pays a
-// full self-audit of the Cwix install, so the stream takes about a minute,
-// and several under -race, where it is skipped: it runs in one goroutine,
-// and make deltadiff runs it without the detector.
-func TestPathCacheHoldsLiveTriples(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("a 2 000-event stream; short mode or -race")
-	}
-	w, err := workload.Generate("Cwix", workload.Spec{Policies: 50, EndpointsPerPolicy: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf, err := core.New(w.Topo, w.Graph, core.Config{CandidatePaths: 5, Seed: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	rt, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := w.Topo
-	chains := map[string]bool{}
-	for _, p := range w.Graph.Policies {
-		for _, e := range p.AllEdges() {
-			chains[e.Chain.String()] = true
-		}
-	}
-	maxTables := len(tp.NodesOfKind(topo.Switch, "")) * len(chains)
-	live := func() int {
-		keys := map[string]bool{}
-		for _, p := range w.Graph.Policies {
-			dsts := tp.EndpointsMatching(p.Dst)
-			for _, s := range tp.EndpointsMatching(p.Src) {
-				src, _ := tp.EndpointByName(s)
-				for _, d := range dsts {
-					dst, _ := tp.EndpointByName(d)
-					if s == d {
-						continue
-					}
-					for _, e := range p.AllEdges() {
-						keys[fmt.Sprintf("%d|%d|%s", src.Attach, dst.Attach, e.Chain)] = true
-					}
-				}
-			}
-		}
-		return len(keys)
-	}
-	gen := newLedgerGen(7, tp, w.Spec)
-	peak := 0
-	for i := 0; i < 2000; i++ {
-		ev := gen.relabel()
-		if gen.rng.Intn(2) == 0 {
-			ev = gen.move()
-		}
-		if err := rt.Apply(ctx, ev); err != nil {
-			t.Fatalf("event %d %+v: %v", i, ev, err)
-		}
-		entries, tables := rt.conf.PathCacheLen()
-		if want := live(); entries != want {
-			t.Fatalf("event %d %+v: the path cache holds %d entries, want the %d live triples", i, ev, entries, want)
-		}
-		if tables > maxTables {
-			t.Fatalf("event %d: %d product distance tables, want at most %d switches × chains", i, tables, maxTables)
-		}
-		peak = max(peak, entries)
-	}
-	t.Logf("at most %d entries; %d product tables of at most %d", peak, func() int { _, n := rt.conf.PathCacheLen(); return n }(), maxTables)
 }

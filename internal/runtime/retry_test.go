@@ -30,21 +30,13 @@ func TestSleepContextAbortsOnCancel(t *testing.T) {
 // burning the remaining retry budget in real time.
 func TestRetryBackoffAbortsOnContextCancel(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	r.SetRetryPolicy(RetryPolicy{
 		MaxAttempts: 4,
 		Base:        time.Hour,
 		Cap:         time.Hour,
 	})
-	var midID topo.NodeID
-	for _, n := range tp.Nodes {
-		if n.Name == "mid" {
-			midID = n.ID
-		}
-	}
+	midID := nodeNamed(tp, "mid")
 	r.Network().InjectFaults(dataplane.FaultPlan{
 		Seed:     3,
 		Switches: map[topo.NodeID]dataplane.SwitchFaults{midID: {FailRate: 1}},
@@ -52,9 +44,9 @@ func TestRetryBackoffAbortsOnContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	err = r.MoveEndpoint(ctx, "c1", midID)
-	elapsed := time.Since(start)
+	began := time.Now()
+	err := r.MoveEndpoint(ctx, "c1", midID)
+	elapsed := time.Since(began)
 	if err == nil {
 		t.Fatal("move with a cancelled context and a dead switch should fail")
 	}

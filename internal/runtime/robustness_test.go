@@ -41,17 +41,8 @@ func snapshotRules(n *dataplane.Network) map[string][]dataplane.Rule {
 // configuration that avoids it.
 func TestRetryExhaustionQuarantines(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetRetryPolicy(noSleepPolicy())
-	var midID topo.NodeID
-	for _, n := range tp.Nodes {
-		if n.Name == "mid" {
-			midID = n.ID
-		}
-	}
+	r := start(t, conf, nil)
+	midID := nodeNamed(tp, "mid")
 	// Every op on mid fails; moving the client there forces ingress rules
 	// onto mid.
 	r.Network().InjectFaults(dataplane.FaultPlan{
@@ -77,9 +68,7 @@ func TestRetryExhaustionQuarantines(t *testing.T) {
 	// The quarantined switch lost its links: the client attached there is
 	// disconnected, the policy unsatisfiable, and the audit still clean
 	// (unconfigured pairs blackhole).
-	if vs := r.Audit(); len(vs) != 0 {
-		t.Errorf("audit after quarantine: %v", vs)
-	}
+	assertAuditClean(t, r, "quarantine")
 	if len(r.topo.Neighbors(midID)) != 0 {
 		t.Errorf("quarantine should remove mid's links, still has %v", r.topo.Neighbors(midID))
 	}
@@ -93,11 +82,7 @@ func TestRetryExhaustionQuarantines(t *testing.T) {
 func TestQuarantineDuringPeriodTransition(t *testing.T) {
 	tp, conf := temporalSetup(t)
 	ctx := context.Background()
-	r, err := New(ctx, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetRetryPolicy(noSleepPolicy())
+	r := start(t, conf, nil)
 	fw := tp.NodesOfKind(topo.NFBox, policy.Firewall)[0]
 	r.Network().InjectFaults(dataplane.FaultPlan{
 		Seed:     5,
@@ -112,18 +97,7 @@ func TestQuarantineDuringPeriodTransition(t *testing.T) {
 	if q := r.Quarantined(); len(q) != 1 || q[0] != fw {
 		t.Errorf("Quarantined() = %v, want [%d]", q, fw)
 	}
-	if vs := r.Audit(); len(vs) != 0 {
-		t.Errorf("audit after the tick: %v", vs)
-	}
-}
-
-// checkPeriod fails the test unless the live result is for the period that
-// contains the runtime's hour.
-func checkPeriod(t *testing.T, r *Runtime, what string) {
-	t.Helper()
-	if got, want := r.Current().Period, r.conf.Graph().PeriodAt(r.Hour()); got != want {
-		t.Fatalf("%s: live result is for period %d at hour %d, want %d", what, got, r.Hour(), want)
-	}
+	assertAuditClean(t, r, "the tick")
 }
 
 // TestAuditRollbackKeepsPriorRules installs a result that contradicts the
@@ -132,10 +106,7 @@ func checkPeriod(t *testing.T, r *Runtime, what string) {
 // publish no classifier generation.
 func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 	_, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	// Escalate properly first so rules match the escalated state.
 	for i := 0; i < 5; i++ {
 		if err := r.ReportEvent(context.Background(), "c1", "srv", policy.FailedConnections, 1); err != nil {
@@ -174,19 +145,14 @@ func TestAuditRollbackKeepsPriorRules(t *testing.T) {
 	if r.Network().Fastpath() != published {
 		t.Errorf("failed audit published generation %d over %d", r.Network().Fastpath().Generation(), published.Generation())
 	}
-	if vs := r.Audit(); len(vs) != 0 {
-		t.Errorf("audit after rollback: %v", vs)
-	}
+	assertAuditClean(t, r, "rollback")
 }
 
 // TestRestoreLinkRoundTrip fails a link and restores it at its remembered
 // capacity.
 func TestRestoreLinkRoundTrip(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	var aID, bID topo.NodeID
 	for _, n := range tp.Nodes {
 		switch n.Name {
@@ -218,19 +184,14 @@ func TestRestoreLinkRoundTrip(t *testing.T) {
 	if err := r.RestoreLink(context.Background(), aID, bID); err == nil {
 		t.Error("restoring twice should error")
 	}
-	if vs := r.Audit(); len(vs) != 0 {
-		t.Errorf("audit after flap: %v", vs)
-	}
+	assertAuditClean(t, r, "flap")
 }
 
 // TestMetricsDeepCopy guards against aliasing: mutating a returned Metrics
 // must not corrupt the runtime's counters.
 func TestMetricsDeepCopy(t *testing.T) {
 	_, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	m := r.Metrics()
 	if m.TierCounts == nil || len(m.TierCounts) == 0 {
 		t.Fatal("initial install should record a tier count")
@@ -257,10 +218,7 @@ func TestMetricsDeepCopy(t *testing.T) {
 // window survives State → Restore.
 func TestTierHistoryBounded(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	at := map[string]topo.NodeID{}
 	for _, n := range tp.Nodes {
 		at[n.Name] = n.ID
@@ -295,6 +253,14 @@ func TestTierHistoryBounded(t *testing.T) {
 	}
 }
 
+// assertAuditClean reports r's audit violations after what.
+func assertAuditClean(t testing.TB, r *Runtime, what string) {
+	t.Helper()
+	if vs := r.Audit(); len(vs) != 0 {
+		t.Errorf("audit after %s: %v", what, vs)
+	}
+}
+
 // assertFastpathAgrees holds the published classifier to the interpreted
 // walk over the installed tables for every ordered endpoint pair on TCP/80.
 func assertFastpathAgrees(t *testing.T, r *Runtime) {
@@ -319,10 +285,7 @@ func assertFastpathAgrees(t *testing.T, r *Runtime) {
 // audit must report the flows the crashed switch now blackholes.
 func TestCrashWithCancelledContextRepublishes(t *testing.T) {
 	conf, _ := chaosSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	if vs := r.Audit(); len(vs) != 0 {
 		t.Fatalf("setup: %v", vs)
 	}

@@ -45,15 +45,22 @@ func statefulSetup(t *testing.T) (*topo.Topology, *compose.Graph, *core.Configur
 		Chain: policy.Chain{policy.HeavyIDS},
 		QoS:   policy.QoS{BandwidthMbps: 10},
 		Cond:  policy.Condition{Stateful: policy.WhenAtLeast(policy.FailedConnections, 5)}})
-	cg, err := compose.New(nil).Compose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := composeWriters(t, g)
 	conf, err := core.New(tp, cg, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp, cg, conf
+}
+
+// nodeNamed returns the ID of tp's node called name.
+func nodeNamed(tp *topo.Topology, name string) topo.NodeID {
+	for _, n := range tp.Nodes {
+		if n.Name == name {
+			return n.ID
+		}
+	}
+	panic("no node " + name)
 }
 
 // crossesHIDS reports whether a dataplane walk traverses a Heavy-IDS box.
@@ -68,10 +75,7 @@ func crossesHIDS(tp *topo.Topology, walk []topo.NodeID) bool {
 
 func TestRuntimeInitialInstall(t *testing.T) {
 	_, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	if r.Current() == nil || r.Current().SatisfiedCount() != 1 {
 		t.Fatal("initial configuration should satisfy the policy")
 	}
@@ -88,10 +92,7 @@ func TestRuntimeInitialInstall(t *testing.T) {
 
 func TestStatefulTriggerUsesReservedPath(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	// Below the threshold: no reroute.
 	for i := 0; i < 4; i++ {
 		if err := r.ReportEvent(context.Background(), "c1", "srv", policy.FailedConnections, 1); err != nil {
@@ -120,17 +121,9 @@ func TestStatefulTriggerUsesReservedPath(t *testing.T) {
 
 func TestMobilityReconfigures(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	// Move the client to mid; the policy must be re-satisfied from there.
-	var midID topo.NodeID
-	for _, n := range tp.Nodes {
-		if n.Name == "mid" {
-			midID = n.ID
-		}
-	}
+	midID := nodeNamed(tp, "mid")
 	if err := r.MoveEndpoint(context.Background(), "c1", midID); err != nil {
 		t.Fatal(err)
 	}
@@ -147,20 +140,12 @@ func TestMobilityReconfigures(t *testing.T) {
 
 func TestMembershipChange(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	var aID topo.NodeID
-	for _, n := range tp.Nodes {
-		if n.Name == "a" {
-			aID = n.ID
-		}
-	}
+	aID := nodeNamed(tp, "a")
 	// c2 starts outside every group the policy names.
 	if err := tp.AddEndpoint("c2", aID, "Guests"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	for _, asg := range r.Current().Assignments {
 		if asg.Src == "c2" {
 			t.Fatal("c2 configured before it joined Clients")
@@ -224,10 +209,7 @@ func temporalSetup(t *testing.T) (*topo.Topology, *core.Configurator) {
 	g.AddEdge(policy.Edge{Src: "C", Dst: "S", Chain: policy.Chain{policy.Firewall},
 		QoS:  policy.QoS{BandwidthMbps: 5},
 		Cond: policy.Condition{Window: policy.TimeWindow{Start: 9, End: 18}}})
-	cg, err := compose.New(nil).Compose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := composeWriters(t, g)
 	conf, err := core.New(tp, cg, core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +219,7 @@ func temporalSetup(t *testing.T) (*topo.Topology, *core.Configurator) {
 
 func TestAdvanceToTemporalBoundary(t *testing.T) {
 	tp, conf := temporalSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	nfOnWalk := func() policy.NFKind {
 		t.Helper()
 		walk, err := r.Network().Lookup("c1", "srv", policy.TCP, 80)
@@ -273,20 +252,14 @@ func TestAdvanceToTemporalBoundary(t *testing.T) {
 
 func TestUpdateGraphChurn(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	// New graph adds a byte-counter requirement — but no BC box exists, so
 	// the policy becomes unsatisfiable; the runtime must still converge.
 	g := policy.NewGraph("g2")
 	g.AddEdge(policy.Edge{Src: "Clients", Dst: "Web",
 		Chain: policy.Chain{policy.ByteCounter},
 		QoS:   policy.QoS{BandwidthMbps: 10}})
-	cg, err := compose.New(nil).Compose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := composeWriters(t, g)
 	if err := r.UpdateGraph(context.Background(), cg, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +271,7 @@ func TestUpdateGraphChurn(t *testing.T) {
 
 func TestReportEventUnknownFlow(t *testing.T) {
 	_, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	if err := r.ReportEvent(context.Background(), "nope", "srv", policy.FailedConnections, 1); err == nil {
 		t.Error("unknown flow should error")
 	}
@@ -309,10 +279,7 @@ func TestReportEventUnknownFlow(t *testing.T) {
 
 func TestFailLinkReroutes(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	// The default path is the direct a-b link; fail it and verify the flow
 	// reroutes through mid while the policy stays satisfied.
 	var aID, bID topo.NodeID
@@ -346,10 +313,7 @@ func TestFailLinkReroutes(t *testing.T) {
 
 func TestSolverMetricsRecorded(t *testing.T) {
 	tp, _, conf := statefulSetup(t)
-	r, err := New(context.Background(), conf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, nil)
 	m := r.Metrics()
 	if m.SolverWorkers < 1 {
 		t.Errorf("SolverWorkers = %d, want >= 1 after the initial solve", m.SolverWorkers)
@@ -359,12 +323,7 @@ func TestSolverMetricsRecorded(t *testing.T) {
 	}
 	nodesBefore := m.SolverNodes
 	// A reconfiguration accumulates nodes and refreshes the worker count.
-	var midID topo.NodeID
-	for _, n := range tp.Nodes {
-		if n.Name == "mid" {
-			midID = n.ID
-		}
-	}
+	midID := nodeNamed(tp, "mid")
 	if err := r.MoveEndpoint(context.Background(), "c1", midID); err != nil {
 		t.Fatal(err)
 	}
@@ -403,20 +362,14 @@ func TestCounterEventOnTemporalEdge(t *testing.T) {
 		Chain: policy.Chain{policy.HeavyIDS},
 		QoS:   policy.QoS{BandwidthMbps: 10},
 		Cond:  policy.Condition{Stateful: policy.WhenAtLeast(policy.FailedConnections, 5)}})
-	cg, err := compose.New(nil).Compose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := composeWriters(t, g)
 	conf, err := core.New(tp, cg, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	j := &kindJournal{}
-	r, err := NewDurable(ctx, conf, j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := start(t, conf, j)
 	if err := r.AdvanceTo(ctx, 12); err != nil {
 		t.Fatal(err)
 	}
