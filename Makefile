@@ -122,10 +122,13 @@ bench-ablation:
 # difftest runs the differential solver harness: seeded random MILPs plus
 # corpus replays of real period models, one worker vs. many, re-verified
 # feasible, and the one-worker tree held to its recording. This is the
-# permanent gate for solver changes.
+# permanent gate for solver changes. It also holds the Eqn 9 joint model
+# to the chain's slot rule: TestJointCouplesSharedSlots requires one α per
+# (slot, path) shared by consecutive periods, and TestJointDeterministic two
+# joint solves of one configurator to identical results.
 difftest:
 	$(GO) test -race -count=1 ./internal/milp/difftest/ -run TestDifferential -v
-	$(GO) test -race -count=1 ./internal/core/ -run TestDifferentialCorpus -v
+	$(GO) test -race -count=1 ./internal/core/ -run 'TestDifferentialCorpus|TestJointCouplesSharedSlots|TestJointDeterministic' -v
 
 # deltadiff runs the incremental-reconfiguration differential harness under
 # the race detector: twin runtimes (delta on vs off) replay the deltadiff
@@ -135,6 +138,9 @@ difftest:
 # TestResolveReplay re-solves the fault-free journal: each record's input,
 # fed to a fresh runtime at one solver worker, must reproduce the recorded
 # result, so a solver or model change shows which recorded events moved.
+# TestResolveReplayAbandoned does the same under op faults with every other
+# event abandoned while its install backs off: those steps fail after
+# mutating, must leave the rules as they were, and journal rollbacks.
 # A graph swap carries the live result into the new graph's policy IDs and
 # delta-solves what it changed: TestCarryRenumbersByKey holds the carry,
 # TestGraphSwapFullSolveHoldsPreviousPaths the full solve's view of the

@@ -58,18 +58,15 @@ func (c *Configurator) ReconfigureAtContext(ctx context.Context, prev *Result, p
 func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result, over bwOverride, counters Counters) (*Result, error) {
 	start := time.Now()
 	var prevAssign []Assignment
+	var warm *lp.Basis
 	if prev != nil {
-		prevAssign = prev.Assignments
+		prevAssign, warm = prev.Assignments, prev.basis
 	}
 	m, err := c.buildModel(period, prevAssign, over, counters)
 	if err != nil {
 		return nil, err
 	}
-	var warm *lp.Basis
-	if prev != nil {
-		warm = prev.basis
-	}
-	sol, tier, err := c.solveModel(ctx, m, prevAssign, warm)
+	sol, tier, err := c.solveModel(ctx, m, warm)
 	if err != nil {
 		// Cancellation is not a solver failure; never degrade past it.
 		return nil, fmt.Errorf("core: solving period %d: %w", period, err)
@@ -87,7 +84,7 @@ func (c *Configurator) solvePeriod(ctx context.Context, period int, prev *Result
 // produced no incumbent — its root already tried both roundings of the
 // relaxation — and the caller decides whether a previous configuration can
 // be kept instead.
-func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []Assignment, warm *lp.Basis) (*milp.Solution, DegradationTier, error) {
+func (c *Configurator) solveModel(ctx context.Context, m *model, warm *lp.Basis) (*milp.Solution, DegradationTier, error) {
 	solver := milp.NewSolver(m.prob, m.integers)
 	// Branch on group decisions (I_i) before individual path indicators:
 	// fixing a policy in or out prunes the tree far faster.
@@ -102,7 +99,7 @@ func (c *Configurator) solveModel(ctx context.Context, m *model, prevAssign []As
 		StallNodes:     c.cfg.StallNodes,
 		Workers:        c.cfg.Workers,
 		BranchPriority: prio,
-		MIPStart:       greedyStart(c, m, prevAssign),
+		MIPStart:       greedyStart(m),
 		WarmStart:      warm,
 	})
 	if err != nil {

@@ -218,19 +218,28 @@ type Assignment struct {
 	BW      float64 // Mbps reserved on each link of Path
 }
 
-// Key identifies the assignment slot (not the chosen path). Hard slots are
-// keyed by (policy, pair) without the edge index: a temporal policy's
-// active edge differs across periods (Fig 6), but if the new period's path
-// equals the old one, no switch rules move — that continuity is exactly
-// what the Eqn 7–8 penalties and the path-change metric must see. Soft
-// (reserved) slots keep the edge index, since one pair can hold several
-// reservations at once.
-func (a Assignment) Key() string {
-	if a.Role == HardEdge {
-		return fmt.Sprintf("h/%d/%s/%s", a.Policy, a.Src, a.Dst)
-	}
-	return fmt.Sprintf("s/%d/%d/%s/%s", a.Policy, a.EdgeIdx, a.Src, a.Dst)
+// slot is the one identity of an assignment slot, the rule Eqns 7–9 and
+// the path-change metric share: the same slot keeping its path is not a
+// change. A hard slot is (policy, pair) without the edge index: a temporal
+// policy's active edge differs across periods (Fig 6), but if the new
+// period's path equals the old one, no switch rules move. A soft
+// (reserved) slot keeps the edge index, since one pair can hold several
+// reservations at once. Slots compare with ==.
+type slot struct {
+	pid      int
+	role     EdgeRole
+	edgeIdx  int // soft slots only; 0 for every hard slot
+	src, dst string
 }
+
+func slotOf(pid, edgeIdx int, role EdgeRole, src, dst string) slot {
+	if role == HardEdge {
+		edgeIdx = 0
+	}
+	return slot{pid: pid, role: role, edgeIdx: edgeIdx, src: src, dst: dst}
+}
+
+func (a Assignment) slot() slot { return slotOf(a.Policy, a.EdgeIdx, a.Role, a.Src, a.Dst) }
 
 // LinkUse reports a link's reserved bandwidth and shadow price.
 type LinkUse struct {
@@ -355,13 +364,13 @@ func CountPathChanges(prev, next *Result) int {
 	if prev == nil {
 		return 0
 	}
-	nextPath := make(map[string]string, len(next.Assignments))
+	nextPath := make(map[slot]paths.Path, len(next.Assignments))
 	for _, a := range next.Assignments {
-		nextPath[a.Key()] = a.Path.Key()
+		nextPath[a.slot()] = a.Path
 	}
 	changes := 0
 	for _, a := range prev.Assignments {
-		if nextPath[a.Key()] != a.Path.Key() {
+		if p, ok := nextPath[a.slot()]; !ok || !p.Equal(a.Path) {
 			changes++
 		}
 	}

@@ -73,28 +73,33 @@ func TestBottlenecksSorted(t *testing.T) {
 	}
 }
 
-func TestAssignmentKey(t *testing.T) {
+func TestSlotIdentity(t *testing.T) {
 	a := Assignment{Policy: 3, EdgeIdx: 1, Role: HardEdge, Src: "x", Dst: "y"}
 	b := Assignment{Policy: 3, EdgeIdx: 1, Role: HardEdge, Src: "x", Dst: "y",
 		Path: paths.Path{Nodes: []topo.NodeID{1, 2}}}
-	if a.Key() != b.Key() {
-		t.Error("Key must identify the slot, not the chosen path")
+	if a.slot() != b.slot() {
+		t.Error("a slot must not depend on the chosen path")
 	}
-	// Hard slots are keyed per pair regardless of which temporal edge is
-	// active (Fig 6: the 9-18h and 18-9h edges are the same slot).
+	// Hard slots are per pair regardless of which temporal edge is active
+	// (Fig 6: the 9-18h and 18-9h edges are the same slot).
 	c := Assignment{Policy: 3, EdgeIdx: 2, Role: HardEdge, Src: "x", Dst: "y"}
-	if a.Key() != c.Key() {
-		t.Error("hard keys must not depend on the edge index")
+	if a.slot() != c.slot() {
+		t.Error("hard slots must not depend on the edge index")
 	}
 	// Soft slots keep the edge index: one pair can hold several
 	// reservations.
 	s1 := Assignment{Policy: 3, EdgeIdx: 1, Role: SoftEdge, Src: "x", Dst: "y"}
 	s2 := Assignment{Policy: 3, EdgeIdx: 2, Role: SoftEdge, Src: "x", Dst: "y"}
-	if s1.Key() == s2.Key() {
-		t.Error("soft keys must include the edge index")
+	if s1.slot() == s2.slot() {
+		t.Error("soft slots must include the edge index")
 	}
-	if a.Key() == s1.Key() {
+	if a.slot() == s1.slot() {
 		t.Error("hard and soft slots must not collide")
+	}
+	// A column is its assignment's slot.
+	pv := pathVar{pid: 3, edgeIdx: 2, role: HardEdge, src: "x", dst: "y"}
+	if pv.slot() != a.slot() {
+		t.Error("a column and its assignment must fill the same slot")
 	}
 }
 

@@ -124,7 +124,7 @@ func TestFig2Contention(t *testing.T) {
 			}
 		}
 		if !sawFW {
-			t.Errorf("assignment %s path %s skips the firewall", a.Key(), a.Path.Key())
+			t.Errorf("assignment %+v path %s skips the firewall", a.slot(), a.Path.Key())
 		}
 	}
 }

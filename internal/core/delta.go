@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"janus/internal/compose"
+	"janus/internal/lp"
 	"janus/internal/milp"
 	"janus/internal/topo"
 )
@@ -237,8 +238,10 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 	}
 
 	// Solve the sub-model over the affected policies. Previous assignments
-	// of affected policies still feed the ρ path-change penalty and the
-	// greedy start, so an affected policy that can keep its path does.
+	// of affected policies still mark their live columns for the ρ
+	// path-change penalty and the greedy start, so an affected policy that
+	// can keep its path does. Slots are per policy, so the order in which
+	// policies are gathered does not matter.
 	scopeSet := make(map[int]bool, affectedActive)
 	var prevAffAssign []Assignment
 	for pid := range affected {
@@ -247,13 +250,6 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			prevAffAssign = append(prevAffAssign, prevByPid[pid]...)
 		}
 	}
-	sort.Slice(prevAffAssign, func(i, j int) bool {
-		ki, kj := prevAffAssign[i].Key(), prevAffAssign[j].Key()
-		if ki != kj {
-			return ki < kj
-		}
-		return prevAffAssign[i].Path.Key() < prevAffAssign[j].Path.Key()
-	})
 
 	var sub *Result
 	if affectedActive == 0 {
@@ -267,11 +263,11 @@ func (c *Configurator) DeltaReconfigureContext(ctx context.Context, prev *Result
 			Tier:       TierFull,
 		}
 	} else {
-		m, err := c.buildModelScoped(req.Period, prevAffAssign, nil, req.Counters, allPairs, &modelScope{include: scopeSet, residual: residual})
+		m, err := c.buildModelScoped(lp.NewProblem(), req.Period, prevAffAssign, nil, req.Counters, allPairs, &modelScope{include: scopeSet, residual: residual})
 		if err != nil {
 			return nil, deltaFallback("building sub-model: %v", err)
 		}
-		sol, tier, err := c.solveModel(ctx, m, prevAffAssign, nil)
+		sol, tier, err := c.solveModel(ctx, m, nil)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("core: delta solving period %d: %w", req.Period, err)

@@ -409,7 +409,7 @@ func TestCarryRenumbersByKey(t *testing.T) {
 	for _, a := range carried.Assignments {
 		p := next.PolicyByID(a.Policy)
 		if p == nil || !slices.Contains(tp.Pairs(p.Src, p.Dst), [2]string{a.Src, a.Dst}) {
-			t.Errorf("assignment %s carried to the wrong policy %v", a.Key(), p)
+			t.Errorf("assignment %+v carried to the wrong policy %v", a, p)
 		}
 	}
 

@@ -13,9 +13,9 @@ import (
 // solver prune aggressively from the first node, which matters because the
 // random-candidate models of §5.2 have weak LP bounds.
 //
-// prevAssign biases path selection toward previously used paths so the
+// Path selection prefers each slot's live column, its previous path, so the
 // start also scores well on the path-change penalty (Eqn 7–8).
-func greedyStart(c *Configurator, m *model, prevAssign []Assignment) map[int]float64 {
+func greedyStart(m *model) map[int]float64 {
 	start := make(map[int]float64, len(m.integers))
 	for _, v := range m.integers {
 		start[v] = 0
@@ -24,10 +24,6 @@ func greedyStart(c *Configurator, m *model, prevAssign []Assignment) map[int]flo
 	residual := make(map[[2]topo.NodeID]float64, len(m.linkCap))
 	for l, capacity := range m.linkCap {
 		residual[l] = capacity
-	}
-	prevPath := make(map[string]string, len(prevAssign))
-	for _, a := range prevAssign {
-		prevPath[a.Key()] = a.Path.Key()
 	}
 
 	// Group path variables by policy, then by convexity row (edge, pair).
@@ -94,8 +90,7 @@ func greedyStart(c *Configurator, m *model, prevAssign []Assignment) map[int]flo
 				}
 				score := headroom(pv, res)
 				// Strongly prefer the previously used path (Eqn 7).
-				key := Assignment{Policy: pv.pid, EdgeIdx: pv.edgeIdx, Role: pv.role, Src: pv.src, Dst: pv.dst}.Key()
-				if prevPath[key] == pv.path.Key() {
+				if pv.live {
 					score += 1e12
 				}
 				if score > bestScore {

@@ -26,7 +26,12 @@ type pathVar struct {
 	bw      float64
 	jitter  int  // priority-queue level, -1 when no jitter requirement
 	hasJit  bool //
+	// live marks the column that is its slot's previous path: Eqn 7 holds
+	// it with an α, and the greedy start prefers it.
+	live bool
 }
+
+func (pv *pathVar) slot() slot { return slotOf(pv.pid, pv.edgeIdx, pv.role, pv.src, pv.dst) }
 
 // model is one period's optimization problem plus its variable layout.
 type model struct {
@@ -142,14 +147,15 @@ type modelScope struct {
 // the flows' counter state. prevAssign, when non-nil, adds path-change
 // penalties (Eqns 7–8) against that assignment set.
 func (c *Configurator) buildModel(h int, prevAssign []Assignment, over bwOverride, counters Counters) (*model, error) {
-	return c.buildModelScoped(h, prevAssign, over, counters, c.policyPairs(), nil)
+	return c.buildModelScoped(lp.NewProblem(), h, prevAssign, over, counters, c.policyPairs(), nil)
 }
 
-// buildModelScoped is buildModel over each policy's resolved endpoint
-// pairs, restricted to a scope; a nil scope builds the full period model.
-func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwOverride, counters Counters, pairsByPid map[int][][2]string, scope *modelScope) (*model, error) {
+// buildModelScoped is buildModel into prob, over each policy's resolved
+// endpoint pairs, restricted to a scope; a nil scope builds the full period
+// model.
+func (c *Configurator) buildModelScoped(prob *lp.Problem, h int, prevAssign []Assignment, over bwOverride, counters Counters, pairsByPid map[int][][2]string, scope *modelScope) (*model, error) {
 	m := &model{
-		prob:           lp.NewProblem(),
+		prob:           prob,
 		period:         h,
 		iVar:           map[int]int{},
 		xiVar:          map[int]int{},
@@ -181,6 +187,14 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 			rng.Seed(seed)
 		}
 		return rng
+	}
+
+	// Each slot's previous path (Eqn 7), so every column is marked live as
+	// it is made. A slot the previous result filled twice keeps its last
+	// path.
+	prevPath := make(map[slot]paths.Path, len(prevAssign))
+	for _, a := range prevAssign {
+		prevPath[a.slot()] = a.Path
 	}
 
 	type softGroup struct {
@@ -268,13 +282,14 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 				}
 				r := pairRole(edgeIdx, j, role)
 				terms := make([]lp.Term, 0, len(cands))
+				prev, hasPrev := prevPath[slotOf(p.ID, edgeIdx, r, pair[0], pair[1])]
 				for _, cp := range cands {
 					pv := m.prob.AddBinary(0)
 					m.integers = append(m.integers, pv)
 					m.pvars = append(m.pvars, pathVar{
 						v: pv, pid: p.ID, edgeIdx: edgeIdx, role: r,
 						src: pair[0], dst: pair[1], path: cp, bw: bw,
-						jitter: jitLevel, hasJit: hasJit,
+						jitter: jitLevel, hasJit: hasJit, live: hasPrev && prev.Equal(cp),
 					})
 					terms = append(terms, lp.Term{Var: pv, Coef: 1})
 				}
@@ -418,38 +433,24 @@ func (c *Configurator) buildModelScoped(h int, prevAssign []Assignment, over bwO
 		}
 	}
 
-	if len(prevAssign) > 0 {
-		// Eqn 7: P_{i,p} = 1 − α_{i,p} for previously selected paths.
-		// Index current variables by (slot key, path key), using the same
-		// slot identity as Assignment.Key so temporal edges match across
-		// periods.
-		cur := make(map[string]int, len(m.pvars))
-		for _, pv := range m.pvars {
-			slot := Assignment{Policy: pv.pid, EdgeIdx: pv.edgeIdx, Role: pv.role, Src: pv.src, Dst: pv.dst}
-			cur[slot.Key()+"|"+pv.path.Key()] = pv.v
+	// Eqn 7: P_{i,p} = 1 − α_{i,p} for each live column. A previous path
+	// that is no longer a candidate has none: its change is unavoidable.
+	var alphas []int
+	for _, pv := range m.pvars {
+		if !pv.live {
+			continue
 		}
-		var alphas []int
-		for _, a := range prevAssign {
-			k := a.Key() + "|" + a.Path.Key()
-			pv, ok := cur[k]
-			if !ok {
-				continue // path no longer a candidate; change is unavoidable
-			}
-			alpha := m.prob.AddVariable(0, 1, 0)
-			if _, err := m.prob.AddConstraint(lp.EQ, 1,
-				[]lp.Term{{Var: pv, Coef: 1}, {Var: alpha, Coef: 1}}); err != nil {
-				return nil, err
-			}
-			alphas = append(alphas, alpha)
+		alpha := m.prob.AddVariable(0, 1, 0)
+		if _, err := m.prob.AddConstraint(lp.EQ, 1,
+			[]lp.Term{{Var: pv.v, Coef: 1}, {Var: alpha, Coef: 1}}); err != nil {
+			return nil, err
 		}
-		if n := len(alphas); n > 0 {
-			// Eqn 8 normalizes Σα by the number of previously selected
-			// paths.
-			for _, a := range alphas {
-				if err := m.prob.SetObjective(a, -rho/float64(n)); err != nil {
-					return nil, err
-				}
-			}
+		alphas = append(alphas, alpha)
+	}
+	// Eqn 8 normalizes Σα by the number of previously selected paths.
+	for _, a := range alphas {
+		if err := m.prob.SetObjective(a, -rho/float64(len(alphas))); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil

@@ -123,11 +123,11 @@ func (c *Configurator) ConfigureTemporalIndependent() (*TemporalResult, error) {
 }
 
 // ConfigureTemporalJoint solves the joint optimization of Eqn 9: one MILP
-// spanning all periods, with per-period copies of every variable and
-// capacity constraint plus α-coupled path-change terms between consecutive
-// periods. It is exponentially more expensive than the greedy chain (the
-// paper's joint run "did not complete even after running for over 20
-// hours"); use only on small instances.
+// spanning all periods, with every period's model built into one problem
+// and α-coupled path-change terms between consecutive periods. It is
+// exponentially more expensive than the greedy chain (the paper's joint run
+// "did not complete even after running for over 20 hours"); use only on
+// small instances.
 func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 	start := time.Now()
 	periods := c.graph.Periods()
@@ -135,82 +135,56 @@ func (c *Configurator) ConfigureTemporalJoint() (*TemporalResult, error) {
 		return &TemporalResult{}, nil
 	}
 
+	// Each period's model goes into the shared problem, its objective
+	// weights divided by the period count (Eqn 9 sums normalized
+	// per-period objectives).
 	prob := lp.NewProblem()
+	pairs := c.policyPairs()
 	var integers []int
-	type slotKey struct {
-		pid, edgeIdx int
-		src, dst     string
-		pathKey      string
-	}
-	// Per-period layouts, built with the same deterministic slot logic as
-	// buildModel, but into one shared problem.
 	models := make([]*model, len(periods))
-	perPeriodVar := make([]map[slotKey]int, len(periods))
 	for k, h := range periods {
-		m, err := c.buildModel(h, nil, nil, nil)
+		first := prob.NumVariables()
+		m, err := c.buildModelScoped(prob, h, nil, nil, nil, pairs, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Copy m's variables, rows and objective into the shared problem,
-		// remapping indices; objective weights are divided by the period
-		// count (Eqn 9 sums normalized per-period objectives).
-		remap := make([]int, m.prob.NumVariables())
-		for v := 0; v < m.prob.NumVariables(); v++ {
-			lo, up := m.prob.Bounds(v)
-			remap[v] = prob.AddVariable(lo, up, m.prob.ObjectiveCoef(v)/float64(len(periods)))
-		}
-		for i := 0; i < m.prob.NumConstraints(); i++ {
-			sense, rhs, terms := m.prob.Constraint(i)
-			for k := range terms {
-				terms[k].Var = remap[terms[k].Var]
-			}
-			if _, err := prob.AddConstraint(sense, rhs, terms); err != nil {
+		for v := first; v < prob.NumVariables(); v++ {
+			if err := prob.SetObjective(v, prob.ObjectiveCoef(v)/float64(len(periods))); err != nil {
 				return nil, err
 			}
 		}
-		for _, pv := range m.pvars {
-			integers = append(integers, remap[pv.v])
-		}
-		for _, pid := range m.pids {
-			integers = append(integers, remap[m.iVar[pid]])
-		}
-		perPeriodVar[k] = make(map[slotKey]int, len(m.pvars))
-		for i := range m.pvars {
-			pv := &m.pvars[i]
-			perPeriodVar[k][slotKey{pv.pid, pv.edgeIdx, pv.src, pv.dst, pv.path.Key()}] = remap[pv.v]
-			pv.v = remap[pv.v] // so decode reads the joint solution
-		}
-		for pid := range m.iVar {
-			m.iVar[pid] = remap[m.iVar[pid]]
-		}
-		for pid := range m.xiVar {
-			m.xiVar[pid] = remap[m.xiVar[pid]]
-		}
+		integers = append(integers, m.integers...)
 		models[k] = m
 	}
 
 	// Cross-period α coupling (Eqn 9): for consecutive periods, selecting a
-	// path at t but not at t+1 costs ρ. Linearized as α ≥ P_t − P_{t+1}.
+	// path at t but not at t+1 costs ρ. Linearized as α ≥ P_t − P_{t+1},
+	// for every column of t+1 whose slot had the same path at t, in column
+	// order.
 	var alphas []int
-	for k := 0; k+1 < len(periods); k++ {
-		for key, vPrev := range perPeriodVar[k] {
-			vNext, ok := perPeriodVar[k+1][key]
-			if !ok {
-				continue
+	for k := 1; k < len(models); k++ {
+		before := map[slot][]*pathVar{}
+		for i := range models[k-1].pvars {
+			pv := &models[k-1].pvars[i]
+			before[pv.slot()] = append(before[pv.slot()], pv)
+		}
+		for _, pv := range models[k].pvars {
+			for _, was := range before[pv.slot()] {
+				if !was.path.Equal(pv.path) {
+					continue
+				}
+				alpha := prob.AddVariable(0, 1, 0)
+				if _, err := prob.AddConstraint(lp.GE, 0,
+					[]lp.Term{{Var: alpha, Coef: 1}, {Var: was.v, Coef: -1}, {Var: pv.v, Coef: 1}}); err != nil {
+					return nil, err
+				}
+				alphas = append(alphas, alpha)
 			}
-			alpha := prob.AddVariable(0, 1, 0)
-			if _, err := prob.AddConstraint(lp.GE, 0,
-				[]lp.Term{{Var: alpha, Coef: 1}, {Var: vPrev, Coef: -1}, {Var: vNext, Coef: 1}}); err != nil {
-				return nil, err
-			}
-			alphas = append(alphas, alpha)
 		}
 	}
-	if n := len(alphas); n > 0 {
-		for _, a := range alphas {
-			if err := prob.SetObjective(a, -rho/float64(n)); err != nil {
-				return nil, err
-			}
+	for _, a := range alphas {
+		if err := prob.SetObjective(a, -rho/float64(len(alphas))); err != nil {
+			return nil, err
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"janus/internal/compose"
 	"janus/internal/policy"
 	"janus/internal/topo"
+	"janus/internal/workload"
 )
 
 // twoPeriodSetup builds a diamond network and two policies that partition
@@ -260,5 +262,95 @@ func TestActiveEdgesClassification(t *testing.T) {
 	// At 2h the temporal edge is inactive.
 	if len(hard) != 1 || len(soft) != 1 {
 		t.Errorf("at 2h: hard=%v soft=%v, want 1 hard 1 soft", hard, soft)
+	}
+}
+
+// TestJointCouplesSharedSlots holds the Eqn 9 coupling to the slot rule
+// the chain's Eqns 7–8 use: at each period boundary, every column whose
+// slot had the same path in the period before gets one α, with a hard slot
+// being (policy, pair) and a soft one (policy, edge, pair). On this Fig 6
+// workload every policy's hard edge changes at each boundary while its
+// slots and chains stay, so a rule keyed by edge couples nothing; the slot
+// rule couples 34 columns per boundary.
+func TestJointCouplesSharedSlots(t *testing.T) {
+	w, err := workload.Generate("Internode", workload.Spec{Policies: 6, EndpointsPerPolicy: 2, TimePeriods: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := mustNew(t, w.Topo, w.Graph, Config{CandidatePaths: 3, Seed: 1, Workers: 1})
+	type column struct {
+		pid, edge      int
+		role           EdgeRole
+		src, dst, path string
+	}
+	vars, want := 0, 0
+	var before map[column]int
+	for k, h := range w.Graph.Periods() {
+		m, err := conf.buildModel(h, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars += m.prob.NumVariables()
+		cols := map[column]int{}
+		for _, pv := range m.pvars {
+			c := column{pv.pid, pv.edgeIdx, pv.role, pv.src, pv.dst, pv.path.Key()}
+			if pv.role == HardEdge {
+				c.edge = -1
+			}
+			cols[c]++
+		}
+		if k > 0 {
+			shared := 0
+			for c, n := range cols {
+				shared += n * before[c]
+			}
+			if shared == 0 {
+				t.Fatalf("period %dh shares no (slot, path) with the period before", h)
+			}
+			want += shared
+		}
+		before = cols
+	}
+	joint, err := conf.ConfigureTemporalJoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The joint problem is the period models plus one α per coupling.
+	if got := joint.Results[0].Stats.Variables - vars; got != want {
+		t.Errorf("joint model couples %d columns across period boundaries, want %d", got, want)
+	}
+}
+
+// TestJointDeterministic holds two joint solves of one configurator, at one
+// solver worker, to identical results: the coupling rows must be built in
+// an order that does not depend on map iteration. The instance has
+// stateful edges, so soft slots couple too.
+func TestJointDeterministic(t *testing.T) {
+	w, err := workload.Generate("Ans", workload.Spec{Policies: 6, EndpointsPerPolicy: 2, TimePeriods: 2, StatefulEdges: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := mustNew(t, w.Topo, w.Graph, Config{CandidatePaths: 3, Seed: 3, Workers: 1})
+	first, err := conf.ConfigureTemporalJoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 3; run++ {
+		again, err := conf.ConfigureTemporalJoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.PathChanges != first.PathChanges || again.TotalConfigured != first.TotalConfigured {
+			t.Errorf("run %d: %d path changes and %d configured, run 1: %d and %d",
+				run, again.PathChanges, again.TotalConfigured, first.PathChanges, first.TotalConfigured)
+		}
+		for k, res := range again.Results {
+			got, want := *res, *first.Results[k]
+			got.Stats.Duration, want.Stats.Duration = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("run %d, period %dh: result differs from run 1 (%d nodes and %d assignments, run 1: %d and %d)",
+					run, res.Period, got.Stats.Nodes, len(got.Assignments), want.Stats.Nodes, len(want.Assignments))
+			}
+		}
 	}
 }

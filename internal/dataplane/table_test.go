@@ -52,7 +52,7 @@ func randTableRules(rng *rand.Rand, nodes []topo.NodeID, max int) []Rule {
 // by Rule.Key: copy every installed rule into one such map, key the target
 // the same way (the later of two rules on one key wins), and compare the
 // rules on a key by their formatted actions.
-func referencePlan(installed, target []Rule) ([]UpdateOp, [4]int, CompileResult) {
+func referencePlan(installed, target []Rule) ([]UpdateOp, CompileResult) {
 	action := func(r Rule) string { return fmt.Sprintf("%d|%g|%d", r.NextHop, r.QueueMbps, r.Priority) }
 	current := map[string]Rule{}
 	for _, r := range installed {
@@ -98,18 +98,12 @@ func referencePlan(installed, target []Rule) ([]UpdateOp, [4]int, CompileResult)
 		ops = append(ops, UpdateOp{Phase: 3, Rule: current[k]})
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Phase < ops[j].Phase })
-	var perPhase [4]int
-	touched := [4]map[topo.NodeID]bool{{}, {}, {}, {}}
 	all := map[topo.NodeID]bool{}
 	for _, op := range ops {
-		touched[op.Phase][op.Rule.Switch] = true
 		all[op.Rule.Switch] = true
 	}
-	for p := 1; p <= 3; p++ {
-		perPhase[p] = len(touched[p])
-	}
 	rep.SwitchesTouched = len(all)
-	return ops, perPhase, rep
+	return ops, rep
 }
 
 // formatOps renders ops field by field; %v keeps NaN, -0, protocol ""
@@ -202,13 +196,10 @@ func TestPlanUpdateMatchesKeyedDiff(t *testing.T) {
 			}
 		}
 		plan := n.PlanUpdate(c.target)
-		ops, perPhase, rep := referencePlan(n.AllRules(), c.target)
+		ops, rep := referencePlan(n.AllRules(), c.target)
 		got, want := formatOps(plan.Ops), formatOps(ops)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: ops differ\n got %q\nwant %q", c.name, got, want)
-		}
-		if plan.SwitchesPerPhase != perPhase {
-			t.Fatalf("%s: switches per phase %v, want %v", c.name, plan.SwitchesPerPhase, perPhase)
 		}
 		if plan.Report() != rep {
 			t.Fatalf("%s: report %+v, want %+v", c.name, plan.Report(), rep)

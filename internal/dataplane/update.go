@@ -44,10 +44,6 @@ type UpdateOp struct {
 // UpdatePlan is an ordered, consistency-preserving rule update.
 type UpdatePlan struct {
 	Ops []UpdateOp
-	// SwitchesPerPhase counts distinct switches touched in each phase
-	// (index 0 unused); the update latency model of §2.2 scales with the
-	// slowest phase.
-	SwitchesPerPhase [4]int
 	// installs/updates/removes are the planning-time delta counts feeding
 	// Report.
 	installs, updates, removes int
@@ -136,31 +132,20 @@ func (n *Network) PlanUpdate(target []Rule) *UpdatePlan {
 	sort.Sort(stale)
 
 	plan := &UpdatePlan{installs: len(fresh), updates: len(changed.rules) - len(fresh), removes: len(stale.rules)}
-	touched := [4]map[topo.NodeID]bool{}
-	for i := range touched {
-		touched[i] = map[topo.NodeID]bool{}
-	}
-	add := func(op UpdateOp) {
-		plan.Ops = append(plan.Ops, op)
-		touched[op.Phase][op.Rule.Switch] = true
-	}
 	// A rule whose InPort is HostPort is the flow's ingress commit point;
 	// everything else pre-installs.
 	for _, r := range changed.rules {
 		if r.InPort == HostPort {
-			add(UpdateOp{Phase: 2, Install: true, Rule: r})
+			plan.Ops = append(plan.Ops, UpdateOp{Phase: 2, Install: true, Rule: r})
 		} else {
-			add(UpdateOp{Phase: 1, Install: true, Rule: r})
+			plan.Ops = append(plan.Ops, UpdateOp{Phase: 1, Install: true, Rule: r})
 		}
 	}
 	for _, r := range stale.rules {
-		add(UpdateOp{Phase: 3, Install: false, Rule: r})
+		plan.Ops = append(plan.Ops, UpdateOp{Phase: 3, Install: false, Rule: r})
 	}
 
 	sort.SliceStable(plan.Ops, func(i, j int) bool { return plan.Ops[i].Phase < plan.Ops[j].Phase })
-	for p := 1; p <= 3; p++ {
-		plan.SwitchesPerPhase[p] = len(touched[p])
-	}
 	return plan
 }
 

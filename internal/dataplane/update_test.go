@@ -116,14 +116,18 @@ func TestPlanUpdatePhaseCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := n.PlanUpdate(rulesFor(t, tp, ids["a"], ids["bottom"], ids["b"]))
-	// Phase 2 is exactly the ingress switch.
-	if plan.SwitchesPerPhase[2] != 1 {
-		t.Errorf("commit phase touches %d switches, want 1", plan.SwitchesPerPhase[2])
+	switches := [4]map[topo.NodeID]bool{{}, {}, {}, {}}
+	for _, op := range plan.Ops {
+		switches[op.Phase][op.Rule.Switch] = true
 	}
-	if plan.SwitchesPerPhase[1] == 0 {
+	// Phase 2 is exactly the ingress switch.
+	if len(switches[2]) != 1 {
+		t.Errorf("commit phase touches %d switches, want 1", len(switches[2]))
+	}
+	if len(switches[1]) == 0 {
 		t.Error("pre-install phase should touch downstream switches")
 	}
-	if plan.SwitchesPerPhase[3] == 0 {
+	if len(switches[3]) == 0 {
 		t.Error("cleanup phase should remove old rules")
 	}
 }

@@ -139,9 +139,10 @@ func Fig15(p Params) ([]Table, error) {
 
 // Table5 compares the greedy temporal chain (§5.5) against independently
 // re-solving each period: configured policies, % reduction in cross-period
-// path changes (paper: >90%), and runtime. The joint optimization (Eqn 9)
-// is reported on the smallest instance only — the paper's joint run never
-// finished.
+// path changes (paper: >90%), and runtime. It does not run the joint
+// optimization (Eqn 9), whose run in the paper never finished;
+// BenchmarkAblationJointVsGreedy compares it with the chain on a small
+// instance.
 func Table5(p Params) ([]Table, error) {
 	p = p.withDefaults()
 	policySweep := []int{p.scaled(10), p.scaled(15), p.scaled(20), p.scaled(25)}

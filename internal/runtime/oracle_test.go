@@ -360,11 +360,14 @@ func recordEvent(rec *store.Record) Event {
 // graph swap must take. At the end, each record's derived input is fed to
 // a fresh runtime on the fabric that solves it, and the result it installs
 // must equal the recorded one byte for byte; an event whose record is not
-// a rollback must also replay without error. A record carrying a composed
-// graph replays as a swap to that graph, as read back from the journal.
-// One solver worker (cfg) keeps both runs' searches identical. Only
-// results are compared: a rolled-back tick journals the clock it stopped
-// at, not the hour it aimed for, so its metrics cannot be replayed.
+// a rollback must also replay without error. A rollback replays under a
+// cancelled context: without crashes or exhausted retries, only an
+// abandoned event fails after taking in its change, and the replay's solve
+// then fails as the live install did. A record carrying a composed graph
+// replays as a swap to that graph, as read back from the journal. One
+// solver worker (cfg) keeps both runs' searches identical. Only results
+// are compared: a rolled-back tick journals the clock it stopped at, not
+// the hour it aimed for, so its metrics cannot be replayed.
 func resolveReplay(j *roundTripJournal, cfg core.Config) Oracle {
 	events, failed, swaps := 0, 0, 0
 	return Oracle{
@@ -383,6 +386,8 @@ func resolveReplay(j *roundTripJournal, cfg core.Config) Oracle {
 		},
 		End: func(t testing.TB, _ []*Side) {
 			ctx := context.Background()
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
 			conf, _ := chaosSetupCfg(t, cfg)
 			fresh, err := New(ctx, conf)
 			if err != nil {
@@ -396,9 +401,12 @@ func resolveReplay(j *roundTripJournal, cfg core.Config) Oracle {
 					if err := fresh.UpdateGraph(ctx, rec.Graph, cfg); err != nil {
 						t.Fatalf("record %d (%s, replayed as a graph swap): %v", i+1, rec.Kind, err)
 					}
+				case i > 0 && rec.Kind == store.KindRollback:
+					ev = recordEvent(rec)
+					_ = fresh.Apply(cancelled, ev) // fails as the live event did; the results are compared below
 				case i > 0:
 					ev = recordEvent(rec)
-					if err := fresh.Apply(ctx, ev); err != nil && rec.Kind != store.KindRollback {
+					if err := fresh.Apply(ctx, ev); err != nil {
 						t.Fatalf("record %d (%s, replayed as %+v): %v", i+1, rec.Kind, ev, err)
 					}
 				}

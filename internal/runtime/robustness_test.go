@@ -16,12 +16,17 @@ import (
 )
 
 // noSleepPolicy is the test retry policy: full budget, no real waiting,
-// seeded jitter.
+// seeded jitter. A backoff under an abandoned step's context (see
+// Step.Abandon) is where its client cancels.
 func noSleepPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
-		Sleep:       func(context.Context, time.Duration) {},
-		Rand:        rand.New(rand.NewSource(99)),
+		Sleep: func(ctx context.Context, _ time.Duration) {
+			if cancel, ok := ctx.Value(abandonKey{}).(context.CancelFunc); ok {
+				cancel()
+			}
+		},
+		Rand: rand.New(rand.NewSource(99)),
 	}
 }
 

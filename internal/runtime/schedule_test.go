@@ -29,7 +29,15 @@ type Step struct {
 	// IfDown applies a link restore only on a side whose link failure took;
 	// elsewhere the step is skipped and succeeds.
 	IfDown bool
+	// Abandon applies the event under a context its client cancels while
+	// the install backs off from a failed operation (noSleepPolicy's sleep
+	// cancels it). The event has already taken in its change, so it fails
+	// after mutating and journals a rollback.
+	Abandon bool
 }
+
+// abandonKey is the context key of an abandoned step's cancel function.
+type abandonKey struct{}
 
 func (st Step) String() string {
 	if st.Swap != nil {
@@ -69,6 +77,10 @@ func (s *Side) apply(t testing.TB, ctx context.Context, st Step) error {
 		return s.RT.UpdateGraph(ctx, composeWriters(t, st.Swap...), s.Cfg)
 	case st.IfDown && !s.LinkDown:
 		return nil
+	case st.Abandon:
+		c, cancel := context.WithCancel(ctx)
+		defer cancel()
+		ctx = context.WithValue(c, abandonKey{}, cancel)
 	}
 	err := s.RT.Apply(ctx, st.Event)
 	if k := st.Event.Kind; err == nil && (k == EventLinkFail || k == EventLinkRestore) {
@@ -375,6 +387,19 @@ func deltaDiffSwap(i, n int) []*policy.Graph {
 		return chaosWriters(10, false)
 	}
 	return nil
+}
+
+// abandoning is sched with every n-th step that is an event abandoned (see
+// Step.Abandon), under the name name; its draws are sched's.
+func abandoning(name string, sched Schedule, n int) Schedule {
+	return Schedule{Name: name, Steps: sched.Steps, Source: func() Source {
+		src := sched.Source()
+		return func(i int, s *Side) Step {
+			st := src(i, s)
+			st.Abandon = st.Swap == nil && i%n == n-1
+			return st
+		}
+	}}
 }
 
 // fastsoakSchedule is the classifier swap soak's 36 steps on the fabric

@@ -201,6 +201,39 @@ func TestResolveReplay(t *testing.T) {
 		periodHolds(), auditClean(), failedKeepsRules(), resolveReplay(j, cfg))
 }
 
+// TestResolveReplayAbandoned drives TestResolveReplay's trace under 10 % op
+// faults, with every other event abandoned by its client while its install
+// backs off from a failed operation: such a step fails after taking in its
+// change, must leave the rule set as it was, and journals a rollback that
+// replays to the recorded result (see resolveReplay). auditClean is left
+// off: an abandoned move leaves its endpoint moved under the old rules, and
+// a later event that installs nothing, such as an hour tick inside a
+// period, succeeds with that audit still dirty.
+func TestResolveReplayAbandoned(t *testing.T) {
+	cfg := core.Config{Workers: 1}
+	conf, sw := chaosSetupCfg(t, cfg)
+	j := &roundTripJournal{}
+	s := &Side{Name: "live", RT: start(t, conf, j), Cfg: cfg}
+	s.RT.Network().InjectFaults(dataplane.FaultPlan{Seed: 5, Default: dataplane.SwitchFaults{FailRate: 0.1}})
+	failed := 0
+	countFailed := Oracle{
+		After: func(_ testing.TB, _ int, _ Step, sides []*Side) {
+			if sides[0].Err != nil {
+				failed++
+			}
+		},
+		End: func(t testing.TB, sides []*Side) {
+			rolledBack := sides[0].RT.Metrics().ApplyRollbacks
+			t.Logf("%d steps failed, %d installs rolled back", failed, rolledBack)
+			if failed == 0 || rolledBack == 0 {
+				t.Errorf("the schedule abandoned no install")
+			}
+		},
+	}
+	sched := abandoning("resolve-replay-abandoned", deltaDiffSchedule("resolve-replay", sw, 101, 60, true), 2)
+	drive(t, sched, []*Side{s}, periodHolds(), failedKeepsRules(), resolveReplay(j, cfg), countFailed)
+}
+
 // TestEventLedger holds the event loop to a per-event ledger: two seeded
 // streams run at one solver worker through a journaled runtime, each step
 // writing one ledger line (see ledgerLines). The lines must equal
@@ -308,6 +341,7 @@ func TestSchedulesReplay(t *testing.T) {
 	for _, sched := range []Schedule{
 		chaosSchedule(sw), crashSchedule(sw), fastsoakSchedule(sw),
 		deltaDiffSchedule("deltadiff", sw, 101, 60, true), deltaDiffSchedule("deltadiff-chaos", sw, 11, 48, true),
+		abandoning("resolve-replay-abandoned", deltaDiffSchedule("resolve-replay", sw, 101, 60, true), 2),
 		ledgerSchedule("ans", 1, ans, 120), roamSchedule("roam", 7, ans, 200),
 	} {
 		conf, _ := chaosSetup(t)
